@@ -61,9 +61,19 @@ void BM_Apsp(benchmark::State& state) {
 }
 BENCHMARK(BM_Apsp)->Arg(50)->Arg(100)->Arg(150);
 
+// Shared graph + eager (dense-mode) oracle: every row resident, so point
+// queries are cached-row lookups.
+std::shared_ptr<const msc::graph::DistanceOracle> eagerOracle(
+    const msc::graph::Graph& g) {
+  return msc::graph::makeDistanceOracle(
+      std::make_shared<const msc::graph::Graph>(g),
+      msc::graph::DistanceMode::Dense, /*landmarks=*/0, /*threads=*/1);
+}
+
 void BM_ApplyZeroEdge(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
-  const auto& base = spatial.instance.distanceOracle().materialize();
+  const auto oracle = eagerOracle(spatial.instance.graph());
+  const auto& base = oracle->materialize();
   for (auto _ : state) {
     auto d = base;
     msc::graph::applyZeroEdge(d, 0, spatial.instance.graph().nodeCount() - 1);
@@ -72,15 +82,14 @@ void BM_ApplyZeroEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyZeroEdge)->Arg(50)->Arg(100)->Arg(150);
 
-// Point-query cost of the two oracle backends on the same graph: the
-// dense matrix lookup is the floor, the pair-centric ALT/cached-row query
-// is what replaces it past the auto threshold. Queries cycle through a
-// fixed endpoint sample so the pair-centric row cache behaves as it does
-// mid-solve (hot rows for repeated sources).
+// Point-query cost of the oracle in its two modes on the same graph: the
+// all-rows (dense) lookup is the floor, the lazy ALT/cached-row query is
+// what replaces it past the auto threshold. Queries cycle through a fixed
+// endpoint sample so the lazy row cache behaves as it does mid-solve (hot
+// rows for repeated sources).
 void BM_MatrixLookup(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
-  const auto oracle = msc::graph::DenseMatrixOracle::build(
-      spatial.instance.graph(), /*threads=*/1);
+  const auto oracle = eagerOracle(spatial.instance.graph());
   const int n = spatial.instance.graph().nodeCount();
   int x = 0;
   for (auto _ : state) {
@@ -266,11 +275,10 @@ void runRegressionHarness() {
     });
   }
   {
-    // Point-query cost of both oracle backends, gated by bench_diff.py
+    // Point-query cost of the oracle's two modes, gated by bench_diff.py
     // like every other harness case (CI perf-smoke self-diff).
     const auto spatial = makeRg(150, 10);
-    const auto dense = msc::graph::DenseMatrixOracle::build(
-        spatial.instance.graph(), /*threads=*/1);
+    const auto dense = eagerOracle(spatial.instance.graph());
     const auto graph =
         std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
     const msc::graph::PairCentricOracle pc(

@@ -507,14 +507,19 @@ int cmdVersion() {
             << "  msc.serve.v1    serve subcommand JSONL request/response\n"
             << "    field additions: load_graph accepts \"distance_mode\" "
                "(auto|dense|pair_centric)\n"
-            << "    and echoes it; solve/eval report \"distance_mode\"; solve "
-               "reports \"candidates\";\n"
-            << "    stats exposes cache.oracles{dense,pair_centric,"
-               "bytes_dense,bytes_pair_centric,\n"
-            << "    mode_switches,dense_telemetry,pair_centric_telemetry};\n"
-            << "    solve/eval responses carry usage.oracle{point_queries,"
-               "row_queries,\n"
-            << "    terminal_batches,row_builds,row_hits,rows_evicted,"
+            << "    and echoes it; auto resolves once per graph (dense iff "
+               "n <= 2048); solve/eval\n"
+            << "    report the resolved \"distance_mode\" (dense = all "
+               "oracle rows prefetched and\n"
+            << "    all-pairs candidates; pair_centric = rows on demand and "
+               "pair-node candidates);\n"
+            << "    solve reports \"candidates\"; stats exposes "
+               "cache.oracles{count,bytes,\n"
+            << "    point_queries,row_queries,row_builds,row_hits,"
+               "alt_queries,rows_evicted,\n"
+            << "    rows_resident}; solve/eval responses carry "
+               "usage.oracle{point_queries,\n"
+            << "    row_queries,row_builds,row_hits,rows_evicted,"
                "alt_queries,rows_evolved,\n"
             << "    rows_replayed,row_build_seconds,alt_settled_ratio{count,"
                "p50,p90,max}};\n"
@@ -527,19 +532,15 @@ int cmdVersion() {
             << "    the sampled multi-path maintained count (CLI: solve-mc; "
                "obs: mc.worlds\n"
             << "    counter, mc.frontier_seconds histogram);\n"
-            << "    metrics/GET /metrics export msc_serve_oracle_bytes{mode}, "
-               "msc_serve_oracle_rows{mode},\n"
-            << "    msc_serve_oracle_queries_total{mode,kind}, "
-               "msc_serve_oracle_row_builds_total{mode},\n"
-            << "    msc_serve_oracle_row_hits_total{mode}, "
-               "msc_serve_oracle_row_evictions_total{mode},\n"
-            << "    msc_serve_oracle_mode_switches_total\n"
+            << "    metrics/GET /metrics export msc_serve_oracle_bytes, "
+               "msc_serve_oracle_rows,\n"
+            << "    msc_serve_oracle_queries_total{kind}, "
+               "msc_serve_oracle_row_builds_total,\n"
+            << "    msc_serve_oracle_row_hits_total, "
+               "msc_serve_oracle_row_evictions_total\n"
             << "    knobs: MSC_ORACLE_ROWS_MB / serve --oracle-rows-mb "
                "(bounded oracle row cache,\n"
-            << "    bit-identical results); distance_mode \"auto\" "
-               "re-validates the backend from the\n"
-            << "    measured query mix and logs serve.oracle_mode_decision "
-               "events;\n"
+            << "    bit-identical results);\n"
             << "    live introspection (docs/ALGORITHMS.md sec. 18): any "
                "request accepts\n"
             << "    \"deadline_seconds\" (> 0) and \"progress\":{\"every_ms\":"

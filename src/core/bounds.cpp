@@ -154,7 +154,7 @@ NuEvaluator::NuEvaluator(const Instance& instance)
   // coverage_[v]: pair-nodes within d_t of graph node v. Built by sweeping
   // each pair-node's distance row (prefetched at instance construction)
   // instead of reading matrix columns, so only |pairNodes| rows are ever
-  // touched — no O(n^2) materialization on lazy backends.
+  // touched — no O(n^2) materialization in the pair-centric mode.
   coverage_.assign(static_cast<std::size_t>(n),
                    util::Bitset(pairNodes.size()));
   const auto& oracle = instance.distanceOracle();

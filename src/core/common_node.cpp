@@ -51,7 +51,7 @@ CommonNodeResult solveCommonNodeCoverage(const Instance& instance,
   // C_v: pairs {u, w} with dist(v, w) <= d_t, where w is the non-common
   // endpoint. Base-satisfied pairs are covered from the start. Built by
   // sweeping the non-common endpoints' distance rows (all pair nodes, so
-  // already cached in the oracle) — the lazy backends never see a column
+  // already cached in the oracle) — the oracle never serves a column
   // read.
   std::vector<util::Bitset> coverage(static_cast<std::size_t>(n),
                                      util::Bitset(pairs.size()));

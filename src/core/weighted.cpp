@@ -230,8 +230,8 @@ WeightedNuEvaluator::WeightedNuEvaluator(const Instance& instance,
     nodeWeights_[static_cast<std::size_t>(
         slot[static_cast<std::size_t>(pairs[i].w)])] += 0.5 * weights[i];
   }
-  // Swept per pair-node row (see NuEvaluator) — no matrix columns, so lazy
-  // backends never materialize n^2 entries.
+  // Swept per pair-node row (see NuEvaluator) — no matrix columns, so the
+  // pair-centric mode never materializes n^2 entries.
   coverage_.assign(static_cast<std::size_t>(n),
                    util::Bitset(pairNodes.size()));
   const auto& oracle = instance.distanceOracle();

@@ -64,123 +64,18 @@ std::optional<DistanceMode> parseDistanceMode(std::string_view name) noexcept {
   return std::nullopt;
 }
 
+DistanceMode resolveDistanceMode(DistanceMode mode, int nodeCount) noexcept {
+  if (mode != DistanceMode::Auto) return mode;
+  return nodeCount <= kDenseAutoNodeLimit ? DistanceMode::Dense
+                                          : DistanceMode::PairCentric;
+}
+
 // ------------------------------------------------------ DistanceOracle ----
 
 void DistanceOracle::checkNode(NodeId v) const {
   if (v < 0 || v >= nodeCount()) {
     throw std::out_of_range("DistanceOracle: node index out of range");
   }
-}
-
-void DistanceOracle::prefetchRows(std::span<const NodeId> sources,
-                                  int /*threads*/) const {
-  for (const NodeId v : sources) checkNode(v);
-}
-
-util::Matrix<double> DistanceOracle::distancesToTerminals(
-    std::span<const NodeId> terminals, int threads) const {
-  terminalBatches_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    ctx->oracle().terminalBatches.fetch_add(1, std::memory_order_relaxed);
-  }
-  prefetchRows(terminals, threads);
-  const auto n = static_cast<std::size_t>(nodeCount());
-  util::Matrix<double> out(terminals.size(), n);
-  for (std::size_t i = 0; i < terminals.size(); ++i) {
-    const auto row = distancesFrom(terminals[i]);
-    std::copy(row.begin(), row.end(), out.row(i));
-  }
-  return out;
-}
-
-OracleStats DistanceOracle::stats() const {
-  OracleStats s;
-  s.terminalBatches = terminalBatches_.load(std::memory_order_relaxed);
-  s.residentBytes = residentBytes();
-  return s;
-}
-
-// --------------------------------------------------- DenseMatrixOracle ----
-
-DenseMatrixOracle::DenseMatrixOracle(
-    std::shared_ptr<const DistanceMatrix> matrix)
-    : owned_(std::move(matrix)), matrix_(owned_.get()) {
-  if (!matrix_) {
-    throw std::invalid_argument("DenseMatrixOracle: null matrix");
-  }
-  if (matrix_->rows() != matrix_->cols()) {
-    throw std::invalid_argument("DenseMatrixOracle: matrix must be square");
-  }
-  initTouched();
-}
-
-DenseMatrixOracle::DenseMatrixOracle(const DistanceMatrix& matrix)
-    : matrix_(&matrix) {
-  if (matrix_->rows() != matrix_->cols()) {
-    throw std::invalid_argument("DenseMatrixOracle: matrix must be square");
-  }
-  initTouched();
-}
-
-void DenseMatrixOracle::initTouched() {
-  // Value-initialized array: every flag starts 0.
-  rowTouched_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(matrix_->rows());
-}
-
-std::shared_ptr<DenseMatrixOracle> DenseMatrixOracle::build(const Graph& g,
-                                                            int threads) {
-  return std::make_shared<DenseMatrixOracle>(
-      std::make_shared<const DistanceMatrix>(allPairsDistances(g, threads)));
-}
-
-double DenseMatrixOracle::distance(NodeId x, NodeId y) const {
-  checkNode(x);
-  checkNode(y);
-  pointQueries_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    ctx->oracle().pointQueries.fetch_add(1, std::memory_order_relaxed);
-  }
-  return (*matrix_)(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
-}
-
-std::span<const double> DenseMatrixOracle::distancesFrom(NodeId v) const {
-  checkNode(v);
-  rowQueries_.fetch_add(1, std::memory_order_relaxed);
-  rowTouched_[static_cast<std::size_t>(v)].store(1, std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    auto& usage = ctx->oracle();
-    usage.rowQueries.fetch_add(1, std::memory_order_relaxed);
-    usage.rowHits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return {matrix_->row(static_cast<std::size_t>(v)), matrix_->cols()};
-}
-
-void DenseMatrixOracle::prefetchRows(std::span<const NodeId> sources,
-                                     int /*threads*/) const {
-  for (const NodeId v : sources) checkNode(v);  // all rows already resident
-}
-
-std::size_t DenseMatrixOracle::residentBytes() const noexcept {
-  // A borrowed matrix is charged to whoever owns it (the serve cache
-  // already bills its memoized matrices), so only owning oracles report.
-  if (!owned_) return 0;
-  return matrix_->rows() * matrix_->cols() * sizeof(double) + kObjectOverhead;
-}
-
-OracleStats DenseMatrixOracle::stats() const {
-  OracleStats s = DistanceOracle::stats();
-  s.pointQueries = pointQueries_.load(std::memory_order_relaxed);
-  s.rowQueries = rowQueries_.load(std::memory_order_relaxed);
-  // Every dense row query is served from the resident matrix.
-  s.rowHits = s.rowQueries;
-  s.rowsResident = matrix_->rows();
-  std::size_t touched = 0;
-  for (std::size_t i = 0; i < matrix_->rows(); ++i) {
-    touched += rowTouched_[i].load(std::memory_order_relaxed);
-  }
-  s.rowsTouched = touched;
-  return s;
 }
 
 // --------------------------------------------------- PairCentricOracle ----
@@ -199,13 +94,37 @@ PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
   if (config.landmarks < 0) {
     throw std::invalid_argument("PairCentricOracle: negative landmark count");
   }
-  rowRequested_.assign(static_cast<std::size_t>(graph_->nodeCount()), 0);
   selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
-  if (!landmarkIds_.empty()) {
-    // Value-initialized: per-landmark usefulness counts start at 0.
-    landmarkUseful_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(landmarkIds_.size());
+}
+
+std::shared_ptr<const PairCentricOracle> PairCentricOracle::allRows(
+    std::shared_ptr<const Graph> graph, int threads) {
+  MSC_OBS_SPAN("apsp.run");
+  // The n-row build is the dense mode's APSP phase: it keeps the APSP
+  // histogram (always on, one sample per build) and is not counted as
+  // lazy row builds.
+  static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
+  const std::int64_t t0 = steadyNowNs();
+  auto oracle = std::make_shared<PairCentricOracle>(
+      std::move(graph), Config{.landmarks = 0, .threads = threads});
+  oracle->allRows_ = true;
+  const Graph& g = *oracle->graph_;
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  std::vector<std::vector<double>> rows(n);
+  msc::util::parallelForThreads(
+      threads, 0, n, 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t v = begin; v < end; ++v) {
+          rows[v] = dijkstra(g, static_cast<NodeId>(v)).dist;
+        }
+      });
+  {
+    const std::lock_guard<std::mutex> lock(oracle->mu_);
+    for (std::size_t v = 0; v < n; ++v) {
+      oracle->insertRowLocked(static_cast<NodeId>(v), std::move(rows[v]));
+    }
   }
+  buildHist.record(static_cast<double>(steadyNowNs() - t0) * 1e-9);
+  return oracle;
 }
 
 void PairCentricOracle::selectLandmarks(int count) {
@@ -217,24 +136,16 @@ void PairCentricOracle::selectLandmarks(int count) {
   // before any component gets a second one); ties break to the lowest id.
   std::vector<double> distToSet(static_cast<std::size_t>(n), kInfDist);
   NodeId next = 0;
+  const std::lock_guard<std::mutex> lock(mu_);
   for (int pick = 0; pick < count; ++pick) {
     auto row = dijkstra(*graph_, next).dist;
     for (std::size_t v = 0; v < row.size(); ++v) {
       distToSet[v] = std::min(distToSet[v], row[v]);
     }
     landmarkIds_.push_back(next);
-    auto data = std::make_shared<const std::vector<double>>(std::move(row));
-    const auto [it, inserted] = rows_.emplace(next, Row{});
-    if (inserted) {
-      it->second.data = data;
-      it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
-      it->second.pinned = true;
-      rowCacheBytes_ += oracleRowBytes(static_cast<std::size_t>(n));
-      bytes_.fetch_add(oracleRowBytes(static_cast<std::size_t>(n)),
-                       std::memory_order_relaxed);
-    }
-    landmarkRows_.push_back(it->second.data);
+    Row& cached = insertRowLocked(next, std::move(row));
+    cached.pinned = true;
+    landmarkRows_.push_back(cached.data);
     if (pick + 1 == count) break;
     next = -1;
     double best = -1.0;
@@ -249,12 +160,18 @@ void PairCentricOracle::selectLandmarks(int count) {
   }
 }
 
-void PairCentricOracle::noteRowTouchedLocked(NodeId v) const {
-  auto& flag = rowRequested_[static_cast<std::size_t>(v)];
-  if (flag == 0) {
-    flag = 1;
-    ++rowsTouched_;
+PairCentricOracle::Row& PairCentricOracle::insertRowLocked(
+    NodeId v, std::vector<double>&& dist) const {
+  const auto [it, inserted] = rows_.emplace(v, Row{});
+  if (inserted) {
+    it->second.data =
+        std::make_shared<const std::vector<double>>(std::move(dist));
+    const std::size_t bytes = oracleRowBytes(it->second.data->size());
+    rowCacheBytes_ += bytes;
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
+  it->second.touch = ++touchSeq_;
+  return it->second;
 }
 
 std::vector<double> PairCentricOracle::buildRow(NodeId v) const {
@@ -317,6 +234,7 @@ void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
 }
 
 std::shared_ptr<void> PairCentricOracle::acquireRowLease() const {
+  if (budget_ == 0) return nullptr;  // unbounded: nothing is ever evicted
   leases_.fetch_add(1, std::memory_order_acq_rel);
   auto* self = const_cast<PairCentricOracle*>(this);
   return std::shared_ptr<void>(static_cast<void*>(self), [](void* p) {
@@ -349,19 +267,16 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
     ctx->oracle().pointQueries.fetch_add(1, std::memory_order_relaxed);
   }
   if (x == y) return 0.0;
+  // Always the row of the smaller endpoint: the row of the larger one can
+  // differ in the last ulp, so serving it would make the bits depend on
+  // which rows happen to be cached.
   const NodeId s = std::min(x, y);
   const NodeId t = std::max(x, y);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = rows_.find(s); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
       return (*it->second.data)[static_cast<std::size_t>(t)];
-    }
-    if (const auto it = rows_.find(t); it != rows_.end()) {
-      it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
-      return (*it->second.data)[static_cast<std::size_t>(s)];
     }
   }
   if (msc::obs::enabled()) {
@@ -380,10 +295,8 @@ std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    noteRowTouchedLocked(v);
     if (const auto it = rows_.find(v); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
       rowHits_.fetch_add(1, std::memory_order_relaxed);
       if (ctx) ctx->oracle().rowHits.fetch_add(1, std::memory_order_relaxed);
       return *it->second.data;
@@ -395,18 +308,9 @@ std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
   }
   auto dist = buildRow(v);
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = rows_.emplace(v, Row{});
-  if (inserted) {
-    it->second.data =
-        std::make_shared<const std::vector<double>>(std::move(dist));
-    rowCacheBytes_ += oracleRowBytes(it->second.data->size());
-    bytes_.fetch_add(oracleRowBytes(it->second.data->size()),
-                     std::memory_order_relaxed);
-  }
-  it->second.touch = ++touchSeq_;
-  it->second.touchNs = steadyNowNs();
-  enforceBudgetLocked(v);
-  return *it->second.data;
+  const Row& row = insertRowLocked(v, std::move(dist));
+  enforceBudgetLocked(v);  // protects v: `row` stays valid
+  return *row.data;
 }
 
 void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
@@ -417,7 +321,6 @@ void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
     const std::lock_guard<std::mutex> lock(mu_);
     for (const NodeId v : sources) {
       checkNode(v);
-      noteRowTouchedLocked(v);
       if (!rows_.contains(v)) need.push_back(v);
     }
   }
@@ -453,18 +356,9 @@ void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
   }
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < need.size(); ++i) {
-    const auto [it, inserted] = rows_.emplace(need[i], Row{});
-    if (inserted) {
-      it->second.data =
-          std::make_shared<const std::vector<double>>(std::move(computed[i]));
-      rowCacheBytes_ += oracleRowBytes(it->second.data->size());
-      bytes_.fetch_add(oracleRowBytes(it->second.data->size()),
-                       std::memory_order_relaxed);
-    }
-    it->second.touch = ++touchSeq_;
-    it->second.touchNs = steadyNowNs();
+    insertRowLocked(need[i], std::move(computed[i]));
   }
-  enforceBudgetLocked(need.empty() ? -1 : need.back());
+  enforceBudgetLocked(need.back());
 }
 
 double PairCentricOracle::altPointQuery(NodeId s, NodeId t) const {
@@ -472,32 +366,6 @@ double PairCentricOracle::altPointQuery(NodeId s, NodeId t) const {
   auto* ctx = obs::currentRequest();
   if (ctx) {
     ctx->oracle().altQueries.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Landmark usefulness: which landmark supplies the strongest s-to-t
-  // bound. One pass per query, outside the search loop.
-  if (landmarkUseful_) {
-    int best = -1;
-    double bestVal = -1.0;
-    for (std::size_t i = 0; i < landmarkRows_.size(); ++i) {
-      const auto& row = *landmarkRows_[i];
-      const double dv = row[static_cast<std::size_t>(s)];
-      const double dt = row[static_cast<std::size_t>(t)];
-      if (dv == kInfDist || dt == kInfDist) {
-        if (dv != dt) {  // proves disconnection — maximally useful
-          best = static_cast<int>(i);
-          break;
-        }
-        continue;
-      }
-      const double b = std::abs(dv - dt);
-      if (b > bestVal) {
-        bestVal = b;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best >= 0) {
-      landmarkUseful_[best].fetch_add(1, std::memory_order_relaxed);
-    }
   }
   std::size_t settledCount = 0;
   double bound = 0.0;
@@ -582,11 +450,20 @@ const DistanceMatrix& PairCentricOracle::materialize() const {
       static auto& cMat = msc::obs::counter("oracle.materializations");
       cMat.add(1);
     }
-    auto built = std::make_unique<const DistanceMatrix>(
-        allPairsDistances(*graph_, threads_));
-    bytes_.fetch_add(
-        built->rows() * built->cols() * sizeof(double) + kObjectOverhead,
-        std::memory_order_relaxed);
+    const auto n = static_cast<std::size_t>(graph_->nodeCount());
+    auto built = std::make_unique<DistanceMatrix>(n, n);
+    // Row v is the oracle's own row of v. Under a budget the lease keeps
+    // each span valid until it is copied, even if another row evicts it.
+    const auto lease = acquireRowLease();
+    msc::util::parallelForThreads(
+        threads_, 0, n, 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t v = begin; v < end; ++v) {
+            const auto row = distancesFrom(static_cast<NodeId>(v));
+            std::copy(row.begin(), row.end(), built->row(v));
+          }
+        });
+    bytes_.fetch_add(n * n * sizeof(double) + kObjectOverhead,
+                     std::memory_order_relaxed);
     full_ = std::move(built);
   }
   return *full_;
@@ -598,7 +475,7 @@ std::size_t PairCentricOracle::cachedRowCount() const {
 }
 
 OracleStats PairCentricOracle::stats() const {
-  OracleStats s = DistanceOracle::stats();
+  OracleStats s;
   s.pointQueries = pointQueries_.load(std::memory_order_relaxed);
   s.rowQueries = rowQueries_.load(std::memory_order_relaxed);
   s.rowBuilds = rowBuilds_.load(std::memory_order_relaxed);
@@ -606,114 +483,9 @@ OracleStats PairCentricOracle::stats() const {
   s.altQueries = altQueries_.load(std::memory_order_relaxed);
   s.rowsEvicted = rowsEvicted_.load(std::memory_order_relaxed);
   s.rowBuildNs = rowBuildNs_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    s.rowsResident = rows_.size();
-    s.rowsTouched = rowsTouched_;
-    const std::int64_t now = steadyNowNs();
-    std::int64_t oldest = 0;
-    for (const auto& [id, row] : rows_) {
-      if (row.pinned) continue;
-      oldest = std::max(oldest, now - row.touchNs);
-    }
-    s.oldestRowAgeNs = oldest;
-  }
-  if (landmarkUseful_) {
-    s.landmarkUseful.reserve(landmarkIds_.size());
-    for (std::size_t i = 0; i < landmarkIds_.size(); ++i) {
-      s.landmarkUseful.push_back(
-          landmarkUseful_[i].load(std::memory_order_relaxed));
-    }
-  }
+  s.rowsResident = cachedRowCount();
+  s.residentBytes = residentBytes();
   return s;
-}
-
-// ---------------------------------------------- measured auto-mode policy --
-
-namespace {
-
-unsigned long long denseMatrixBytes(int n) noexcept {
-  const auto un = static_cast<unsigned long long>(n);
-  return un * un * sizeof(double);
-}
-
-}  // namespace
-
-AutoPolicyDecision autoInitialBackend(int nodeCount) {
-  AutoPolicyDecision d;
-  const auto denseBytes = denseMatrixBytes(nodeCount);
-  if (nodeCount <= kDenseAutoNodeLimit) {
-    d.backend = DistanceMode::Dense;
-    d.reason = "node_count=" + std::to_string(nodeCount) +
-               " <= dense_auto_limit=" + std::to_string(kDenseAutoNodeLimit) +
-               ": dense matrix (" + std::to_string(denseBytes) +
-               " bytes) is cheap and O(1) per query";
-  } else {
-    d.backend = DistanceMode::PairCentric;
-    d.reason = "node_count=" + std::to_string(nodeCount) +
-               " > dense_auto_limit=" + std::to_string(kDenseAutoNodeLimit) +
-               ": dense matrix would be " + std::to_string(denseBytes) +
-               " bytes";
-  }
-  return d;
-}
-
-AutoPolicyDecision autoRevalidateBackend(int nodeCount,
-                                         std::string_view currentBackend,
-                                         const OracleStats& measured) {
-  AutoPolicyDecision d;
-  const auto denseBytes = denseMatrixBytes(nodeCount);
-  if (currentBackend == "pair_centric") {
-    d.backend = DistanceMode::PairCentric;
-    const auto resident =
-        static_cast<unsigned long long>(measured.residentBytes);
-    if (denseBytes > 0 && resident * 2 > denseBytes) {
-      d.backend = DistanceMode::Dense;
-      d.switchBackend = true;
-      d.reason = "resident_row_bytes=" + std::to_string(resident) +
-                 " > dense_matrix_bytes/2=" + std::to_string(denseBytes / 2) +
-                 " (rows_touched=" + std::to_string(measured.rowsTouched) +
-                 ", point_queries=" + std::to_string(measured.pointQueries) +
-                 ", row_queries=" + std::to_string(measured.rowQueries) +
-                 "): the lazy row cache stopped paying for itself";
-    } else {
-      d.reason = "resident_row_bytes=" + std::to_string(resident) +
-                 " <= dense_matrix_bytes/2=" + std::to_string(denseBytes / 2) +
-                 ": row cache still pays for itself";
-    }
-    return d;
-  }
-  // Dense backend: predict the pair-centric footprint from the rows the
-  // workload actually touched (plus the 8 default landmark rows).
-  d.backend = DistanceMode::Dense;
-  const auto predicted = static_cast<unsigned long long>(
-      (measured.rowsTouched + 8) *
-      oracleRowBytes(static_cast<std::size_t>(nodeCount)));
-  const std::uint64_t rowQ = std::max<std::uint64_t>(measured.rowQueries, 1);
-  const bool rowDominated = measured.pointQueries <= 4 * rowQ;
-  if (nodeCount > kDenseAutoNodeLimit && rowDominated &&
-      predicted * 4 <= denseBytes) {
-    d.backend = DistanceMode::PairCentric;
-    d.switchBackend = true;
-    d.reason = "rows_touched=" + std::to_string(measured.rowsTouched) +
-               " of n=" + std::to_string(nodeCount) +
-               " predicts pair_centric_bytes=" + std::to_string(predicted) +
-               " <= dense_matrix_bytes/4=" + std::to_string(denseBytes / 4) +
-               " with row-dominated queries (point_queries=" +
-               std::to_string(measured.pointQueries) +
-               ", row_queries=" + std::to_string(measured.rowQueries) + ")";
-  } else {
-    d.reason = "keep dense: rows_touched=" +
-               std::to_string(measured.rowsTouched) +
-               " predicts pair_centric_bytes=" + std::to_string(predicted) +
-               " vs dense_matrix_bytes/4=" + std::to_string(denseBytes / 4) +
-               ", point_queries=" + std::to_string(measured.pointQueries) +
-               ", row_queries=" + std::to_string(measured.rowQueries) +
-               (nodeCount <= kDenseAutoNodeLimit
-                    ? " (n within the dense auto limit)"
-                    : "");
-  }
-  return d;
 }
 
 // -------------------------------------------------------------- factory ----
@@ -724,11 +496,8 @@ std::shared_ptr<const DistanceOracle> makeDistanceOracle(
   if (!graph) {
     throw std::invalid_argument("makeDistanceOracle: null graph");
   }
-  const bool dense =
-      mode == DistanceMode::Dense ||
-      (mode == DistanceMode::Auto && graph->nodeCount() <= kDenseAutoNodeLimit);
-  if (dense) {
-    return DenseMatrixOracle::build(*graph, threads);
+  if (resolveDistanceMode(mode, graph->nodeCount()) == DistanceMode::Dense) {
+    return PairCentricOracle::allRows(std::move(graph), threads);
   }
   return std::make_shared<const PairCentricOracle>(
       std::move(graph),

@@ -1,37 +1,30 @@
-// Pair-centric distance API: the abstraction that breaks the O(n^2) wall.
+// Distance oracle: base-graph shortest-path distances as a row cache.
 //
 // Every MSC evaluator consumes base-graph shortest-path distances, but none
 // of them needs all n^2 of them: sigma/mu/nu only ever read distances from
 // the m social-pair endpoints (and the endpoints of placed shortcuts) to
-// the rest of the graph. DistanceOracle is the seam that makes the storage
-// decision pluggable:
+// the rest of the graph. So the distance layer is one row cache,
+// PairCentricOracle: it stores one Dijkstra row per requested source,
+// computed on demand, plus ALT landmark rows for point-to-point queries
+// that do not deserve a full row.
 //
-//   * DenseMatrixOracle — wraps today's APSP matrix. Bit-identical to the
-//     historical dense path; right for small n where O(n^2) doubles fit.
-//   * PairCentricOracle — stores only the rows actually requested
-//     (|terminals| x n doubles), computing each with one Dijkstra on
-//     demand, plus ALT landmark rows for point-to-point queries that do
-//     not deserve a full row.
+// The dense mode is the same cache with every row resident:
+// makeDistanceOracle(..., DistanceMode::Dense, ...) builds all n rows when
+// the oracle is made (the APSP cost lands in set-up) and never evicts.
+// There is one source of bits: a row is always the raw Dijkstra result
+// from its source, and distance(x, y) is always the entry of row
+// min(x, y) — read from the cache when that row is resident, recomputed
+// bit-identically by ALT otherwise. No value depends on what happens to be
+// cached.
 //
-// Numerical contract: a dense matrix is symmetrized across the two sweep
-// directions (see allPairsDistances), while a pair-centric row is the raw
-// one-directional Dijkstra result. The two can differ in the last ulp on
-// paths of >= 3 edges (floating-point addition is not associative). All
-// threshold-counting objectives (sigma/mu/nu and the weighted variants)
-// are integer-or-weight sums over comparisons d <= d_t, so the backends
-// agree exactly unless a distance lands within one ulp of the threshold —
-// the property suite in tests/test_distance_oracle.cpp sweeps every
-// generator to confirm the values coincide in practice.
+// Telemetry (docs/ALGORITHMS.md §16): the oracle self-measures its query
+// mix — point vs row queries, lazy-row builds vs hits, ALT queries,
+// evictions — through relaxed atomics that are always on. stats()
+// snapshots them. None of it changes what the solvers compute:
+// instrumentation never touches the distance values.
 //
-// Telemetry (docs/ALGORITHMS.md §16): every oracle self-measures its query
-// mix — point vs row vs terminal-batch queries, lazy-row builds vs hits,
-// ALT effectiveness, evictions — through relaxed atomics that are always
-// on (the counts also feed the measured auto-mode policy, which must work
-// without MSC_METRICS). stats() snapshots them. None of it changes what
-// the solvers compute: instrumentation never touches the distance values.
-//
-// Row eviction (MSC_ORACLE_ROWS_MB): PairCentricOracle can run under a row
-// cache budget. When set, lazily cached rows are evicted least-recently-
+// Row eviction (MSC_ORACLE_ROWS_MB): the oracle can run under a row cache
+// budget. When set, lazily cached rows are evicted least-recently-
 // touched-first; landmark rows are pinned and the row just inserted is
 // never the victim. Re-materializing an evicted row re-runs the identical
 // deterministic Dijkstra, so values are bit-identical across evictions.
@@ -40,7 +33,7 @@
 // in residentBytes) instead of freed, so previously returned spans stay
 // valid. Instance holds a lease for its lifetime, which covers every
 // evaluator in the tree. Without a budget (the default) nothing is ever
-// evicted and spans simply live as long as the oracle, as before.
+// evicted and spans simply live as long as the oracle.
 #pragma once
 
 #include <atomic>
@@ -51,7 +44,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -60,16 +52,16 @@
 
 namespace msc::graph {
 
-/// Backend selection knob (Instance, serve load_graph, msc_cli).
+/// Row-residency knob (Instance, serve load_graph, msc_cli).
 enum class DistanceMode {
   Auto,         ///< dense when n <= kDenseAutoNodeLimit, pair-centric above
-  Dense,        ///< always materialize the n x n matrix
-  PairCentric,  ///< never materialize; per-terminal rows only
+  Dense,        ///< all n rows built up front and kept resident
+  PairCentric,  ///< rows built on demand (optionally under a row budget)
 };
 
-/// Auto picks the dense backend up to this node count: 2048^2 doubles are
+/// Auto picks the dense mode up to this node count: 2048^2 doubles are
 /// 32 MiB — comfortably resident — while the next power of two quadruples
-/// that and the n-source APSP build starts to dominate solve time.
+/// that and the n-source build starts to dominate solve time.
 inline constexpr int kDenseAutoNodeLimit = 2048;
 
 /// Stable wire/display name: "auto", "dense", "pair_centric".
@@ -77,6 +69,10 @@ const char* distanceModeName(DistanceMode mode) noexcept;
 
 /// Inverse of distanceModeName; nullopt on unknown names.
 std::optional<DistanceMode> parseDistanceMode(std::string_view name) noexcept;
+
+/// Resolves Auto by the static node-count rule (dense iff
+/// n <= kDenseAutoNodeLimit); Dense and PairCentric pass through.
+DistanceMode resolveDistanceMode(DistanceMode mode, int nodeCount) noexcept;
 
 /// Row-cache budget in bytes from MSC_ORACLE_ROWS_MB (<= 0 or unset means
 /// 0 = unbounded, the historical behavior). Read once per call — callers
@@ -87,65 +83,51 @@ std::size_t defaultOracleRowBudgetBytes() noexcept;
 /// the row budget and residentBytes() count in).
 std::size_t oracleRowBytes(std::size_t n) noexcept;
 
-/// One consistent snapshot of an oracle's self-measurements. Monotonic
-/// counters since construction plus current residency; the measured
-/// auto-mode policy and the serve stats/metrics exporters both read this.
+/// One consistent snapshot of an oracle's self-measurements: monotonic
+/// counters since construction plus current residency. The serve
+/// stats/metrics exporters and the benchmark read this.
 struct OracleStats {
   std::uint64_t pointQueries = 0;    ///< distance(x, y) calls
   std::uint64_t rowQueries = 0;      ///< distancesFrom(v) calls
-  std::uint64_t terminalBatches = 0; ///< distancesToTerminals calls
-  std::uint64_t rowBuilds = 0;       ///< Dijkstra row materializations
+  std::uint64_t rowBuilds = 0;       ///< lazy Dijkstra row materializations
   std::uint64_t rowHits = 0;         ///< distancesFrom served from cache
-  std::uint64_t altQueries = 0;      ///< ALT A* point queries (pair-centric)
+  std::uint64_t altQueries = 0;      ///< ALT A* point queries
   std::uint64_t rowsEvicted = 0;     ///< rows dropped under the budget
-  std::uint64_t rowBuildNs = 0;      ///< wall ns spent building rows
+  std::uint64_t rowBuildNs = 0;      ///< wall ns spent building lazy rows
   std::size_t rowsResident = 0;      ///< cached full rows (landmarks incl.)
-  std::size_t rowsTouched = 0;       ///< distinct sources ever row-queried
   std::size_t residentBytes = 0;     ///< same value as residentBytes()
-  std::int64_t oldestRowAgeNs = 0;   ///< last-touch age of the LRU evictable
-                                     ///< row (0 when none)
-  /// Per-landmark usefulness: how often landmark i supplied the max
-  /// s-to-t lower bound of an ALT query. Empty on the dense backend.
-  std::vector<std::uint64_t> landmarkUseful;
 };
 
 /// Read-only base-graph shortest-path distances. Implementations are
 /// internally synchronized: all const methods are safe to call
-/// concurrently (lazy backends cache rows under a mutex).
+/// concurrently (rows are cached under a mutex).
 class DistanceOracle {
  public:
   virtual ~DistanceOracle() = default;
 
   virtual int nodeCount() const noexcept = 0;
 
-  /// d(x, y) in the base graph; kInfDist when disconnected. Backends may
-  /// serve either search direction of the query, so on multi-edge paths
-  /// the last ulp can depend on which rows happen to be cached — callers
-  /// needing reproducible bits should go through distancesFrom.
+  /// d(x, y) in the base graph; kInfDist when disconnected. Bit-identical
+  /// to distancesFrom(min(x, y))[max(x, y)].
   virtual double distance(NodeId x, NodeId y) const = 0;
 
-  /// Full distance row of v (nodeCount() entries, indexed by target).
-  /// Lazy backends compute and cache the row on first call. The returned
-  /// span stays valid for the oracle's lifetime — unless the oracle runs
-  /// under a row budget, in which case it stays valid while a row lease
-  /// (acquireRowLease) taken before the call is held, or, leaseless, only
-  /// until the next oracle call.
+  /// Full distance row of v (nodeCount() entries, indexed by target),
+  /// computed and cached on first call. The returned span stays valid for
+  /// the oracle's lifetime — unless the oracle runs under a row budget, in
+  /// which case it stays valid while a row lease (acquireRowLease) taken
+  /// before the call is held, or, leaseless, only until the next oracle
+  /// call.
   virtual std::span<const double> distancesFrom(NodeId v) const = 0;
 
   /// Computes (and caches) the rows of `sources` that are not cached yet,
   /// `threads` at a time (0 = all cores). Must not be called from inside a
-  /// parallelFor chunk. No-op for backends that hold all rows anyway.
+  /// parallelFor chunk.
   virtual void prefetchRows(std::span<const NodeId> sources,
-                            int threads) const;
+                            int threads) const = 0;
 
-  /// Owned |terminals| x n block of rows in the given terminal order
-  /// (duplicates allowed, each copied). Seeds ShortcutRowStore.
-  util::Matrix<double> distancesToTerminals(std::span<const NodeId> terminals,
-                                            int threads = 1) const;
-
-  /// Full n x n matrix. The dense backend returns its own storage; the
-  /// pair-centric backend computes and caches one on first call — an
-  /// O(n^2) escape hatch for deprecated callers, never on the solve path.
+  /// Full n x n matrix, stacked from the oracle's own rows (row v is
+  /// distancesFrom(v)) and cached on first call — an O(n^2) escape hatch
+  /// for tools and tests, never on the solve path.
   virtual const DistanceMatrix& materialize() const = 0;
 
   /// Estimated bytes this oracle keeps resident (rows, landmark rows, a
@@ -153,80 +135,35 @@ class DistanceOracle {
   /// are cached; shrinks again when budgeted rows are evicted and freed.
   virtual std::size_t residentBytes() const noexcept = 0;
 
-  /// Backend name as exported by serve stats/metrics:
-  /// "dense" | "pair_centric".
+  /// Residency mode the oracle was built in: "dense" | "pair_centric".
   virtual const char* mode() const noexcept = 0;
 
   /// Snapshot of the oracle's telemetry counters.
-  virtual OracleStats stats() const;
+  virtual OracleStats stats() const = 0;
 
   /// Pins every span this oracle hands out while the returned token is
   /// alive: rows evicted under the budget are parked, not freed, until the
-  /// last token is released. Null (and free) on backends that never evict.
+  /// last token is released. Null (and free) on oracles that never evict.
   /// The token must not outlive the oracle.
   virtual std::shared_ptr<void> acquireRowLease() const { return nullptr; }
 
  protected:
   void checkNode(NodeId v) const;
-
-  /// Base-class accounting shared by all backends (distancesToTerminals).
-  mutable std::atomic<std::uint64_t> terminalBatches_{0};
 };
 
-/// Dense backend: adapts a full APSP matrix to the oracle interface.
-/// Queries are O(1) lookups into the (symmetric) matrix, so results are
-/// bit-identical to historical DistanceMatrix consumers.
-class DenseMatrixOracle final : public DistanceOracle {
- public:
-  /// Owning: shares the matrix (the serve cache hands its memoized matrix
-  /// to many instances this way).
-  explicit DenseMatrixOracle(std::shared_ptr<const DistanceMatrix> matrix);
-
-  /// Non-owning view; the matrix must outlive the oracle. Temporaries are
-  /// rejected — pass a shared_ptr to transfer ownership.
-  explicit DenseMatrixOracle(const DistanceMatrix& matrix);
-  explicit DenseMatrixOracle(DistanceMatrix&& matrix) = delete;
-
-  /// Runs APSP on `g` (`threads` workers) and wraps the result.
-  static std::shared_ptr<DenseMatrixOracle> build(const Graph& g, int threads);
-
-  int nodeCount() const noexcept override {
-    return static_cast<int>(matrix_->rows());
-  }
-  double distance(NodeId x, NodeId y) const override;
-  std::span<const double> distancesFrom(NodeId v) const override;
-  void prefetchRows(std::span<const NodeId> sources,
-                    int threads) const override;
-  const DistanceMatrix& materialize() const override { return *matrix_; }
-  std::size_t residentBytes() const noexcept override;
-  const char* mode() const noexcept override { return "dense"; }
-  OracleStats stats() const override;
-
- private:
-  void initTouched();
-
-  std::shared_ptr<const DistanceMatrix> owned_;  // null when borrowing
-  const DistanceMatrix* matrix_;
-
-  mutable std::atomic<std::uint64_t> pointQueries_{0};
-  mutable std::atomic<std::uint64_t> rowQueries_{0};
-  // One flag per source row ever requested via distancesFrom — the
-  // measured auto policy uses the count to predict pair-centric residency.
-  mutable std::unique_ptr<std::atomic<std::uint8_t>[]> rowTouched_;
-};
-
-/// Pair-centric backend: one cached Dijkstra row per requested source,
-/// plus ALT (A*, landmarks, triangle-inequality) point-to-point queries
-/// for sources that never earn a full row. Resident memory is
-/// O((|cached rows| + landmarks) * n) instead of O(n^2) — and bounded when
-/// Config::rowBudgetBytes caps the row cache (see the file comment).
+/// The row cache: one cached Dijkstra row per requested source, plus ALT
+/// (A*, landmarks, triangle-inequality) point-to-point queries for
+/// sources that never earn a full row. Resident memory is
+/// O((|cached rows| + landmarks) * n) — bounded when Config::rowBudgetBytes
+/// caps the row cache (see the file comment), and n^2 in the dense mode
+/// (allRows), where every row is built up front.
 class PairCentricOracle final : public DistanceOracle {
  public:
   struct Config {
     /// Landmark count for ALT lower bounds. Clamped to [0, n]; 0 degrades
-    /// point queries to plain bidirectional-free Dijkstra with early exit.
+    /// point queries to plain Dijkstra with early exit.
     int landmarks = 8;
-    /// Worker threads for prefetchRows bursts and materialize().
+    /// Worker threads for materialize().
     int threads = 1;
     /// Row-cache byte budget; 0 = unbounded. Landmark rows are pinned and
     /// count against the budget but are never evicted.
@@ -237,6 +174,12 @@ class PairCentricOracle final : public DistanceOracle {
   /// Dijkstra runs) so later point queries never race the selection.
   PairCentricOracle(std::shared_ptr<const Graph> graph, Config config);
   explicit PairCentricOracle(std::shared_ptr<const Graph> graph);
+
+  /// The dense mode: an unbounded oracle with all n rows built up front,
+  /// `threads` at a time, and no landmarks (no query ever needs ALT).
+  /// mode() reports "dense".
+  static std::shared_ptr<const PairCentricOracle> allRows(
+      std::shared_ptr<const Graph> graph, int threads);
 
   int nodeCount() const noexcept override {
     return graph_->nodeCount();
@@ -249,7 +192,9 @@ class PairCentricOracle final : public DistanceOracle {
   std::size_t residentBytes() const noexcept override {
     return bytes_.load(std::memory_order_relaxed);
   }
-  const char* mode() const noexcept override { return "pair_centric"; }
+  const char* mode() const noexcept override {
+    return allRows_ ? "dense" : "pair_centric";
+  }
   OracleStats stats() const override;
   std::shared_ptr<void> acquireRowLease() const override;
 
@@ -267,7 +212,6 @@ class PairCentricOracle final : public DistanceOracle {
   struct Row {
     std::shared_ptr<const std::vector<double>> data;
     std::uint64_t touch = 0;     // logical LRU clock (higher = hotter)
-    std::int64_t touchNs = 0;    // steady-clock ns of the last touch
     bool pinned = false;         // landmark rows are never evicted
   };
 
@@ -279,8 +223,9 @@ class PairCentricOracle final : public DistanceOracle {
   void selectLandmarks(int count);
   /// Builds the row of `v` (timed, counted). Lock-free; call outside mu_.
   std::vector<double> buildRow(NodeId v) const;
-  /// Marks `v` as row-requested (first time only). Caller holds mu_.
-  void noteRowTouchedLocked(NodeId v) const;
+  /// Caches `dist` as the row of `v` unless one is cached already, marks
+  /// it most recently used and returns it. Caller holds mu_.
+  Row& insertRowLocked(NodeId v, std::vector<double>&& dist) const;
   /// Evicts LRU rows until the cache fits the budget; never evicts pinned
   /// rows or `protect`. Caller holds mu_.
   void enforceBudgetLocked(NodeId protect) const;
@@ -289,19 +234,16 @@ class PairCentricOracle final : public DistanceOracle {
   std::shared_ptr<const Graph> graph_;
   int threads_;
   std::size_t budget_ = 0;
+  bool allRows_ = false;  // built by allRows(): the dense mode
   std::vector<NodeId> landmarkIds_;
   // Shared refs to the landmark rows give the point-query hot loop
   // lock-free access (the rows are immutable and pinned in the cache).
   std::vector<std::shared_ptr<const std::vector<double>>> landmarkRows_;
-  // Per-landmark arg-max counts for the ALT s-to-t bound (usefulness).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> landmarkUseful_;
 
   mutable std::mutex mu_;
   mutable std::map<NodeId, Row> rows_;
   mutable std::uint64_t touchSeq_ = 0;
   mutable std::size_t rowCacheBytes_ = 0;  // rows_ only, excludes full_
-  mutable std::vector<std::uint8_t> rowRequested_;  // dedup for rowsTouched
-  mutable std::size_t rowsTouched_ = 0;
   // Rows evicted while a lease was outstanding: still resident (spans may
   // point into them), freed when the last lease goes away.
   mutable std::vector<std::shared_ptr<const std::vector<double>>> retired_;
@@ -321,38 +263,12 @@ class PairCentricOracle final : public DistanceOracle {
   mutable std::atomic<std::uint64_t> rowBuildNs_{0};
 };
 
-// ---- measured auto-mode policy -------------------------------------------
-
-/// One backend decision for DistanceMode::Auto, with a human-readable
-/// reason naming the quantities that drove it (logged as the structured
-/// serve.oracle_mode_decision event).
-struct AutoPolicyDecision {
-  DistanceMode backend = DistanceMode::Dense;  // Dense or PairCentric
-  bool switchBackend = false;  // revalidation verdict (initial pick: false)
-  std::string reason;
-};
-
-/// Initial Auto pick before any queries exist: the static node-count rule
-/// (dense iff n <= kDenseAutoNodeLimit).
-AutoPolicyDecision autoInitialBackend(int nodeCount);
-
-/// Re-validates a running Auto-mode backend against its measured query mix
-/// (OracleStats from the live oracle). Switches pair_centric -> dense when
-/// resident row bytes exceed half the dense n^2 matrix (the lazy cache
-/// stopped paying for itself), and dense -> pair_centric when the touched
-/// rows predict a pair-centric residency at most a quarter of the dense
-/// matrix while the query mix is row-dominated (point queries would hit
-/// the slower ALT path). The 1/2-vs-1/4 gap is deliberate hysteresis so a
-/// workload near the boundary cannot flap. Never suggests pair_centric at
-/// n <= kDenseAutoNodeLimit (dense is always fine there).
-AutoPolicyDecision autoRevalidateBackend(int nodeCount,
-                                         std::string_view currentBackend,
-                                         const OracleStats& measured);
-
-/// Backend factory honoring Auto selection. `landmarks`/`threads` feed the
-/// pair-centric config; the dense path runs APSP with `threads` workers.
-/// `rowBudgetBytes` caps the pair-centric row cache (0 = unbounded;
-/// defaults to the MSC_ORACLE_ROWS_MB environment knob).
+/// Oracle factory. Dense (or Auto at n <= kDenseAutoNodeLimit) returns
+/// PairCentricOracle::allRows(graph, threads) and ignores `landmarks` and
+/// `rowBudgetBytes`; PairCentric (or Auto above the limit) returns a lazy
+/// oracle with `landmarks` ALT landmarks, `threads` materialize workers and
+/// `rowBudgetBytes` capping its row cache (0 = unbounded; defaults to the
+/// MSC_ORACLE_ROWS_MB environment knob).
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
     std::shared_ptr<const Graph> graph, DistanceMode mode, int landmarks,
     int threads, std::size_t rowBudgetBytes = defaultOracleRowBudgetBytes());

@@ -13,14 +13,6 @@ OverlayEvaluator::OverlayEvaluator(const DistanceOracle& oracle,
   indexTerminals();
 }
 
-OverlayEvaluator::OverlayEvaluator(const DistanceMatrix& base,
-                                   std::vector<NodeId> terminals)
-    : matrixAdapter_(std::make_unique<DenseMatrixOracle>(base)),
-      oracle_(matrixAdapter_.get()),
-      terminals_(std::move(terminals)) {
-  indexTerminals();
-}
-
 void OverlayEvaluator::indexTerminals() {
   std::sort(terminals_.begin(), terminals_.end());
   terminals_.erase(std::unique(terminals_.begin(), terminals_.end()),
@@ -59,8 +51,8 @@ std::vector<double> OverlayEvaluator::pairDistances(
 
   // Small metric over overlay nodes, then exact 0-edge relaxations. Each
   // entry is read from the row of the lower-numbered node and mirrored, so
-  // the metric is symmetric regardless of backend (the dense matrix is
-  // symmetric anyway; pair-centric rows are one-directional).
+  // the metric is symmetric even though oracle rows are one-directional
+  // (the same entry distance(x, y) serves).
   const std::size_t v = overlayNodes.size();
   std::vector<std::span<const double>> nodeRows(v);
   for (std::size_t i = 0; i < v; ++i) {

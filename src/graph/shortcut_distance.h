@@ -14,9 +14,9 @@
 //     form, O(n^2) per shortcut.
 //   * ShortcutRowStore — the same relaxation restricted to the rows the
 //     evaluators actually read (social-pair endpoints plus shortcut
-//     endpoints), O(|rows| * n) per shortcut. Row values evolve
-//     bit-identically to the corresponding rows of the full matrix, so
-//     evaluators built on either representation agree exactly.
+//     endpoints), O(|rows| * n) per shortcut. From a symmetric base,
+//     row values evolve bit-identically to the corresponding rows of the
+//     full matrix.
 #pragma once
 
 #include <atomic>
@@ -54,13 +54,14 @@ DistanceMatrix distancesWithShortcuts(
 /// row_u[b])), then relaxes row_u[y] against m_u + merged[y], where
 /// `merged` is the element-wise min of the rows of a and b — exactly the
 /// update applyZeroEdge performs on those matrix rows, in the same
-/// floating-point operand order, so a row here is bit-identical to the
-/// corresponding row of the evolved dense matrix at every step.
+/// floating-point operand order, so from a symmetric base a row here is
+/// bit-identical to the corresponding row of the evolved full matrix at
+/// every step.
 ///
 /// Terminals may be added mid-stream (applyZeroEdge pulls in its endpoint
 /// rows automatically): a late row starts from the oracle's base row and
 /// replays the per-shortcut merged-row snapshots in order, which
-/// reconstructs the exact row the dense path would have evolved.
+/// reconstructs the exact row the full-matrix path would have evolved.
 ///
 /// Memory: (|terminals| + 2|applied|) rows of n doubles, plus one merged
 /// snapshot per applied shortcut — O((|T| + k) * n) instead of O(n^2).
@@ -68,7 +69,7 @@ class ShortcutRowStore {
  public:
   /// Seeds one row per terminal from the oracle (duplicates collapse).
   /// The oracle must outlive the store. `threads` parallelizes the initial
-  /// row fetch on lazy backends (0 = all cores).
+  /// fetch of rows the oracle has not cached yet (0 = all cores).
   ShortcutRowStore(const DistanceOracle& oracle,
                    std::span<const NodeId> terminals, int threads = 1);
 

@@ -104,7 +104,6 @@ double RequestContext::OracleUsage::altSettledMax() const noexcept {
 bool RequestContext::OracleUsage::any() const noexcept {
   return pointQueries.load(std::memory_order_relaxed) != 0 ||
          rowQueries.load(std::memory_order_relaxed) != 0 ||
-         terminalBatches.load(std::memory_order_relaxed) != 0 ||
          rowBuilds.load(std::memory_order_relaxed) != 0 ||
          altQueries.load(std::memory_order_relaxed) != 0 ||
          rowsEvolved.load(std::memory_order_relaxed) != 0 ||

@@ -84,7 +84,6 @@ class RequestContext {
 
     std::atomic<std::uint64_t> pointQueries{0};
     std::atomic<std::uint64_t> rowQueries{0};
-    std::atomic<std::uint64_t> terminalBatches{0};
     std::atomic<std::uint64_t> rowBuilds{0};
     std::atomic<std::uint64_t> rowHits{0};
     std::atomic<std::uint64_t> rowsEvicted{0};

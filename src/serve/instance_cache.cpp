@@ -4,11 +4,8 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/context.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace msc::serve {
 
@@ -115,11 +112,12 @@ std::string InstanceCache::putGraph(msc::graph::Graph g,
     h.feedValue(e.length);
   }
   const std::string key = hexKey('g', h.value());
+  mode = msc::graph::resolveDistanceMode(mode, g.nodeCount());
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (GraphEntry* existing = findGraphEntry(key, /*countStats=*/false)) {
-    // Re-touch. A different requested backend drops the memoized oracle so
-    // the next solve rebuilds under the new mode.
+    // Re-touch. A different resolved mode drops the memoized oracle so the
+    // next solve rebuilds under the new mode.
     if (existing->mode != mode) {
       existing->mode = mode;
       dropOracle(*existing);
@@ -191,75 +189,22 @@ void InstanceCache::dropOracle(GraphEntry& entry) {
   entry.oracleBytes = 0;
 }
 
-namespace {
-
-void logModeDecision(const std::string& key, const char* decision,
-                     const char* from, const char* to, int nodes,
-                     const std::string& reason) {
-  if (!obs::log::enabled(obs::log::Level::Info)) return;
-  std::vector<obs::log::Field> fields{
-      {"graph", key},
-      {"decision", decision},
-      {"to", to},
-      {"nodes", static_cast<std::int64_t>(nodes)},
-      {"reason", reason},
-  };
-  if (from != nullptr) fields.emplace_back("from", from);
-  obs::log::write(obs::log::Level::Info, "serve.oracle_mode_decision",
-                  fields);
-}
-
-}  // namespace
-
-bool InstanceCache::ensureOracle(const std::string& key, GraphEntry& entry,
-                                 int threads) {
-  const int n = entry.graph->nodeCount();
+bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
   if (entry.oracle) {
-    if (entry.mode == msc::graph::DistanceMode::Auto) {
-      // Measured auto policy (docs/ALGORITHMS.md §16): the initial pick is
-      // a guess from n alone; every reuse re-checks it against the query
-      // mix the oracle actually observed and rebuilds when the evidence
-      // says the other backend is cheaper.
-      const msc::graph::AutoPolicyDecision d =
-          msc::graph::autoRevalidateBackend(n, entry.oracle->mode(),
-                                            entry.oracle->stats());
-      if (d.switchBackend) {
-        ++counters_.oracleModeSwitches;
-        if (obs::enabled()) {
-          obs::counter("serve.oracle_mode_switches").add(1);
-        }
-        logModeDecision(key, "switch", entry.oracle->mode(),
-                        msc::graph::distanceModeName(d.backend), n, d.reason);
-        dropOracle(entry);
-        ++counters_.apspComputes;
-        const obs::ScopedPhaseTimer phase(obs::Phase::Apsp);
-        entry.oracle = msc::graph::makeDistanceOracle(
-            entry.graph, d.backend, /*landmarks=*/8, threads,
-            oracleRowBudgetBytes_);
-        refreshOracleBytes(entry);
-        return false;
-      }
-    }
     ++counters_.apspHits;
-    // Lazy backends grew since the last touch (rows cached by solves);
+    // Lazy oracles grew since the last touch (rows cached by solves);
     // pick the delta up so the budget still bounds them.
     refreshOracleBytes(entry);
     return true;
   }
   ++counters_.apspComputes;
-  msc::graph::DistanceMode buildMode = entry.mode;
-  if (entry.mode == msc::graph::DistanceMode::Auto) {
-    const msc::graph::AutoPolicyDecision d = msc::graph::autoInitialBackend(n);
-    buildMode = d.backend;
-    logModeDecision(key, "initial", /*from=*/nullptr,
-                    msc::graph::distanceModeName(d.backend), n, d.reason);
-  }
   // Request-phase attribution: the distance build is the dominant
   // cold-cache cost, so it gets its own phase in the serve usage block
-  // (§14). Covers both the dense APSP and the pair-centric landmark runs.
+  // (§14). Covers both the dense n-row build and the pair-centric
+  // landmark runs.
   const obs::ScopedPhaseTimer phase(obs::Phase::Apsp);
   entry.oracle = msc::graph::makeDistanceOracle(
-      entry.graph, buildMode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
+      entry.graph, entry.mode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
   refreshOracleBytes(entry);
   return false;
 }
@@ -275,7 +220,8 @@ void InstanceCache::ensureCandidates(GraphEntry& entry) {
 core::Instance InstanceCache::instance(const std::string& graphKey,
                                        const std::string& pairsKey,
                                        double distanceThreshold, int threads,
-                                       bool* apspWasCached) {
+                                       bool* apspWasCached,
+                                       msc::graph::DistanceMode* resolvedMode) {
   std::shared_ptr<const msc::graph::Graph> graph;
   std::shared_ptr<const msc::graph::DistanceOracle> oracle;
   std::shared_ptr<const std::vector<core::SocialPair>> pairs;
@@ -293,14 +239,15 @@ core::Instance InstanceCache::instance(const std::string& graphKey,
                                "\" (never loaded, or evicted — re-send "
                                "load_pairs)");
     }
-    const bool hit = ensureOracle(graphKey, *gEntry, threads);
+    const bool hit = ensureOracle(*gEntry, threads);
     if (apspWasCached) *apspWasCached = hit;
+    if (resolvedMode) *resolvedMode = gEntry->mode;
     graph = gEntry->graph;
     oracle = gEntry->oracle;
     pairs = pEntry->pairs;
     evictOverBudget(graphKey);
   }
-  // The pair-node row prefetch (lazy backends) runs outside the cache
+  // The pair-node row prefetch (pair-centric mode) runs outside the cache
   // lock; its byte growth is picked up on the entry's next touch.
   return core::Instance(std::move(graph), std::move(oracle), *pairs,
                         distanceThreshold, threads);
@@ -329,29 +276,18 @@ InstanceCache::Stats InstanceCache::stats() const {
   s.entries = graphs_.size() + pairsSets_.size();
   for (const auto& [key, entry] : graphs_) {
     if (!entry.oracle) continue;
-    // Live residentBytes(), not the charged estimate: a scrape between
-    // touches still sees rows cached since.
-    const std::size_t bytes = entry.oracle->residentBytes();
-    const bool pairCentric =
-        std::string_view(entry.oracle->mode()) == "pair_centric";
-    if (pairCentric) {
-      ++s.oraclesPairCentric;
-      s.oracleBytesPairCentric += bytes;
-    } else {
-      ++s.oraclesDense;
-      s.oracleBytesDense += bytes;
-    }
-    // Query-mix telemetry summed per backend (docs/ALGORITHMS.md §16).
+    // Live values, not the charged estimate: a scrape between touches
+    // still sees rows cached since (docs/ALGORITHMS.md §16).
     const msc::graph::OracleStats os = entry.oracle->stats();
-    OracleAgg& agg = pairCentric ? s.oraclePairCentric : s.oracleDense;
-    agg.pointQueries += os.pointQueries;
-    agg.rowQueries += os.rowQueries;
-    agg.terminalBatches += os.terminalBatches;
-    agg.rowBuilds += os.rowBuilds;
-    agg.rowHits += os.rowHits;
-    agg.altQueries += os.altQueries;
-    agg.rowsEvicted += os.rowsEvicted;
-    agg.rowsResident += os.rowsResident;
+    ++s.oracles;
+    s.oracleBytes += os.residentBytes;
+    s.oracle.pointQueries += os.pointQueries;
+    s.oracle.rowQueries += os.rowQueries;
+    s.oracle.rowBuilds += os.rowBuilds;
+    s.oracle.rowHits += os.rowHits;
+    s.oracle.altQueries += os.altQueries;
+    s.oracle.rowsEvicted += os.rowsEvicted;
+    s.oracle.rowsResident += os.rowsResident;
   }
   return s;
 }

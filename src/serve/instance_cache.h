@@ -9,9 +9,9 @@
 // compute client-side or share between clients.
 //
 // Memory is bounded: every entry is charged an estimated byte size (graph
-// adjacency + edge list, the distance oracle once memoized — the full n^2
-// matrix on the dense backend, just the cached rows on pair_centric — the
-// candidate list, the pair list) against a budget (MSC_SERVE_CACHE_MB via
+// adjacency + edge list, the distance oracle once memoized — all n rows in
+// the dense mode, just the cached rows in pair_centric — the candidate
+// list, the pair list) against a budget (MSC_SERVE_CACHE_MB via
 // the server config), and least-recently-used entries are evicted when the
 // total exceeds it. Eviction invalidates the key — a later request using it
 // gets a structured "unknown key" error and must re-load — but never
@@ -20,7 +20,7 @@
 //
 // All methods are thread-safe behind one mutex; the oracle memoization runs
 // under it, so concurrent first-touch solves of the same graph build the
-// distance backend exactly once (later requests are APSP hits).
+// distance oracle exactly once (later requests are APSP hits).
 #pragma once
 
 #include <cstddef>
@@ -45,12 +45,11 @@ std::string contentHashHex(const void* bytes, std::size_t size);
 
 class InstanceCache {
  public:
-  /// Per-backend oracle telemetry summed over the cached oracles (live
-  /// OracleStats snapshots — values reset when an oracle is rebuilt).
+  /// Oracle telemetry summed over the cached oracles (live OracleStats
+  /// snapshots — values reset when an oracle is rebuilt).
   struct OracleAgg {
     std::uint64_t pointQueries = 0;
     std::uint64_t rowQueries = 0;
-    std::uint64_t terminalBatches = 0;
     std::uint64_t rowBuilds = 0;
     std::uint64_t rowHits = 0;
     std::uint64_t altQueries = 0;
@@ -67,20 +66,14 @@ class InstanceCache {
     std::uint64_t apspHits = 0;      ///< solves that reused a memoized oracle
     std::uint64_t apspComputes = 0;  ///< solves that had to build one
     std::uint64_t evictions = 0;
-    /// Auto-mode revalidations that rebuilt the oracle on the other backend
-    /// (each also counts as an apspCompute).
-    std::uint64_t oracleModeSwitches = 0;
     std::size_t bytesUsed = 0;
     std::size_t byteBudget = 0;
     std::size_t entries = 0;
-    // Built distance oracles by backend: entry counts and resident bytes
-    // (live values — pair-centric oracles grow as rows are cached).
-    std::size_t oraclesDense = 0;
-    std::size_t oraclesPairCentric = 0;
-    std::size_t oracleBytesDense = 0;
-    std::size_t oracleBytesPairCentric = 0;
-    OracleAgg oracleDense;
-    OracleAgg oraclePairCentric;
+    // Built distance oracles: count and resident bytes (live values —
+    // pair-centric oracles grow as rows are cached).
+    std::size_t oracles = 0;
+    std::size_t oracleBytes = 0;
+    OracleAgg oracle;
   };
 
   /// `byteBudget` 0 means "effectively unbounded" (no eviction).
@@ -91,10 +84,11 @@ class InstanceCache {
                              msc::graph::defaultOracleRowBudgetBytes());
 
   /// Stores (or re-touches) a graph, returns its content key "g<hex>".
-  /// `mode` picks the distance backend built lazily on first solve
-  /// (load_graph's "distance_mode" knob); re-loading the same content with
-  /// a different mode drops the memoized oracle so the next solve rebuilds
-  /// it with the new backend.
+  /// `mode` (load_graph's "distance_mode" knob) is resolved here, once —
+  /// Auto by the node-count rule — and the resolved mode alone decides the
+  /// oracle built lazily on first solve. Re-loading the same content with
+  /// a different resolved mode drops the memoized oracle so the next solve
+  /// rebuilds it in the new mode.
   std::string putGraph(
       msc::graph::Graph g,
       msc::graph::DistanceMode mode = msc::graph::DistanceMode::Auto);
@@ -109,15 +103,16 @@ class InstanceCache {
 
   /// Assembles an Instance for (graphKey, pairsKey, distanceThreshold),
   /// reusing the graph's memoized distance oracle when present (APSP hit)
-  /// and building + memoizing one with `threads` workers otherwise (the
-  /// backend follows the mode given at putGraph). The result is
-  /// bit-identical either way (the APSP determinism contract). Throws
-  /// std::runtime_error on an unknown/evicted key; whatever Instance's
-  /// validation throws (bad pair endpoints, ...) propagates.
+  /// and building + memoizing one with `threads` workers otherwise (in the
+  /// mode resolved at putGraph, reported through `resolvedMode`). The
+  /// result is bit-identical either way (the APSP determinism contract).
+  /// Throws std::runtime_error on an unknown/evicted key; whatever
+  /// Instance's validation throws (bad pair endpoints, ...) propagates.
   core::Instance instance(const std::string& graphKey,
                           const std::string& pairsKey,
                           double distanceThreshold, int threads,
-                          bool* apspWasCached = nullptr);
+                          bool* apspWasCached = nullptr,
+                          msc::graph::DistanceMode* resolvedMode = nullptr);
 
   /// The graph's all-pairs candidate set, memoized per graph entry.
   std::shared_ptr<const core::CandidateSet> candidates(
@@ -133,7 +128,8 @@ class InstanceCache {
     std::shared_ptr<const msc::graph::Graph> graph;
     std::shared_ptr<const msc::graph::DistanceOracle> oracle;  // lazy
     std::shared_ptr<const core::CandidateSet> candidates;      // lazy
-    msc::graph::DistanceMode mode = msc::graph::DistanceMode::Auto;
+    /// Resolved at putGraph: Dense or PairCentric, never Auto.
+    msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
     std::size_t oracleBytes = 0;  ///< last residentBytes() charged
     std::size_t bytes = 0;
     std::list<std::string>::iterator lruPos;
@@ -148,21 +144,14 @@ class InstanceCache {
   void touch(std::list<std::string>::iterator pos);
   GraphEntry* findGraphEntry(const std::string& key, bool countStats);
   PairsEntry* findPairsEntry(const std::string& key, bool countStats);
-  /// Memoizes the distance oracle for an entry (the dense build runs APSP
-  /// under the lock). Returns true when the oracle was already present.
-  /// Under DistanceMode::Auto the backend pick is measurement-driven: the
-  /// initial build uses the static node-count rule, every later hit
-  /// re-validates against the oracle's observed query mix
-  /// (graph/distance_oracle.h autoRevalidateBackend) and rebuilds on the
-  /// other backend when the measurements say so — logged as a structured
-  /// "serve.oracle_mode_decision" event naming the quantities. A switch
-  /// returns false (the caller reports an APSP miss: the build really ran).
-  bool ensureOracle(const std::string& key, GraphEntry& entry, int threads);
-  /// Drops the memoized oracle and unwinds its byte charge (mode change,
-  /// auto-policy switch).
+  /// Memoizes the distance oracle for an entry (the dense build runs all
+  /// n rows under the lock). Returns true when the oracle was already
+  /// present.
+  bool ensureOracle(GraphEntry& entry, int threads);
+  /// Drops the memoized oracle and unwinds its byte charge (mode change).
   void dropOracle(GraphEntry& entry);
   /// Re-reads oracle->residentBytes() and folds the delta into the byte
-  /// accounting (lazy backends grow as rows are cached).
+  /// accounting (lazy oracles grow as rows are cached).
   void refreshOracleBytes(GraphEntry& entry);
   void ensureCandidates(GraphEntry& entry);
   /// Evicts LRU entries until bytesUsed_ <= budget, never evicting `keep`.

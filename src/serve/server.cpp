@@ -15,7 +15,6 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -344,7 +343,6 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
       json::Object oracleUsage;
       oracleUsage["point_queries"] = load(ou.pointQueries);
       oracleUsage["row_queries"] = load(ou.rowQueries);
-      oracleUsage["terminal_batches"] = load(ou.terminalBatches);
       oracleUsage["row_builds"] = load(ou.rowBuilds);
       oracleUsage["row_hits"] = load(ou.rowHits);
       oracleUsage["rows_evicted"] = load(ou.rowsEvicted);
@@ -508,8 +506,9 @@ json::Object Engine::cmdLoadGraph(const Request& request) {
   } catch (const std::exception& e) {
     throw ProtocolError(std::string("bad edge list: ") + e.what());
   }
-  // msc.serve.v1 addition: "distance_mode" picks the distance backend for
-  // every later solve on this graph (auto | dense | pair_centric).
+  // msc.serve.v1 addition: "distance_mode" picks the distance mode for
+  // every later solve on this graph (auto | dense | pair_centric); auto is
+  // resolved once, here, by node count.
   const std::string modeStr =
       getStringParam(request, "distance_mode", "auto");
   const auto mode = msc::graph::parseDistanceMode(modeStr);
@@ -561,18 +560,18 @@ json::Object Engine::cmdSolve(const Request& request,
       static_cast<int>(getIntParam(request, "iters", 500, 1, 1 << 28));
 
   bool apspHit = false;
-  const core::Instance inst =
-      cache_.instance(graphKey, pairsKey, threshold, threads, &apspHit);
+  msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
+  const core::Instance inst = cache_.instance(graphKey, pairsKey, threshold,
+                                              threads, &apspHit, &mode);
   bumpCounter(apspHit ? "serve.cache.apsp_hits" : "serve.cache.apsp_misses");
 
-  // Candidate universe: all n(n-1)/2 node pairs on the dense backend
-  // (memoized per graph), but only pair-node pairs under pair_centric —
-  // materializing the full universe would reintroduce the O(n^2) cost the
-  // backend exists to avoid. The restriction is visible in "candidates".
-  const bool pairCentric =
-      std::string_view(inst.distanceOracle().mode()) == "pair_centric";
+  // Candidate universe, decided by the graph's resolved mode alone: all
+  // n(n-1)/2 node pairs in the dense mode (memoized per graph), but only
+  // pair-node pairs under pair_centric — materializing the full universe
+  // would reintroduce the O(n^2) cost that mode exists to avoid. The
+  // restriction is visible in "candidates".
   std::shared_ptr<const core::CandidateSet> cands;
-  if (pairCentric) {
+  if (mode == msc::graph::DistanceMode::PairCentric) {
     const auto& nodes = inst.pairNodes();
     core::ShortcutList list;
     list.reserve(nodes.size() * (nodes.size() - 1) / 2);
@@ -683,9 +682,9 @@ json::Object Engine::cmdSolve(const Request& request,
   fields["value"] = value;
   fields["pairs_total"] = inst.pairCount();
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
-  // msc.serve.v1 additions: which distance backend served the solve and
-  // how many candidate shortcuts the search ranged over.
-  fields["distance_mode"] = inst.distanceOracle().mode();
+  // msc.serve.v1 additions: the graph's resolved distance mode and how
+  // many candidate shortcuts the search ranged over.
+  fields["distance_mode"] = msc::graph::distanceModeName(mode);
   fields["candidates"] = cands->size();
   return fields;
 }
@@ -698,8 +697,10 @@ json::Object Engine::cmdEval(const Request& request) {
       parsePlacementSpec(requireStringParam(request, "placement"));
 
   bool apspHit = false;
-  const core::Instance inst = cache_.instance(
-      graphKey, pairsKey, threshold, config_.defaultThreads, &apspHit);
+  msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
+  const core::Instance inst =
+      cache_.instance(graphKey, pairsKey, threshold, config_.defaultThreads,
+                      &apspHit, &mode);
   bumpCounter(apspHit ? "serve.cache.apsp_hits" : "serve.cache.apsp_misses");
   for (const core::Shortcut& f : placement) {
     inst.graph().checkNode(f.a);  // untrusted input: reject out-of-range
@@ -711,7 +712,7 @@ json::Object Engine::cmdEval(const Request& request) {
   fields["pairs_total"] = inst.pairCount();
   fields["placement"] = placementSpec(placement);
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
-  fields["distance_mode"] = inst.distanceOracle().mode();
+  fields["distance_mode"] = msc::graph::distanceModeName(mode);
   return fields;
 }
 
@@ -728,29 +729,18 @@ json::Object Engine::cmdStats(const Request&) {
   cacheObj["apsp_hits"] = cs.apspHits;
   cacheObj["apsp_computes"] = cs.apspComputes;
   cacheObj["evictions"] = cs.evictions;
-  // Distance-oracle residency by backend (msc.serve.v1 additions).
+  // Distance-oracle residency and query-mix telemetry, summed over the
+  // cached oracles (msc.serve.v1 additions, docs/ALGORITHMS.md §16).
   json::Object oracleObj;
-  oracleObj["dense"] = cs.oraclesDense;
-  oracleObj["pair_centric"] = cs.oraclesPairCentric;
-  oracleObj["bytes_dense"] = cs.oracleBytesDense;
-  oracleObj["bytes_pair_centric"] = cs.oracleBytesPairCentric;
-  // Measured auto-mode policy + query-mix telemetry (msc.serve.v1
-  // additions, docs/ALGORITHMS.md §16).
-  oracleObj["mode_switches"] = cs.oracleModeSwitches;
-  const auto aggObj = [](const InstanceCache::OracleAgg& a) {
-    json::Object o;
-    o["point_queries"] = a.pointQueries;
-    o["row_queries"] = a.rowQueries;
-    o["terminal_batches"] = a.terminalBatches;
-    o["row_builds"] = a.rowBuilds;
-    o["row_hits"] = a.rowHits;
-    o["alt_queries"] = a.altQueries;
-    o["rows_evicted"] = a.rowsEvicted;
-    o["rows_resident"] = a.rowsResident;
-    return o;
-  };
-  oracleObj["dense_telemetry"] = aggObj(cs.oracleDense);
-  oracleObj["pair_centric_telemetry"] = aggObj(cs.oraclePairCentric);
+  oracleObj["count"] = cs.oracles;
+  oracleObj["bytes"] = cs.oracleBytes;
+  oracleObj["point_queries"] = cs.oracle.pointQueries;
+  oracleObj["row_queries"] = cs.oracle.rowQueries;
+  oracleObj["row_builds"] = cs.oracle.rowBuilds;
+  oracleObj["row_hits"] = cs.oracle.rowHits;
+  oracleObj["alt_queries"] = cs.oracle.altQueries;
+  oracleObj["rows_evicted"] = cs.oracle.rowsEvicted;
+  oracleObj["rows_resident"] = cs.oracle.rowsResident;
   cacheObj["oracles"] = std::move(oracleObj);
 
   json::Object fields;
@@ -808,70 +798,40 @@ json::Object Engine::cmdMetrics(const Request&) {
 
 std::string Engine::metricsText() const {
   std::string text = obs::toProm(obs::Registry::global());
-  // Labeled serve gauges, appended after the registry dump (the registry
-  // itself has no label support — same pattern as the trace-drop series).
-  // Both backends always appear, zeros included, so dashboards can plot
-  // them without existence checks.
+  // Serve series appended after the registry dump (the registry itself
+  // has no label support — same pattern as the trace-drop series). The
+  // oracle series (docs/ALGORITHMS.md §16) sum over the cached oracles and
+  // appear from the first scrape, zeros included, so dashboards and
+  // rate() queries never need existence checks.
   const InstanceCache::Stats cs = cache_.stats();
-  text +=
-      "# HELP msc_serve_oracle_bytes resident bytes of cached distance "
-      "oracles, by backend\n"
-      "# TYPE msc_serve_oracle_bytes gauge\n";
-  text += "msc_serve_oracle_bytes{mode=\"dense\"} " +
-          std::to_string(cs.oracleBytesDense) + "\n";
-  text += "msc_serve_oracle_bytes{mode=\"pair_centric\"} " +
-          std::to_string(cs.oracleBytesPairCentric) + "\n";
-  // Oracle query-mix / row-lifecycle series (docs/ALGORITHMS.md §16).
-  // Every {mode} (and {mode,kind}) combination is emitted from the first
-  // scrape, zeros included — the same registration contract as
-  // msc_trace_dropped_events_total, so dashboards and rate() queries never
-  // need existence checks.
-  const auto perMode = [&text](const InstanceCache::OracleAgg& agg,
-                               const char* mode) {
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"point\"} " + std::to_string(agg.pointQueries) + "\n";
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"row\"} " + std::to_string(agg.rowQueries) + "\n";
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"terminal_batch\"} " +
-            std::to_string(agg.terminalBatches) + "\n";
+  const auto series = [&text](const char* name, const char* help,
+                              const char* type, std::uint64_t value) {
+    text += "# HELP " + std::string(name) + " " + help + "\n# TYPE " + name +
+            " " + type + "\n" + name + " " + std::to_string(value) + "\n";
   };
+  series("msc_serve_oracle_bytes",
+         "resident bytes of cached distance oracles", "gauge",
+         cs.oracleBytes);
   text +=
       "# HELP msc_serve_oracle_queries_total distance-oracle queries by "
-      "backend and kind\n"
-      "# TYPE msc_serve_oracle_queries_total counter\n";
-  perMode(cs.oracleDense, "dense");
-  perMode(cs.oraclePairCentric, "pair_centric");
-  const auto gaugeOrCounter = [&text](const char* name, const char* help,
-                                      const char* type, std::size_t dense,
-                                      std::size_t pairCentric) {
-    text += "# HELP " + std::string(name) + " " + help + "\n# TYPE " + name +
-            " " + type + "\n";
-    text += std::string(name) + "{mode=\"dense\"} " + std::to_string(dense) +
-            "\n";
-    text += std::string(name) + "{mode=\"pair_centric\"} " +
-            std::to_string(pairCentric) + "\n";
-  };
-  gaugeOrCounter("msc_serve_oracle_rows",
-                 "full distance rows resident in cached oracles, by backend",
-                 "gauge", cs.oracleDense.rowsResident,
-                 cs.oraclePairCentric.rowsResident);
-  gaugeOrCounter("msc_serve_oracle_row_builds_total",
-                 "lazy Dijkstra row materializations, by backend", "counter",
-                 cs.oracleDense.rowBuilds, cs.oraclePairCentric.rowBuilds);
-  gaugeOrCounter("msc_serve_oracle_row_hits_total",
-                 "row queries served from cache, by backend", "counter",
-                 cs.oracleDense.rowHits, cs.oraclePairCentric.rowHits);
-  gaugeOrCounter("msc_serve_oracle_row_evictions_total",
-                 "rows evicted under MSC_ORACLE_ROWS_MB, by backend",
-                 "counter", cs.oracleDense.rowsEvicted,
-                 cs.oraclePairCentric.rowsEvicted);
-  text +=
-      "# HELP msc_serve_oracle_mode_switches_total auto-mode backend "
-      "rebuilds driven by measured query mix\n"
-      "# TYPE msc_serve_oracle_mode_switches_total counter\n"
-      "msc_serve_oracle_mode_switches_total " +
-      std::to_string(cs.oracleModeSwitches) + "\n";
+      "kind\n"
+      "# TYPE msc_serve_oracle_queries_total counter\n"
+      "msc_serve_oracle_queries_total{kind=\"point\"} " +
+      std::to_string(cs.oracle.pointQueries) +
+      "\n"
+      "msc_serve_oracle_queries_total{kind=\"row\"} " +
+      std::to_string(cs.oracle.rowQueries) + "\n";
+  series("msc_serve_oracle_rows",
+         "full distance rows resident in cached oracles", "gauge",
+         cs.oracle.rowsResident);
+  series("msc_serve_oracle_row_builds_total",
+         "lazy Dijkstra row materializations", "counter",
+         cs.oracle.rowBuilds);
+  series("msc_serve_oracle_row_hits_total", "row queries served from cache",
+         "counter", cs.oracle.rowHits);
+  series("msc_serve_oracle_row_evictions_total",
+         "rows evicted under MSC_ORACLE_ROWS_MB", "counter",
+         cs.oracle.rowsEvicted);
   // Live-introspection series (docs/ALGORITHMS.md §18). Every label value
   // is emitted from the first scrape, zeros included — the registration
   // contract shared by all msc_serve_* labeled series.
@@ -1322,11 +1282,9 @@ int Server::startMetricsHttp(int port) {
   metricsHttpFd_ = fd;
   metricsHttpThread_ = std::thread([this, fd] {
     obs::trace::setCurrentThreadName("serve.metrics_http");
-    const auto stop = [this] {
-      return metricsHttpStop_.load(std::memory_order_acquire) ||
-             shutdownRequested();
-    };
-    while (!stop()) {
+    // Keeps serving while the server drains (so /healthz can report 503
+    // "draining") until stopMetricsHttp() or the destructor stops it.
+    while (!metricsHttpStop_.load(std::memory_order_acquire)) {
       struct pollfd pfd {fd, POLLIN, 0};
       const int pr = ::poll(&pfd, 1, 200);
       if (pr < 0 && errno != EINTR) break;

@@ -145,7 +145,7 @@ class Engine {
   bool ready() const;
 
   /// Prometheus text exposition: the global metrics registry plus serve-
-  /// level gauges computed here (msc_serve_oracle_bytes by backend). Used
+  /// level series computed here (msc_serve_oracle_bytes, ...). Used
   /// by the `metrics` command and the GET /metrics endpoint.
   std::string metricsText() const;
 
@@ -224,8 +224,8 @@ class Server {
   ///   GET /metrics -> 200, Prometheus text exposition of the registry
   ///   GET /healthz -> 200 "ok" while ready, 503 "draining" afterwards
   /// Returns the bound port; throws std::runtime_error on bind failure.
-  /// Stopped (thread joined, socket closed) by stopMetricsHttp() or the
-  /// destructor; also exits by itself once shutdown is requested.
+  /// Keeps answering while the server drains; stopped (thread joined,
+  /// socket closed) by stopMetricsHttp() or the destructor.
   int startMetricsHttp(int port);
   void stopMetricsHttp();
 

@@ -1,10 +1,13 @@
 // Property suite for the DistanceOracle seam (ALGORITHMS.md §15): the
-// pair-centric backend must be observationally equivalent to the dense
-// matrix everywhere the solvers look. Sweeps every src/gen generator and
-// asserts sigma/mu/nu agree exactly between backends at 1 and 4 threads,
-// plus the corner cases the equivalence argument leans on: disconnected
-// pairs (kInfDist), degenerate landmark counts, ALT point-query vs row
-// bit-identity, and ShortcutRowStore vs the full-matrix relaxation.
+// dense mode (every row built up front) and the lazy pair-centric mode —
+// unbounded or under a row budget that evicts — are one row cache and must
+// hand out the same bits. Sweeps every src/gen generator and asserts
+// bit-identical distancesFrom rows and point queries across the three, at
+// 1 and 4 threads, and that sigma/mu/nu and greedy therefore agree exactly
+// at any threshold. Plus the corner cases: disconnected pairs (kInfDist),
+// degenerate landmark counts, ALT point-query vs row bit-identity,
+// point queries independent of cache state, and ShortcutRowStore vs the
+// full-matrix relaxation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,7 +45,6 @@ using msc::core::Shortcut;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
 using msc::core::SocialPair;
-using msc::graph::DenseMatrixOracle;
 using msc::graph::DistanceMode;
 using msc::graph::Graph;
 using msc::graph::kInfDist;
@@ -55,7 +57,8 @@ struct GenCase {
 };
 
 // One representative topology per generator, sized so the dense path stays
-// cheap but paths are several edges long (where the backends could differ).
+// cheap but paths are several edges long (where row directions differ in
+// the last ulp).
 std::vector<GenCase> generatorSweep() {
   std::vector<GenCase> cases;
   {
@@ -117,12 +120,10 @@ std::vector<SocialPair> samplePairs(const Graph& g, int m,
   return pairs;
 }
 
-// A threshold that splits the sampled pairs: between the median finite
-// pair distance and the next distinct one, so sigma is neither 0 nor m
-// trivially. Deliberately NOT equal to any pair distance — the backends
-// are allowed to differ in the last ulp, so a threshold sitting exactly
-// on a distance would make the <= dt comparison backend-dependent (the
-// one documented exception to exact sigma/mu/nu agreement).
+// A threshold that splits the sampled pairs: exactly the median finite
+// pair distance, so sigma is neither 0 nor m trivially. Sitting on a pair
+// distance is deliberate: every mode serves the same bits, so even the
+// d <= dt comparison at the boundary must agree.
 double medianThreshold(const msc::graph::DistanceOracle& oracle,
                        const std::vector<SocialPair>& pairs) {
   std::vector<double> finite;
@@ -132,9 +133,7 @@ double medianThreshold(const msc::graph::DistanceOracle& oracle,
   }
   if (finite.empty()) return 1.0;
   std::sort(finite.begin(), finite.end());
-  const double median = finite[finite.size() / 2];
-  const auto next = std::upper_bound(finite.begin(), finite.end(), median);
-  return next == finite.end() ? median * 1.001 : (median + *next) / 2.0;
+  return finite[finite.size() / 2];
 }
 
 class OracleBackendEquivalence : public ::testing::TestWithParam<int> {};
@@ -143,34 +142,58 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
   const int threads = GetParam();
   for (auto& gc : generatorSweep()) {
     SCOPED_TRACE(gc.name);
-    const auto pairs = samplePairs(gc.graph, 8, 13);
-    Graph gDense = gc.graph;   // Instance takes ownership
-    Graph gPc = gc.graph;
+    const auto shared = std::make_shared<const Graph>(gc.graph);
+    const int n = gc.graph.nodeCount();
 
-    const Instance dense(std::move(gDense), pairs, 0.0,
-                         InstanceOptions{.threads = threads,
-                                         .distanceMode = DistanceMode::Dense});
-    const double dt = medianThreshold(dense.distanceOracle(), pairs);
+    // Eager (dense mode), lazy unbounded, and lazy under a three-row
+    // budget that evicts on almost every query.
+    const auto eager = msc::graph::makeDistanceOracle(
+        shared, DistanceMode::Dense, 8, threads);
+    ASSERT_STREQ(eager->mode(), "dense");
+    const PairCentricOracle lazy(shared, PairCentricOracle::Config{4, 1});
+    const PairCentricOracle budgeted(
+        shared,
+        PairCentricOracle::Config{
+            4, 1, 3 * msc::graph::oracleRowBytes(static_cast<std::size_t>(n))});
+    for (NodeId v = 0; v < n; ++v) {
+      const auto want = eager->distancesFrom(v);
+      const auto got = lazy.distancesFrom(v);
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t y = 0; y < want.size(); ++y) {
+        ASSERT_EQ(want[y], got[y]) << "lazy v=" << v << " y=" << y;
+      }
+      // Leaseless budgeted spans live until the next oracle call: compare
+      // before querying it again.
+      const auto evicting = budgeted.distancesFrom(v);
+      for (std::size_t y = 0; y < want.size(); ++y) {
+        ASSERT_EQ(want[y], evicting[y]) << "budgeted v=" << v << " y=" << y;
+      }
+    }
+    EXPECT_GT(budgeted.stats().rowsEvicted, 0u);
+    for (NodeId x = 0; x < n; x += 3) {
+      for (NodeId y = 0; y < n; y += 5) {
+        const double want = eager->distance(x, y);
+        EXPECT_EQ(lazy.distance(x, y), want) << "x=" << x << " y=" << y;
+        EXPECT_EQ(budgeted.distance(x, y), want) << "x=" << x << " y=" << y;
+      }
+    }
+
+    // Same rows, so the same objective values and the same greedy picks.
+    const auto pairs = samplePairs(gc.graph, 8, 13);
+    const double dt = medianThreshold(*eager, pairs);
     const Instance denseT(gc.graph, pairs, dt,
                           InstanceOptions{.threads = threads,
                                           .distanceMode = DistanceMode::Dense});
-    const Instance pcT(std::move(gPc), pairs, dt,
+    const Instance pcT(gc.graph, pairs, dt,
                        InstanceOptions{.threads = threads,
                                        .distanceMode =
                                            DistanceMode::PairCentric});
-    ASSERT_STREQ(denseT.distanceOracle().mode(), "dense");
-    ASSERT_STREQ(pcT.distanceOracle().mode(), "pair_centric");
-
-    // Same placement evaluated by both backends: run greedy on the dense
-    // instance, then score that placement everywhere.
-    const auto cands = CandidateSet::allPairs(gc.graph.nodeCount());
+    const auto cands = CandidateSet::allPairs(n);
     SigmaEvaluator sigmaDense(denseT);
     SigmaEvaluator sigmaPc(pcT);
     const auto greedy = msc::core::greedyMaximize(
         sigmaDense, cands, {.k = 3, .threads = threads});
-
-    for (const ShortcutList& f :
-         {ShortcutList{}, greedy.placement}) {
+    for (const ShortcutList& f : {ShortcutList{}, greedy.placement}) {
       EXPECT_EQ(sigmaDense.value(f), sigmaPc.value(f));
       MuEvaluator muDense(denseT, cands);
       MuEvaluator muPc(pcT, cands);
@@ -179,9 +202,6 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
       NuEvaluator nuPc(pcT);
       EXPECT_EQ(nuDense.value(f), nuPc.value(f));
     }
-
-    // And the greedy trajectory itself is reproducible on the other
-    // backend: same picks, same value.
     const auto greedyPc = msc::core::greedyMaximize(
         sigmaPc, cands, {.k = 3, .threads = threads});
     EXPECT_EQ(greedy.placement, greedyPc.placement);
@@ -217,8 +237,8 @@ TEST(OracleDisconnected, InfDistAgreesAndShortcutBridges) {
 
 TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
   const auto g = msc::test::randomGraph(30, 0.12, 21);
-  const auto dense = msc::graph::allPairsDistances(g);
   const auto shared = std::make_shared<const Graph>(g);
+  const auto eager = PairCentricOracle::allRows(shared, 1);
 
   for (const int landmarks : {0, g.nodeCount(), g.nodeCount() + 5}) {
     SCOPED_TRACE(landmarks);
@@ -227,17 +247,8 @@ TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
     EXPECT_LE(static_cast<int>(oracle.landmarks().size()), g.nodeCount());
     for (NodeId s = 0; s < g.nodeCount(); s += 5) {
       for (NodeId t = 0; t < g.nodeCount(); t += 3) {
-        const double got = oracle.distance(s, t);
-        const double want = dense(static_cast<std::size_t>(s),
-                                  static_cast<std::size_t>(t));
-        if (want == kInfDist) {
-          EXPECT_EQ(got, kInfDist) << "s=" << s << " t=" << t;
-        } else {
-          // Dense rows are symmetrized; a point query is one-directional,
-          // so allow the documented last-ulp slack.
-          EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, want))
-              << "s=" << s << " t=" << t;
-        }
+        EXPECT_EQ(oracle.distance(s, t), eager->distance(s, t))
+            << "s=" << s << " t=" << t;
       }
     }
   }
@@ -271,35 +282,71 @@ TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
   EXPECT_GE(checked, 4);
 }
 
+// The point-query bits never depend on which rows happen to be cached: on
+// the path 0-1-2-3 (lengths 0.1, 0.2, 0.3) the row of 0 sums to
+// 0.6000000000000001 while the row of 3 sums to 0.6. With only row 3
+// cached, distance(0, 3) must still be row 0's entry (computed by ALT).
+TEST(OracleAltQuery, PointQueryIgnoresCachedRowOfLargerEndpoint) {
+  Graph g(4);
+  g.addEdge(0, 1, 0.1);
+  g.addEdge(1, 2, 0.2);
+  g.addEdge(2, 3, 0.3);
+  const PairCentricOracle oracle(std::make_shared<const Graph>(g),
+                                 PairCentricOracle::Config{0, 1});
+  const std::vector<NodeId> onlyRow3 = {3};
+  oracle.prefetchRows(onlyRow3, 1);
+  ASSERT_EQ(oracle.distancesFrom(3)[0], 0.6);
+  const double point = oracle.distance(0, 3);
+  EXPECT_EQ(oracle.distance(3, 0), point);
+  EXPECT_EQ(point, oracle.distancesFrom(0)[3]);
+  EXPECT_EQ(point, 0.6000000000000001);
+}
+
 TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
-  const auto g = msc::test::randomGraph(35, 0.1, 44);
-  const auto base = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(base);
+  // Dyadic edge lengths (multiples of 1/8) keep every path sum exact, so
+  // the oracle's one-directional rows stack into the symmetric matrix the
+  // full-matrix relaxation requires.
+  const auto er = msc::test::randomGraph(35, 0.1, 44);
+  Graph g(er.nodeCount());
+  for (const auto& e : er.edges()) {
+    g.addEdge(e.u, e.v, std::ceil(e.length * 8.0) / 8.0);
+  }
+  const auto shared = std::make_shared<const Graph>(g);
+  const auto eager =
+      msc::graph::makeDistanceOracle(shared, DistanceMode::Dense, 0, 1);
+  const PairCentricOracle lazy(shared, PairCentricOracle::Config{2, 1});
+  const auto& base = eager->materialize();
+  ASSERT_EQ(base, msc::graph::allPairsDistances(g));
 
   const std::vector<std::pair<NodeId, NodeId>> shortcuts = {
       {0, 34}, {5, 20}, {11, 28}};
   const auto evolved = msc::graph::distancesWithShortcuts(base, shortcuts);
 
-  const std::vector<NodeId> terminals = {0, 3, 11, 20, 34};
-  msc::graph::ShortcutRowStore rows(oracle, terminals);
-  for (const auto& [a, b] : shortcuts) rows.applyZeroEdge(a, b);
+  for (const msc::graph::DistanceOracle* oracle :
+       {static_cast<const msc::graph::DistanceOracle*>(eager.get()),
+        static_cast<const msc::graph::DistanceOracle*>(&lazy)}) {
+    SCOPED_TRACE(oracle->mode());
+    const std::vector<NodeId> terminals = {0, 3, 11, 20, 34};
+    msc::graph::ShortcutRowStore rows(*oracle, terminals);
+    for (const auto& [a, b] : shortcuts) rows.applyZeroEdge(a, b);
 
-  for (const NodeId v : terminals) {
-    const double* row = rows.row(v);
-    for (NodeId y = 0; y < g.nodeCount(); ++y) {
-      EXPECT_EQ(row[y], evolved(static_cast<std::size_t>(v),
-                                static_cast<std::size_t>(y)))
-          << "v=" << v << " y=" << y;
-    }
-  }
-
-  // A terminal added after the shortcuts replays to the same bits.
-  const NodeId late = 17;
-  const double* lateRow = rows.row(late);
-  for (NodeId y = 0; y < g.nodeCount(); ++y) {
-    EXPECT_EQ(lateRow[y], evolved(static_cast<std::size_t>(late),
+    for (const NodeId v : terminals) {
+      const double* row = rows.row(v);
+      for (NodeId y = 0; y < g.nodeCount(); ++y) {
+        EXPECT_EQ(row[y], evolved(static_cast<std::size_t>(v),
                                   static_cast<std::size_t>(y)))
-        << "y=" << y;
+            << "v=" << v << " y=" << y;
+      }
+    }
+
+    // A terminal added after the shortcuts replays to the same bits.
+    const NodeId late = 17;
+    const double* lateRow = rows.row(late);
+    for (NodeId y = 0; y < g.nodeCount(); ++y) {
+      EXPECT_EQ(lateRow[y], evolved(static_cast<std::size_t>(late),
+                                    static_cast<std::size_t>(y)))
+          << "y=" << y;
+    }
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "graph/apsp.h"
+#include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "helpers.h"
 #include "util/rng.h"
@@ -12,10 +15,18 @@ namespace {
 using msc::graph::kInfDist;
 using msc::graph::OverlayEvaluator;
 
+// Dense-mode oracle over a copy of `g` (every row resident).
+std::shared_ptr<const msc::graph::DistanceOracle> oracleOf(
+    const msc::graph::Graph& g) {
+  return msc::graph::makeDistanceOracle(
+      std::make_shared<const msc::graph::Graph>(g),
+      msc::graph::DistanceMode::Dense, /*landmarks=*/0, /*threads=*/1);
+}
+
 TEST(Overlay, NoShortcutsReturnsBaseDistances) {
   const auto g = msc::test::lineGraph(6);
-  const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 3, 5});
+  const auto d = oracleOf(g);
+  OverlayEvaluator overlay(*d, {0, 3, 5});
   const auto dists = overlay.pairDistances({{0, 3}, {3, 5}, {0, 5}}, {});
   EXPECT_DOUBLE_EQ(dists[0], 3.0);
   EXPECT_DOUBLE_EQ(dists[1], 2.0);
@@ -24,8 +35,8 @@ TEST(Overlay, NoShortcutsReturnsBaseDistances) {
 
 TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
   const auto g = msc::test::lineGraph(10);
-  const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 9});
+  const auto d = oracleOf(g);
+  OverlayEvaluator overlay(*d, {0, 9});
   // Shortcut between interior nodes 1 and 8.
   const auto dists = overlay.pairDistances({{0, 9}}, {{1, 8}});
   EXPECT_DOUBLE_EQ(dists[0], 2.0);  // 0-1 (1) + shortcut (0) + 8-9 (1)
@@ -33,8 +44,8 @@ TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
 
 TEST(Overlay, MultiShortcutChaining) {
   const auto g = msc::test::lineGraph(12);
-  const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 11});
+  const auto d = oracleOf(g);
+  OverlayEvaluator overlay(*d, {0, 11});
   // Chain: 0 ->1 =>4 ->5 =>10 ->11 uses BOTH shortcuts: length 3.
   const auto dists = overlay.pairDistances({{0, 11}}, {{1, 4}, {5, 10}});
   EXPECT_DOUBLE_EQ(dists[0], 3.0);
@@ -42,23 +53,23 @@ TEST(Overlay, MultiShortcutChaining) {
 
 TEST(Overlay, NonTerminalQueryThrows) {
   const auto g = msc::test::lineGraph(5);
-  const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 4});
+  const auto d = oracleOf(g);
+  OverlayEvaluator overlay(*d, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 2}}, {}), std::invalid_argument);
 }
 
 TEST(Overlay, InvalidNodesThrow) {
   const auto g = msc::test::lineGraph(5);
-  const auto d = msc::graph::allPairsDistances(g);
-  EXPECT_THROW(OverlayEvaluator(d, {0, 7}), std::out_of_range);
-  OverlayEvaluator overlay(d, {0, 4});
+  const auto d = oracleOf(g);
+  EXPECT_THROW(OverlayEvaluator(*d, {0, 7}), std::out_of_range);
+  OverlayEvaluator overlay(*d, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 4}}, {{0, 9}}), std::out_of_range);
 }
 
 TEST(Overlay, CountWithinThreshold) {
   const auto g = msc::test::lineGraph(8);
-  const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 3, 7});
+  const auto d = oracleOf(g);
+  OverlayEvaluator overlay(*d, {0, 3, 7});
   EXPECT_EQ(overlay.countWithinThreshold({{0, 3}, {0, 7}, {3, 7}}, {}, 3.5),
             1);
   EXPECT_EQ(
@@ -93,7 +104,8 @@ TEST_P(OverlayProperty, MatchesMatrixRelaxation) {
     msc::graph::applyZeroEdge(full, a, b);
   }
 
-  OverlayEvaluator overlay(base, terminals);
+  const auto oracle = oracleOf(g);
+  OverlayEvaluator overlay(*oracle, terminals);
   std::vector<std::pair<msc::graph::NodeId, msc::graph::NodeId>> queries;
   for (std::size_t i = 0; i < terminals.size(); ++i) {
     for (std::size_t j = i + 1; j < terminals.size(); ++j) {

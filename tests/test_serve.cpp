@@ -707,24 +707,73 @@ TEST(ServeEngine, DistanceModeKnobSelectsBackendAndSurfacesInStatsMetrics) {
   const auto stats = json::parse(engine.handleLine("{\"cmd\":\"stats\"}"));
   const auto* oracles = stats.find("cache")->find("oracles");
   ASSERT_NE(oracles, nullptr);
-  EXPECT_EQ(oracles->find("pair_centric")->asNumber(), 1.0);
-  EXPECT_EQ(oracles->find("dense")->asNumber(), 0.0);
-  EXPECT_GT(oracles->find("bytes_pair_centric")->asNumber(), 0.0);
+  EXPECT_EQ(oracles->find("count")->asNumber(), 1.0);
+  EXPECT_GT(oracles->find("bytes")->asNumber(), 0.0);
+  EXPECT_GT(oracles->find("row_builds")->asNumber(), 0.0);
+  EXPECT_GT(oracles->find("rows_resident")->asNumber(), 0.0);
 
   const auto metrics = json::parse(engine.handleLine("{\"cmd\":\"metrics\"}"));
   const std::string prom = metrics.find("prometheus")->asString();
   EXPECT_NE(prom.find("# TYPE msc_serve_oracle_bytes gauge"),
             std::string::npos);
-  EXPECT_NE(prom.find("msc_serve_oracle_bytes{mode=\"dense\"} 0"),
+  EXPECT_NE(prom.find("\nmsc_serve_oracle_bytes "), std::string::npos);
+  EXPECT_NE(prom.find("msc_serve_oracle_queries_total{kind=\"row\"} "),
             std::string::npos);
-  EXPECT_NE(prom.find("msc_serve_oracle_bytes{mode=\"pair_centric\"}"),
-            std::string::npos);
+  EXPECT_EQ(prom.find("mode=\""), std::string::npos);
 
   // Unknown modes are a structured protocol error, not a fallback.
   const auto bad = json::parse(engine.handleLine(
       "{\"cmd\":\"load_graph\",\"distance_mode\":\"fast\",\"text\":\"" +
       jsonEscape(graphText(g)) + "\"}"));
   EXPECT_EQ(bad.find("status")->asString(), "error");
+}
+
+// An auto graph resolves its mode once, at load_graph: whatever the
+// session loads or evaluates in between, the same solve request gets the
+// same candidate universe, placement and value. (A measured policy used to
+// flip a large auto graph to dense once its cached rows passed half the
+// matrix, which changed "candidates" between two identical solves.)
+TEST(ServeEngine, AutoModeSolveIndependentOfEarlierRequests) {
+  Engine engine;
+  const int n = msc::graph::kDenseAutoNodeLimit + 1;
+  const auto load = json::parse(engine.handleLine(
+      "{\"cmd\":\"load_graph\",\"as\":\"g\",\"text\":\"" +
+      jsonEscape(graphText(msc::test::cycleGraph(n))) + "\"}"));
+  ASSERT_EQ(load.find("status")->asString(), "ok");
+  (void)engine.handleLine(
+      "{\"cmd\":\"load_pairs\",\"as\":\"b\",\"text\":\"0 1024\\n"
+      "10 1500\\n\"}");
+  // Pair set A spans well over half the nodes.
+  std::string pairsA;
+  for (int i = 0; i < 600; ++i) {
+    pairsA += std::to_string(i) + " " + std::to_string(n - 1 - i) + "\\n";
+  }
+  (void)engine.handleLine(
+      "{\"cmd\":\"load_pairs\",\"as\":\"a\",\"text\":\"" + pairsA +
+      "\"}");
+
+  const std::string solveB =
+      "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"b\",\"p_t\":0.14,"
+      "\"algo\":\"greedy\",\"k\":1,\"threads\":1,\"seed\":1}";
+  const auto first = json::parse(engine.handleLine(solveB));
+  ASSERT_EQ(first.find("status")->asString(), "ok");
+  const auto evalA = json::parse(engine.handleLine(
+      "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"a\",\"p_t\":0.14,"
+      "\"placement\":\"\"}"));
+  ASSERT_EQ(evalA.find("status")->asString(), "ok");
+  const auto second = json::parse(engine.handleLine(solveB));
+  ASSERT_EQ(second.find("status")->asString(), "ok");
+
+  EXPECT_EQ(first.find("distance_mode")->asString(), "pair_centric");
+  EXPECT_EQ(evalA.find("distance_mode")->asString(), "pair_centric");
+  for (const char* field : {"candidates", "value"}) {
+    EXPECT_EQ(first.find(field)->asNumber(), second.find(field)->asNumber())
+        << field;
+  }
+  for (const char* field : {"placement", "distance_mode"}) {
+    EXPECT_EQ(first.find(field)->asString(), second.find(field)->asString())
+        << field;
+  }
 }
 
 TEST(ServeTelemetry, StatsIncludesObsSnapshotAndCacheBytes) {
