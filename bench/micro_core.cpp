@@ -39,6 +39,21 @@ msc::eval::SpatialInstance makeRg(int n, int m) {
   return msc::eval::makeRgInstance(setup);
 }
 
+// Scan-sized instances: (100, 80) is the historical case; (512, 100) is
+// the perfbench dense_solve shape (RG n = 512, r = 0.109, p_t = 0.05,
+// 100 violating pairs, the perfbench failure slope).
+msc::eval::SpatialInstance makeScanRg(int n, int m) {
+  if (n != 512) return makeRg(n, m);
+  msc::eval::RgSetup setup;
+  setup.nodes = n;
+  setup.radius = 0.109;
+  setup.failureSlope = 0.35;
+  setup.pairs = m;
+  setup.failureThreshold = 0.05;
+  setup.seed = 1;
+  return msc::eval::makeRgInstance(setup);
+}
+
 ShortcutList somePlacement(int n, int size) {
   msc::util::Rng rng(99);
   ShortcutList f;
@@ -151,30 +166,35 @@ void BM_SigmaByRebuild(benchmark::State& state) {
 BENCHMARK(BM_SigmaByRebuild)->Args({17, 4})->Args({80, 4});
 
 void BM_SigmaGainScan(benchmark::State& state) {
-  // One full greedy-round scan over all candidates.
-  const auto spatial = makeRg(100, 80);
+  // One full greedy-round scan over all candidates, announced the way
+  // gainScan announces it (prepareScan builds the pair index per scan).
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
   SigmaEvaluator eval(spatial.instance);
-  const auto cands = CandidateSet::allPairs(100);
+  const auto cands = CandidateSet::allPairs(n);
   eval.reset();
   for (auto _ : state) {
+    eval.prepareScan(cands);
     double best = 0.0;
     for (std::size_t c = 0; c < cands.size(); ++c) {
       best = std::max(best, eval.gainIfAdd(cands[c]));
     }
     benchmark::DoNotOptimize(best);
   }
+  state.counters["probes"] = static_cast<double>(cands.size());
 }
-BENCHMARK(BM_SigmaGainScan);
+BENCHMARK(BM_SigmaGainScan)->Args({100, 80})->Args({512, 100});
 
 void BM_MuConstruction(benchmark::State& state) {
-  const auto spatial = makeRg(100, 80);
-  const auto cands = CandidateSet::allPairs(100);
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  const auto cands = CandidateSet::allPairs(n);
   for (auto _ : state) {
     msc::core::MuEvaluator mu(spatial.instance, cands);
     benchmark::DoNotOptimize(mu.value({}));
   }
 }
-BENCHMARK(BM_MuConstruction);
+BENCHMARK(BM_MuConstruction)->Args({100, 80})->Args({512, 100});
 
 void BM_GreedyFullRun(benchmark::State& state) {
   const auto spatial = makeRg(100, 80);

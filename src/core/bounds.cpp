@@ -4,32 +4,18 @@
 #include <span>
 #include <utility>
 
+#include "core/pair_ball.h"
 #include "obs/metrics.h"
 
 namespace msc::core {
 
 namespace {
 
-// Pair satisfied when its path may use shortcut (a, b) at most once.
-// `ru` / `rw` are the base distance rows of the pair's endpoints; the row
-// of w stands in for the matrix columns of w (the base metric is
-// symmetric).
-bool satisfiedWithOneShortcut(const double* ru, const double* rw,
-                              const SocialPair& p, const Shortcut& f,
-                              double dt) {
-  const auto w = static_cast<std::size_t>(p.w);
-  const auto a = static_cast<std::size_t>(f.a);
-  const auto b = static_cast<std::size_t>(f.b);
-  const double best = std::min({ru[w], ru[a] + rw[b], ru[b] + rw[a]});
-  return best <= dt;
-}
-
 // Base distance rows of every pair endpoint (cached in the oracle, so the
-// spans stay valid for the evaluator's lifetime).
-std::vector<std::pair<const double*, const double*>> pairEndpointRows(
-    const Instance& instance) {
+// pointers stay valid while the instance lives).
+std::vector<PairRows> pairEndpointRows(const Instance& instance) {
   const auto& oracle = instance.distanceOracle();
-  std::vector<std::pair<const double*, const double*>> rows;
+  std::vector<PairRows> rows;
   rows.reserve(instance.pairs().size());
   for (const SocialPair& p : instance.pairs()) {
     rows.push_back(
@@ -40,31 +26,57 @@ std::vector<std::pair<const double*, const double*>> pairEndpointRows(
 
 }  // namespace
 
+util::Bitset oneShortcutSet(const Instance& instance, const Shortcut& f) {
+  const auto& pairs = instance.pairs();
+  const auto rows = pairEndpointRows(instance);
+  const double dt = instance.distanceThreshold();
+  util::Bitset bits(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (satisfiedWithOneShortcut(rows[i], pairs[i], f, dt)) bits.set(i);
+  }
+  return bits;
+}
+
+std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
+                                          const CandidateSet& candidates) {
+  const auto& pairs = instance.pairs();
+  const auto rows = pairEndpointRows(instance);
+  const double dt = instance.distanceThreshold();
+  // A pair with d(u,w) <= d_t passes for every shortcut; every other pair
+  // passes only through the two sums, i.e. only inside near(a) ∩ near(b).
+  util::Bitset base(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (rows[i].u[static_cast<std::size_t>(pairs[i].w)] <= dt) base.set(i);
+  }
+  PairBallIndex near;
+  near.build(pairs, rows, dt, candidates.endpoints(),
+             instance.graph().nodeCount());
+  std::vector<util::Bitset> sets;
+  sets.reserve(candidates.size());
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    util::Bitset bits = base;
+    near.forEachShared(candidates[c].a, candidates[c].b, [&](std::size_t i) {
+      if (satisfiedWithOneShortcut(rows[i], pairs[i], candidates[c], dt)) {
+        bits.set(i);
+      }
+    });
+    sets.push_back(std::move(bits));
+  }
+  return sets;
+}
+
 // ---------------------------------------------------------------- Mu ----
 
 MuEvaluator::MuEvaluator(const Instance& instance,
                          const CandidateSet& candidates)
     : instance_(&instance),
       candidates_(&candidates),
+      perCandidate_(oneShortcutSets(instance, candidates)),
       baseSatisfied_(instance.pairs().size()),
       covered_(instance.pairs().size()) {
   const auto& pairs = instance.pairs();
-  const auto rows = pairEndpointRows(instance);
-  const double dt = instance.distanceThreshold();
-
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (instance.baseSatisfied(pairs[i])) baseSatisfied_.set(i);
-  }
-  perCandidate_.reserve(candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    util::Bitset bits(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (satisfiedWithOneShortcut(rows[i].first, rows[i].second, pairs[i],
-                                   candidates[c], dt)) {
-        bits.set(i);
-      }
-    }
-    perCandidate_.push_back(std::move(bits));
   }
   reset();
 }
@@ -74,16 +86,7 @@ const util::Bitset& MuEvaluator::bitsetFor(const Shortcut& f,
   const long idx = candidates_->indexOf(f);
   if (idx >= 0) return perCandidate_[static_cast<std::size_t>(idx)];
   // Not a precomputed candidate: compute from scratch.
-  const auto& pairs = instance_->pairs();
-  const auto rows = pairEndpointRows(*instance_);
-  const double dt = instance_->distanceThreshold();
-  scratch = util::Bitset(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (satisfiedWithOneShortcut(rows[i].first, rows[i].second, pairs[i], f,
-                                 dt)) {
-      scratch.set(i);
-    }
-  }
+  scratch = oneShortcutSet(*instance_, f);
   return scratch;
 }
 
@@ -209,10 +212,11 @@ double NuEvaluator::gainIfAdd(const Shortcut& f) const {
   if (f.a == f.b) return 0.0;
   double gain = gainOfEndpoint(f.a, covered_);
   // Second endpoint's gain must not double-count pair-nodes the first
-  // endpoint newly covers.
-  util::Bitset afterA = covered_;
-  afterA |= coverage_[static_cast<std::size_t>(f.a)];
-  gain += gainOfEndpoint(f.b, afterA);
+  // endpoint newly covers: coverage(b) & ~covered & ~coverage(a), word by
+  // word, in the same ascending bit order as before.
+  covered_.forEachMissingFrom(coverage_[static_cast<std::size_t>(f.b)],
+                              coverage_[static_cast<std::size_t>(f.a)],
+                              [&](std::size_t bit) { gain += weights_[bit]; });
   return gain;
 }
 

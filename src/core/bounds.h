@@ -30,6 +30,19 @@
 
 namespace msc::core {
 
+/// Pairs satisfied by the single shortcut f over base distances:
+/// bit i is set iff min(d(u,w), d(u,a) + d(b,w), d(u,b) + d(a,w)) <= d_t
+/// with u's row read at w, a and b, and w's row standing in for w's column.
+util::Bitset oneShortcutSet(const Instance& instance, const Shortcut& f);
+
+/// oneShortcutSet for every candidate, bit-identical to calling it per
+/// candidate. Pairs satisfied without shortcuts are copied in; the rest are
+/// tested only against candidates whose endpoints both reach them within
+/// d_t (core/pair_ball.h), so the build costs O(m * |endpoints| + C * m/64
+/// + hits) instead of O(C * m).
+std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
+                                          const CandidateSet& candidates);
+
 /// Lower bound mu: max coverage over per-shortcut satisfied-pair bitsets.
 class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:

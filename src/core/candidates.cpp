@@ -34,6 +34,19 @@ CandidateSet::CandidateSet(ShortcutList candidates)
   std::sort(candidates_.begin(), candidates_.end());
   candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
                     candidates_.end());
+  if (candidates_.empty()) return;
+  // Mark-and-collect over the id range: O(size + range), no sort.
+  NodeId lo = candidates_.front().a;
+  NodeId hi = candidates_.front().b;
+  for (const Shortcut& f : candidates_) hi = std::max(hi, f.b);
+  std::vector<char> seen(static_cast<std::size_t>(hi - lo) + 1, 0);
+  for (const Shortcut& f : candidates_) {
+    seen[static_cast<std::size_t>(f.a - lo)] = 1;
+    seen[static_cast<std::size_t>(f.b - lo)] = 1;
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i] != 0) endpoints_.push_back(lo + static_cast<NodeId>(i));
+  }
 }
 
 long CandidateSet::indexOf(const Shortcut& f) const {

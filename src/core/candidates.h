@@ -30,11 +30,16 @@ class CandidateSet {
 
   const ShortcutList& all() const noexcept { return candidates_; }
 
+  /// Nodes incident to some candidate, ascending and unique — the nodes a
+  /// gain scan over this set can probe.
+  const std::vector<NodeId>& endpoints() const noexcept { return endpoints_; }
+
   /// Index of a shortcut, or -1 if not a candidate. O(log size).
   long indexOf(const Shortcut& f) const;
 
  private:
   ShortcutList candidates_;  // sorted, unique
+  std::vector<NodeId> endpoints_;
 };
 
 }  // namespace msc::core

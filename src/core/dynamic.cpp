@@ -41,6 +41,10 @@ void SumEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
 }
 
+void SumEvaluator::prepareScan(const CandidateSet& candidates) {
+  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
+}
+
 DynamicProblem::DynamicProblem(std::vector<Instance> instances,
                                const CandidateSet& candidates)
     : instances_(std::move(instances)) {

@@ -40,6 +40,7 @@ class SumEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  void prepareScan(const CandidateSet& candidates) override;
 
  private:
   std::vector<IncrementalEvaluator*> children_;

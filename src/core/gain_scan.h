@@ -47,11 +47,14 @@ inline void mergeScan(ScanBest& acc, const ScanBest& chunk) {
 /// evaluating them; score(gain, i) -> double ranks the rest. When
 /// requirePositiveGain, candidates with gain <= 0 are ineligible (plain
 /// greedy's stop condition); otherwise the first unskipped candidate is
-/// always a valid fallback (AEA's "always swap something" rule).
+/// always a valid fallback (AEA's "always swap something" rule). The
+/// evaluator gets its prepareScan hint first; the probes themselves are
+/// read-only.
 template <typename SkipFn, typename ScoreFn>
-ScanBest gainScan(const IncrementalEvaluator& eval,
-                  const CandidateSet& candidates, int threads,
-                  bool requirePositiveGain, SkipFn skip, ScoreFn score) {
+ScanBest gainScan(IncrementalEvaluator& eval, const CandidateSet& candidates,
+                  int threads, bool requirePositiveGain, SkipFn skip,
+                  ScoreFn score) {
+  eval.prepareScan(candidates);
   const std::size_t count = candidates.size();
   const auto scanRange = [&](std::size_t rangeBegin, std::size_t rangeEnd) {
     ScanBest local;

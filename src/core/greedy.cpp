@@ -152,6 +152,7 @@ GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
     // to the same request phase (clock read only under a bound context).
     const msc::obs::ScopedPhaseTimer scanPhase(msc::obs::Phase::RoundScan);
     std::vector<double> initialGain(candidates.size());
+    eval.prepareScan(candidates);
     {
       // Fill results are discarded below when the token fired, so the pool
       // may skip remaining chunks once it does.

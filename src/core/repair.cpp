@@ -40,6 +40,7 @@ RepairResult repairPlacement(IncrementalEvaluator& objective,
     // Add the best candidate (possibly the dropped edge itself, in which
     // case the swap is a no-op and we stop).
     objective.evaluate(reduced);
+    objective.prepareScan(candidates);
     double bestGain = 0.0;
     long bestIdx = -1;
     for (std::size_t c = 0; c < candidates.size(); ++c) {

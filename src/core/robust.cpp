@@ -52,6 +52,10 @@ void MinEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
 }
 
+void MinEvaluator::prepareScan(const CandidateSet& candidates) {
+  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
+}
+
 // ------------------------------------------------------- TruncatedSum ----
 
 TruncatedSumEvaluator::TruncatedSumEvaluator(
@@ -100,6 +104,10 @@ double TruncatedSumEvaluator::gainIfAdd(const Shortcut& f) const {
 
 void TruncatedSumEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
+}
+
+void TruncatedSumEvaluator::prepareScan(const CandidateSet& candidates) {
+  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
 }
 
 // ------------------------------------------------------------ SATURATE ----

@@ -39,6 +39,7 @@ class MinEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  void prepareScan(const CandidateSet& candidates) override;
 
  private:
   std::vector<IncrementalEvaluator*> children_;
@@ -64,6 +65,7 @@ class TruncatedSumEvaluator final : public SetFunction,
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  void prepareScan(const CandidateSet& candidates) override;
 
   double cap() const noexcept { return cap_; }
 

@@ -14,6 +14,8 @@
 
 namespace msc::core {
 
+class CandidateSet;
+
 /// Read-only whole-set evaluation: value(F) for arbitrary placements.
 class SetFunction {
  public:
@@ -41,6 +43,15 @@ class IncrementalEvaluator {
   virtual double currentValue() const = 0;
   virtual double gainIfAdd(const Shortcut& f) const = 0;
   virtual void add(const Shortcut& f) = 0;
+
+  /// Hint that gainIfAdd is about to be probed for (mostly) the members of
+  /// `candidates` under the current state, possibly from several threads.
+  /// Evaluators may build per-scan acceleration state here; it must not
+  /// change any gain, and add()/reset() must drop it. Called only outside
+  /// parallel probe loops. No-op by default.
+  virtual void prepareScan(const CandidateSet& candidates) {
+    static_cast<void>(candidates);
+  }
 
   /// Sets the state to exactly `placement` and returns its value.
   double evaluate(const ShortcutList& placement) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/candidates.h"
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
 
@@ -9,12 +10,11 @@ namespace msc::core {
 
 namespace {
 
-// Relaxation work in gainIfAdd/add scales with the number of pairs still
-// unsatisfied; published per call so strategy comparisons see operation
-// counts, not just call counts.
-void publishPairScan(std::size_t pairs, int alreadySatisfied) {
+// Pair checks made by one gainIfAdd/add call, published per call so
+// strategy comparisons see operation counts, not just call counts.
+void publishPairChecks(std::size_t checks) {
   static auto& cRelax = msc::obs::counter("sigma.relaxations");
-  cRelax.add(pairs - static_cast<std::size_t>(alreadySatisfied));
+  cRelax.add(checks);
 }
 
 }  // namespace
@@ -28,6 +28,7 @@ SigmaEvaluator::SigmaEvaluator(const Instance& instance)
 }
 
 void SigmaEvaluator::reset() {
+  near_.invalidate();
   rows_.reset();
   refreshSatisfied();
 }
@@ -46,26 +47,40 @@ void SigmaEvaluator::refreshSatisfied() {
   }
 }
 
+void SigmaEvaluator::prepareScan(const CandidateSet& candidates) {
+  const auto& pairs = instance_->pairs();
+  near_.build(pairs, pairRowsOf(pairs, rows_), instance_->distanceThreshold(),
+              candidates.endpoints(), instance_->graph().nodeCount());
+}
+
 double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("sigma.gain_calls");
-    cGain.add(1);
-    publishPairScan(instance_->pairs().size(), satisfied_);
-  }
   const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();
   const auto a = static_cast<std::size_t>(f.a);
   const auto b = static_cast<std::size_t>(f.b);
   int gain = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairSatisfied_[i]) continue;  // distances only shrink
-    // Both endpoint rows exist: pair nodes seed the row store. The row of w
-    // stands in for the columns of w (the evolved metric is symmetric).
-    const double* ru = rows_.rowIfPresent(pairs[i].u);
-    const double* rw = rows_.rowIfPresent(pairs[i].w);
+  std::size_t checks = 0;
+  // The row of w stands in for the columns of w (the evolved metric is
+  // symmetric).
+  const auto check = [&](const double* ru, const double* rw) {
+    ++checks;
     const double viaAB = ru[a] + rw[b];
     const double viaBA = ru[b] + rw[a];
     if (std::min(viaAB, viaBA) <= dt) ++gain;
+  };
+  const bool indexed = near_.forEachShared(f.a, f.b, [&](std::size_t i) {
+    check(near_.rows(i).u, near_.rows(i).w);
+  });
+  if (!indexed) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (pairSatisfied_[i]) continue;  // distances only shrink
+      check(rows_.rowIfPresent(pairs[i].u), rows_.rowIfPresent(pairs[i].w));
+    }
+  }
+  if (msc::obs::enabled()) {
+    static auto& cGain = msc::obs::counter("sigma.gain_calls");
+    cGain.add(1);
+    publishPairChecks(checks);
   }
   return static_cast<double>(gain);
 }
@@ -74,8 +89,10 @@ void SigmaEvaluator::add(const Shortcut& f) {
   if (msc::obs::enabled()) {
     static auto& cAdd = msc::obs::counter("sigma.adds");
     cAdd.add(1);
-    publishPairScan(instance_->pairs().size(), satisfied_);
+    publishPairChecks(instance_->pairs().size() -
+                      static_cast<std::size_t>(satisfied_));
   }
+  near_.invalidate();
   rows_.applyZeroEdge(f.a, f.b);
   const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();

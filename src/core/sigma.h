@@ -7,8 +7,12 @@
 //   * rows: apply |F| exact zero-edge relaxations to the pair-endpoint
 //     distance rows (graph/shortcut_distance.h) — the incremental
 //     workhorse; O(|rows| * n) per shortcut instead of the historical
-//     O(n^2) full-matrix update, and marginal gains for a candidate still
-//     cost O(m).
+//     O(n^2) full-matrix update. A marginal gain checks the closed form
+//     for the unsatisfied pairs: all of them (O(m)) without a scan index,
+//     or after prepareScan(C) only those with one endpoint within d_t of
+//     each shortcut endpoint (core/pair_ball.h). The index is exact —
+//     distances are >= 0, so a skipped pair could never pass — costs
+//     O(m_unsat * |endpoints(C)|) per scan, and is dropped by add()/reset().
 //   * overlay: shortest paths on the small terminal overlay (O(m + |F|)
 //     nodes) — wins when n is large relative to the pair set.
 //   * rebuild: add F to a copy of the graph and run Dijkstra — the slow
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/pair_ball.h"
 #include "core/set_function.h"
 #include "graph/overlay.h"
 #include "graph/shortcut_distance.h"
@@ -41,6 +46,7 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   }
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  void prepareScan(const CandidateSet& candidates) override;
 
   // --- introspection on the current incremental state ---
   int satisfiedCount() const noexcept { return satisfied_; }
@@ -66,6 +72,8 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   msc::graph::ShortcutRowStore rows_;
   std::vector<std::uint8_t> pairSatisfied_;
   int satisfied_ = 0;
+  // Scan index over rows_ (valid from prepareScan until add/reset).
+  PairBallIndex near_;
 };
 
 /// One-shot sigma(F) without building an evaluator by hand.

@@ -6,34 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/bounds.h"
+
 namespace msc::core {
-
-namespace {
-
-// `ru` / `rw` are the endpoint distance rows of p (base or evolved); the
-// row of w stands in for the matrix columns of w (the metric is symmetric).
-bool oneShortcutSatisfies(const double* ru, const double* rw,
-                          const SocialPair& p, const Shortcut& f, double dt) {
-  const auto w = static_cast<std::size_t>(p.w);
-  const auto a = static_cast<std::size_t>(f.a);
-  const auto b = static_cast<std::size_t>(f.b);
-  return std::min({ru[w], ru[a] + rw[b], ru[b] + rw[a]}) <= dt;
-}
-
-// Base distance rows of every pair endpoint, straight from the oracle.
-std::vector<std::pair<const double*, const double*>> pairEndpointRows(
-    const Instance& instance) {
-  const auto& oracle = instance.distanceOracle();
-  std::vector<std::pair<const double*, const double*>> rows;
-  rows.reserve(instance.pairs().size());
-  for (const SocialPair& p : instance.pairs()) {
-    rows.push_back(
-        {oracle.distancesFrom(p.u).data(), oracle.distancesFrom(p.w).data()});
-  }
-  return rows;
-}
-
-}  // namespace
 
 std::vector<double> checkPairWeights(const Instance& instance,
                                      std::vector<double> weights) {
@@ -60,6 +35,7 @@ WeightedSigmaEvaluator::WeightedSigmaEvaluator(const Instance& instance,
 }
 
 void WeightedSigmaEvaluator::reset() {
+  near_.invalidate();
   rows_.reset();
   const auto& pairs = instance_->pairs();
   satisfied_.assign(pairs.size(), 0);
@@ -74,22 +50,34 @@ void WeightedSigmaEvaluator::reset() {
   }
 }
 
+void WeightedSigmaEvaluator::prepareScan(const CandidateSet& candidates) {
+  const auto& pairs = instance_->pairs();
+  near_.build(pairs, pairRowsOf(pairs, rows_), instance_->distanceThreshold(),
+              candidates.endpoints(), instance_->graph().nodeCount());
+}
+
 double WeightedSigmaEvaluator::gainIfAdd(const Shortcut& f) const {
   const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();
+  // Ascending pair order either way, so the sum is the full loop's.
   double gain = 0.0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (satisfied_[i]) continue;
-    if (oneShortcutSatisfies(rows_.rowIfPresent(pairs[i].u),
-                             rows_.rowIfPresent(pairs[i].w), pairs[i], f,
-                             dt)) {
+  const bool indexed = near_.forEachShared(f.a, f.b, [&](std::size_t i) {
+    if (satisfiedWithOneShortcut(near_.rows(i), pairs[i], f, dt)) {
       gain += weights_[i];
     }
+  });
+  if (indexed) return gain;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (satisfied_[i]) continue;
+    const PairRows rows{rows_.rowIfPresent(pairs[i].u),
+                        rows_.rowIfPresent(pairs[i].w)};
+    if (satisfiedWithOneShortcut(rows, pairs[i], f, dt)) gain += weights_[i];
   }
   return gain;
 }
 
 void WeightedSigmaEvaluator::add(const Shortcut& f) {
+  near_.invalidate();
   rows_.applyZeroEdge(f.a, f.b);
   const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();
@@ -127,24 +115,12 @@ WeightedMuEvaluator::WeightedMuEvaluator(const Instance& instance,
     : instance_(&instance),
       candidates_(&candidates),
       weights_(checkPairWeights(instance, std::move(pairWeights))),
+      perCandidate_(oneShortcutSets(instance, candidates)),
       baseSatisfied_(instance.pairs().size()),
       covered_(instance.pairs().size()) {
   const auto& pairs = instance.pairs();
-  const auto rows = pairEndpointRows(instance);
-  const double dt = instance.distanceThreshold();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (instance.baseSatisfied(pairs[i])) baseSatisfied_.set(i);
-  }
-  perCandidate_.reserve(candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    util::Bitset bits(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (oneShortcutSatisfies(rows[i].first, rows[i].second, pairs[i],
-                               candidates[c], dt)) {
-        bits.set(i);
-      }
-    }
-    perCandidate_.push_back(std::move(bits));
   }
   reset();
 }
@@ -167,15 +143,7 @@ const util::Bitset& WeightedMuEvaluator::bitsetFor(
     const Shortcut& f, util::Bitset& scratch) const {
   const long idx = candidates_->indexOf(f);
   if (idx >= 0) return perCandidate_[static_cast<std::size_t>(idx)];
-  const auto& pairs = instance_->pairs();
-  const auto rows = pairEndpointRows(*instance_);
-  const double dt = instance_->distanceThreshold();
-  scratch = util::Bitset(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (oneShortcutSatisfies(rows[i].first, rows[i].second, pairs[i], f, dt)) {
-      scratch.set(i);
-    }
-  }
+  scratch = oneShortcutSet(*instance_, f);
   return scratch;
 }
 
@@ -280,9 +248,10 @@ double WeightedNuEvaluator::gainOfEndpoint(NodeId v,
 
 double WeightedNuEvaluator::gainIfAdd(const Shortcut& f) const {
   double gain = gainOfEndpoint(f.a, covered_);
-  util::Bitset afterA = covered_;
-  afterA |= coverage_[static_cast<std::size_t>(f.a)];
-  gain += gainOfEndpoint(f.b, afterA);
+  // coverage(b) & ~covered & ~coverage(a): no copy of covered_ per probe.
+  covered_.forEachMissingFrom(coverage_[static_cast<std::size_t>(f.b)],
+                              coverage_[static_cast<std::size_t>(f.a)],
+                              [&](std::size_t i) { gain += nodeWeights_[i]; });
   return gain;
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/candidates.h"
 #include "core/instance.h"
+#include "core/pair_ball.h"
 #include "core/sandwich.h"
 #include "core/set_function.h"
 #include "graph/shortcut_distance.h"
@@ -44,6 +45,8 @@ class WeightedSigmaEvaluator final : public SetFunction,
   double currentValue() const override { return current_; }
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  /// Builds the same scan index as SigmaEvaluator (core/pair_ball.h).
+  void prepareScan(const CandidateSet& candidates) override;
 
   const std::vector<double>& pairWeights() const noexcept { return weights_; }
 
@@ -54,6 +57,7 @@ class WeightedSigmaEvaluator final : public SetFunction,
   msc::graph::ShortcutRowStore rows_;
   std::vector<std::uint8_t> satisfied_;
   double current_ = 0.0;
+  PairBallIndex near_;  // valid from prepareScan until add/reset
 };
 
 /// Weighted lower bound (one-shortcut restriction).

@@ -23,7 +23,8 @@ std::size_t graphBytes(const msc::graph::Graph& g) {
 }
 
 std::size_t candidatesBytes(const core::CandidateSet& c) {
-  return c.size() * sizeof(core::Shortcut) + 64;
+  return c.size() * sizeof(core::Shortcut) +
+         c.endpoints().size() * sizeof(core::NodeId) + 64;
 }
 
 std::size_t pairsBytes(const std::vector<core::SocialPair>& p) {

@@ -142,21 +142,37 @@ class Bitset {
     words_[w] = value;
   }
 
-  /// Calls fn(bitIndex) for every bit set in `other` but not in *this.
+  /// Calls fn(bitIndex) for every bit set in `other` but not in *this,
+  /// in ascending order.
   template <typename Fn>
   void forEachMissingFrom(const Bitset& other, Fn&& fn) const {
     checkCompatible(other);
     for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t fresh = other.words_[w] & ~words_[w];
-      while (fresh != 0) {
-        const int bit = std::countr_zero(fresh);
-        fn(w * 64 + static_cast<std::size_t>(bit));
-        fresh &= fresh - 1;
-      }
+      forEachBit(other.words_[w] & ~words_[w], w, fn);
+    }
+  }
+
+  /// Calls fn(bitIndex) for every bit set in `other` but in neither *this
+  /// nor `excluded`, ascending — forEachMissingFrom against *this | excluded
+  /// without materializing the union.
+  template <typename Fn>
+  void forEachMissingFrom(const Bitset& other, const Bitset& excluded,
+                          Fn&& fn) const {
+    checkCompatible(other);
+    checkCompatible(excluded);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      forEachBit(other.words_[w] & ~words_[w] & ~excluded.words_[w], w, fn);
     }
   }
 
  private:
+  template <typename Fn>
+  static void forEachBit(std::uint64_t bits, std::size_t word, Fn& fn) {
+    while (bits != 0) {
+      fn(word * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
+    }
+  }
   void checkIndex(std::size_t i) const {
     if (i >= bits_) throw std::out_of_range("Bitset: index out of range");
   }

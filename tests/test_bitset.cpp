@@ -125,6 +125,29 @@ TEST(Bitset, ForEachMissingFrom) {
   EXPECT_EQ(fresh, (std::vector<std::size_t>{64, 149}));
 }
 
+TEST(Bitset, ForEachMissingFromWithExclusionMatchesUnionCopy) {
+  Bitset have(150);
+  Bitset excluded(150);
+  Bitset want(150);
+  for (const std::size_t i : {3, 64, 70, 149}) want.set(i);
+  have.set(3);
+  excluded.set(70);
+  excluded.set(100);
+  std::vector<std::size_t> fresh;
+  have.forEachMissingFrom(want, excluded,
+                          [&](std::size_t i) { fresh.push_back(i); });
+  EXPECT_EQ(fresh, (std::vector<std::size_t>{64, 149}));
+
+  Bitset unionCopy = have;
+  unionCopy |= excluded;
+  std::vector<std::size_t> viaCopy;
+  unionCopy.forEachMissingFrom(want,
+                               [&](std::size_t i) { viaCopy.push_back(i); });
+  EXPECT_EQ(fresh, viaCopy);
+  EXPECT_THROW(have.forEachMissingFrom(want, Bitset(10), [](std::size_t) {}),
+               std::invalid_argument);
+}
+
 TEST(Bitset, AnyCommon) {
   Bitset a(130);
   Bitset b(130);
