@@ -1,8 +1,6 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
-// sigma strategies (matrix vs overlay vs rebuild), the zero-edge
-// relaxation, per-candidate marginal gains, APSP, and one greedy round.
-// These back DESIGN.md's "evaluator strategy" ablation: which exact sigma
-// strategy wins at which (n, m, |F|) regime.
+// whole-placement sigma (the terminal overlay), the zero-edge relaxation,
+// per-candidate marginal gains, APSP, and one greedy round.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -129,41 +127,22 @@ void BM_OracleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleQuery)->Arg(100)->Arg(150);
 
-void BM_SigmaByRows(benchmark::State& state) {
-  const auto spatial = makeRg(100, static_cast<int>(state.range(0)));
-  SigmaEvaluator eval(spatial.instance);
-  const auto f = somePlacement(100, static_cast<int>(state.range(1)));
+// Whole-placement sigma(F) at (n, pairs, |F|); (512, 100, 5) is the
+// perfbench dense_solve shape.
+void BM_SigmaValue(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  const SigmaEvaluator eval(spatial.instance);
+  const auto f = somePlacement(n, static_cast<int>(state.range(2)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.valueByRows(f));
+    benchmark::DoNotOptimize(eval.value(f));
   }
 }
-BENCHMARK(BM_SigmaByRows)
-    ->Args({17, 4})
-    ->Args({80, 4})
-    ->Args({80, 10});
-
-void BM_SigmaByOverlay(benchmark::State& state) {
-  const auto spatial = makeRg(100, static_cast<int>(state.range(0)));
-  SigmaEvaluator eval(spatial.instance);
-  const auto f = somePlacement(100, static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.valueByOverlay(f));
-  }
-}
-BENCHMARK(BM_SigmaByOverlay)
-    ->Args({17, 4})
-    ->Args({80, 4})
-    ->Args({80, 10});
-
-void BM_SigmaByRebuild(benchmark::State& state) {
-  const auto spatial = makeRg(100, static_cast<int>(state.range(0)));
-  SigmaEvaluator eval(spatial.instance);
-  const auto f = somePlacement(100, static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.valueByRebuild(f));
-  }
-}
-BENCHMARK(BM_SigmaByRebuild)->Args({17, 4})->Args({80, 4});
+BENCHMARK(BM_SigmaValue)
+    ->Args({100, 17, 4})
+    ->Args({100, 80, 4})
+    ->Args({100, 80, 10})
+    ->Args({512, 100, 5});
 
 void BM_SigmaGainScan(benchmark::State& state) {
   // One full greedy-round scan over all candidates, announced the way

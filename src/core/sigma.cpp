@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/candidates.h"
-#include "graph/dijkstra.h"
 #include "obs/metrics.h"
 
 namespace msc::core {
@@ -17,12 +16,25 @@ void publishPairChecks(std::size_t checks) {
   cRelax.add(checks);
 }
 
+double sigmaOver(const msc::graph::OverlayEvaluator& overlay,
+                 const Instance& instance, const ShortcutList& placement) {
+  if (msc::obs::enabled()) {
+    static auto& cCalls = msc::obs::counter("sigma.calls");
+    cCalls.add(1);
+  }
+  const double dt = instance.distanceThreshold();
+  int count = 0;
+  for (const double d : pairDistancesUnder(overlay, instance, placement)) {
+    if (d <= dt) ++count;
+  }
+  return static_cast<double>(count);
+}
+
 }  // namespace
 
 SigmaEvaluator::SigmaEvaluator(const Instance& instance)
     : instance_(&instance),
-      overlay_(std::make_unique<msc::graph::OverlayEvaluator>(
-          instance.distanceOracle(), instance.pairNodes())),
+      overlay_(instance.distanceOracle(), instance.pairNodes()),
       rows_(instance.distanceOracle(), instance.pairNodes()) {
   refreshSatisfied();
 }
@@ -111,78 +123,23 @@ double SigmaEvaluator::pairDistance(int pairIndex) const {
   return rows_.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)];
 }
 
-int SigmaEvaluator::countSatisfied(
-    const msc::graph::ShortcutRowStore& rows) const {
-  const double dt = instance_->distanceThreshold();
-  int count = 0;
-  for (const SocialPair& p : instance_->pairs()) {
-    if (rows.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)] <= dt) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 double SigmaEvaluator::value(const ShortcutList& placement) const {
-  if (msc::obs::enabled()) {
-    static auto& cCalls = msc::obs::counter("sigma.calls");
-    cCalls.add(1);
-  }
-  // Cost heuristic: row relaxations touch |F| * |rows| * n entries, the
-  // overlay touches |F| * (2m + 2|F|)^2 ≈ |F| * |rows|^2. Pick the cheaper
-  // exact strategy: overlay when the overlay is smaller than a row.
-  const auto n = static_cast<double>(instance_->graph().nodeCount());
-  const auto overlayNodes =
-      static_cast<double>(instance_->pairNodes().size() + 2 * placement.size());
-  if (overlayNodes < n) {
-    return valueByOverlay(placement);
-  }
-  return valueByRows(placement);
+  return sigmaOver(overlay_, *instance_, placement);
 }
 
-double SigmaEvaluator::valueByRows(const ShortcutList& placement) const {
-  if (msc::obs::enabled()) {
-    static auto& cRows = msc::obs::counter("sigma.value.rows");
-    cRows.add(1);
-  }
-  msc::graph::ShortcutRowStore rows(instance_->distanceOracle(),
-                                    instance_->pairNodes());
-  for (const Shortcut& f : placement) rows.applyZeroEdge(f.a, f.b);
-  return static_cast<double>(countSatisfied(rows));
-}
-
-double SigmaEvaluator::valueByOverlay(const ShortcutList& placement) const {
-  if (msc::obs::enabled()) {
-    static auto& cOverlay = msc::obs::counter("sigma.value.overlay");
-    cOverlay.add(1);
-  }
-  std::vector<std::pair<msc::graph::NodeId, msc::graph::NodeId>> queries;
-  queries.reserve(instance_->pairs().size());
-  for (const SocialPair& p : instance_->pairs()) queries.push_back({p.u, p.w});
-  return static_cast<double>(overlay_->countWithinThreshold(
-      queries, asNodePairs(placement), instance_->distanceThreshold()));
-}
-
-double SigmaEvaluator::valueByRebuild(const ShortcutList& placement) const {
-  if (msc::obs::enabled()) {
-    static auto& cRebuild = msc::obs::counter("sigma.value.rebuild");
-    cRebuild.add(1);
-  }
-  msc::graph::Graph g(instance_->graph().nodeCount());
-  for (const msc::graph::Edge& e : instance_->graph().edges()) {
-    g.addEdge(e.u, e.v, e.length);
-  }
-  for (const Shortcut& f : placement) g.addEdge(f.a, f.b, 0.0);
-  const double dt = instance_->distanceThreshold();
-  int count = 0;
-  for (const SocialPair& p : instance_->pairs()) {
-    if (msc::graph::dijkstraDistance(g, p.u, p.w) <= dt) ++count;
-  }
-  return static_cast<double>(count);
+std::vector<double> pairDistancesUnder(
+    const msc::graph::OverlayEvaluator& overlay, const Instance& instance,
+    const ShortcutList& placement) {
+  std::vector<std::pair<NodeId, NodeId>> queries;
+  queries.reserve(instance.pairs().size());
+  for (const SocialPair& p : instance.pairs()) queries.push_back({p.u, p.w});
+  return overlay.pairDistances(queries, asNodePairs(placement));
 }
 
 double sigmaValue(const Instance& instance, const ShortcutList& placement) {
-  return SigmaEvaluator(instance).value(placement);
+  const msc::graph::OverlayEvaluator overlay(instance.distanceOracle(),
+                                             instance.pairNodes());
+  return sigmaOver(overlay, instance, placement);
 }
 
 }  // namespace msc::core

@@ -2,24 +2,22 @@
 // shortest-path distance in G ∪ F meets the distance requirement
 // (paper §III-C).
 //
-// Three exact evaluation strategies are implemented, all returning the same
-// value (the test suite cross-checks them):
-//   * rows: apply |F| exact zero-edge relaxations to the pair-endpoint
-//     distance rows (graph/shortcut_distance.h) — the incremental
-//     workhorse; O(|rows| * n) per shortcut instead of the historical
-//     O(n^2) full-matrix update. A marginal gain checks the closed form
-//     for the unsatisfied pairs: all of them (O(m)) without a scan index,
-//     or after prepareScan(C) only those with one endpoint within d_t of
-//     each shortcut endpoint (core/pair_ball.h). The index is exact —
-//     distances are >= 0, so a skipped pair could never pass — costs
+// Two exact paths, one per access pattern:
+//   * incremental (reset/prepareScan/gainIfAdd/add): apply each added
+//     shortcut as an exact zero-edge relaxation to the pair-endpoint
+//     distance rows (graph/shortcut_distance.h), O(|rows| * n) per
+//     shortcut. A marginal gain checks the closed form for the
+//     unsatisfied pairs: all of them (O(m)) without a scan index, or after
+//     prepareScan(C) only those with one endpoint within d_t of each
+//     shortcut endpoint (core/pair_ball.h). The index is exact — distances
+//     are >= 0, so a skipped pair could never pass — costs
 //     O(m_unsat * |endpoints(C)|) per scan, and is dropped by add()/reset().
-//   * overlay: shortest paths on the small terminal overlay (O(m + |F|)
-//     nodes) — wins when n is large relative to the pair set.
-//   * rebuild: add F to a copy of the graph and run Dijkstra — the slow
-//     reference used by tests.
+//   * whole placement (value, sigmaValue): zero-edge relaxations on the
+//     small terminal overlay (graph/overlay.h), a v-by-v metric with
+//     v <= min(n, |pair nodes| + 2|F|), so it never holds more than the
+//     rows path would.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/instance.h"
@@ -57,17 +55,11 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   double pairDistance(int pairIndex) const;
   const Instance& instance() const noexcept { return *instance_; }
 
-  // --- individual strategies (exposed for tests and microbenchmarks) ---
-  double valueByRows(const ShortcutList& placement) const;
-  double valueByOverlay(const ShortcutList& placement) const;
-  double valueByRebuild(const ShortcutList& placement) const;
-
  private:
-  int countSatisfied(const msc::graph::ShortcutRowStore& rows) const;
   void refreshSatisfied();
 
   const Instance* instance_;
-  std::unique_ptr<msc::graph::OverlayEvaluator> overlay_;
+  msc::graph::OverlayEvaluator overlay_;  // over instance.pairNodes()
   // Pair-endpoint distance rows under the current placement.
   msc::graph::ShortcutRowStore rows_;
   std::vector<std::uint8_t> pairSatisfied_;
@@ -76,7 +68,14 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   PairBallIndex near_;
 };
 
-/// One-shot sigma(F) without building an evaluator by hand.
+/// Distance of every pair of `instance` in G ∪ placement, in pair order,
+/// read off `overlay` (built over instance.pairNodes()). The whole-placement
+/// path of sigma and weighted sigma.
+std::vector<double> pairDistancesUnder(
+    const msc::graph::OverlayEvaluator& overlay, const Instance& instance,
+    const ShortcutList& placement);
+
+/// One-shot sigma(F): builds a terminal overlay and nothing else.
 double sigmaValue(const Instance& instance, const ShortcutList& placement);
 
 }  // namespace msc::core

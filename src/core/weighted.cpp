@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/bounds.h"
+#include "core/sigma.h"
 
 namespace msc::core {
 
@@ -30,6 +31,7 @@ WeightedSigmaEvaluator::WeightedSigmaEvaluator(const Instance& instance,
                                                std::vector<double> pairWeights)
     : instance_(&instance),
       weights_(checkPairWeights(instance, std::move(pairWeights))),
+      overlay_(instance.distanceOracle(), instance.pairNodes()),
       rows_(instance.distanceOracle(), instance.pairNodes()) {
   reset();
 }
@@ -92,17 +94,11 @@ void WeightedSigmaEvaluator::add(const Shortcut& f) {
 }
 
 double WeightedSigmaEvaluator::value(const ShortcutList& placement) const {
-  msc::graph::ShortcutRowStore rows(instance_->distanceOracle(),
-                                    instance_->pairNodes());
-  for (const Shortcut& f : placement) rows.applyZeroEdge(f.a, f.b);
-  const auto& pairs = instance_->pairs();
+  const auto dists = pairDistancesUnder(overlay_, *instance_, placement);
   const double dt = instance_->distanceThreshold();
   double total = 0.0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (rows.rowIfPresent(pairs[i].u)[static_cast<std::size_t>(pairs[i].w)] <=
-        dt) {
-      total += weights_[i];
-    }
+  for (std::size_t i = 0; i < dists.size(); ++i) {
+    if (dists[i] <= dt) total += weights_[i];
   }
   return total;
 }

@@ -21,6 +21,7 @@
 #include "core/pair_ball.h"
 #include "core/sandwich.h"
 #include "core/set_function.h"
+#include "graph/overlay.h"
 #include "graph/shortcut_distance.h"
 #include "util/bitset.h"
 
@@ -53,6 +54,7 @@ class WeightedSigmaEvaluator final : public SetFunction,
  private:
   const Instance* instance_;
   std::vector<double> weights_;
+  msc::graph::OverlayEvaluator overlay_;  // over instance.pairNodes()
   // Pair-endpoint distance rows under the current placement.
   msc::graph::ShortcutRowStore rows_;
   std::vector<std::uint8_t> satisfied_;

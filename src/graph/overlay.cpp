@@ -92,16 +92,4 @@ std::vector<double> OverlayEvaluator::pairDistances(
   return out;
 }
 
-int OverlayEvaluator::countWithinThreshold(
-    const std::vector<std::pair<NodeId, NodeId>>& queryPairs,
-    const std::vector<std::pair<NodeId, NodeId>>& shortcuts,
-    double threshold) const {
-  const auto dists = pairDistances(queryPairs, shortcuts);
-  int count = 0;
-  for (const double d : dists) {
-    if (d <= threshold) ++count;
-  }
-  return count;
-}
-
 }  // namespace msc::graph

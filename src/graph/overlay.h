@@ -1,13 +1,16 @@
 // Overlay-graph distance evaluation for arbitrary shortcut sets.
 //
-// Evaluating sigma(F) for an arbitrary placement F (as the evolutionary
-// algorithms do thousands of times) does not need full n-by-n distances:
+// Evaluating sigma(F) for a whole placement F (EA/AEA offspring, the
+// sandwich's final scoring, a served eval) does not need full n-by-n
+// distances:
 // any shortest path in G ∪ F between two social-pair endpoints visits a
 // shortcut endpoint exactly where it crosses a shortcut. So it suffices to
 // work on the small "overlay" metric over
 //     terminals = {social-pair endpoints} ∪ {endpoints of F},
 // whose pairwise weights are base-graph distances, plus the length-0
-// shortcut edges. The overlay has O(m + k) nodes regardless of n.
+// shortcut edges. The overlay has at most min(n, |terminals| + 2|F|) nodes;
+// the shortcuts are applied as exact zero-edge relaxations of that small
+// complete metric (graph/shortcut_distance.h).
 #pragma once
 
 #include <utility>
@@ -37,12 +40,6 @@ class OverlayEvaluator {
   std::vector<double> pairDistances(
       const std::vector<std::pair<NodeId, NodeId>>& queryPairs,
       const std::vector<std::pair<NodeId, NodeId>>& shortcuts) const;
-
-  /// Convenience: number of query pairs whose distance is <= threshold.
-  int countWithinThreshold(
-      const std::vector<std::pair<NodeId, NodeId>>& queryPairs,
-      const std::vector<std::pair<NodeId, NodeId>>& shortcuts,
-      double threshold) const;
 
  private:
   void indexTerminals();

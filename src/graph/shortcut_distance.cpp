@@ -41,26 +41,6 @@ void applyZeroEdge(DistanceMatrix& dist, NodeId a, NodeId b) {
   }
 }
 
-double distanceWithZeroEdge(const DistanceMatrix& dist, NodeId x, NodeId y,
-                            NodeId a, NodeId b) {
-  const auto ux = static_cast<std::size_t>(x);
-  const auto uy = static_cast<std::size_t>(y);
-  const auto ua = static_cast<std::size_t>(a);
-  const auto ub = static_cast<std::size_t>(b);
-  double d = dist(ux, uy);
-  d = std::min(d, dist(ux, ua) + dist(ub, uy));
-  d = std::min(d, dist(ux, ub) + dist(ua, uy));
-  return d;
-}
-
-DistanceMatrix distancesWithShortcuts(
-    const DistanceMatrix& base,
-    const std::vector<std::pair<NodeId, NodeId>>& shortcuts) {
-  DistanceMatrix dist = base;
-  for (const auto& [a, b] : shortcuts) applyZeroEdge(dist, a, b);
-  return dist;
-}
-
 // ----------------------------------------------------- ShortcutRowStore ----
 
 ShortcutRowStore::ShortcutRowStore(const DistanceOracle& oracle,

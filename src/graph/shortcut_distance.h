@@ -10,10 +10,11 @@
 // path of the sigma evaluator.
 //
 // Two granularities are provided:
-//   * applyZeroEdge / distancesWithShortcuts — the historical full-matrix
-//     form, O(n^2) per shortcut.
+//   * applyZeroEdge — the full-matrix form, O(v^2) per shortcut on a v-by-v
+//     metric; the kernel of the terminal overlay (graph/overlay.h), whose
+//     v stays small.
 //   * ShortcutRowStore — the same relaxation restricted to the rows the
-//     evaluators actually read (social-pair endpoints plus shortcut
+//     incremental evaluators read (social-pair endpoints plus shortcut
 //     endpoints), O(|rows| * n) per shortcut. From a symmetric base,
 //     row values evolve bit-identically to the corresponding rows of the
 //     full matrix.
@@ -34,17 +35,6 @@ namespace msc::graph {
 /// O(n^2). `dist` must be a valid (symmetric, triangle-inequality-consistent)
 /// distance matrix; the result is again one.
 void applyZeroEdge(DistanceMatrix& dist, NodeId a, NodeId b);
-
-/// Distance between x and y if the single length-0 edge (a, b) were added to
-/// the metric in `dist` (does not modify `dist`). O(1).
-double distanceWithZeroEdge(const DistanceMatrix& dist, NodeId x, NodeId y,
-                            NodeId a, NodeId b);
-
-/// Builds the exact distance matrix of G ∪ F from the base matrix by
-/// applying every shortcut in sequence. O(|F| * n^2).
-DistanceMatrix distancesWithShortcuts(
-    const DistanceMatrix& base,
-    const std::vector<std::pair<NodeId, NodeId>>& shortcuts);
 
 /// Evolving distance rows for a terminal set under zero-edge shortcuts.
 ///

@@ -32,6 +32,7 @@
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "helpers.h"
+#include "reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -320,7 +321,7 @@ TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
 
   const std::vector<std::pair<NodeId, NodeId>> shortcuts = {
       {0, 34}, {5, 20}, {11, 28}};
-  const auto evolved = msc::graph::distancesWithShortcuts(base, shortcuts);
+  const auto evolved = msc::test::distancesWithShortcuts(base, shortcuts);
 
   for (const msc::graph::DistanceOracle* oracle :
        {static_cast<const msc::graph::DistanceOracle*>(eager.get()),

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "graph/apsp.h"
 #include "graph/distance_oracle.h"
-#include "graph/shortcut_distance.h"
 #include "helpers.h"
+#include "reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -66,15 +68,17 @@ TEST(Overlay, InvalidNodesThrow) {
   EXPECT_THROW(overlay.pairDistances({{0, 4}}, {{0, 9}}), std::out_of_range);
 }
 
-TEST(Overlay, CountWithinThreshold) {
+TEST(Overlay, ShortcutBetweenTerminalsRelaxesOtherPairs) {
   const auto g = msc::test::lineGraph(8);
   const auto d = oracleOf(g);
   OverlayEvaluator overlay(*d, {0, 3, 7});
-  EXPECT_EQ(overlay.countWithinThreshold({{0, 3}, {0, 7}, {3, 7}}, {}, 3.5),
-            1);
-  EXPECT_EQ(
-      overlay.countWithinThreshold({{0, 3}, {0, 7}, {3, 7}}, {{0, 7}}, 3.5),
-      3);  // 0-7 becomes 0; 3-7 becomes 3 via 3-0-(7)
+  const std::vector<std::pair<msc::graph::NodeId, msc::graph::NodeId>>
+      queries = {{0, 3}, {0, 7}, {3, 7}};
+  EXPECT_EQ(overlay.pairDistances(queries, {}),
+            (std::vector<double>{3.0, 7.0, 4.0}));
+  // 0-7 becomes 0; 3-7 becomes 3 via 3-0-(7).
+  EXPECT_EQ(overlay.pairDistances(queries, {{0, 7}}),
+            (std::vector<double>{3.0, 0.0, 3.0}));
 }
 
 // ----------------------------------------------------------- Property ----
@@ -99,10 +103,7 @@ TEST_P(OverlayProperty, MatchesMatrixRelaxation) {
     if (a != b) shortcuts.push_back({a, b});
   }
 
-  auto full = base;
-  for (const auto& [a, b] : shortcuts) {
-    msc::graph::applyZeroEdge(full, a, b);
-  }
+  const auto full = msc::test::distancesWithShortcuts(base, shortcuts);
 
   const auto oracle = oracleOf(g);
   OverlayEvaluator overlay(*oracle, terminals);

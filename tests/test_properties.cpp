@@ -18,6 +18,7 @@
 #include "gen/watts_strogatz.h"
 #include "graph/apsp.h"
 #include "helpers.h"
+#include "reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -105,8 +106,8 @@ TEST(Substrates, SigmaStrategiesAgreeOnWattsStrogatz) {
   SigmaEvaluator sigma(inst);
   for (int trial = 0; trial < 5; ++trial) {
     const auto f = msc::test::randomPlacement(40, 3, rng);
-    EXPECT_DOUBLE_EQ(sigma.valueByRows(f), sigma.valueByRebuild(f));
-    EXPECT_DOUBLE_EQ(sigma.valueByOverlay(f), sigma.valueByRebuild(f));
+    EXPECT_DOUBLE_EQ(sigma.value(f), msc::test::sigmaByRebuild(inst, f));
+    EXPECT_DOUBLE_EQ(msc::test::incrementalValue(sigma, f), sigma.value(f));
   }
 }
 
@@ -123,7 +124,8 @@ TEST(Substrates, SigmaStrategiesAgreeOnBarabasiAlbert) {
   SigmaEvaluator sigma(inst);
   for (int trial = 0; trial < 5; ++trial) {
     const auto f = msc::test::randomPlacement(40, 3, rng);
-    EXPECT_DOUBLE_EQ(sigma.valueByRows(f), sigma.valueByRebuild(f));
+    EXPECT_DOUBLE_EQ(sigma.value(f), msc::test::sigmaByRebuild(inst, f));
+    EXPECT_DOUBLE_EQ(msc::test::incrementalValue(sigma, f), sigma.value(f));
   }
 }
 

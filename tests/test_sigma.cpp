@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
+#include "core/weighted.h"
+#include "graph/distance_oracle.h"
 #include "helpers.h"
 #include "obs/metrics.h"
+#include "reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -12,6 +17,7 @@ using msc::core::Instance;
 using msc::core::Shortcut;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
+using msc::core::WeightedSigmaEvaluator;
 
 Instance paperCounterexample() {
   // §V-A: V = {v0, v1, v2}, E = {}, all three pairs important, d_t = 1.
@@ -95,6 +101,25 @@ TEST(Sigma, EvaluateSetsState) {
 
 class SigmaStrategies : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The three exact strategies: value(F) (the terminal overlay), the
+// rebuilt-graph reference, and the incremental row store after add()-ing
+// every shortcut of F.
+void expectStrategiesAgree(SigmaEvaluator& eval,
+                           const ShortcutList& placement) {
+  const double whole = eval.value(placement);
+  EXPECT_EQ(whole, msc::test::sigmaByRebuild(eval.instance(), placement));
+  EXPECT_EQ(msc::test::incrementalValue(eval, placement), whole);
+}
+
+// 28 pair nodes on 30 nodes: with any shortcut, pair nodes + 2|F| >= n
+// and the overlay spans the whole graph.
+Instance crowdedInstance(std::uint64_t seed) {
+  std::vector<msc::core::SocialPair> pairs;
+  for (int i = 0; i < 14; ++i) pairs.push_back({2 * i, 2 * i + 1});
+  return Instance(msc::test::randomGraph(30, 0.1, seed), std::move(pairs),
+                  1.2);
+}
+
 TEST_P(SigmaStrategies, AllThreeStrategiesAgree) {
   const std::uint64_t seed = GetParam();
   const auto inst = msc::test::randomInstance(30, 8, 1.2, seed);
@@ -103,13 +128,91 @@ TEST_P(SigmaStrategies, AllThreeStrategiesAgree) {
   for (int trial = 0; trial < 8; ++trial) {
     const auto placement =
         msc::test::randomPlacement(30, static_cast<int>(rng.below(6)) , rng);
-    const double byRows = eval.valueByRows(placement);
-    const double byOverlay = eval.valueByOverlay(placement);
-    const double byRebuild = eval.valueByRebuild(placement);
-    EXPECT_DOUBLE_EQ(byRows, byOverlay) << "seed=" << seed;
-    EXPECT_DOUBLE_EQ(byRows, byRebuild) << "seed=" << seed;
-    EXPECT_DOUBLE_EQ(eval.value(placement), byRows);
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    expectStrategiesAgree(eval, placement);
   }
+  const auto crowded = crowdedInstance(seed);
+  SigmaEvaluator crowdedEval(crowded);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto placement =
+        msc::test::randomPlacement(30, 1 + static_cast<int>(rng.below(6)), rng);
+    SCOPED_TRACE(testing::Message() << "crowded seed=" << seed
+                                    << " trial=" << trial);
+    expectStrategiesAgree(crowdedEval, placement);
+  }
+}
+
+TEST_P(SigmaStrategies, WeightedValueMatchesRebuild) {
+  const std::uint64_t seed = GetParam();
+  const auto inst = crowdedInstance(seed);
+  const auto m = inst.pairs().size();
+  msc::util::Rng rng(seed ^ 0x5eedULL);
+  std::vector<double> random(m);
+  for (double& w : random) w = rng.uniform(0.0, 3.0);
+  SigmaEvaluator sigma(inst);
+  for (const auto& weights : {std::vector<double>(m, 1.0), random}) {
+    const bool unit = weights == std::vector<double>(m, 1.0);
+    WeightedSigmaEvaluator eval(inst, weights);
+    for (int trial = 0; trial < 8; ++trial) {
+      const auto placement =
+          msc::test::randomPlacement(30, static_cast<int>(rng.below(7)), rng);
+      SCOPED_TRACE(testing::Message() << "seed=" << seed << " unit=" << unit
+                                      << " trial=" << trial);
+      const double whole = eval.value(placement);
+      EXPECT_EQ(whole,
+                msc::test::weightedSigmaByRebuild(inst, weights, placement));
+      // add() accumulates in satisfaction order, value() in pair order.
+      const double incremental = msc::test::incrementalValue(eval, placement);
+      EXPECT_NEAR(incremental, whole, 1e-9);
+      if (unit) {
+        EXPECT_EQ(incremental, whole);
+        EXPECT_EQ(whole, sigma.value(placement));
+      }
+    }
+  }
+}
+
+TEST_P(SigmaStrategies, PairCentricUnderEvictionAgrees) {
+  const std::uint64_t seed = GetParam();
+  const auto dense = msc::test::randomInstance(40, 8, 1.2, seed);
+  const int n = dense.graph().nodeCount();
+  // Four rows of budget (two pinned landmarks) against up to 16 pair-node
+  // rows plus the shortcut endpoints: rows churn on every evaluation.
+  const Instance inst(
+      dense.graph(), dense.pairs(), dense.distanceThreshold(),
+      msc::core::InstanceOptions{
+          .distanceMode = msc::graph::DistanceMode::PairCentric,
+          .landmarkCount = 2,
+          .oracleRowBudgetBytes =
+              4 * msc::graph::oracleRowBytes(static_cast<std::size_t>(n))});
+  std::vector<msc::graph::NodeId> outside;
+  const std::unordered_set<msc::graph::NodeId> terminals(
+      inst.pairNodes().begin(), inst.pairNodes().end());
+  for (msc::graph::NodeId v = 0; v < n; ++v) {
+    if (terminals.count(v) == 0) outside.push_back(v);
+  }
+  ASSERT_GE(outside.size(), 8u);
+
+  SigmaEvaluator eval(inst);
+  SigmaEvaluator denseEval(dense);
+  msc::util::Rng rng(seed ^ 0xe71cULL);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int size = 1 + static_cast<int>(rng.below(4));
+    ShortcutList placement;
+    while (static_cast<int>(placement.size()) < size) {
+      const auto a = outside[rng.below(outside.size())];
+      const auto b = outside[rng.below(outside.size())];
+      if (a == b) continue;
+      const auto f = Shortcut::make(a, b);
+      if (!msc::core::contains(placement, f)) placement.push_back(f);
+    }
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
+    expectStrategiesAgree(eval, placement);
+    EXPECT_EQ(eval.value(placement), denseEval.value(placement));
+    EXPECT_EQ(msc::core::sigmaValue(inst, placement),
+              eval.value(placement));
+  }
+  EXPECT_GT(inst.distanceOracle().stats().rowsEvicted, 0u);
 }
 
 TEST_P(SigmaStrategies, MonotoneInPlacement) {
@@ -163,34 +266,6 @@ struct MetricsScope {
   }
 };
 
-TEST(SigmaMetrics, StrategiesReportConsistentCallCounts) {
-  // Instance construction runs APSP (one Dijkstra per node); build it
-  // before enabling metrics so the counters below see only strategy work.
-  Instance inst(msc::test::lineGraph(6), {{0, 5}, {1, 4}}, 2.0);
-  SigmaEvaluator eval(inst);
-  const MetricsScope metrics;
-  const ShortcutList f = {Shortcut::make(0, 5)};
-
-  constexpr std::uint64_t kCalls = 3;
-  double byRows = 0.0, byOverlay = 0.0, byRebuild = 0.0;
-  for (std::uint64_t i = 0; i < kCalls; ++i) {
-    byRows = eval.valueByRows(f);
-    byOverlay = eval.valueByOverlay(f);
-    byRebuild = eval.valueByRebuild(f);
-  }
-
-  // All three exact strategies agree on the value...
-  EXPECT_DOUBLE_EQ(byRows, byOverlay);
-  EXPECT_DOUBLE_EQ(byRows, byRebuild);
-  // ...and each reports exactly the calls it served.
-  EXPECT_EQ(msc::obs::counter("sigma.value.rows").value(), kCalls);
-  EXPECT_EQ(msc::obs::counter("sigma.value.overlay").value(), kCalls);
-  EXPECT_EQ(msc::obs::counter("sigma.value.rebuild").value(), kCalls);
-  // The rebuild strategy runs one Dijkstra per pair per call.
-  EXPECT_EQ(msc::obs::counter("dijkstra.runs").value(),
-            kCalls * inst.pairs().size());
-}
-
 TEST(SigmaMetrics, ValueDispatchCountsOnceAndPicksOneStrategy) {
   Instance inst(msc::test::lineGraph(6), {{0, 5}, {1, 4}}, 2.0);
   SigmaEvaluator eval(inst);
@@ -198,11 +273,26 @@ TEST(SigmaMetrics, ValueDispatchCountsOnceAndPicksOneStrategy) {
 
   eval.value({Shortcut::make(0, 5)});
   EXPECT_EQ(msc::obs::counter("sigma.calls").value(), 1u);
-  const std::uint64_t strategies =
-      msc::obs::counter("sigma.value.rows").value() +
-      msc::obs::counter("sigma.value.overlay").value() +
-      msc::obs::counter("sigma.value.rebuild").value();
-  EXPECT_EQ(strategies, 1u);
+  msc::core::sigmaValue(inst, {Shortcut::make(0, 5)});
+  EXPECT_EQ(msc::obs::counter("sigma.calls").value(), 2u);
+}
+
+TEST(SigmaMetrics, WholePlacementValueMaterializesNoRows) {
+  // Whole-placement sigma reads the terminal overlay only: neither value()
+  // nor the one-shot sigmaValue() seeds a row store.
+  const auto inst = msc::test::randomInstance(30, 8, 1.2, 7);
+  SigmaEvaluator eval(inst);
+  const ShortcutList f = {Shortcut::make(0, 29), Shortcut::make(3, 17)};
+  const MetricsScope metrics;
+
+  const double byEvaluator = eval.value(f);
+  const double oneShot = msc::core::sigmaValue(inst, f);
+  EXPECT_EQ(byEvaluator, oneShot);
+  EXPECT_EQ(msc::obs::counter("rowstore.rows_materialized").value(), 0u);
+  // The counter is live: the incremental path does seed rows.
+  eval.reset();
+  EXPECT_EQ(msc::obs::counter("rowstore.rows_materialized").value(),
+            inst.pairNodes().size());
 }
 
 TEST(SigmaMetrics, IncrementalPathCountsGainsAndAdds) {
