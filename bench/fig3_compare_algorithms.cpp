@@ -17,7 +17,6 @@
 #include "core/sigma.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
-#include "harness.h"
 #include "util/env.h"
 #include "util/table.h"
 
@@ -91,19 +90,8 @@ int main() {
   std::cout << "EA/AEA iterations r = " << iterations
             << " (paper: 500), AEA l=10 delta=0.05\n";
 
-  // Each dataset is one harness case (full tables are deterministic, so a
-  // single timed run per dataset suffices by default; MSC_BENCH_REPEATS
-  // raises it). The export feeds the CI perf-smoke regression check.
-  msc::bench::Harness harness(
-      "fig3_compare_algorithms",
-      msc::bench::configFromEnv({.warmup = 0, .repeats = 1}));
-  harness.run("rg", [&] {
-    runDataset("RG", {0.08, 0.11, 0.14}, {2, 4, 6, 8, 10}, iterations, 1);
-  });
-  harness.run("gowalla", [&] {
-    runDataset("Gowalla", {0.23, 0.27, 0.31}, {2, 4, 6, 8, 10}, iterations, 9);
-  });
-  std::cout << "\nbench json: " << harness.writeJson() << '\n';
+  runDataset("RG", {0.08, 0.11, 0.14}, {2, 4, 6, 8, 10}, iterations, 1);
+  runDataset("Gowalla", {0.23, 0.27, 0.31}, {2, 4, 6, 8, 10}, iterations, 9);
 
   std::cout << "\nexpected shape: connections increase with k and p_t; "
                "AEA >= AA, both clearly above EA\n";

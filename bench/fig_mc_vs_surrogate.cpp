@@ -36,7 +36,6 @@
 #include "core/sandwich.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
-#include "harness.h"
 #include "mc/reliability.h"
 #include "mc/solver.h"
 #include "mc/world_sampler.h"
@@ -110,11 +109,6 @@ int main() {
       {"Gowalla", 0.27, 4, 9},
   };
 
-  // Both solvers are deterministic at fixed seed, so repeated timed runs
-  // only measure latency noise on a quality gate — default to a single
-  // timed run (MSC_BENCH_REPEATS still overrides).
-  bench::Harness h("mc_vs_surrogate",
-                   bench::configFromEnv({.warmup = 0, .repeats = 1}));
   util::TableWriter table({"dataset", "p_t", "k", "AA sp-sigma",
                            "AA mc-sigma", "MC mc-sigma", "gap", "uncertain",
                            "winner", "pairs"});
@@ -131,13 +125,10 @@ int main() {
 
     Row row;
     row.cfg = cfg;
-    core::SandwichResult aa;
-    h.run(tag + "_surrogate_aa",
-          [&] { aa = core::sandwichApproximation(inst, cands, options); });
-    mc::McSolveResult mcRes;
-    h.run(tag + "_mc_sandwich", [&] {
-      mcRes = mc::sandwich(inst, cands, options, mcOptions);
-    });
+    const core::SandwichResult aa =
+        core::sandwichApproximation(inst, cands, options);
+    const mc::McSolveResult mcRes =
+        mc::sandwich(inst, cands, options, mcOptions);
 
     // Score AA's placement on the SAME worlds the MC solver optimized
     // against (same seed, same W -> identical planes).
@@ -174,7 +165,6 @@ int main() {
   std::cout << "\ninstances where MC strictly beats the surrogate placement "
                "under multi-path σ̂: "
             << positiveGaps << "/" << configs.size() << "\n";
-  std::cout << "bench json: " << h.writeJson() << '\n';
 
   if (positiveGaps == 0) {
     std::cout << "FAIL: expected a strictly positive surrogate gap on at "

@@ -3,7 +3,7 @@
 // per-candidate marginal gains, APSP, and one greedy round.
 #include <benchmark/benchmark.h>
 
-#include <iostream>
+#include <algorithm>
 #include <memory>
 
 #include "core/bounds.h"
@@ -14,9 +14,7 @@
 #include "graph/apsp.h"
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
-#include "harness.h"
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace {
@@ -256,77 +254,6 @@ void BM_GreedyGainScanParallel(benchmark::State& state) {
 BENCHMARK(BM_GreedyGainScanParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------ regression harness ----
-// A small harness-backed suite alongside the google-benchmark cases: the
-// same hot paths, timed as warmup+repeats and exported to
-// out/BENCH_micro_core.json for tools/bench_diff.py to compare across
-// commits (CI perf-smoke job). Skippable with MSC_BENCH_JSON=0.
-
-void runRegressionHarness() {
-  if (!msc::util::envBool("MSC_BENCH_JSON", true)) return;
-  msc::bench::Harness harness("micro_core");
-
-  {
-    const auto spatial = makeRg(150, 10);
-    harness.run("apsp_n150", [&] {
-      benchmark::DoNotOptimize(
-          msc::graph::allPairsDistances(spatial.instance.graph()));
-    });
-  }
-  {
-    // Point-query cost of the oracle's two modes, gated by bench_diff.py
-    // like every other harness case (CI perf-smoke self-diff).
-    const auto spatial = makeRg(150, 10);
-    const auto dense = eagerOracle(spatial.instance.graph());
-    const auto graph =
-        std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
-    const msc::graph::PairCentricOracle pc(
-        graph, msc::graph::PairCentricOracle::Config{8, 1});
-    const int n = graph->nodeCount();
-    harness.run("matrix_lookup", [&] {
-      double sum = 0.0;
-      for (int x = 0; x < n; x += 7) {
-        sum += dense->distance(x, (x * 31 + 7) % n);
-      }
-      benchmark::DoNotOptimize(sum);
-    });
-    harness.run("oracle_query", [&] {
-      double sum = 0.0;
-      for (int x = 0; x < n; x += 7) {
-        sum += pc.distance(x, (x * 31 + 7) % n);
-      }
-      benchmark::DoNotOptimize(sum);
-    });
-  }
-  {
-    const auto spatial = makeRg(100, 80);
-    const auto cands = CandidateSet::allPairs(100);
-    harness.run("greedy_k4", [&] {
-      SigmaEvaluator eval(spatial.instance);
-      benchmark::DoNotOptimize(msc::core::greedyMaximize(
-          eval, cands, msc::core::SolveOptions{.k = 4}));
-    });
-    harness.run("sigma_gain_scan", [&] {
-      SigmaEvaluator eval(spatial.instance);
-      eval.reset();
-      double best = 0.0;
-      for (std::size_t c = 0; c < cands.size(); ++c) {
-        best = std::max(best, eval.gainIfAdd(cands[c]));
-      }
-      benchmark::DoNotOptimize(best);
-    });
-  }
-
-  std::cout << "bench json: " << harness.writeJson() << '\n';
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  runRegressionHarness();
-  return 0;
-}
+BENCHMARK_MAIN();

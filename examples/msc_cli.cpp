@@ -49,6 +49,7 @@
 #include "gen/watts_strogatz.h"
 #include "graph/apsp.h"
 #include "graph/graph_io.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/args.h"
 #include "util/parallel.h"
@@ -133,36 +134,9 @@ msc::graph::Graph loadGraph(const std::string& path) {
 std::vector<msc::core::SocialPair> loadPairs(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open pairs file: " + path);
-  std::vector<msc::core::SocialPair> pairs;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ss(line);
-    int u = 0;
-    int w = 0;
-    if (!(ss >> u >> w)) {
-      throw std::runtime_error("malformed pair line: " + line);
-    }
-    pairs.push_back({u, w});
-  }
-  return pairs;
-}
-
-msc::core::ShortcutList parsePlacement(const std::string& spec) {
-  msc::core::ShortcutList out;
-  std::istringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token.empty()) continue;
-    const auto dash = token.find('-');
-    if (dash == std::string::npos) {
-      throw std::runtime_error("malformed placement entry: " + token);
-    }
-    out.push_back(msc::core::Shortcut::make(std::stoi(token.substr(0, dash)),
-                                            std::stoi(token.substr(dash + 1))));
-  }
-  return out;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return msc::serve::parsePairsText(text.str());
 }
 
 msc::core::Instance makeInstance(const Args& args) {
@@ -411,7 +385,8 @@ int cmdSolveMc(const Args& args) {
 int cmdEval(const Args& args) {
   checkFlags(args, {"graph", "pairs", "pt", "placement"});
   const auto inst = makeInstance(args);
-  const auto placement = parsePlacement(args.requireString("placement"));
+  const auto placement =
+      msc::serve::parsePlacementSpec(args.requireString("placement"));
   std::cout << "sigma = " << msc::core::sigmaValue(inst, placement) << " / "
             << inst.pairCount() << '\n';
   return 0;
@@ -420,7 +395,8 @@ int cmdEval(const Args& args) {
 int cmdRoute(const Args& args) {
   checkFlags(args, {"graph", "pairs", "pt", "placement"});
   const auto inst = makeInstance(args);
-  const auto placement = parsePlacement(args.requireString("placement"));
+  const auto placement =
+      msc::serve::parsePlacementSpec(args.requireString("placement"));
   const auto routes = msc::core::routeAllPairs(inst, placement);
   msc::util::TableWriter table({"pair", "p_fail", "status", "path"});
   for (const auto& r : routes) {
@@ -503,7 +479,6 @@ int cmdVersion() {
                "MSC_METRICS_OUT)\n"
             << "  msc.trace.v1    timeline trace JSON/JSONL (--trace-out, "
                "MSC_TRACE_OUT)\n"
-            << "  msc.bench.v1    bench harness out/BENCH_<name>.json\n"
             << "  msc.serve.v1    serve subcommand JSONL request/response\n"
             << "    field additions: load_graph accepts \"distance_mode\" "
                "(auto|dense|pair_centric)\n"

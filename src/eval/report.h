@@ -34,10 +34,10 @@ void printTraceFooter(std::ostream& os);
 /// automatically by printHeader.
 void installMetricsFooter();
 
-/// Directory for generated bench artifacts (DOT layouts, BENCH_*.json,
-/// trace dumps): $MSC_OUT_DIR when set, else "out/" under the current
-/// working directory — both gitignored. Created on first call; returns the
-/// path without a trailing slash.
+/// Directory for generated bench artifacts (DOT layouts, trace dumps):
+/// $MSC_OUT_DIR when set, else "out/" under the current working directory
+/// — both gitignored. Created on first call; returns the path without a
+/// trailing slash.
 std::string outputDir();
 
 }  // namespace msc::eval

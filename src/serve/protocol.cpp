@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 namespace msc::serve {
@@ -219,6 +220,25 @@ std::string placementSpec(const core::ShortcutList& placement) {
     out += std::to_string(placement[i].b);
   }
   return out;
+}
+
+std::vector<core::SocialPair> parsePairsText(const std::string& text) {
+  std::vector<core::SocialPair> pairs;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
+    std::istringstream ss(line);
+    int u = 0;
+    int w = 0;
+    std::string rest;
+    if (!(ss >> u >> w) || ((ss >> rest) && rest[0] != '#')) {
+      throw ProtocolError("malformed pair line: " + line);
+    }
+    pairs.push_back({u, w});
+  }
+  return pairs;
 }
 
 }  // namespace msc::serve

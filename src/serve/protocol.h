@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/types.h"
 #include "serve/json.h"
@@ -127,5 +128,13 @@ core::ShortcutList parsePlacementSpec(const std::string& spec);
 
 /// Renders a placement back to "a-b,c-d,..." ("" for empty).
 std::string placementSpec(const core::ShortcutList& placement);
+
+// ---- pair lists ---------------------------------------------------------
+
+/// Parses a pairs file: one "u w" pair per line; blank lines and lines
+/// starting with '#' are skipped, and a pair may be followed only by a
+/// '#' comment. Shared by `load_pairs` and `msc_cli --pairs`. Throws
+/// ProtocolError naming the first malformed line.
+std::vector<core::SocialPair> parsePairsText(const std::string& text);
 
 }  // namespace msc::serve

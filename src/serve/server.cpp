@@ -88,24 +88,6 @@ std::string loadPayload(const Request& req, const char* what) {
   return buf.str();
 }
 
-std::vector<core::SocialPair> parsePairsText(const std::string& text) {
-  std::vector<core::SocialPair> pairs;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ss(line);
-    int u = 0;
-    int w = 0;
-    if (!(ss >> u >> w)) {
-      throw ProtocolError("malformed pair line: " + line);
-    }
-    pairs.push_back({u, w});
-  }
-  return pairs;
-}
-
 /// Tail-sampling flight recorder (docs/ALGORITHMS.md §14): dump the
 /// request's trace events when it breached the latency threshold or asked
 /// for a profile. Returns the dump path, "" when no dump was made. A dump
@@ -132,10 +114,12 @@ std::string maybeDumpFlightRecord(const obs::RequestContext& rctx,
 
 double requestThreshold(const Request& req) {
   // "p_t" is the schema name; "pt" is accepted as the CLI-flag spelling.
-  double pt = getNumberParam(req, "p_t", -1.0);
-  if (pt < 0.0) pt = getNumberParam(req, "pt", 0.14);
+  // Presence decides which one is read, so an out-of-range value is
+  // rejected under the name the client sent, never replaced.
+  const char* key = findParam(req, "p_t") != nullptr ? "p_t" : "pt";
+  const double pt = getNumberParam(req, key, 0.14);
   if (!(pt >= 0.0) || pt >= 1.0) {
-    throw ProtocolError("\"p_t\" must be in [0, 1)");
+    throw ProtocolError(std::string("\"") + key + "\" must be in [0, 1)");
   }
   return msc::wireless::failureThresholdToDistance(pt);
 }
@@ -405,9 +389,10 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
   }
   const double wall = wallSince();
   requestHist.record(wall);
-  // Always-on per-phase latency histograms (Prometheus: the per-phase p99s
-  // tools/bench_diff.py gates). Zero-duration phases are skipped so cheap
-  // commands (health, stats) don't flood the apsp/round_scan series.
+  // Always-on per-phase latency histograms (Prometheus per-phase p99s, so
+  // a slow phase shows even when end-to-end latency is flat). Zero-duration
+  // phases are skipped so cheap commands (health, stats) don't flood the
+  // apsp/round_scan series.
   static auto& apspPhaseHist = obs::histogram("serve.phase.apsp_seconds");
   static auto& scanPhaseHist =
       obs::histogram("serve.phase.round_scan_seconds");

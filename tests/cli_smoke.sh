@@ -160,10 +160,21 @@ if "$CLI" solve --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
      --k 3 --trace-ou "$WORK/t2.json" 2>/dev/null; then
   echo "FAIL: misspelled --trace-ou accepted"; exit 1
 fi
+# Placements and pair files are parsed strictly: a malformed node id or a
+# trailing token on a pair line is an error, not a silent truncation.
+RC=0
+"$CLI" eval --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
+  --placement 0x-1y > /dev/null 2>&1 || RC=$?
+[ "$RC" -eq 1 ] || { echo "FAIL: placement 0x-1y exited $RC, not 1"; exit 1; }
+printf '1 2 junk\n' > "$WORK/p_junk.txt"
+RC=0
+"$CLI" eval --graph "$WORK/g.txt" --pairs "$WORK/p_junk.txt" --pt 0.14 \
+  --placement "$PLACEMENT" > /dev/null 2>&1 || RC=$?
+[ "$RC" -eq 1 ] || { echo "FAIL: pair line '1 2 junk' exited $RC, not 1"; exit 1; }
 
 # version lists every machine-readable schema.
 VERSION=$("$CLI" version)
-for schema in msc.metrics.v1 msc.trace.v1 msc.bench.v1 msc.serve.v1; do
+for schema in msc.metrics.v1 msc.trace.v1 msc.serve.v1; do
   echo "$VERSION" | grep -q "$schema" \
     || { echo "FAIL: version missing $schema"; exit 1; }
 done

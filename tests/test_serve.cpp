@@ -451,6 +451,63 @@ TEST(ServeEngine, EvalMatchesSigmaValueAndValidatesEndpoints) {
   EXPECT_EQ(bad.find("status")->asString(), "error");
 }
 
+// "p_t" and its CLI spelling "pt" are chosen by presence, never by value:
+// a negative p_t is an error naming "p_t", not a fallback to "pt" or 0.14.
+TEST(ServeEngine, OutOfRangeThresholdIsAnErrorNamingTheFieldSent) {
+  // Short hops, so pair (1, 8) is maintained through 0-9 at p_t = 0.5 but
+  // not at the 0.14 default.
+  const auto g = msc::test::lineGraph(10, 0.1);
+  Engine engine;
+  loadFixture(engine, g, "0 9\n1 8\n");
+  const auto expectRangeError = [&](const std::string& line,
+                                    const std::string& field) {
+    const auto resp = json::parse(engine.handleLine(line));
+    ASSERT_EQ(resp.find("status")->asString(), "error") << line;
+    EXPECT_NE(resp.find("error")->asString().find("\"" + field + "\""),
+              std::string::npos)
+        << resp.find("error")->asString();
+  };
+  expectRangeError(
+      "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":-0.5,"
+      "\"placement\":\"0-9\"}",
+      "p_t");
+  expectRangeError(
+      "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":-3,"
+      "\"pt\":0.5,\"algo\":\"greedy\",\"k\":1}",
+      "p_t");
+  expectRangeError(
+      "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"pt\":1.5,"
+      "\"placement\":\"0-9\"}",
+      "pt");
+
+  // "pt" alone is still accepted and read at its own value.
+  const msc::core::ShortcutList placement{msc::core::Shortcut::make(0, 9)};
+  const auto sigmaAt = [&](double pt) {
+    return msc::core::sigmaValue(
+        msc::core::Instance::fromFailureThreshold(g, {{0, 9}, {1, 8}}, pt, 1),
+        placement);
+  };
+  ASSERT_NE(sigmaAt(0.5), sigmaAt(0.14));
+  const auto resp = json::parse(engine.handleLine(
+      "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"pt\":0.5,"
+      "\"placement\":\"0-9\"}"));
+  ASSERT_EQ(resp.find("status")->asString(), "ok");
+  EXPECT_DOUBLE_EQ(resp.find("sigma")->asNumber(), sigmaAt(0.5));
+}
+
+TEST(ServeEngine, LoadPairsRejectsTrailingTokensButAcceptsComments) {
+  Engine engine;
+  for (const char* bad : {"1 2 junk", "1 2 3", "1 2.5", "1"}) {
+    const auto resp = json::parse(engine.handleLine(
+        std::string("{\"cmd\":\"load_pairs\",\"text\":\"") + bad + "\"}"));
+    EXPECT_EQ(resp.find("status")->asString(), "error") << bad;
+  }
+  const auto note = json::parse(engine.handleLine(
+      "{\"cmd\":\"load_pairs\",\"text\":\"# header\\n1 2 # note\\n3 4#x\"}"));
+  ASSERT_EQ(note.find("status")->asString(), "ok");
+  EXPECT_EQ(note.find("count")->asNumber(), 2);
+}
+
 TEST(ServeEngine, MalformedInputNeverThrowsAlwaysStructuredError) {
   Engine engine;
   for (const char* line :
