@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
 // whole-placement sigma (the terminal overlay), the zero-edge relaxation,
-// per-candidate marginal gains, APSP, and one greedy round.
+// per-candidate marginal gains, APSP, one greedy round, and the
+// Monte-Carlo evaluator's gain probe and reset.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,11 +12,15 @@
 #include "core/greedy.h"
 #include "core/sigma.h"
 #include "eval/experiment.h"
+#include "gen/gowalla.h"
 #include "graph/apsp.h"
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
+#include "mc/reliability.h"
+#include "mc/world_sampler.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
+#include "wireless/link_model.h"
 
 namespace {
 
@@ -205,6 +210,53 @@ void BM_GreedyInstrumented(benchmark::State& state) {
   msc::obs::resetAll();
 }
 BENCHMARK(BM_GreedyInstrumented)->Args({4, 0})->Args({4, 1});
+
+// ------------------------------------------------------- Monte-Carlo ----
+// The perfbench mc_solve shape: the fixed 60-user Gowalla-like network,
+// 8 important pairs at p_t = 0.23, W = 256 sampled worlds.
+
+const Instance& mcInstance() {
+  static const Instance inst = [] {
+    msc::gen::GowallaConfig cfg;
+    cfg.users = 60;
+    msc::graph::Graph g = msc::gen::gowallaLike(cfg).graph;
+    const double dt = msc::wireless::failureThresholdToDistance(0.23);
+    msc::util::Rng rng(1);
+    auto pairs = msc::core::sampleImportantPairs(
+        g, msc::graph::allPairsDistances(g), 8, dt, rng);
+    return Instance(std::move(g), std::move(pairs), dt);
+  }();
+  return inst;
+}
+
+const msc::mc::WorldSet& mcWorlds() {
+  static const msc::mc::WorldSet worlds(mcInstance().graph(),
+                                        {.worlds = 256, .seed = 1});
+  return worlds;
+}
+
+// One closed-form gain probe per iteration, cycling over every candidate
+// from the empty placement (a greedy round's first scan).
+void BM_McGainIfAdd(benchmark::State& state) {
+  const msc::mc::ReliabilityEvaluator eval(mcInstance(), mcWorlds());
+  const auto cands = CandidateSet::allPairs(mcInstance().graph().nodeCount());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.gainIfAdd(cands[i]));
+    if (++i == cands.size()) i = 0;
+  }
+}
+BENCHMARK(BM_McGainIfAdd);
+
+// reset(): one BFS fixpoint over all W worlds per pair endpoint.
+void BM_McReset(benchmark::State& state) {
+  msc::mc::ReliabilityEvaluator eval(mcInstance(), mcWorlds());
+  for (auto _ : state) {
+    eval.reset();
+    benchmark::DoNotOptimize(eval.currentValue());
+  }
+}
+BENCHMARK(BM_McReset);
 
 // --------------------------------------------------- parallel scaling ----
 // The acceptance bar for the parallel layer (ALGORITHMS.md §10): >= 2x on

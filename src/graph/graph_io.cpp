@@ -1,11 +1,75 @@
 #include "graph/graph_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace msc::graph {
+namespace {
+
+// Token readers for one edge-list line. Each accepts exactly what
+// `std::istream >> T` accepts in the C locale: leading whitespace is
+// skipped, then one optional sign and the longest numeric prefix; the rest
+// of the line is left for the next token (and ignored after the last one).
+// They return false wherever the stream would set failbit, and advance
+// `p` past the token otherwise.
+
+bool isStreamSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Skips whitespace and returns where the number's text starts, or nullptr
+/// when no digit (or, for floats, '.') follows the optional sign: that rules
+/// out sign runs and the inf/nan/hex spellings the stream never reads.
+const char* numberStart(const char*& p, const char* end, bool allowDot) {
+  while (p != end && isStreamSpace(*p)) ++p;
+  const char* body = p;
+  if (body != end && (*body == '+' || *body == '-')) ++body;
+  if (body == end || !(isDigit(*body) || (allowDot && *body == '.'))) {
+    return nullptr;
+  }
+  // std::from_chars takes a leading '-' but not a '+'.
+  return *p == '+' ? p + 1 : p;
+}
+
+bool readInt(const char*& p, const char* end, int& out) {
+  const char* start = numberStart(p, end, false);
+  if (start == nullptr) return false;
+  const auto [next, ec] = std::from_chars(start, end, out);
+  if (ec != std::errc{}) return false;  // out of int range
+  p = next;
+  return true;
+}
+
+bool readDouble(const char*& p, const char* end, double& out) {
+  const char* start = numberStart(p, end, true);
+  if (start == nullptr) return false;
+  const auto [next, ec] = std::from_chars(start, end, out);
+  if (ec == std::errc::invalid_argument) return false;  // "." alone
+  const auto isExp = [](char c) { return c == 'e' || c == 'E'; };
+  // The stream reads an exponent marker into the number even when no
+  // digits follow ("1e", "1e+") and then fails; from_chars stops before it.
+  if (next != end && isExp(*next) && std::none_of(start, next, isExp)) {
+    return false;
+  }
+  if (ec == std::errc::result_out_of_range) {
+    // Overflow fails the stream while underflow reads the rounded value;
+    // on this rare path the stream itself decides.
+    std::istringstream exact{std::string(p, next)};
+    if (!(exact >> out)) return false;
+  }
+  p = next;
+  return true;
+}
+
+}  // namespace
 
 void writeEdgeList(std::ostream& os, const Graph& g) {
   os << g.nodeCount() << '\n';
@@ -16,37 +80,37 @@ void writeEdgeList(std::ostream& os, const Graph& g) {
 }
 
 Graph readEdgeList(std::istream& is) {
+  // One line buffer for the whole read: getline reuses its capacity.
   std::string line;
-  auto nextContentLine = [&](std::string& out) -> bool {
+  auto nextContentLine = [&]() -> bool {
     while (std::getline(is, line)) {
       const auto first = line.find_first_not_of(" \t\r");
       if (first == std::string::npos || line[first] == '#') continue;
-      out = line;
       return true;
     }
     return false;
   };
 
-  std::string header;
-  if (!nextContentLine(header)) {
+  if (!nextContentLine()) {
     throw std::runtime_error("readEdgeList: missing node-count header");
   }
   int n = 0;
   {
-    std::istringstream hs(header);
-    if (!(hs >> n) || n < 0) {
+    const char* p = line.data();
+    if (!readInt(p, p + line.size(), n) || n < 0) {
       throw std::runtime_error("readEdgeList: malformed node count");
     }
   }
   Graph g(n);
-  std::string edgeLine;
-  while (nextContentLine(edgeLine)) {
-    std::istringstream es(edgeLine);
+  while (nextContentLine()) {
+    const char* p = line.data();
+    const char* const end = p + line.size();
     int u = 0;
     int v = 0;
     double len = 0.0;
-    if (!(es >> u >> v >> len)) {
-      throw std::runtime_error("readEdgeList: malformed edge line: " + edgeLine);
+    if (!readInt(p, end, u) || !readInt(p, end, v) ||
+        !readDouble(p, end, len)) {
+      throw std::runtime_error("readEdgeList: malformed edge line: " + line);
     }
     g.addEdge(u, v, len);
   }

@@ -1,11 +1,11 @@
 #include "mc/reliability.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -63,23 +63,24 @@ ReliabilityEvaluator::ReliabilityEvaluator(const core::Instance& instance,
         {edges[e].u, plane});
   }
 
-  // Reachability in an undirected world is symmetric, so one BFS source per
-  // distinct min-endpoint covers every pair that shares it.
+  // One BFS source per distinct pair endpoint. Reachability in an
+  // undirected world is symmetric, so pair i reads its count off its
+  // min-endpoint's planes, and a gain probe combines both endpoints' planes.
   const auto& pairs = instance.pairs();
+  std::vector<std::size_t> sourceOf(n, n);
+  const auto sourceIndex = [&](NodeId x) {
+    std::size_t& si = sourceOf[static_cast<std::size_t>(x)];
+    if (si == n) {
+      si = sources_.size();
+      sources_.push_back({x, {}});
+    }
+    return si;
+  };
   pairSource_.resize(pairs.size());
-  pairTarget_.resize(pairs.size());
+  pairTargetSource_.resize(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const NodeId s = std::min(pairs[i].u, pairs[i].w);
-    const NodeId t = std::max(pairs[i].u, pairs[i].w);
-    std::size_t si = 0;
-    for (; si < sources_.size(); ++si) {
-      if (sources_[si].source == s) break;
-    }
-    if (si == sources_.size()) {
-      sources_.push_back({s, {}});
-    }
-    pairSource_[i] = si;
-    pairTarget_[i] = t;
+    pairSource_[i] = sourceIndex(std::min(pairs[i].u, pairs[i].w));
+    pairTargetSource_[i] = sourceIndex(std::max(pairs[i].u, pairs[i].w));
   }
   const auto w = static_cast<std::size_t>(worlds.worlds());
   for (auto& sr : sources_) {
@@ -213,9 +214,9 @@ void ReliabilityEvaluator::refreshCounts() {
   totalReached_ = 0;
   maintained_ = 0;
   for (std::size_t i = 0; i < reachCount_.size(); ++i) {
-    const auto& sr = sources_[pairSource_[i]];
-    const std::size_t c =
-        sr.planes[static_cast<std::size_t>(pairTarget_[i])].count();
+    const auto t =
+        static_cast<std::size_t>(sources_[pairTargetSource_[i]].source);
+    const std::size_t c = sources_[pairSource_[i]].planes[t].count();
     reachCount_[i] = c;
     totalReached_ += c;
     if (c >= minCount_) ++maintained_;
@@ -233,78 +234,50 @@ double ReliabilityEvaluator::currentValue() const {
 double ReliabilityEvaluator::gainIfAdd(const core::Shortcut& f) const {
   instance_->graph().checkNode(f.a);
   instance_->graph().checkNode(f.b);
+  const auto a = static_cast<std::size_t>(f.a);
+  const auto b = static_cast<std::size_t>(f.b);
+  const auto worlds = static_cast<std::size_t>(worlds_->worlds());
 
+  // In every world the graph is undirected and the shortcut is up, so
+  // adding (a, b) merges exactly the components of a and b: s reaches t
+  // afterwards iff it already did, or s~a and b~t, or s~b and a~t. Pair
+  // i's new reached-world count is therefore the popcount of
+  //     P_s[t] | (P_s[a] & P_t[b]) | (P_s[b] & P_t[a])
+  // with P_x[y] = worlds where x reaches y (ALGORITHMS.md §17).
   std::size_t newTotal = totalReached_;
   int newMaintained = maintained_;
-
-  // Per-source copy-on-write overlay: only planes the trial shortcut
-  // actually changes are copied, everything else reads shared state, so
-  // concurrent gain scans over different candidates never interfere.
-  std::unordered_map<NodeId, Bitset> mod;
-  std::vector<NodeId> frontier;
-  std::vector<std::uint8_t> queued(adjacency_.size(), 0);
-  for (std::size_t si = 0; si < sources_.size(); ++si) {
-    const auto& sr = sources_[si];
-    mod.clear();
-    const auto cur = [&](NodeId x) -> const Bitset& {
-      const auto it = mod.find(x);
-      return it != mod.end() ? it->second
-                             : sr.planes[static_cast<std::size_t>(x)];
-    };
-    const auto relaxTrial = [&](NodeId from, NodeId to) {
-      const Bitset& rx = cur(from);
-      const Bitset& ryShared = cur(to);
-      // Copy on first change only.
-      Bitset scratch = ryShared;
-      if (relaxInto(rx, nullptr, scratch)) {
-        mod[to] = std::move(scratch);
-        if (!queued[static_cast<std::size_t>(to)]) {
-          queued[static_cast<std::size_t>(to)] = 1;
-          frontier.push_back(to);
-        }
-      }
-    };
-    frontier.clear();
-    std::fill(queued.begin(), queued.end(), 0);
-    relaxTrial(f.a, f.b);
-    relaxTrial(f.b, f.a);
-    while (!frontier.empty()) {
-      const NodeId x = frontier.back();
-      frontier.pop_back();
-      queued[static_cast<std::size_t>(x)] = 0;
-      for (const OutArc& arc : adjacency_[static_cast<std::size_t>(x)]) {
-        const Bitset& rx = cur(x);
-        const Bitset& ry = cur(arc.to);
-        Bitset scratch = ry;
-        if (relaxInto(rx, arc.plane, scratch)) {
-          mod[arc.to] = std::move(scratch);
-          if (!queued[static_cast<std::size_t>(arc.to)]) {
-            queued[static_cast<std::size_t>(arc.to)] = 1;
-            frontier.push_back(arc.to);
-          }
-        }
-      }
-      // The trial shortcut participates in further propagation too: worlds
-      // that newly reach one endpoint cross to the other.
-      if (x == f.a) relaxTrial(f.a, f.b);
-      if (x == f.b) relaxTrial(f.b, f.a);
+  for (std::size_t i = 0; i < reachCount_.size(); ++i) {
+    // A pair connected in every world cannot gain, and under σ̂ neither
+    // can one already maintained.
+    if (reachCount_[i] == worlds ||
+        (objective_ == Objective::MaintainedCount &&
+         reachCount_[i] >= minCount_)) {
+      continue;
     }
-
-    for (std::size_t i = 0; i < reachCount_.size(); ++i) {
-      if (pairSource_[i] != si) continue;
-      const auto it = mod.find(pairTarget_[i]);
-      if (it == mod.end()) continue;
-      const std::size_t c = it->second.count();
-      newTotal += c - reachCount_[i];
-      if (c >= minCount_ && reachCount_[i] < minCount_) ++newMaintained;
+    const SourceReach& target = sources_[pairTargetSource_[i]];
+    const auto& ps = sources_[pairSource_[i]].planes;
+    const auto& pt = target.planes;
+    const std::uint64_t* st =
+        ps[static_cast<std::size_t>(target.source)].words().data();
+    const std::uint64_t* sa = ps[a].words().data();
+    const std::uint64_t* sb = ps[b].words().data();
+    const std::uint64_t* ta = pt[a].words().data();
+    const std::uint64_t* tb = pt[b].words().data();
+    const std::size_t nw = ps[a].wordCount();
+    std::size_t c = 0;
+    for (std::size_t k = 0; k < nw; ++k) {
+      c += static_cast<std::size_t>(
+          std::popcount(st[k] | (sa[k] & tb[k]) | (sb[k] & ta[k])));
     }
+    newTotal += c - reachCount_[i];
+    if (c >= minCount_ && reachCount_[i] < minCount_) ++newMaintained;
   }
 
   if (objective_ == Objective::MaintainedCount) {
     return static_cast<double>(newMaintained - maintained_);
   }
   return static_cast<double>(newTotal - totalReached_) /
-         static_cast<double>(worlds_->worlds());
+         static_cast<double>(worlds);
 }
 
 double ReliabilityEvaluator::value(

@@ -9,7 +9,9 @@
 // this node") and runs a BFS fixpoint where relaxing an arc x→y is
 //     reach[y] |= reach[x] & plane(x, y)
 // — 64 worlds per word instruction. Placement shortcuts have failure
-// probability 0, so their plane is all-ones.
+// probability 0, so their plane is all-ones. Every pair endpoint is a
+// source; only reset() and add() run the fixpoint, while a gain probe
+// combines both endpoints' committed planes in closed form.
 //
 // The maintained-count objective σ̂ = #{pairs : R̂ ≥ 1 − p_t} is the MC
 // analogue of sigma; the soft total-reliability objective Σ R̂ breaks σ̂'s
@@ -69,9 +71,11 @@ class ReliabilityEvaluator final : public core::SetFunction,
   // --- IncrementalEvaluator ---
   void reset() override;
   double currentValue() const override;
-  /// Thread-safe against concurrent gainIfAdd calls (the parallel gain
-  /// scan's requirement): propagates into a per-call overlay of changed
-  /// planes, never touching shared state.
+  /// Exact closed form, no propagation: adding (a, b) connects pair
+  /// {s, t} in the worlds P_s[t] | (P_s[a] & P_t[b]) | (P_s[b] & P_t[a]),
+  /// so each pair costs W/64 word operations. Reads shared planes only,
+  /// hence safe against concurrent gainIfAdd calls (the parallel gain
+  /// scan's requirement).
   double gainIfAdd(const core::Shortcut& f) const override;
   void add(const core::Shortcut& f) override;
 
@@ -122,10 +126,12 @@ class ReliabilityEvaluator final : public core::SetFunction,
   Objective objective_;
 
   std::vector<std::vector<OutArc>> adjacency_;  // base edges + added shortcuts
+  /// One source per distinct pair endpoint.
   std::vector<SourceReach> sources_;
-  /// Pair i reads sources_[pairSource_[i]].planes[pairTarget_[i]].
+  /// Pair i = {s, t}, s < t, has sources s = sources_[pairSource_[i]] and
+  /// t = sources_[pairTargetSource_[i]]; its count reads s's plane at t.
   std::vector<std::size_t> pairSource_;
-  std::vector<msc::graph::NodeId> pairTarget_;
+  std::vector<std::size_t> pairTargetSource_;
 
   core::ShortcutList placement_;
   std::vector<std::size_t> reachCount_;  // per pair: worlds connected

@@ -584,7 +584,7 @@ json::Object Engine::cmdSolve(const Request& request,
   if (objective == "mc_reliability") {
     if (algo != "greedy" && algo != "sandwich" && algo != "aa") {
       throw ProtocolError(
-          "objective \"mc_reliability\" supports algo greedy|sandwich");
+          "objective \"mc_reliability\" supports algo greedy|sandwich|aa");
     }
     const int worlds = static_cast<int>(
         getIntParam(request, "worlds", 1024, 1, 1 << 20));

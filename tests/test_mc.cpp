@@ -1,9 +1,11 @@
 // Monte-Carlo reliability engine: world sampling determinism, exact
 // cross-checks on enumerable graphs, the common-random-numbers contract,
-// parallel bit-identity of mc::greedy, and serve's mc_reliability
-// objective against the direct solver path.
+// the closed-form gain probe against the propagating reference, parallel
+// bit-identity of mc::greedy, and serve's mc_reliability objective against
+// the direct solver path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -13,14 +15,17 @@
 #include "core/candidates.h"
 #include "core/instance.h"
 #include "core/options.h"
+#include "gen/watts_strogatz.h"
 #include "graph/graph_io.h"
 #include "helpers.h"
 #include "mc/reliability.h"
 #include "mc/solver.h"
 #include "mc/world_sampler.h"
+#include "reference.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "util/parallel.h"
 #include "wireless/link_model.h"
 
 namespace {
@@ -225,6 +230,106 @@ TEST(Reliability, CommonRandomNumbersMakeValuesMonotoneAcrossNestedSets) {
     EXPECT_GE(next, prev);
     prev = next;
   }
+}
+
+// ------------------------------------ closed form vs propagating probe ---
+
+/// `base` plus a 3-node path on fresh nodes: a component that none of
+/// `base`'s nodes reaches in any world.
+Graph withDetachedPath(const Graph& base) {
+  const int n = base.nodeCount();
+  Graph g(n + 3);
+  for (const auto& e : base.edges()) g.addEdge(e.u, e.v, e.length);
+  g.addEdge(n, n + 1, 0.3);
+  g.addEdge(n + 1, n + 2, 0.6);
+  return g;
+}
+
+struct ProbeCase {
+  const char* generator;
+  Graph graph;
+  std::vector<SocialPair> pairs;
+  ShortcutList forcedCommits;  // committed first, then greedy's argmax
+};
+
+ProbeCase probeCase(const char* generator, const Graph& base) {
+  const int n = base.nodeCount();
+  const auto& e0 = base.edges().front();
+  return {generator,
+          withDetachedPath(base),
+          {{0, n - 1}, {0, n / 2}, {n / 2, n - 1},  // endpoints shared
+           {1, n - 2}, {1, n - 2}, {n - 2, 1},      // duplicate pairs
+           {2, n + 1}},                             // different components
+          {Shortcut::make(e0.u, e0.v),              // parallel to a base edge
+           Shortcut::make(3, n + 2)}};              // bridges the components
+}
+
+TEST(Reliability, ClosedFormGainMatchesPropagatingProbe) {
+  const std::vector<ProbeCase> cases = {
+      probeCase("erdos_renyi", msc::test::randomGraph(16, 0.16, 21)),
+      probeCase("watts_strogatz",
+                msc::gen::wattsStrogatz({.nodes = 16, .seed = 4})),
+  };
+  constexpr int kCommits = 3;
+  std::size_t positiveGains = 0;
+  for (const ProbeCase& pc : cases) {
+    const auto inst = Instance::fromFailureThreshold(pc.graph, pc.pairs, 0.3);
+    const auto cands = CandidateSet::allPairs(pc.graph.nodeCount());
+    // W off a word multiple (1, 63, 65) exercises the zero-tail invariant.
+    for (const int w : {1, 63, 64, 65, 256}) {
+      const WorldSet worlds(inst.graph(), {.worlds = w, .seed = 5});
+      for (const Objective obj :
+           {Objective::MaintainedCount, Objective::TotalReliability}) {
+        ReliabilityEvaluator eval(inst, worlds, obj);
+        msc::test::PropagatingMcProbe ref(inst, worlds, obj,
+                                          eval.maintainThreshold());
+        ShortcutList committed;
+        for (int step = 0; step <= kCommits; ++step) {
+          const std::string where = std::string(pc.generator) + " W=" +
+                                    std::to_string(w) + " objective " +
+                                    eval.name() + " after " +
+                                    std::to_string(step) + " commits";
+          ASSERT_EQ(eval.currentValue(), ref.currentValue()) << where;
+          const auto scan = [&](int threads) {
+            std::vector<double> gains(cands.size());
+            msc::util::parallelForThreads(
+                threads, 0, cands.size(), 7,
+                [&](std::size_t b, std::size_t e) {
+                  for (std::size_t i = b; i < e; ++i) {
+                    gains[i] = eval.gainIfAdd(cands[i]);
+                  }
+                });
+            return gains;
+          };
+          const std::vector<double> gains1 = scan(1);
+          const std::vector<double> gains4 = scan(4);
+          for (std::size_t i = 0; i < cands.size(); ++i) {
+            const double want = ref.gainIfAdd(cands[i]);
+            if (want > 0.0) ++positiveGains;
+            ASSERT_EQ(gains1[i], want)
+                << where << ", candidate " << cands[i].a << '-' << cands[i].b;
+            ASSERT_EQ(gains4[i], want)
+                << where << ", candidate " << cands[i].a << '-' << cands[i].b;
+          }
+          for (const Shortcut& f : committed) {
+            EXPECT_EQ(eval.gainIfAdd(f), 0.0) << where;
+          }
+          if (step == kCommits) break;
+          const Shortcut next =
+              step < static_cast<int>(pc.forcedCommits.size())
+                  ? pc.forcedCommits[static_cast<std::size_t>(step)]
+                  : cands[static_cast<std::size_t>(
+                        std::max_element(gains1.begin(), gains1.end()) -
+                        gains1.begin())];
+          eval.add(next);
+          ref.add(next);
+          committed.push_back(next);
+        }
+      }
+    }
+  }
+  // The comparison must not be vacuous: many probes have a real gain.
+  EXPECT_GT(positiveGains, 1000u);
 }
 
 // --------------------------------------------------- solver contracts ---

@@ -280,6 +280,40 @@ TEST_P(ServeEngineBitIdentity, GreedyAndSandwichMatchDirectPath) {
 INSTANTIATE_TEST_SUITE_P(Threads, ServeEngineBitIdentity,
                          ::testing::Values(1, 4));
 
+// Under objective "mc_reliability", "aa" spells "sandwich" as it does for
+// the surrogate objective, and a rejected algo's error names all three.
+TEST(ServeEngine, McReliabilityAaRepliesAsSandwich) {
+  Engine engine;
+  loadFixture(engine, msc::test::randomGraph(20, 0.15, 7),
+              "0 19\n1 17\n2 15\n");
+  const auto solve = [&](const std::string& algo) {
+    return json::parse(
+               engine.handleLine(
+                   "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\","
+                   "\"p_t\":0.3,\"objective\":\"mc_reliability\",\"algo\":\"" +
+                   algo + "\",\"worlds\":128,\"k\":2,\"seed\":1}"))
+        .asObject();
+  };
+  auto sandwich = solve("sandwich");
+  auto aa = solve("aa");
+  ASSERT_EQ(sandwich.at("status").asString(), "ok");
+  EXPECT_EQ(aa.at("algo").asString(), "aa");
+  // Identical up to the echoed algo and timing.
+  for (auto* obj : {&sandwich, &aa}) {
+    obj->erase("algo");
+    obj->erase("wall_seconds");
+    obj->erase("apsp_cache");
+    obj->erase("usage");
+  }
+  EXPECT_EQ(json::dump(json::Value(sandwich)), json::dump(json::Value(aa)));
+
+  const auto ea = solve("ea");
+  EXPECT_EQ(ea.at("status").asString(), "error");
+  EXPECT_NE(ea.at("error").asString().find("greedy|sandwich|aa"),
+            std::string::npos)
+      << ea.at("error").asString();
+}
+
 // --------------------------- request-scoped observability (§14) -----------
 
 std::string readWholeFile(const std::string& path) {
