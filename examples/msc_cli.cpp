@@ -507,12 +507,10 @@ int cmdVersion() {
             << "    the sampled multi-path maintained count (CLI: solve-mc; "
                "obs: mc.worlds\n"
             << "    counter, mc.frontier_seconds histogram);\n"
-            << "    metrics/GET /metrics export msc_serve_oracle_bytes, "
-               "msc_serve_oracle_rows,\n"
-            << "    msc_serve_oracle_queries_total{kind}, "
-               "msc_serve_oracle_row_builds_total,\n"
-            << "    msc_serve_oracle_row_hits_total, "
-               "msc_serve_oracle_row_evictions_total\n"
+            << "    metrics/GET /metrics export every stats number as a "
+               "series (msc_serve_*,\n"
+            << "    msc_progress_*, msc_solver_rounds_per_second; "
+               "docs/ALGORITHMS.md sec. 13);\n"
             << "    knobs: MSC_ORACLE_ROWS_MB / serve --oracle-rows-mb "
                "(bounded oracle row cache,\n"
             << "    bit-identical results);\n"
@@ -535,11 +533,7 @@ int cmdVersion() {
             << "    deadline_seconds/cancelled/progress{every_ms,snapshots,"
                "events}; stats gains\n"
             << "    progress{snapshots,events,last_rounds_per_second} and "
-               "cancellations{client,deadline};\n"
-            << "    metrics/GET /metrics export msc_serve_cancellations_total"
-               "{reason}, msc_serve_requests_inflight{phase},\n"
-            << "    msc_progress_snapshots_total, msc_progress_events_total, "
-               "msc_solver_rounds_per_second\n"
+               "cancellations{client,deadline}\n"
             << "  prometheus-text-0.0.4  metrics exposition (--metrics-prom, "
                "serve `metrics` cmd, GET /metrics)\n";
   return 0;
@@ -581,12 +575,12 @@ int main(int argc, char** argv) {
 
     if (rc == 0 && args.has("metrics-out")) {
       const std::string path = args.requireString("metrics-out");
-      msc::obs::writeJsonFile(path, msc::obs::Registry::global());
+      msc::obs::writeJsonFile(path, msc::obs::Registry::global().snapshot());
       std::cout << "wrote metrics to " << path << '\n';
     }
     if (rc == 0 && args.has("metrics-prom")) {
       const std::string path = args.requireString("metrics-prom");
-      msc::obs::writePromFile(path, msc::obs::Registry::global());
+      msc::obs::writePromFile(path, msc::obs::Registry::global().snapshot());
       std::cout << "wrote prometheus metrics to " << path << '\n';
     }
     if (rc == 0 && args.has("trace-out")) {

@@ -41,23 +41,24 @@ std::string describeInstance(const msc::core::Instance& instance) {
 }
 
 void printMetricsFooter(std::ostream& os) {
-  auto& reg = msc::obs::Registry::global();
+  const auto& reg = msc::obs::Registry::global();
   // MSC_METRICS_PROM=FILE exports the registry as Prometheus text even when
   // the human footer is off (histograms record unconditionally, so there is
   // something to scrape without MSC_METRICS=1). Atexit context: never throw.
   const char* prom = std::getenv("MSC_METRICS_PROM");
   if (prom != nullptr && *prom != '\0') {
     try {
-      msc::obs::writePromFile(prom, reg);
+      msc::obs::writePromFile(prom, reg.snapshot());
       os << "prometheus metrics written to " << prom << '\n';
     } catch (const std::exception& e) {
       os << "prometheus metrics export failed: " << e.what() << '\n';
     }
   }
   if (!reg.enabled()) return;
-  if (reg.counters().empty() && reg.stats().empty()) return;
+  const msc::obs::Snapshot snap = reg.snapshot();
+  if (snap.samples.empty() && snap.stats.empty()) return;
   os << "\n---- metrics (MSC_METRICS=1) ----\n";
-  msc::obs::writeText(os, reg);
+  msc::obs::writeText(os, snap);
 }
 
 void printTraceFooter(std::ostream& os) {

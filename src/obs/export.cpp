@@ -84,21 +84,25 @@ void appendStatFields(std::ostream& os, const util::RunningStats& s) {
 
 }  // namespace
 
-void writeText(std::ostream& os, const Registry& registry) {
-  const auto counters = registry.counters();
-  const auto stats = registry.stats();
-  const auto histograms = registry.histograms();
+void writeText(std::ostream& os, const Snapshot& snapshot) {
+  const auto& stats = snapshot.stats;
+  const auto& histograms = snapshot.histograms;
 
   std::size_t width = 0;
-  for (const auto& row : counters) width = std::max(width, row.name.size());
+  for (const auto& row : snapshot.samples) {
+    width = std::max(width, row.key().size());
+  }
   for (const auto& row : stats) width = std::max(width, row.name.size());
   for (const auto& row : histograms) width = std::max(width, row.name.size());
 
-  if (!counters.empty()) {
-    os << "counters:\n";
-    for (const auto& row : counters) {
-      os << "  " << std::left << std::setw(static_cast<int>(width))
-         << row.name << "  " << row.value << '\n';
+  for (const MetricType type : {MetricType::Counter, MetricType::Gauge}) {
+    const char* header =
+        type == MetricType::Counter ? "counters:\n" : "gauges:\n";
+    for (const auto& row : snapshot.samples) {
+      if (row.type != type) continue;
+      os << header << "  " << std::left << std::setw(static_cast<int>(width))
+         << row.key() << "  " << std::setprecision(17) << row.value << '\n';
+      header = "";
     }
   }
   if (!stats.empty()) {
@@ -130,18 +134,29 @@ void writeText(std::ostream& os, const Registry& registry) {
   }
 }
 
-void writeJson(std::ostream& os, const Registry& registry) {
-  const auto counters = registry.counters();
-  const auto stats = registry.stats();
-  const auto histograms = registry.histograms();
+void writeJson(std::ostream& os, const Snapshot& snapshot) {
+  const auto& stats = snapshot.stats;
+  const auto& histograms = snapshot.histograms;
 
-  os << "{\n  \"schema\": \"msc.metrics.v1\",\n  \"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) os << ',';
-    os << "\n    \"" << jsonEscape(counters[i].name)
-       << "\": " << counters[i].value;
+  os << "{\n  \"schema\": \"msc.metrics.v1\",\n";
+  // "counters" is always present; "gauges", like "histograms", only when
+  // there is one, so documents without them keep their pre-gauge shape.
+  for (const MetricType type : {MetricType::Counter, MetricType::Gauge}) {
+    const char* name = type == MetricType::Counter ? "counters" : "gauges";
+    bool any = false;
+    for (const auto& row : snapshot.samples) {
+      if (row.type != type) continue;
+      if (!any) os << "  \"" << name << "\": {";
+      os << (any ? "," : "") << "\n    \"" << jsonEscape(row.key()) << "\": ";
+      appendNumber(os, row.value);
+      any = true;
+    }
+    if (any) {
+      os << "\n  },\n";
+    } else if (type == MetricType::Counter) {
+      os << "  \"counters\": {},\n";
+    }
   }
-  os << (counters.empty() ? "},\n" : "\n  },\n");
   os << "  \"stats\": {";
   for (std::size_t i = 0; i < stats.size(); ++i) {
     if (i) os << ',';
@@ -161,18 +176,18 @@ void writeJson(std::ostream& os, const Registry& registry) {
   os << "\n}\n";
 }
 
-std::string toJson(const Registry& registry) {
+std::string toJson(const Snapshot& snapshot) {
   std::ostringstream os;
-  writeJson(os, registry);
+  writeJson(os, snapshot);
   return os.str();
 }
 
-void writeJsonFile(const std::string& path, const Registry& registry) {
+void writeJsonFile(const std::string& path, const Snapshot& snapshot) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot open metrics output file: " + path);
   }
-  writeJson(out, registry);
+  writeJson(out, snapshot);
 }
 
 }  // namespace msc::obs

@@ -1,5 +1,9 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <iterator>
+#include <tuple>
+
 #include "obs/trace.h"
 #include "util/env.h"
 
@@ -8,6 +12,14 @@ namespace msc::obs {
 namespace {
 
 thread_local int gSpanDepth = 0;
+
+/// The entry for `key`, default-constructed on first use.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view key) {
+  auto it = map.find(key);
+  if (it == map.end()) it = map.try_emplace(std::string(key)).first;
+  return it->second;
+}
 
 }  // namespace
 
@@ -21,64 +33,85 @@ Registry& Registry::global() {
   return *instance;
 }
 
-Counter& Registry::counter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.try_emplace(std::string(name)).first;
+std::string Sample::key() const {
+  return labels.empty() ? name : name + '{' + labels + '}';
+}
+
+void Snapshot::addSamples(std::vector<Sample> more) {
+  samples.insert(samples.end(), std::make_move_iterator(more.begin()),
+                 std::make_move_iterator(more.end()));
+  std::sort(samples.begin(), samples.end(),
+            [](const Sample& a, const Sample& b) {
+              return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+            });
+}
+
+const Sample* Snapshot::find(std::string_view name,
+                             std::string_view labels) const {
+  for (const Sample& s : samples) {
+    if (s.name == name && s.labels == labels) return &s;
   }
-  return it->second;
+  return nullptr;
+}
+
+Registry::Series& Registry::series(std::string_view name,
+                                   std::string_view labels,
+                                   std::string_view help, MetricType type) {
+  // Unlabeled lookups (every library call site) stay allocation-free.
+  std::string labeled;
+  if (!labels.empty()) {
+    labeled.append(name).append(1, '{').append(labels).append(1, '}');
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!help.empty()) help_.try_emplace(std::string(name), help);
+  Series& s = entry(series_, labels.empty() ? name : labeled);
+  if (s.name.empty()) {
+    s.name = name;
+    s.labels = labels;
+    s.type = type;
+  }
+  return s;
 }
 
 Stat& Registry::stat(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = stats_.find(name);
-  if (it == stats_.end()) {
-    it = stats_.try_emplace(std::string(name)).first;
-  }
-  return it->second;
+  return entry(stats_, name);
 }
 
 Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.try_emplace(std::string(name)).first;
-  }
-  return it->second;
+  return entry(histograms_, name);
 }
 
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c.reset();
+  for (auto& [key, s] : series_) {
+    s.counter.reset();
+    s.gauge.reset();
+  }
   for (auto& [name, s] : stats_) s.reset();
   for (auto& [name, h] : histograms_) h.reset();
 }
 
-std::vector<Registry::CounterRow> Registry::counters() const {
+Snapshot Registry::snapshot() const {
+  Snapshot snap;
+  std::vector<Sample> samples;
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CounterRow> rows;
-  rows.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) rows.push_back({name, c.value()});
-  return rows;
-}
-
-std::vector<Registry::StatRow> Registry::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<StatRow> rows;
-  rows.reserve(stats_.size());
-  for (const auto& [name, s] : stats_) rows.push_back({name, s.snapshot()});
-  return rows;
-}
-
-std::vector<Registry::HistogramRow> Registry::histograms() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<HistogramRow> rows;
-  rows.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    rows.push_back({name, h.snapshot()});
+  for (const auto& [key, s] : series_) {
+    const bool counter = s.type == MetricType::Counter;
+    const auto help = help_.find(s.name);
+    samples.push_back(
+        {s.name, s.labels, s.type, help == help_.end() ? "" : help->second,
+         counter ? static_cast<double>(s.counter.value()) : s.gauge.value()});
   }
-  return rows;
+  snap.addSamples(std::move(samples));
+  for (const auto& [name, s] : stats_) {
+    snap.stats.push_back({name, s.snapshot()});
+  }
+  for (const auto& [name, h] : histograms_) {
+    snap.histograms.push_back({name, h.snapshot()});
+  }
+  return snap;
 }
 
 ScopedSpan::ScopedSpan(const char* name) {

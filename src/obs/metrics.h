@@ -1,5 +1,5 @@
 // Solver observability: a process-wide metrics registry with monotonic
-// counters, Welford-backed value stats, and RAII scoped spans.
+// counters, gauges, Welford-backed value stats, and RAII scoped spans.
 //
 // Every algorithm hot path (sigma evaluation, Dijkstra, the greedy passes,
 // the evolutionary loops) publishes operation counts here so that bench
@@ -52,6 +52,23 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// Instantaneous value (a queue depth, resident bytes, a last-seen rate).
+/// Thread-safe (relaxed atomic).
+class Gauge {
+ public:
+  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
+  void add(double delta) noexcept {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  double value() const noexcept {
+    return value_.load(std::memory_order_relaxed);
+  }
+  void reset() noexcept { set(0.0); }
+
+ private:
+  std::atomic<double> value_{0.0};
+};
+
 /// Welford accumulator over recorded samples (span durations in seconds,
 /// archive sizes, ...). Thread-safe via a per-stat mutex; record() is only
 /// called on enabled paths, never in disabled-mode hot loops.
@@ -76,15 +93,56 @@ class Stat {
   util::RunningStats stats_;
 };
 
-/// Process-wide registry of named counters and stats. Lookup allocates on
-/// first use of a name and is mutex-guarded; hot call sites cache the
-/// returned reference in a function-local static.
+enum class MetricType { Counter, Gauge };
+
+/// One counter or gauge series of a snapshot.
+struct Sample {
+  std::string name;    ///< registry name, e.g. "serve.cancellations"
+  std::string labels;  ///< fixed label set, e.g. `reason="client"`; "" if none
+  MetricType type = MetricType::Counter;
+  std::string help;    ///< "" renders as "msc <type> <name>"
+  double value = 0.0;
+
+  /// `name`, or `name{labels}` when labeled: the key the JSON surfaces use.
+  std::string key() const;
+};
+
+struct StatRow {
+  std::string name;
+  util::RunningStats stats;
+};
+struct HistogramRow {
+  std::string name;
+  HistogramSnapshot snapshot;
+};
+
+/// Point-in-time copy of every series the exporters render: the Prometheus
+/// page, msc.metrics.v1 and the serve `stats` reply all read one of these,
+/// so no two surfaces can disagree.
+struct Snapshot {
+  std::vector<Sample> samples;  ///< counters and gauges, by (name, labels)
+  std::vector<StatRow> stats;   ///< by name
+  std::vector<HistogramRow> histograms;  ///< by name
+
+  /// Adds series from another source, keeping `samples` ordered.
+  void addSamples(std::vector<Sample> more);
+  /// The series `name{labels}`, or null when it is not registered.
+  const Sample* find(std::string_view name,
+                     std::string_view labels = {}) const;
+};
+
+/// Registry of named counters, gauges and stats. The process-wide one is
+/// global(); the serve engine owns another for its per-engine series.
+/// Lookup allocates on first use of a (name, labels) series and is
+/// mutex-guarded; hot call sites cache the returned reference.
 class Registry {
  public:
   /// The global registry. Constructed on first use with `enabled` seeded
   /// from the MSC_METRICS environment variable; intentionally leaked so
   /// handles stay valid during static destruction.
   static Registry& global();
+
+  Registry();
 
   bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -93,7 +151,18 @@ class Registry {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  Counter& counter(std::string_view name);
+  /// The series `name{labels}`, registered at zero on first use. `labels`
+  /// is a fixed Prometheus label body (`kind="row"`); register every value
+  /// of a label up front so each appears from the first scrape. `help`
+  /// belongs to the name: the first non-empty one given for it is kept.
+  Counter& counter(std::string_view name, std::string_view labels = {},
+                   std::string_view help = {}) {
+    return series(name, labels, help, MetricType::Counter).counter;
+  }
+  Gauge& gauge(std::string_view name, std::string_view labels = {},
+               std::string_view help = {}) {
+    return series(name, labels, help, MetricType::Gauge).gauge;
+  }
   Stat& stat(std::string_view name);
   /// Log-linear latency histogram (obs/histogram.h). Unlike counters and
   /// stats, histogram record() sites are NOT gated on enabled(): recording
@@ -101,32 +170,25 @@ class Registry {
   /// service hot paths that need tail latency visible at all times.
   Histogram& histogram(std::string_view name);
 
-  /// Zeroes every counter and stat but keeps all registrations (and thus
-  /// all outstanding references) valid.
+  /// Zeroes every series but keeps all registrations (and thus all
+  /// outstanding references) valid.
   void reset();
 
-  struct CounterRow {
-    std::string name;
-    std::uint64_t value;
-  };
-  struct StatRow {
-    std::string name;
-    util::RunningStats stats;
-  };
-  struct HistogramRow {
-    std::string name;
-    HistogramSnapshot snapshot;
-  };
-  /// Sorted-by-name snapshots for the exporters.
-  std::vector<CounterRow> counters() const;
-  std::vector<StatRow> stats() const;
-  std::vector<HistogramRow> histograms() const;
+  Snapshot snapshot() const;
 
  private:
-  Registry();
+  struct Series {
+    std::string name, labels;
+    MetricType type = MetricType::Counter;
+    Counter counter;
+    Gauge gauge;
+  };
+  Series& series(std::string_view name, std::string_view labels,
+                 std::string_view help, MetricType type);
 
   mutable std::mutex mu_;
-  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Series, std::less<>> series_;  // by Sample::key()
+  std::map<std::string, std::string, std::less<>> help_;  // by name
   std::map<std::string, Stat, std::less<>> stats_;
   std::map<std::string, Histogram, std::less<>> histograms_;
   std::atomic<bool> enabled_{false};
@@ -135,8 +197,13 @@ class Registry {
 /// Shorthands against the global registry.
 inline bool enabled() noexcept { return Registry::global().enabled(); }
 inline void setEnabled(bool on) noexcept { Registry::global().setEnabled(on); }
-inline Counter& counter(std::string_view name) {
-  return Registry::global().counter(name);
+inline Counter& counter(std::string_view name, std::string_view labels = {},
+                        std::string_view help = {}) {
+  return Registry::global().counter(name, labels, help);
+}
+inline Gauge& gauge(std::string_view name, std::string_view labels = {},
+                    std::string_view help = {}) {
+  return Registry::global().gauge(name, labels, help);
 }
 inline Stat& stat(std::string_view name) {
   return Registry::global().stat(name);

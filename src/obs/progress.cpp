@@ -13,12 +13,6 @@ namespace {
 
 thread_local const char* tlsStage = "";
 
-// Process-wide telemetry, always on: one relaxed add per snapshot, read by
-// the serve `stats` command and the msc_progress_* Prometheus series.
-std::atomic<std::uint64_t> gSnapshots{0};
-std::atomic<std::uint64_t> gEvents{0};
-std::atomic<double> gLastRoundsPerSecond{0.0};
-
 }  // namespace
 
 ProgressReporter::ProgressReporter(Sink sink, double everyMs)
@@ -51,6 +45,7 @@ ProgressReporter::StageState& ProgressReporter::stateFor(const char* solver,
 void ProgressReporter::report(ProgressSnapshot snap, bool force) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::int64_t now = trace::nowNs();
+  const ProgressMetrics& metrics = progressMetrics();
 
   StageState& st = stateFor(snap.solver, snap.stage);
   if (st.lastNs != 0 && snap.round > st.lastRound) {
@@ -75,18 +70,11 @@ void ProgressReporter::report(ProgressSnapshot snap, bool force) {
       snap.etaSeconds =
           (snap.totalRounds - snap.round) * st.ewmaRoundNs * 1e-9;
     }
-    gLastRoundsPerSecond.store(snap.roundsPerSecond,
-                               std::memory_order_relaxed);
+    metrics.roundsPerSecond.set(snap.roundsPerSecond);
   }
 
   offered_.fetch_add(1, std::memory_order_relaxed);
-  gSnapshots.fetch_add(1, std::memory_order_relaxed);
-  if (enabled()) {
-    counter("progress.snapshots").add(1);
-    if (snap.roundsPerSecond > 0.0) {
-      stat("solver.rounds_per_second").record(snap.roundsPerSecond);
-    }
-  }
+  metrics.snapshots.add(1);
 
   // Trace mirror: a counter track per (solver, stage) draws the convergence
   // curve in the Perfetto timeline, and a request-stamped instant lands the
@@ -108,7 +96,7 @@ void ProgressReporter::report(ProgressSnapshot snap, bool force) {
   if ((limited && !force) || !sink_) return;
 
   snap.seq = emitted_.fetch_add(1, std::memory_order_relaxed) + 1;
-  gEvents.fetch_add(1, std::memory_order_relaxed);
+  metrics.events.add(1);
   lastEmitNs_ = now;
   emittedAny_ = true;
   sink_(snap);
@@ -128,12 +116,14 @@ ScopedProgressStage::~ScopedProgressStage() { tlsStage = prev_; }
 
 const char* currentProgressStage() noexcept { return tlsStage; }
 
-ProgressCounters progressCounters() noexcept {
-  ProgressCounters c;
-  c.snapshots = gSnapshots.load(std::memory_order_relaxed);
-  c.events = gEvents.load(std::memory_order_relaxed);
-  c.lastRoundsPerSecond = gLastRoundsPerSecond.load(std::memory_order_relaxed);
-  return c;
+const ProgressMetrics& progressMetrics() {
+  static const ProgressMetrics metrics{
+      counter("progress.snapshots", {},
+              "solver round-boundary snapshots offered to progress reporters"),
+      counter("progress.events", {}, "progress events delivered to clients"),
+      gauge("solver.rounds_per_second", {},
+            "most recent per-round rate observed by any progress reporter")};
+  return metrics;
 }
 
 }  // namespace msc::obs

@@ -14,8 +14,8 @@
 //     ("progress.<solver>.value") and request-stamped instants, so a
 //     solve's convergence curve shows up in Perfetto and the slow-request
 //     flight recorder, and
-//   * feeds the process-wide counters behind `stats`/Prometheus
-//     (progressCounters()).
+//   * feeds the process-wide series behind `stats`/Prometheus
+//     (progressMetrics()).
 //
 // Reporting happens ON the solver thread and reads only state the solver
 // already computed for the round, so a bound reporter cannot perturb the
@@ -28,6 +28,8 @@
 #include <functional>
 #include <mutex>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace msc::obs {
 
@@ -128,14 +130,15 @@ class ScopedProgressStage {
 /// Current thread's stage label ("" outside any ScopedProgressStage).
 const char* currentProgressStage() noexcept;
 
-/// Process-wide progress telemetry (always on, independent of
-/// obs::enabled()): backs `stats` fields and the msc_progress_* Prometheus
-/// series.
-struct ProgressCounters {
-  std::uint64_t snapshots = 0;      // offered across all reporters
-  std::uint64_t events = 0;         // delivered to sinks
-  double lastRoundsPerSecond = 0.0; // most recent non-zero observation
+/// Process-wide progress series in the global registry, always on
+/// (independent of obs::enabled()), behind the `stats` progress fields and
+/// the msc_progress_* / msc_solver_rounds_per_second Prometheus series.
+/// The first call registers them at zero.
+struct ProgressMetrics {
+  Counter& snapshots;      // "progress.snapshots": offered to reporters
+  Counter& events;         // "progress.events": delivered to sinks
+  Gauge& roundsPerSecond;  // "solver.rounds_per_second": latest non-zero
 };
-ProgressCounters progressCounters() noexcept;
+const ProgressMetrics& progressMetrics();
 
 }  // namespace msc::obs

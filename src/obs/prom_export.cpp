@@ -61,15 +61,29 @@ std::string promSanitizeName(std::string_view name) {
   return out;
 }
 
-void writeProm(std::ostream& os, const Registry& registry) {
-  for (const auto& row : registry.counters()) {
-    const std::string name = promName(row.name) + "_total";
-    os << "# HELP " << name << " msc counter " << row.name << '\n';
-    os << "# TYPE " << name << " counter\n";
-    os << name << ' ' << row.value << '\n';
+void writeProm(std::ostream& os, const Snapshot& snapshot) {
+  // Counters and gauges: one HELP/TYPE header per family, then one sample
+  // line per label set (samples arrive grouped by name).
+  const Sample* family = nullptr;
+  for (const Sample& row : snapshot.samples) {
+    const bool counter = row.type == MetricType::Counter;
+    const std::string name = promName(row.name) + (counter ? "_total" : "");
+    if (family == nullptr || family->name != row.name ||
+        family->type != row.type) {
+      const std::string type = counter ? "counter" : "gauge";
+      os << "# HELP " << name << ' '
+         << (row.help.empty() ? "msc " + type + ' ' + row.name : row.help)
+         << "\n# TYPE " << name << ' ' << type << '\n';
+      family = &row;
+    }
+    os << name;
+    if (!row.labels.empty()) os << '{' << row.labels << '}';
+    os << ' ';
+    appendValue(os, row.value);
+    os << '\n';
   }
 
-  for (const auto& row : registry.stats()) {
+  for (const auto& row : snapshot.stats) {
     const std::string name = promName(row.name);
     const auto& s = row.stats;
     os << "# HELP " << name << " msc stat " << row.name
@@ -95,7 +109,7 @@ void writeProm(std::ostream& os, const Registry& registry) {
     }
   }
 
-  for (const auto& row : registry.histograms()) {
+  for (const auto& row : snapshot.histograms) {
     const std::string name = promName(row.name);
     const HistogramSnapshot& snap = row.snapshot;
     os << "# HELP " << name << " msc histogram " << row.name << " (seconds)\n";
@@ -141,18 +155,18 @@ void writeProm(std::ostream& os, const Registry& registry) {
   }
 }
 
-std::string toProm(const Registry& registry) {
+std::string toProm(const Snapshot& snapshot) {
   std::ostringstream os;
-  writeProm(os, registry);
+  writeProm(os, snapshot);
   return os.str();
 }
 
-void writePromFile(const std::string& path, const Registry& registry) {
+void writePromFile(const std::string& path, const Snapshot& snapshot) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot open prometheus output file: " + path);
   }
-  writeProm(out, registry);
+  writeProm(out, snapshot);
 }
 
 }  // namespace msc::obs

@@ -282,13 +282,7 @@ InstanceCache::Stats InstanceCache::stats() const {
     const msc::graph::OracleStats os = entry.oracle->stats();
     ++s.oracles;
     s.oracleBytes += os.residentBytes;
-    s.oracle.pointQueries += os.pointQueries;
-    s.oracle.rowQueries += os.rowQueries;
-    s.oracle.rowBuilds += os.rowBuilds;
-    s.oracle.rowHits += os.rowHits;
-    s.oracle.altQueries += os.altQueries;
-    s.oracle.rowsEvicted += os.rowsEvicted;
-    s.oracle.rowsResident += os.rowsResident;
+    s.oracleRows += os.rowsResident;
   }
   return s;
 }

@@ -45,18 +45,6 @@ std::string contentHashHex(const void* bytes, std::size_t size);
 
 class InstanceCache {
  public:
-  /// Oracle telemetry summed over the cached oracles (live OracleStats
-  /// snapshots — values reset when an oracle is rebuilt).
-  struct OracleAgg {
-    std::uint64_t pointQueries = 0;
-    std::uint64_t rowQueries = 0;
-    std::uint64_t rowBuilds = 0;
-    std::uint64_t rowHits = 0;
-    std::uint64_t altQueries = 0;
-    std::uint64_t rowsEvicted = 0;
-    std::size_t rowsResident = 0;
-  };
-
   /// Aggregate counters (monotonic since construction) plus current usage.
   struct Stats {
     std::uint64_t graphHits = 0;
@@ -69,11 +57,12 @@ class InstanceCache {
     std::size_t bytesUsed = 0;
     std::size_t byteBudget = 0;
     std::size_t entries = 0;
-    // Built distance oracles: count and resident bytes (live values —
-    // pair-centric oracles grow as rows are cached).
+    // Built distance oracles: count, resident bytes and resident rows
+    // (live values — pair-centric oracles grow as rows are cached). Their
+    // query counters are per-request usage, totalled by the serve engine.
     std::size_t oracles = 0;
     std::size_t oracleBytes = 0;
-    OracleAgg oracle;
+    std::size_t oracleRows = 0;
   };
 
   /// `byteBudget` 0 means "effectively unbounded" (no eviction).

@@ -16,6 +16,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <netinet/in.h>
@@ -62,9 +63,31 @@ const char* commandSpanName(Command cmd) {
   return "serve.cmd.unknown";
 }
 
-void bumpCounter(const char* name) {
-  if (obs::enabled()) obs::counter(name).add(1);
-}
+/// usage.oracle counters. Those with a series are also per-engine totals
+/// (Engine::oracleTotals_, in this order), folded in as requests finish.
+struct OracleCounter {
+  const char* usage;
+  std::atomic<std::uint64_t> obs::RequestContext::OracleUsage::*field;
+  const char* series;
+  const char* labels;
+  const char* help;
+};
+using Usage = obs::RequestContext::OracleUsage;
+constexpr OracleCounter kOracleCounters[] = {
+    {"point_queries", &Usage::pointQueries, "serve.oracle.queries",
+     "kind=\"point\"", "distance-oracle queries by kind"},
+    {"row_queries", &Usage::rowQueries, "serve.oracle.queries",
+     "kind=\"row\"", ""},
+    {"row_builds", &Usage::rowBuilds, "serve.oracle.row_builds", "",
+     "lazy Dijkstra row materializations"},
+    {"row_hits", &Usage::rowHits, "serve.oracle.row_hits", "",
+     "row queries served from cache"},
+    {"rows_evicted", &Usage::rowsEvicted, "serve.oracle.row_evictions", "",
+     "rows evicted under MSC_ORACLE_ROWS_MB"},
+    {"alt_queries", &Usage::altQueries, "serve.oracle.alt_queries", "", ""},
+    {"rows_evolved", &Usage::rowsEvolved, nullptr, nullptr, nullptr},
+    {"rows_replayed", &Usage::rowsReplayed, nullptr, nullptr, nullptr},
+};
 
 /// Reads the file or inline "text" parameter a load_* request names.
 std::string loadPayload(const Request& req, const char* what) {
@@ -165,14 +188,31 @@ std::size_t defaultCacheBytes() {
 Engine::Engine(EngineConfig config)
     : config_(config),
       cache_(config.cacheBytes, config.oracleRowBytes),
-      start_(std::chrono::steady_clock::now()) {}
+      requests_(metrics_.counter("serve.requests")),
+      errors_(metrics_.counter("serve.errors")),
+      cancelledClient_(metrics_.counter(
+          "serve.cancellations", "reason=\"client\"",
+          "requests stopped early and answered with an anytime result, by "
+          "reason")),
+      cancelledDeadline_(
+          metrics_.counter("serve.cancellations", "reason=\"deadline\"")),
+      executing_(metrics_.gauge(
+          "serve.requests_inflight", "phase=\"executing\"",
+          "requests admitted but not yet answered, by phase")),
+      start_(std::chrono::steady_clock::now()) {
+  for (std::size_t i = 0; i < oracleTotals_.size(); ++i) {
+    const OracleCounter& c = kOracleCounters[i];
+    oracleTotals_[i] = &metrics_.counter(c.series, c.labels, c.help);
+  }
+  metrics_.gauge("serve.requests_inflight", "phase=\"queued\"");
+  (void)obs::progressMetrics();  // present from the first scrape
+}
 
 std::string Engine::handleLine(const std::string& line) {
   try {
     return handle(parseRequest(line));
   } catch (const ProtocolError& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    bumpCounter("serve.errors");
+    errors_.add(1);
     return errorResponse(e.id, e.what());
   }
 }
@@ -183,8 +223,7 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
                            util::CancelToken* cancel) {
   MSC_OBS_SPAN("serve.request");
   obs::ScopedSpan cmdSpan(commandSpanName(request.cmd));
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  bumpCounter("serve.requests");
+  requests_.add(1);
   if (obs::enabled()) obs::counter(commandSpanName(request.cmd)).add(1);
   // Always-on latency histograms: a few relaxed atomics per request, cheap
   // enough that tail latency stays visible without MSC_METRICS.
@@ -224,7 +263,7 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
   rctx.setCancelToken(&token);
   std::optional<obs::ProgressReporter> progressReporter;
 
-  executing_.fetch_add(1, std::memory_order_relaxed);
+  executing_.add(1);
   std::multimap<std::string, util::CancelToken*>::iterator inflightIt;
   bool inflightRegistered = false;
   if (!request.id.isNull()) {
@@ -320,25 +359,16 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
     // no oracle (load_*, stats, health stay lean).
     const obs::RequestContext::OracleUsage& ou = rctx.oracle();
     if (ou.any()) {
-      const auto load = [](const auto& a) {
-        return static_cast<std::uint64_t>(
-            a.load(std::memory_order_relaxed));
-      };
       json::Object oracleUsage;
-      oracleUsage["point_queries"] = load(ou.pointQueries);
-      oracleUsage["row_queries"] = load(ou.rowQueries);
-      oracleUsage["row_builds"] = load(ou.rowBuilds);
-      oracleUsage["row_hits"] = load(ou.rowHits);
-      oracleUsage["rows_evicted"] = load(ou.rowsEvicted);
-      oracleUsage["alt_queries"] = load(ou.altQueries);
-      oracleUsage["rows_evolved"] = load(ou.rowsEvolved);
-      oracleUsage["rows_replayed"] = load(ou.rowsReplayed);
+      for (const OracleCounter& c : kOracleCounters) {
+        oracleUsage[c.usage] = (ou.*c.field).load(std::memory_order_relaxed);
+      }
       oracleUsage["row_build_seconds"] =
           static_cast<double>(ou.rowBuildNs.load(std::memory_order_relaxed)) *
           1e-9;
       if (ou.altSettledCount.load(std::memory_order_relaxed) > 0) {
         json::Object alt;
-        alt["count"] = load(ou.altSettledCount);
+        alt["count"] = ou.altSettledCount.load(std::memory_order_relaxed);
         alt["p50"] = ou.altSettledQuantile(0.5);
         alt["p90"] = ou.altSettledQuantile(0.9);
         alt["max"] = ou.altSettledMax();
@@ -366,18 +396,14 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
                                                       : "cancelled";
       (reason == util::CancelReason::Deadline ? cancelledDeadline_
                                               : cancelledClient_)
-          .fetch_add(1, std::memory_order_relaxed);
-      bumpCounter(reason == util::CancelReason::Deadline
-                      ? "serve.cancelled.deadline"
-                      : "serve.cancelled.client");
+          .add(1);
       usage["cancelled"] = util::cancelReasonName(reason);
     }
     fields["usage"] = std::move(usage);
     response = statusResponse(request.id, request.cmd, std::move(fields),
                               status, wallExec, gainEvals);
   } catch (const std::exception& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    bumpCounter("serve.errors");
+    errors_.add(1);
     status = "error";
     error = e.what();
     wallExec = wallSince();
@@ -389,6 +415,14 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
   }
   const double wall = wallSince();
   requestHist.record(wall);
+  // Oracle totals: every request's usage.oracle, so they never go down
+  // when the cache drops or rebuilds an oracle.
+  if (const Usage& ou = rctx.oracle(); ou.any()) {
+    for (std::size_t i = 0; i < oracleTotals_.size(); ++i) {
+      oracleTotals_[i]->add(
+          (ou.*kOracleCounters[i].field).load(std::memory_order_relaxed));
+    }
+  }
   // Always-on per-phase latency histograms (Prometheus per-phase p99s, so
   // a slow phase shows even when end-to-end latency is flat). Zero-duration
   // phases are skipped so cheap commands (health, stats) don't flood the
@@ -427,7 +461,7 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
     const std::lock_guard<std::mutex> lock(inflightMu_);
     inflightTokens_.erase(inflightIt);
   }
-  executing_.fetch_sub(1, std::memory_order_relaxed);
+  executing_.add(-1);
   return response;
 }
 
@@ -548,7 +582,6 @@ json::Object Engine::cmdSolve(const Request& request,
   msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
   const core::Instance inst = cache_.instance(graphKey, pairsKey, threshold,
                                               threads, &apspHit, &mode);
-  bumpCounter(apspHit ? "serve.cache.apsp_hits" : "serve.cache.apsp_misses");
 
   // Candidate universe, decided by the graph's resolved mode alone: all
   // n(n-1)/2 node pairs in the dense mode (memoized per graph), but only
@@ -686,7 +719,6 @@ json::Object Engine::cmdEval(const Request& request) {
   const core::Instance inst =
       cache_.instance(graphKey, pairsKey, threshold, config_.defaultThreads,
                       &apspHit, &mode);
-  bumpCounter(apspHit ? "serve.cache.apsp_hits" : "serve.cache.apsp_misses");
   for (const core::Shortcut& f : placement) {
     inst.graph().checkNode(f.a);  // untrusted input: reject out-of-range
     inst.graph().checkNode(f.b);  // endpoints before they reach the matrix
@@ -702,75 +734,61 @@ json::Object Engine::cmdEval(const Request& request) {
 }
 
 json::Object Engine::cmdStats(const Request&) {
-  const InstanceCache::Stats cs = cache_.stats();
-  json::Object cacheObj;
-  cacheObj["bytes_used"] = cs.bytesUsed;
-  cacheObj["byte_budget"] = cs.byteBudget;
-  cacheObj["entries"] = cs.entries;
-  cacheObj["graph_hits"] = cs.graphHits;
-  cacheObj["graph_misses"] = cs.graphMisses;
-  cacheObj["pairs_hits"] = cs.pairsHits;
-  cacheObj["pairs_misses"] = cs.pairsMisses;
-  cacheObj["apsp_hits"] = cs.apspHits;
-  cacheObj["apsp_computes"] = cs.apspComputes;
-  cacheObj["evictions"] = cs.evictions;
-  // Distance-oracle residency and query-mix telemetry, summed over the
-  // cached oracles (msc.serve.v1 additions, docs/ALGORITHMS.md §16).
-  json::Object oracleObj;
-  oracleObj["count"] = cs.oracles;
-  oracleObj["bytes"] = cs.oracleBytes;
-  oracleObj["point_queries"] = cs.oracle.pointQueries;
-  oracleObj["row_queries"] = cs.oracle.rowQueries;
-  oracleObj["row_builds"] = cs.oracle.rowBuilds;
-  oracleObj["row_hits"] = cs.oracle.rowHits;
-  oracleObj["alt_queries"] = cs.oracle.altQueries;
-  oracleObj["rows_evicted"] = cs.oracle.rowsEvicted;
-  oracleObj["rows_resident"] = cs.oracle.rowsResident;
-  cacheObj["oracles"] = std::move(oracleObj);
-
-  json::Object fields;
-  fields["schema_versions"] = json::Array{json::Value(kSchemaVersion)};
-  fields["uptime_seconds"] =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  fields["requests"] = requests_.load(std::memory_order_relaxed);
-  fields["errors"] = errors_.load(std::memory_order_relaxed);
-  fields["cache"] = std::move(cacheObj);
-
-  // Obs snapshot: every registered counter (counters only move when
-  // MSC_METRICS is on) plus the always-on request-latency histogram, so
-  // one stats request answers "what has this server been doing".
-  json::Object countersObj;
-  for (const auto& row : obs::Registry::global().counters()) {
-    countersObj[row.name] = row.value;
+  const obs::Snapshot snap = snapshot();
+  const auto v = [&snap](std::string_view name, const char* labels = "") {
+    const obs::Sample* s = snap.find(name, labels);
+    return s != nullptr ? s->value : 0.0;
+  };
+  json::Object oracles{{"count", v("serve.oracle.count")},
+                       {"bytes", v("serve.oracle.bytes")},
+                       {"rows_resident", v("serve.oracle.rows")}};
+  for (std::size_t i = 0; i < oracleTotals_.size(); ++i) {
+    const OracleCounter& c = kOracleCounters[i];
+    oracles[c.usage] = v(c.series, c.labels);
   }
-  fields["obs_counters"] = std::move(countersObj);
-  const obs::HistogramSnapshot lat =
-      obs::Registry::global().histogram("serve.request_seconds").snapshot();
-  json::Object latObj;
-  latObj["count"] = lat.count;
-  if (lat.count > 0) {
-    latObj["p50"] = lat.p50();
-    latObj["p90"] = lat.p90();
-    latObj["p99"] = lat.p99();
-    latObj["max"] = lat.max;
+  json::Object cache{{"apsp_computes", v("serve.cache.apsp_misses")},
+                     {"oracles", std::move(oracles)}};
+  for (const std::string field :
+       {"bytes_used", "byte_budget", "entries", "graph_hits", "graph_misses",
+        "pairs_hits", "pairs_misses", "apsp_hits", "evictions"}) {
+    cache[field] = v("serve.cache." + field);
   }
-  fields["request_seconds"] = std::move(latObj);
-
-  // Live-introspection snapshot (docs/ALGORITHMS.md §18): progress-stream
-  // volume and anytime-result counts, always on.
-  const obs::ProgressCounters pc = obs::progressCounters();
-  json::Object progressObj;
-  progressObj["snapshots"] = pc.snapshots;
-  progressObj["events"] = pc.events;
-  progressObj["last_rounds_per_second"] = pc.lastRoundsPerSecond;
-  fields["progress"] = std::move(progressObj);
-  json::Object cancelObj;
-  cancelObj["client"] = cancelledClient_.load(std::memory_order_relaxed);
-  cancelObj["deadline"] = cancelledDeadline_.load(std::memory_order_relaxed);
-  fields["cancellations"] = std::move(cancelObj);
-
-  if (statsHook_) statsHook_(fields);
+  json::Object fields{
+      {"schema_versions", json::Array{json::Value(kSchemaVersion)}},
+      {"uptime_seconds", v("serve.uptime_seconds")},
+      {"requests", v("serve.requests")},
+      {"errors", v("serve.errors")},
+      {"cache", std::move(cache)},
+      {"progress",
+       json::Object{{"snapshots", v("progress.snapshots")},
+                    {"events", v("progress.events")},
+                    {"last_rounds_per_second", v("solver.rounds_per_second")}}},
+      {"cancellations",
+       json::Object{
+           {"client", v("serve.cancellations", "reason=\"client\"")},
+           {"deadline", v("serve.cancellations", "reason=\"deadline\"")}}}};
+  if (snap.find("serve.queue_limit") != nullptr) {  // under a Server
+    fields["queue_limit"] = v("serve.queue_limit");
+    fields["queue_depth"] = v("serve.requests_inflight", "phase=\"queued\"");
+    fields["overloaded"] = v("serve.overloaded");
+  }
+  // Every counter series, keyed as in msc.metrics.v1 (library counters
+  // only move when MSC_METRICS is on), plus the always-on request-latency
+  // histogram, so one stats request answers "what has this server been
+  // doing".
+  json::Object counters;
+  for (const obs::Sample& s : snap.samples) {
+    if (s.type == obs::MetricType::Counter) counters[s.key()] = s.value;
+  }
+  fields["obs_counters"] = std::move(counters);
+  json::Object latency{{"count", 0}};
+  for (const obs::HistogramRow& row : snap.histograms) {
+    const obs::HistogramSnapshot& lat = row.snapshot;
+    if (row.name != "serve.request_seconds" || lat.count == 0) continue;
+    latency = {{"count", lat.count}, {"p50", lat.p50()}, {"p90", lat.p90()},
+               {"p99", lat.p99()},   {"max", lat.max}};
+  }
+  fields["request_seconds"] = std::move(latency);
   return fields;
 }
 
@@ -781,84 +799,41 @@ json::Object Engine::cmdMetrics(const Request&) {
   return fields;
 }
 
-std::string Engine::metricsText() const {
-  std::string text = obs::toProm(obs::Registry::global());
-  // Serve series appended after the registry dump (the registry itself
-  // has no label support — same pattern as the trace-drop series). The
-  // oracle series (docs/ALGORITHMS.md §16) sum over the cached oracles and
-  // appear from the first scrape, zeros included, so dashboards and
-  // rate() queries never need existence checks.
+obs::Snapshot Engine::snapshot() const {
   const InstanceCache::Stats cs = cache_.stats();
-  const auto series = [&text](const char* name, const char* help,
-                              const char* type, std::uint64_t value) {
-    text += "# HELP " + std::string(name) + " " + help + "\n# TYPE " + name +
-            " " + type + "\n" + name + " " + std::to_string(value) + "\n";
+  std::vector<obs::Sample> rows = metrics_.snapshot().samples;
+  // The instance cache keeps its own counters (tests and perfbench read
+  // InstanceCache::Stats); they join the snapshot here, read once.
+  const auto add = [&rows](const char* name, obs::MetricType type,
+                           auto value, const char* help = "") {
+    rows.push_back({name, "", type, help, static_cast<double>(value)});
   };
-  series("msc_serve_oracle_bytes",
-         "resident bytes of cached distance oracles", "gauge",
-         cs.oracleBytes);
-  text +=
-      "# HELP msc_serve_oracle_queries_total distance-oracle queries by "
-      "kind\n"
-      "# TYPE msc_serve_oracle_queries_total counter\n"
-      "msc_serve_oracle_queries_total{kind=\"point\"} " +
-      std::to_string(cs.oracle.pointQueries) +
-      "\n"
-      "msc_serve_oracle_queries_total{kind=\"row\"} " +
-      std::to_string(cs.oracle.rowQueries) + "\n";
-  series("msc_serve_oracle_rows",
-         "full distance rows resident in cached oracles", "gauge",
-         cs.oracle.rowsResident);
-  series("msc_serve_oracle_row_builds_total",
-         "lazy Dijkstra row materializations", "counter",
-         cs.oracle.rowBuilds);
-  series("msc_serve_oracle_row_hits_total", "row queries served from cache",
-         "counter", cs.oracle.rowHits);
-  series("msc_serve_oracle_row_evictions_total",
-         "rows evicted under MSC_ORACLE_ROWS_MB", "counter",
-         cs.oracle.rowsEvicted);
-  // Live-introspection series (docs/ALGORITHMS.md §18). Every label value
-  // is emitted from the first scrape, zeros included — the registration
-  // contract shared by all msc_serve_* labeled series.
-  text +=
-      "# HELP msc_serve_cancellations_total requests stopped early and "
-      "answered with an anytime result, by reason\n"
-      "# TYPE msc_serve_cancellations_total counter\n";
-  text += "msc_serve_cancellations_total{reason=\"client\"} " +
-          std::to_string(cancelledClient_.load(std::memory_order_relaxed)) +
-          "\n";
-  text += "msc_serve_cancellations_total{reason=\"deadline\"} " +
-          std::to_string(cancelledDeadline_.load(std::memory_order_relaxed)) +
-          "\n";
-  text +=
-      "# HELP msc_serve_requests_inflight requests admitted but not yet "
-      "answered, by phase\n"
-      "# TYPE msc_serve_requests_inflight gauge\n";
-  text += "msc_serve_requests_inflight{phase=\"executing\"} " +
-          std::to_string(executing_.load(std::memory_order_relaxed)) + "\n";
-  text += "msc_serve_requests_inflight{phase=\"queued\"} " +
-          std::to_string(queueDepthHook_ ? queueDepthHook_() : 0) + "\n";
-  const obs::ProgressCounters pc = obs::progressCounters();
-  text +=
-      "# HELP msc_progress_snapshots_total solver round-boundary snapshots "
-      "offered to progress reporters\n"
-      "# TYPE msc_progress_snapshots_total counter\n"
-      "msc_progress_snapshots_total " +
-      std::to_string(pc.snapshots) + "\n";
-  text +=
-      "# HELP msc_progress_events_total progress events delivered to "
-      "clients\n"
-      "# TYPE msc_progress_events_total counter\n"
-      "msc_progress_events_total " +
-      std::to_string(pc.events) + "\n";
-  text +=
-      "# HELP msc_solver_rounds_per_second most recent per-round rate "
-      "observed by any progress reporter\n"
-      "# TYPE msc_solver_rounds_per_second gauge\n"
-      "msc_solver_rounds_per_second " +
-      std::to_string(pc.lastRoundsPerSecond) + "\n";
-  return text;
+  constexpr auto C = obs::MetricType::Counter;
+  constexpr auto G = obs::MetricType::Gauge;
+  add("serve.uptime_seconds", G,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
+          .count());
+  add("serve.cache.bytes_used", G, cs.bytesUsed);
+  add("serve.cache.byte_budget", G, cs.byteBudget);
+  add("serve.cache.entries", G, cs.entries);
+  add("serve.cache.graph_hits", C, cs.graphHits);
+  add("serve.cache.graph_misses", C, cs.graphMisses);
+  add("serve.cache.pairs_hits", C, cs.pairsHits);
+  add("serve.cache.pairs_misses", C, cs.pairsMisses);
+  add("serve.cache.apsp_hits", C, cs.apspHits);
+  add("serve.cache.apsp_misses", C, cs.apspComputes);
+  add("serve.cache.evictions", C, cs.evictions);
+  add("serve.oracle.count", G, cs.oracles);
+  add("serve.oracle.bytes", G, cs.oracleBytes,
+      "resident bytes of cached distance oracles");
+  add("serve.oracle.rows", G, cs.oracleRows,
+      "full distance rows resident in cached oracles");
+  obs::Snapshot snap = obs::Registry::global().snapshot();
+  snap.addSamples(std::move(rows));
+  return snap;
 }
+
+std::string Engine::metricsText() const { return obs::toProm(snapshot()); }
 
 bool Engine::ready() const {
   if (shutdownRequested()) return false;
@@ -983,18 +958,31 @@ class FdLineReader {
  public:
   explicit FdLineReader(int fd) : fd_(fd) {}
 
-  /// False on EOF, error, stop() or an over-long line (treat all as
-  /// end-of-connection).
-  bool next(std::string& line, const std::function<bool()>& stop) {
+  /// False on EOF, error or stop(). A line over kMaxLineBytes comes back
+  /// once with `tooLong` set and an empty `line`; the rest of it is
+  /// discarded through its newline, and reading goes on after it.
+  bool next(std::string& line, bool& tooLong,
+            const std::function<bool()>& stop) {
+    tooLong = false;
     while (true) {
       const auto nl = buf_.find('\n', scanned_);
       if (nl != std::string::npos) {
-        line.assign(buf_, 0, nl);
+        if (!discarding_) line.assign(buf_, 0, nl);
         buf_.erase(0, nl + 1);
         scanned_ = 0;
+        if (std::exchange(discarding_, false)) continue;
         return true;
       }
+      if (discarding_) buf_.clear();
       scanned_ = buf_.size();
+      if (buf_.size() > kMaxLineBytes) {
+        buf_.clear();
+        scanned_ = 0;
+        discarding_ = true;
+        line.clear();
+        tooLong = true;
+        return true;
+      }
       if (eof_) {
         if (buf_.empty()) return false;
         line.swap(buf_);  // final line without trailing newline
@@ -1002,7 +990,6 @@ class FdLineReader {
         eof_ = true;
         return true;
       }
-      if (buf_.size() > kMaxLineBytes) return false;
       struct pollfd pfd {fd_, POLLIN, 0};
       const int pr = ::poll(&pfd, 1, 200);
       if (stop && stop()) return false;
@@ -1030,6 +1017,7 @@ class FdLineReader {
   std::string buf_;
   std::size_t scanned_ = 0;
   bool eof_ = false;
+  bool discarding_ = false;  // inside an over-long line
 };
 
 bool isBlank(const std::string& line) {
@@ -1053,9 +1041,13 @@ struct ServerRun {
     std::string idKey;
   };
 
-  Server& server;
   Engine& engine;
   const std::size_t queueLimit;
+  /// Engine series: rejections answered here count with the engine's own
+  /// error replies.
+  obs::Counter& errors;
+  obs::Counter& overloaded;
+  obs::Gauge& queued;
 
   std::mutex mu;
   std::condition_variable cv;
@@ -1068,7 +1060,12 @@ struct ServerRun {
   std::thread executor;
 
   explicit ServerRun(Server& s)
-      : server(s), engine(s.engine_), queueLimit(s.config_.queueLimit) {
+      : engine(s.engine_),
+        queueLimit(s.config_.queueLimit),
+        errors(engine.metrics().counter("serve.errors")),
+        overloaded(engine.metrics().counter("serve.overloaded")),
+        queued(engine.metrics().gauge("serve.requests_inflight",
+                                      "phase=\"queued\"")) {
     engine.setCancelHook([this](const std::string& key) {
       const std::lock_guard<std::mutex> lock(mu);
       bool any = false;
@@ -1085,7 +1082,7 @@ struct ServerRun {
   ~ServerRun() { finish(); }
 
   void publishDepth(std::size_t depth) {
-    server.queueDepth_.store(depth, std::memory_order_relaxed);
+    queued.set(static_cast<double>(depth));
     if (obs::trace::enabled()) {
       obs::trace::counter("serve.queue_depth", static_cast<double>(depth));
     }
@@ -1100,7 +1097,7 @@ struct ServerRun {
     try {
       request = parseRequest(line);
     } catch (const ProtocolError& e) {
-      bumpCounter("serve.errors");
+      errors.add(1);
       sink->write(errorResponse(e.id, e.what()));
       return;
     }
@@ -1116,12 +1113,12 @@ struct ServerRun {
     {
       const std::lock_guard<std::mutex> lock(mu);
       if (stopping) {
+        errors.add(1);
         sink->write(errorResponse(request.id, "server is shutting down"));
         return;
       }
       if (queue.size() >= queueLimit) {
-        server.overloaded_.fetch_add(1, std::memory_order_relaxed);
-        bumpCounter("serve.overloaded");
+        overloaded.add(1);
         sink->write(overloadedResponse(request.id, queue.size(), queueLimit));
         return;
       }
@@ -1194,9 +1191,30 @@ struct ServerRun {
       tokens.clear();
     }
     publishDepth(0);
+    errors.add(static_cast<std::uint64_t>(rest.size()));
     for (const Job& job : rest) {
       job.sink->write(
           errorResponse(job.request.id, "server is shutting down"));
+    }
+  }
+
+  /// Admits every line read from `fd` until EOF or `stop`; a line over
+  /// kMaxLineBytes is answered with an error and skipped.
+  void admitFd(int fd, const std::shared_ptr<ReplySink>& sink,
+               const std::function<bool()>& stop) {
+    FdLineReader reader(fd);
+    std::string line;
+    bool tooLong = false;
+    while (reader.next(line, tooLong, stop)) {
+      if (!tooLong) {
+        admitLine(line, sink);
+        continue;
+      }
+      errors.add(1);
+      sink->write(errorResponse(
+          json::Value(), "request line exceeds the " +
+                             std::to_string(kMaxLineBytes >> 20) +
+                             " MiB line limit; discarded"));
     }
   }
 
@@ -1219,16 +1237,15 @@ struct ServerRun {
 
 Server::Server(ServerConfig config)
     : config_(config), engine_(config.engine) {
-  engine_.setStatsHook([this](json::Object& fields) {
-    fields["queue_limit"] = config_.queueLimit;
-    fields["queue_depth"] = queueDepth_.load(std::memory_order_relaxed);
-    fields["overloaded"] = overloaded_.load(std::memory_order_relaxed);
-  });
+  engine_.metrics().counter(
+      "serve.overloaded", {},
+      "requests answered \"overloaded\" by a full admission queue");
+  engine_.metrics()
+      .gauge("serve.queue_limit", {}, "admission queue capacity")
+      .set(static_cast<double>(config_.queueLimit));
   // A server also drains on the process-wide (signal-driven) stop flag, so
   // health must report not-ready as soon as it is raised.
   engine_.setReadyHook([] { return !Server::shutdownRequested(); });
-  engine_.setQueueDepthHook(
-      [this] { return queueDepth_.load(std::memory_order_relaxed); });
 }
 
 Server::~Server() { stopMetricsHttp(); }
@@ -1358,15 +1375,8 @@ int Server::serveStream(std::istream& in, std::ostream& out) {
 
 int Server::serveFd(int inFd, int outFd) {
   ServerRun run(*this);
-  auto sink = std::make_shared<FdSink>(outFd);
-  FdLineReader reader(inFd);
-  const auto stop = [this, &run] {
-    return shutdownRequested() || run.stopped();
-  };
-  std::string line;
-  while (reader.next(line, stop)) {
-    run.admitLine(line, sink);
-  }
+  run.admitFd(inFd, std::make_shared<FdSink>(outFd),
+              [this, &run] { return shutdownRequested() || run.stopped(); });
   run.finish();
   return 0;
 }
@@ -1408,12 +1418,8 @@ int Server::serveUnixSocket(const std::string& path) {
       obs::trace::setCurrentThreadName("serve.conn");
       // The owning sink closes connFd once the last queued Job for this
       // connection has been answered, not when the reader sees EOF.
-      auto sink = std::make_shared<FdSink>(connFd, /*ownsFd=*/true);
-      FdLineReader reader(connFd);
-      std::string line;
-      while (reader.next(line, stop)) {
-        run.admitLine(line, sink);
-      }
+      run.admitFd(connFd, std::make_shared<FdSink>(connFd, /*ownsFd=*/true),
+                  stop);
     });
   }
   for (std::thread& t : connections) t.join();

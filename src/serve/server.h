@@ -25,11 +25,12 @@
 // structured "server is shutting down" error, never silently dropped.
 //
 // Observability: each request runs under an obs span (span.serve.request +
-// a per-command span), bumps serve.* counters (requests, per-command
-// counts, cache hits/misses, overload rejections) and emits a
+// a per-command span), counts into the engine's own registry (requests,
+// errors, cancellations, overload rejections, oracle work) and emits a
 // "serve.queue_depth" trace counter track, so a solve service under load
 // can be profiled with the exact same MSC_METRICS / MSC_TRACE tooling as a
-// one-shot CLI run. Service-grade telemetry on top of that
+// one-shot CLI run. `stats`, `metrics` and GET /metrics all render one
+// Engine::snapshot(). Service-grade telemetry on top of that
 // (docs/ALGORITHMS.md §13):
 //   - latency histograms (obs/histogram.h), always on: per-request wall
 //     time ("serve.request_seconds") and admission-queue wait
@@ -45,6 +46,7 @@
 //     draining/shutting down, mirrored as HTTP 200/503 on GET /healthz.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -56,6 +58,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "serve/instance_cache.h"
 #include "serve/protocol.h"
 #include "util/cancel.h"
@@ -113,12 +116,6 @@ class Engine {
   InstanceCache& cache() noexcept { return cache_; }
   const EngineConfig& config() const noexcept { return config_; }
 
-  /// Extra fields merged into every `stats` response (the Server injects
-  /// queue depth/limit and overload counts). Set before serving traffic.
-  void setStatsHook(std::function<void(json::Object&)> hook) {
-    statsHook_ = std::move(hook);
-  }
-
   /// Extra readiness condition ANDed into `health` replies (the Server
   /// wires the process-wide shutdown flag in). Set before serving traffic.
   void setReadyHook(std::function<bool()> hook) {
@@ -134,19 +131,21 @@ class Engine {
     cancelHook_ = std::move(hook);
   }
 
-  /// Current admission-queue depth for the msc_serve_requests_inflight
-  /// {phase="queued"} gauge (the Server wires its queue in; 0 when unset).
-  void setQueueDepthHook(std::function<std::size_t()> hook) {
-    queueDepthHook_ = std::move(hook);
-  }
-
   /// Readiness as `health` reports it: false once shutdown was requested
   /// (draining) or the ready hook vetoes.
   bool ready() const;
 
-  /// Prometheus text exposition: the global metrics registry plus serve-
-  /// level series computed here (msc_serve_oracle_bytes, ...). Used
-  /// by the `metrics` command and the GET /metrics endpoint.
+  /// This engine's series (requests, errors, cancellations, queue gauges,
+  /// oracle totals). The Server counts its overloads and queue depth here.
+  obs::Registry& metrics() noexcept { return metrics_; }
+
+  /// One reading of every serve-level number: the global registry, this
+  /// engine's series and the instance cache's counters and gauges. `stats`
+  /// and metricsText() both render it (docs/ALGORITHMS.md §13).
+  obs::Snapshot snapshot() const;
+
+  /// Prometheus text exposition of snapshot(), for the `metrics` command
+  /// and the GET /metrics endpoint.
   std::string metricsText() const;
 
  private:
@@ -168,15 +167,17 @@ class Engine {
   EngineConfig config_;
   InstanceCache cache_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> cancelledClient_{0};
-  std::atomic<std::uint64_t> cancelledDeadline_{0};
-  std::atomic<std::int64_t> executing_{0};
-  std::function<void(json::Object&)> statsHook_;
+  obs::Registry metrics_;
+  // Handles into metrics_, registered at zero by the constructor.
+  obs::Counter& requests_;
+  obs::Counter& errors_;
+  obs::Counter& cancelledClient_;
+  obs::Counter& cancelledDeadline_;
+  obs::Gauge& executing_;
+  /// usage.oracle totals, folded in as each request finishes.
+  std::array<obs::Counter*, 6> oracleTotals_{};
   std::function<bool()> readyHook_;
   std::function<bool(const std::string&)> cancelHook_;
-  std::function<std::size_t()> queueDepthHook_;
   std::chrono::steady_clock::time_point start_;
   mutable std::mutex aliasMu_;
   std::map<std::string, std::string> aliases_;
@@ -231,10 +232,6 @@ class Server {
 
   Engine& engine() noexcept { return engine_; }
   const ServerConfig& config() const noexcept { return config_; }
-  /// Overload rejections since construction.
-  std::uint64_t overloadedCount() const noexcept {
-    return overloaded_.load(std::memory_order_relaxed);
-  }
 
   /// Async-signal-safe global stop flag shared by every Server in the
   /// process: an atomic store, suitable for direct use in a SIGINT/SIGTERM
@@ -252,8 +249,6 @@ class Server {
 
   ServerConfig config_;
   Engine engine_;
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::size_t> queueDepth_{0};
   std::atomic<bool> metricsHttpStop_{false};
   int metricsHttpFd_ = -1;
   std::thread metricsHttpThread_;

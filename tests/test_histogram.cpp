@@ -180,7 +180,7 @@ TEST(HistogramTest, RegistryRowsAreSortedByName) {
   msc::obs::resetAll();
   msc::obs::histogram("test.zzz").record(1.0);
   msc::obs::histogram("test.aaa").record(1.0);
-  const auto rows = msc::obs::Registry::global().histograms();
+  const auto rows = msc::obs::Registry::global().snapshot().histograms;
   std::vector<std::string> names;
   for (const auto& row : rows) names.push_back(row.name);
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));

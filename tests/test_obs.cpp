@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/export.h"
 #include "serve/json.h"
@@ -118,7 +121,7 @@ TEST_F(ObsTest, JsonExportShape) {
   msc::obs::stat("span.alpha.time").record(0.25);
   msc::obs::stat("empty.stat");  // registered, never recorded
 
-  const std::string json = msc::obs::toJson(Registry::global());
+  const std::string json = msc::obs::toJson(Registry::global().snapshot());
 
   EXPECT_NE(json.find("\"schema\": \"msc.metrics.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"alpha.count\": 5"), std::string::npos);
@@ -142,7 +145,7 @@ TEST_F(ObsTest, TextExportListsCountersAndStats) {
   msc::obs::counter("beta.count").add(2);
   msc::obs::stat("span.beta.time").record(0.5);
   std::ostringstream os;
-  msc::obs::writeText(os, Registry::global());
+  msc::obs::writeText(os, Registry::global().snapshot());
   const std::string text = os.str();
   EXPECT_NE(text.find("counters:"), std::string::npos);
   EXPECT_NE(text.find("beta.count"), std::string::npos);
@@ -152,7 +155,7 @@ TEST_F(ObsTest, TextExportListsCountersAndStats) {
 
 TEST_F(ObsTest, JsonEscapesHostileNames) {
   msc::obs::counter("weird\"name\\with\nstuff").add(1);
-  const std::string json = msc::obs::toJson(Registry::global());
+  const std::string json = msc::obs::toJson(Registry::global().snapshot());
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"), std::string::npos);
 }
 
@@ -165,7 +168,7 @@ TEST_F(ObsTest, JsonExportWithHostileNamesParses) {
   msc::obs::stat("tab\tnewline\nname").record(0.5);
   msc::obs::histogram("hist\"with\\escapes").record(0.001);
 
-  const std::string json = msc::obs::toJson(Registry::global());
+  const std::string json = msc::obs::toJson(Registry::global().snapshot());
   const auto doc = msc::serve::json::parse(json);
   ASSERT_TRUE(doc.isObject());
   const auto& counters = doc.asObject().at("counters").asObject();
@@ -188,7 +191,7 @@ TEST_F(ObsTest, JsonExportWithNonFiniteStatsParses) {
   msc::obs::stat("bad.notnum").record(std::numeric_limits<double>::quiet_NaN());
   msc::obs::stat("bad.neg").record(-kInf);
 
-  const std::string json = msc::obs::toJson(Registry::global());
+  const std::string json = msc::obs::toJson(Registry::global().snapshot());
   // No bare inf/nan literal may appear; they map to null.
   EXPECT_EQ(json.find("inf"), std::string::npos)
       << "non-finite leaked into JSON: " << json;
@@ -200,12 +203,15 @@ TEST_F(ObsTest, JsonExportWithNonFiniteStatsParses) {
 }
 
 TEST_F(ObsTest, JsonExportEmptyRegistryParses) {
-  const std::string json = msc::obs::toJson(Registry::global());
+  // A fresh registry: the global one keeps earlier tests' registrations.
+  const std::string json = msc::obs::toJson(Registry().snapshot());
   const auto doc = msc::serve::json::parse(json);
   ASSERT_TRUE(doc.isObject());
   EXPECT_TRUE(doc.asObject().at("counters").asObject().empty());
   EXPECT_TRUE(doc.asObject().at("stats").asObject().empty());
-  // Back-compat: the histograms key only appears once one is registered.
+  // Back-compat: the gauges and histograms keys only appear once one is
+  // registered.
+  EXPECT_EQ(doc.asObject().count("gauges"), 0u);
   EXPECT_EQ(doc.asObject().count("histograms"), 0u);
 }
 
@@ -214,7 +220,8 @@ TEST_F(ObsTest, JsonExportHistogramShape) {
   for (int i = 1; i <= 100; ++i) h.record(i * 0.001);
   msc::obs::histogram("test.empty_hist");  // registered, never recorded
 
-  const auto doc = msc::serve::json::parse(msc::obs::toJson(Registry::global()));
+  const auto doc = msc::serve::json::parse(
+      msc::obs::toJson(Registry::global().snapshot()));
   const auto& hists = doc.asObject().at("histograms").asObject();
   const auto& lat = hists.at("test.latency").asObject();
   EXPECT_EQ(lat.at("count").asNumber(), 100.0);
@@ -234,11 +241,61 @@ TEST_F(ObsTest, JsonExportHistogramShape) {
 TEST_F(ObsTest, TextExportListsHistograms) {
   msc::obs::histogram("gamma.seconds").record(0.25);
   std::ostringstream os;
-  msc::obs::writeText(os, Registry::global());
+  msc::obs::writeText(os, Registry::global().snapshot());
   const std::string text = os.str();
   EXPECT_NE(text.find("histograms (seconds):"), std::string::npos);
   EXPECT_NE(text.find("gamma.seconds"), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
+}
+
+// Labeled counters and gauges bumped from 8 threads while another thread
+// keeps snapshotting: registration and updates race freely, snapshots
+// never see a counter go down, and the final totals are exact.
+TEST(RegistryConcurrency, LabeledSeriesStayExactUnderConcurrentSnapshots) {
+  Registry reg;
+  constexpr int kThreads = 8;
+  constexpr int kIters = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    double last = 0.0;
+    while (!done.load()) {
+      const msc::obs::Snapshot snap = reg.snapshot();
+      if (const auto* s = snap.find("test.hits", "kind=\"even\"")) {
+        EXPECT_GE(s->value, last);
+        last = s->value;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&reg, t] {
+      auto& hits =
+          reg.counter("test.hits", t % 2 ? "kind=\"odd\"" : "kind=\"even\"");
+      auto& level =
+          reg.gauge("test.level", "lane=\"" + std::to_string(t % 4) + "\"");
+      for (int i = 0; i < kIters; ++i) {
+        hits.add(1);
+        level.add(1.0);
+        if (i % 100 == 0) reg.counter("test.lookups").add(1);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true);
+  reader.join();
+
+  const msc::obs::Snapshot snap = reg.snapshot();
+  for (const char* kind : {"kind=\"even\"", "kind=\"odd\""}) {
+    ASSERT_NE(snap.find("test.hits", kind), nullptr) << kind;
+    EXPECT_EQ(snap.find("test.hits", kind)->value, kThreads / 2 * kIters);
+  }
+  for (int lane = 0; lane < 4; ++lane) {
+    const std::string labels = "lane=\"" + std::to_string(lane) + "\"";
+    ASSERT_NE(snap.find("test.level", labels), nullptr) << labels;
+    EXPECT_EQ(snap.find("test.level", labels)->value, 2.0 * kIters);
+  }
+  EXPECT_EQ(snap.find("test.lookups")->value, kThreads * kIters / 100);
+  EXPECT_EQ(snap.samples.size(), 2u + 4u + 1u);
 }
 
 }  // namespace

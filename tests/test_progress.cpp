@@ -136,15 +136,16 @@ TEST(ProgressReporter, RateLimitCountsButDoesNotDeliver) {
 }
 
 TEST(ProgressReporter, ProcessCountersAdvance) {
-  const auto before = msc::obs::progressCounters();
+  const auto& metrics = msc::obs::progressMetrics();
+  const std::uint64_t snapshots = metrics.snapshots.value();
+  const std::uint64_t events = metrics.events.value();
   ProgressReporter rep([](const ProgressSnapshot&) {}, 0.0);
   ProgressSnapshot s;
   s.solver = "unit";
   s.round = 1;
   rep.report(s);
-  const auto after = msc::obs::progressCounters();
-  EXPECT_GE(after.snapshots, before.snapshots + 1);
-  EXPECT_GE(after.events, before.events + 1);
+  EXPECT_GE(metrics.snapshots.value(), snapshots + 1);
+  EXPECT_GE(metrics.events.value(), events + 1);
 }
 
 TEST(ProgressStage, ScopedLabelNestsAndRestores) {

@@ -55,17 +55,33 @@ TEST(PromSanitizeTest, GuardsLeadingDigitAndEmpty) {
 
 TEST_F(PromExportTest, CountersBecomeTotalSeries) {
   msc::obs::counter("dijkstra.runs").add(7);
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_NE(text.find("# TYPE msc_dijkstra_runs_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("msc_dijkstra_runs_total 7"), std::string::npos);
+}
+
+TEST_F(PromExportTest, LabeledFamiliesShareOneHeaderAndGaugesKeepTheirName) {
+  msc::obs::counter("q.served", "kind=\"row\"", "queries by kind").add(3);
+  msc::obs::counter("q.served", "kind=\"point\"").add(1);
+  msc::obs::gauge("q.depth", {}, "queue depth").set(2.5);
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
+  EXPECT_NE(text.find("# HELP msc_q_served_total queries by kind\n"
+                      "# TYPE msc_q_served_total counter\n"
+                      "msc_q_served_total{kind=\"point\"} 1\n"
+                      "msc_q_served_total{kind=\"row\"} 3\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE msc_q_depth gauge\nmsc_q_depth 2.5\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(PromExportTest, StatsBecomeSummariesWithGauges) {
   auto& s = msc::obs::stat("span.apsp");
   s.record(1.0);
   s.record(3.0);
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_NE(text.find("# TYPE msc_span_apsp summary"), std::string::npos);
   EXPECT_NE(text.find("msc_span_apsp_count 2"), std::string::npos);
   EXPECT_NE(text.find("msc_span_apsp_sum 4"), std::string::npos);
@@ -81,7 +97,7 @@ TEST_F(PromExportTest, EmptyStatsOmitMinMaxInsteadOfNaN) {
   // literals (the text format, unlike JSON, has them).
   msc::obs::stat("span.empty");
   msc::obs::stat("span.inf").record(std::numeric_limits<double>::infinity());
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_EQ(text.find("msc_span_empty_min"), std::string::npos);
   EXPECT_EQ(text.find("msc_span_empty_max"), std::string::npos);
   EXPECT_NE(text.find("msc_span_empty_count 0"), std::string::npos);
@@ -96,7 +112,7 @@ TEST_F(PromExportTest, EmptyStatsOmitMinMaxInsteadOfNaN) {
 TEST_F(PromExportTest, HistogramBucketsAreCumulativeAndClosed) {
   auto& h = msc::obs::histogram("serve.request_seconds");
   for (int i = 1; i <= 1000; ++i) h.record(i * 1e-4);  // 0.1ms .. 100ms
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_NE(text.find("# TYPE msc_serve_request_seconds histogram"),
             std::string::npos);
 
@@ -144,7 +160,7 @@ TEST_F(PromExportTest, HistogramBucketsAreCumulativeAndClosed) {
 
 TEST_F(PromExportTest, EmptyHistogramStillExportsClosedSeries) {
   msc::obs::histogram("idle.seconds");
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_NE(text.find("msc_idle_seconds_bucket{le=\"+Inf\"} 0"),
             std::string::npos);
   EXPECT_NE(text.find("msc_idle_seconds_count 0"), std::string::npos);
@@ -152,12 +168,13 @@ TEST_F(PromExportTest, EmptyHistogramStillExportsClosedSeries) {
 }
 
 TEST_F(PromExportTest, EmptyRegistryProducesEmptyOutput) {
-  EXPECT_EQ(msc::obs::toProm(Registry::global()), "");
+  // A fresh registry: the global one keeps earlier tests' registrations.
+  EXPECT_EQ(msc::obs::toProm(Registry().snapshot()), "");
 }
 
 TEST_F(PromExportTest, HostileNamesProduceWellFormedLines) {
   msc::obs::counter("weird name{with=\"labels\"}").add(1);
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   EXPECT_NE(text.find("msc_weird_name_with__labels___total 1"),
             std::string::npos);
   // Every sample line must be `name[{labels}] value` with a sanitized name.
@@ -185,13 +202,13 @@ TEST_F(PromExportTest, TraceLaneDropCountersAreExported) {
   trace::instant("prom.seed");
   // Zero-drop lanes are still exported: a rate() query wants a flat 0, not
   // an absent series that appears only after the first loss.
-  EXPECT_NE(msc::obs::toProm(Registry::global())
+  EXPECT_NE(msc::obs::toProm(Registry::global().snapshot())
                 .find("msc_trace_dropped_events_total{lane=\""),
             std::string::npos);
 
   trace::instant("prom.wrap1");
   trace::instant("prom.wrap2");  // ring holds 1 event: two overwritten
-  const std::string text = msc::obs::toProm(Registry::global());
+  const std::string text = msc::obs::toProm(Registry::global().snapshot());
   trace::setBufferCapacity(savedCapacity);
   trace::clearAll();
   trace::setEnabled(wasTracing);
@@ -211,7 +228,7 @@ TEST_F(PromExportTest, TraceLaneDropCountersAreExported) {
 TEST_F(PromExportTest, WritePromFileRoundTrips) {
   msc::obs::counter("file.test").add(5);
   const std::string path = ::testing::TempDir() + "prom_export_test.prom";
-  msc::obs::writePromFile(path, Registry::global());
+  msc::obs::writePromFile(path, Registry::global().snapshot());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;

@@ -10,18 +10,22 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/context.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/prom_export.h"
 #include "obs/trace.h"
 
 #include "core/candidates.h"
@@ -631,7 +635,9 @@ TEST(ServeServer, TinyQueueRepliesOverloadedUnderBurst) {
   }
   const auto responses = runScript(server, lines);
   EXPECT_EQ(responses.size(), 8u);  // every request gets exactly one reply
-  EXPECT_GE(server.overloadedCount(), 1u);
+  const double overloadedCount =
+      server.engine().snapshot().find("serve.overloaded")->value;
+  EXPECT_GE(overloadedCount, 1.0);
   std::size_t overloaded = 0;
   for (const auto& r : responses) {
     if (r.find("status")->asString() == "overloaded") {
@@ -639,7 +645,7 @@ TEST(ServeServer, TinyQueueRepliesOverloadedUnderBurst) {
       EXPECT_EQ(r.find("queue_limit")->asNumber(), 1.0);
     }
   }
-  EXPECT_EQ(overloaded, server.overloadedCount());
+  EXPECT_EQ(static_cast<double>(overloaded), overloadedCount);
 }
 
 TEST(ServeServer, ConcurrentMixedRequestsBitIdenticalToSerialReplay) {
@@ -1266,6 +1272,305 @@ TEST(ServeServer, GlobalShutdownFlagStopsStreamLoop) {
   EXPECT_TRUE(out.str().empty());  // flag was set before any admission
   Server::clearShutdownFlag();
   EXPECT_FALSE(Server::shutdownRequested());
+}
+
+// ----------------------------------------------------- one telemetry model ---
+
+/// Sample lines of a Prometheus page, keyed `name{labels}` as printed.
+std::map<std::string, double> promSamples(const std::string& page) {
+  std::map<std::string, double> out;
+  std::istringstream in(page);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto space = line.rfind(' ');
+    out[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return out;
+}
+
+/// `root` at a dotted path ("cache.oracles.count"), or null.
+const json::Value* atPath(const json::Value& root, const std::string& path) {
+  const json::Value* v = &root;
+  std::istringstream parts(path);
+  for (std::string key; v != nullptr && std::getline(parts, key, '.');) {
+    v = v->find(key);
+  }
+  return v;
+}
+
+/// The Prometheus series of an msc.metrics.v1 / obs_counters counter key.
+std::string promCounterSeries(const std::string& key) {
+  const auto brace = key.find('{');
+  const std::string labels =
+      brace == std::string::npos ? "" : key.substr(brace);
+  return "msc_" + msc::obs::promSanitizeName(key.substr(0, brace)) +
+         "_total" + labels;
+}
+
+TEST(ServeServer, ReaderSideRejectionsCountAsErrors) {
+  Server server;
+  const auto responses = runScript(
+      server, {"{broken", "{\"id\":1,\"cmd\":\"nope\"}",
+               "{\"id\":2,\"cmd\":\"stats\"}"});
+  ASSERT_EQ(responses.size(), 3u);
+  const auto* stats = responseForId(responses, 2);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->find("errors")->asNumber(), 2.0);
+  const auto page = promSamples(server.engine().metricsText());
+  ASSERT_EQ(page.count("msc_serve_errors_total"), 1u);
+  EXPECT_EQ(page.at("msc_serve_errors_total"), 2.0);
+}
+
+// A line over the 32 MiB cap is answered and skipped; the stdio server
+// keeps reading the lines behind it.
+TEST(ServeServer, OversizedLineIsAnsweredAndServingContinues) {
+  // A server that stops reading early hands the writer EPIPE, not SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::thread writer([fd = in[1]] {
+    const std::string script =
+        "{\"id\":1,\"cmd\":\"load_pairs\",\"text\":\"" +
+        std::string(33u << 20, '1') +
+        "\"}\n{\"id\":2,\"cmd\":\"health\"}\n{\"id\":3,\"cmd\":\"stats\"}\n";
+    for (std::size_t off = 0; off < script.size();) {
+      const ssize_t n = ::write(fd, script.data() + off, script.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+  });
+  Server server;
+  EXPECT_EQ(server.serveFd(in[0], out[1]), 0);
+  ::close(in[0]);
+  writer.join();
+  ::close(out[1]);
+  std::string text;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(out[0], buf, sizeof(buf))) > 0;) {
+    text.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(out[0]);
+
+  std::vector<json::Value> responses;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    responses.push_back(json::parse(line));
+  }
+  ASSERT_EQ(responses.size(), 3u) << text;
+  EXPECT_EQ(responses[0].find("status")->asString(), "error");
+  EXPECT_NE(responses[0].find("error")->asString().find("32 MiB"),
+            std::string::npos);
+  const auto* health = responseForId(responses, 2);
+  ASSERT_NE(health, nullptr);
+  EXPECT_EQ(health->find("status")->asString(), "ok");
+  const auto* stats = responseForId(responses, 3);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->find("errors")->asNumber(), 1.0);
+}
+
+// Oracle totals are per-engine sums of usage.oracle: dropping an oracle
+// (distance_mode re-load) or evicting its graph must not lower them.
+TEST(ServeTelemetry, OracleTotalsNeverDecreaseAcrossReloadAndEviction) {
+  EngineConfig config;
+  config.cacheBytes = 64u << 10;
+  Engine engine(config);
+  const auto g = msc::test::randomGraph(40, 0.1, 7);
+  const auto load = [&](const msc::graph::Graph& graph, const char* mode) {
+    const auto r = json::parse(engine.handleLine(
+        std::string("{\"cmd\":\"load_graph\",\"as\":\"g\",") +
+        "\"distance_mode\":\"" + mode + "\",\"text\":\"" +
+        jsonEscape(graphText(graph)) + "\"}"));
+    ASSERT_EQ(r.find("status")->asString(), "ok");
+  };
+  const auto solve = [&] {
+    const auto r = json::parse(engine.handleLine(
+        "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+        "\"algo\":\"greedy\",\"k\":2,\"seed\":1}"));
+    ASSERT_EQ(r.find("status")->asString(), "ok");
+  };
+  // Every oracle counter, from the metrics page and from stats.
+  const auto totals = [&] {
+    std::map<std::string, double> t;
+    for (const auto& [series, value] : promSamples(engine.metricsText())) {
+      if (series.rfind("msc_serve_oracle_", 0) == 0 &&
+          series.find("_total") != std::string::npos) {
+        t[series] = value;
+      }
+    }
+    const auto stats = json::parse(engine.handleLine("{\"cmd\":\"stats\"}"));
+    for (const char* field : {"point_queries", "row_queries", "row_builds",
+                              "row_hits", "alt_queries", "rows_evicted"}) {
+      t[std::string("stats.") + field] =
+          stats.find("cache")->find("oracles")->find(field)->asNumber();
+    }
+    return t;
+  };
+  const auto expectNoDecrease = [](const std::map<std::string, double>& before,
+                                   const std::map<std::string, double>& after,
+                                   const char* step) {
+    for (const auto& [series, value] : before) {
+      ASSERT_EQ(after.count(series), 1u) << series << " after " << step;
+      EXPECT_GE(after.at(series), value) << series << " after " << step;
+    }
+  };
+
+  load(g, "pair_centric");
+  (void)engine.handleLine(
+      "{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"0 39\\n3 31\\n\"}");
+  solve();
+  const auto solved = totals();
+  EXPECT_GT(solved.at("msc_serve_oracle_row_builds_total"), 0.0);
+  load(g, "dense");  // drops the pair-centric oracle
+  const auto reloaded = totals();
+  expectNoDecrease(solved, reloaded, "mode re-load");
+  solve();
+  const auto dense = totals();
+  expectNoDecrease(reloaded, dense, "dense solve");
+  load(msc::test::randomGraph(400, 0.05, 3), "dense");  // evicts g
+  EXPECT_GT(engine.cache().stats().evictions, 0u);
+  expectNoDecrease(dense, totals(), "eviction");
+}
+
+// One Server session touching every serve-level number: each `stats` value
+// must equal its series on the metrics page, the oracle totals must equal
+// the sum of usage.oracle over the replies, and every counter in
+// obs_counters must read the same on the Prometheus page and (for the
+// global ones) in msc.metrics.v1.
+TEST(ServeTelemetry, StatsMetricsAndRepliesAgreeOverOneSession) {
+  ServerConfig config;
+  config.queueLimit = 1;
+  Server server(config);
+  const std::string solve =
+      "\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+      "\"algo\":\"greedy\",\"k\":2,\"threads\":1,\"seed\":1";
+  const std::string graph =
+      jsonEscape(graphText(msc::test::randomGraph(40, 0.1, 7)));
+  // One admitted request per run keeps the tiny queue out of the way,
+  // except in the burst that is meant to overload it.
+  const std::vector<std::vector<std::string>> script = {
+      {"{\"id\":1,\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":"
+       "\"pair_centric\",\"text\":\"" + graph + "\"}"},
+      {"{\"id\":2,\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"0 39\\n3 "
+       "31\\n5 20\\n\"}"},
+      {"{\"id\":3," + solve + ",\"progress\":{\"every_ms\":0}}"},
+      {"{\"id\":4,\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\","
+       "\"p_t\":0.14,\"placement\":\"0-39\"}"},
+      {"{\"id\":5,\"cmd\":\"sleep\",\"ms\":10000}",
+       "{\"id\":6,\"cmd\":\"cancel\",\"target\":5}"},
+      {"{\"id\":7,\"cmd\":\"sleep\",\"ms\":5000,\"deadline_seconds\":0.01}"},
+      {"{\"id\":8,\"cmd\":\"sleep\",\"ms\":300}",
+       "{\"id\":9,\"cmd\":\"stats\"}", "{\"id\":10,\"cmd\":\"stats\"}",
+       "{\"id\":11,\"cmd\":\"stats\"}"},
+      {"{broken"},
+      {"{\"id\":12,\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":"
+       "\"dense\",\"text\":\"" + graph + "\"}"},
+      {"{\"id\":13," + solve + "}"},
+      {"{\"id\":14,\"cmd\":\"stats\"}"},
+  };
+  std::vector<json::Value> replies;
+  for (const auto& lines : script) {
+    for (auto& r : runScript(server, lines)) replies.push_back(std::move(r));
+  }
+  const auto page = promSamples(server.engine().metricsText());
+  const auto global = json::parse(
+      msc::obs::toJson(msc::obs::Registry::global().snapshot()));
+
+  std::map<std::string, std::string> statuses;
+  for (const auto& r : replies) {
+    if (const auto* status = r.find("status")) {
+      statuses[json::dump(*r.find("id"))] = status->asString();
+    }
+  }
+  EXPECT_EQ(statuses["3"], "ok");
+  EXPECT_EQ(statuses["4"], "ok");
+  EXPECT_EQ(statuses["5"], "cancelled");
+  EXPECT_EQ(statuses["7"], "deadline_exceeded");
+  EXPECT_EQ(statuses["13"], "ok");
+  const auto* stats = responseForId(replies, 14);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GE(stats->find("overloaded")->asNumber(), 1.0);
+  EXPECT_GE(stats->find("errors")->asNumber(), 1.0);
+
+  const std::pair<const char*, const char*> fields[] = {
+      {"requests", "msc_serve_requests_total"},
+      {"errors", "msc_serve_errors_total"},
+      {"cache.bytes_used", "msc_serve_cache_bytes_used"},
+      {"cache.byte_budget", "msc_serve_cache_byte_budget"},
+      {"cache.entries", "msc_serve_cache_entries"},
+      {"cache.graph_hits", "msc_serve_cache_graph_hits_total"},
+      {"cache.graph_misses", "msc_serve_cache_graph_misses_total"},
+      {"cache.pairs_hits", "msc_serve_cache_pairs_hits_total"},
+      {"cache.pairs_misses", "msc_serve_cache_pairs_misses_total"},
+      {"cache.apsp_hits", "msc_serve_cache_apsp_hits_total"},
+      {"cache.apsp_computes", "msc_serve_cache_apsp_misses_total"},
+      {"cache.evictions", "msc_serve_cache_evictions_total"},
+      {"cache.oracles.count", "msc_serve_oracle_count"},
+      {"cache.oracles.bytes", "msc_serve_oracle_bytes"},
+      {"cache.oracles.rows_resident", "msc_serve_oracle_rows"},
+      {"cache.oracles.point_queries",
+       "msc_serve_oracle_queries_total{kind=\"point\"}"},
+      {"cache.oracles.row_queries",
+       "msc_serve_oracle_queries_total{kind=\"row\"}"},
+      {"cache.oracles.row_builds", "msc_serve_oracle_row_builds_total"},
+      {"cache.oracles.row_hits", "msc_serve_oracle_row_hits_total"},
+      {"cache.oracles.alt_queries", "msc_serve_oracle_alt_queries_total"},
+      {"cache.oracles.rows_evicted", "msc_serve_oracle_row_evictions_total"},
+      {"progress.snapshots", "msc_progress_snapshots_total"},
+      {"progress.events", "msc_progress_events_total"},
+      {"progress.last_rounds_per_second", "msc_solver_rounds_per_second"},
+      {"cancellations.client",
+       "msc_serve_cancellations_total{reason=\"client\"}"},
+      {"cancellations.deadline",
+       "msc_serve_cancellations_total{reason=\"deadline\"}"},
+      {"queue_limit", "msc_serve_queue_limit"},
+      {"queue_depth", "msc_serve_requests_inflight{phase=\"queued\"}"},
+      {"overloaded", "msc_serve_overloaded_total"},
+  };
+  for (const auto& [field, series] : fields) {
+    const json::Value* v = atPath(*stats, field);
+    ASSERT_NE(v, nullptr) << field;
+    ASSERT_EQ(page.count(series), 1u) << series;
+    EXPECT_EQ(v->asNumber(), page.at(series)) << field;
+  }
+  // The stats request records its own latency after its snapshot.
+  EXPECT_EQ(atPath(*stats, "request_seconds.count")->asNumber() + 1,
+            page.at("msc_serve_request_seconds_count"));
+  EXPECT_LE(stats->find("uptime_seconds")->asNumber(),
+            page.at("msc_serve_uptime_seconds"));
+
+  const std::pair<const char*, const char*> oracle[] = {
+      {"point_queries", "msc_serve_oracle_queries_total{kind=\"point\"}"},
+      {"row_queries", "msc_serve_oracle_queries_total{kind=\"row\"}"},
+      {"row_builds", "msc_serve_oracle_row_builds_total"},
+      {"row_hits", "msc_serve_oracle_row_hits_total"},
+      {"rows_evicted", "msc_serve_oracle_row_evictions_total"},
+      {"alt_queries", "msc_serve_oracle_alt_queries_total"},
+  };
+  for (const auto& [field, series] : oracle) {
+    double sum = 0.0;
+    for (const auto& r : replies) {
+      if (const auto* v = atPath(r, std::string("usage.oracle.") + field)) {
+        sum += v->asNumber();
+      }
+    }
+    EXPECT_EQ(sum, page.at(series)) << field;
+  }
+  EXPECT_GT(page.at("msc_serve_oracle_row_builds_total"), 0.0);
+
+  const auto& counters = stats->find("obs_counters")->asObject();
+  for (const auto& [key, value] : counters) {
+    const std::string series = promCounterSeries(key);
+    ASSERT_EQ(page.count(series), 1u) << key;
+    EXPECT_EQ(value.asNumber(), page.at(series)) << key;
+  }
+  for (const auto& [key, value] : global.find("counters")->asObject()) {
+    ASSERT_EQ(counters.count(key), 1u) << key;
+    EXPECT_EQ(counters.at(key).asNumber(), value.asNumber()) << key;
+  }
+  EXPECT_EQ(counters.count("progress.snapshots"), 1u);
 }
 
 }  // namespace
