@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -8,18 +9,19 @@ namespace msc::serve {
 
 namespace {
 
-struct CommandEntry {
-  const char* name;
-  Command cmd;
+constexpr CommandSpec kCommands[] = {
+    {"load_graph", "serve.cmd.load_graph", false},
+    {"load_pairs", "serve.cmd.load_pairs", false},
+    {"solve", "serve.cmd.solve", false},
+    {"eval", "serve.cmd.eval", false},
+    {"stats", "serve.cmd.stats", false},
+    {"metrics", "serve.cmd.metrics", false},
+    {"health", "serve.cmd.health", true},
+    {"sleep", "serve.cmd.sleep", false},
+    {"cancel", "serve.cmd.cancel", true},
+    {"shutdown", "serve.cmd.shutdown", false},
 };
-
-constexpr CommandEntry kCommands[] = {
-    {"load_graph", Command::LoadGraph}, {"load_pairs", Command::LoadPairs},
-    {"solve", Command::Solve},          {"eval", Command::Eval},
-    {"stats", Command::Stats},          {"metrics", Command::Metrics},
-    {"health", Command::Health},        {"sleep", Command::Sleep},
-    {"cancel", Command::Cancel},        {"shutdown", Command::Shutdown},
-};
+static_assert(std::size(kCommands) == kCommandCount);
 
 std::string renderResponse(const json::Value& id, const char* status,
                            json::Object fields, double wallSeconds,
@@ -34,11 +36,8 @@ std::string renderResponse(const json::Value& id, const char* status,
 
 }  // namespace
 
-const char* commandName(Command cmd) {
-  for (const auto& entry : kCommands) {
-    if (entry.cmd == cmd) return entry.name;
-  }
-  return "?";
+const CommandSpec& commandSpec(Command cmd) {
+  return kCommands[static_cast<std::size_t>(cmd)];
 }
 
 Request parseRequest(const std::string& line) {
@@ -70,26 +69,19 @@ Request parseRequest(const std::string& line) {
     throw ProtocolError("\"cmd\" must be a string", req.id);
   }
   const std::string& name = cmdIt->second.asString();
-  for (const auto& entry : kCommands) {
-    if (name == entry.name) {
-      req.cmd = entry.cmd;
+  for (std::size_t i = 0; i < kCommandCount; ++i) {
+    if (name == kCommands[i].name) {
+      req.cmd = static_cast<Command>(i);
       return req;
     }
   }
   throw ProtocolError("unknown cmd \"" + name + "\"", req.id);
 }
 
-std::string okResponse(const json::Value& id, Command cmd,
-                       json::Object fields, double wallSeconds,
-                       std::uint64_t gainEvals) {
-  fields["cmd"] = commandName(cmd);
-  return renderResponse(id, "ok", std::move(fields), wallSeconds, gainEvals);
-}
-
 std::string statusResponse(const json::Value& id, Command cmd,
                            json::Object fields, const char* status,
                            double wallSeconds, std::uint64_t gainEvals) {
-  fields["cmd"] = commandName(cmd);
+  fields["cmd"] = commandSpec(cmd).name;
   return renderResponse(id, status, std::move(fields), wallSeconds, gainEvals);
 }
 

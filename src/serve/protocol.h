@@ -35,6 +35,7 @@
 // stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -70,8 +71,20 @@ enum class Command {
   Shutdown,
 };
 
-/// Wire name of a command ("load_graph", ...).
-const char* commandName(Command cmd);
+inline constexpr std::size_t kCommandCount =
+    static_cast<std::size_t>(Command::Shutdown) + 1;
+
+/// One row of the command table, which is indexed by Command.
+struct CommandSpec {
+  const char* name;  // wire name ("load_graph", ...)
+  const char* span;  // obs span ("serve.cmd.load_graph", ...)
+  /// Answered on the reader thread, never queued behind a solve: `health`
+  /// and `cancel` (a cancel stuck behind the request it targets would be
+  /// useless).
+  bool outOfBand;
+};
+
+const CommandSpec& commandSpec(Command cmd);
 
 struct Request {
   json::Value id;      // echoed verbatim; null when the client sent none
@@ -86,16 +99,10 @@ Request parseRequest(const std::string& line);
 
 // ---- response rendering (always single-line JSON + '\n'-free) ----------
 
-/// status:"ok" response: schema + echoed id + cmd + wall/gain-eval counts
-/// + the command-specific `fields`.
-std::string okResponse(const json::Value& id, Command cmd,
-                       json::Object fields, double wallSeconds,
-                       std::uint64_t gainEvals);
-
-/// Like okResponse but with an explicit status string — used for the
-/// anytime "cancelled" / "deadline_exceeded" replies, which carry the same
-/// command-specific fields as an ok reply (best-so-far placement, value,
-/// bound gap) under a different status.
+/// A command's reply: schema + echoed id + cmd + status + wall/gain-eval
+/// counts + the command-specific `fields`. `status` is "ok", or
+/// "cancelled" / "deadline_exceeded" for an anytime reply, which carries
+/// the same fields (best-so-far placement, value, bound gap).
 std::string statusResponse(const json::Value& id, Command cmd,
                            json::Object fields, const char* status,
                            double wallSeconds, std::uint64_t gainEvals);

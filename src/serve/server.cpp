@@ -12,6 +12,8 @@
 #include <deque>
 #include <fstream>
 #include <istream>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -46,22 +48,7 @@ namespace {
 std::atomic<bool> g_shutdownFlag{false};
 
 constexpr std::size_t kMaxLineBytes = 32u << 20;  // hostile-input cap
-
-const char* commandSpanName(Command cmd) {
-  switch (cmd) {
-    case Command::LoadGraph: return "serve.cmd.load_graph";
-    case Command::LoadPairs: return "serve.cmd.load_pairs";
-    case Command::Solve: return "serve.cmd.solve";
-    case Command::Eval: return "serve.cmd.eval";
-    case Command::Stats: return "serve.cmd.stats";
-    case Command::Metrics: return "serve.cmd.metrics";
-    case Command::Health: return "serve.cmd.health";
-    case Command::Sleep: return "serve.cmd.sleep";
-    case Command::Cancel: return "serve.cmd.cancel";
-    case Command::Shutdown: return "serve.cmd.shutdown";
-  }
-  return "serve.cmd.unknown";
-}
+constexpr const char* kShuttingDown = "server is shutting down";
 
 /// usage.oracle counters. Those with a series are also per-engine totals
 /// (Engine::oracleTotals_, in this order), folded in as requests finish.
@@ -89,6 +76,23 @@ constexpr OracleCounter kOracleCounters[] = {
     {"rows_replayed", &Usage::rowsReplayed, nullptr, nullptr, nullptr},
 };
 
+/// The always-on latency histograms: a few relaxed atomics per request,
+/// cheap enough that tail latency stays visible without MSC_METRICS. Every
+/// Engine registers them on construction, so they show from the first
+/// scrape.
+struct LatencyHistograms {
+  obs::Histogram& request = obs::histogram("serve.request_seconds");
+  obs::Histogram& queueWait = obs::histogram("serve.queue_wait_seconds");
+  obs::Histogram& apsp = obs::histogram("serve.phase.apsp_seconds");
+  obs::Histogram& roundScan = obs::histogram("serve.phase.round_scan_seconds");
+  obs::Histogram& other = obs::histogram("serve.phase.other_seconds");
+};
+
+LatencyHistograms& latency() {
+  static LatencyHistograms histograms;
+  return histograms;
+}
+
 /// Reads the file or inline "text" parameter a load_* request names.
 std::string loadPayload(const Request& req, const char* what) {
   const json::Value* path = findParam(req, "path");
@@ -109,30 +113,6 @@ std::string loadPayload(const Request& req, const char* what) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
-}
-
-/// Tail-sampling flight recorder (docs/ALGORITHMS.md §14): dump the
-/// request's trace events when it breached the latency threshold or asked
-/// for a profile. Returns the dump path, "" when no dump was made. A dump
-/// failure (unwritable dir) is reported in the log, never to the client —
-/// diagnostics must not fail the request they diagnose.
-std::string maybeDumpFlightRecord(const obs::RequestContext& rctx,
-                                  double totalSeconds) {
-  const double thresholdMs = obs::slowRequestThresholdMs();
-  const bool slow = thresholdMs > 0.0 && totalSeconds * 1000.0 >= thresholdMs;
-  // Always-on counter (like the latency histograms): tail breaches must be
-  // visible on /metrics without MSC_METRICS.
-  if (slow) obs::counter("serve.slow_requests").add(1);
-  if (!slow && !rctx.profile()) return "";
-  try {
-    return obs::dumpFlightRecord(rctx);
-  } catch (const std::exception& e) {
-    if (obs::log::enabled(obs::log::Level::Warn)) {
-      obs::log::write(obs::log::Level::Warn, "serve.flight_record_failed",
-                      {{"id", rctx.id()}, {"error", e.what()}});
-    }
-    return "";
-  }
 }
 
 double requestThreshold(const Request& req) {
@@ -190,6 +170,9 @@ Engine::Engine(EngineConfig config)
       cache_(config.cacheBytes, config.oracleRowBytes),
       requests_(metrics_.counter("serve.requests")),
       errors_(metrics_.counter("serve.errors")),
+      slowRequests_(metrics_.counter(
+          "serve.slow_requests", {},
+          "requests at or over MSC_SLOWREQ_MS, each with a flight record")),
       cancelledClient_(metrics_.counter(
           "serve.cancellations", "reason=\"client\"",
           "requests stopped early and answered with an anytime result, by "
@@ -206,158 +189,240 @@ Engine::Engine(EngineConfig config)
   }
   metrics_.gauge("serve.requests_inflight", "phase=\"queued\"");
   (void)obs::progressMetrics();  // present from the first scrape
+  (void)latency();
 }
 
-std::string Engine::handleLine(const std::string& line) {
-  try {
-    return handle(parseRequest(line));
-  } catch (const ProtocolError& e) {
-    errors_.add(1);
-    return errorResponse(e.id, e.what());
-  }
-}
-
-std::string Engine::handle(const Request& request, double queueWaitSeconds,
-                           const std::function<void(const std::string&)>*
-                               notify,
-                           util::CancelToken* cancel) {
-  MSC_OBS_SPAN("serve.request");
-  obs::ScopedSpan cmdSpan(commandSpanName(request.cmd));
-  requests_.add(1);
-  if (obs::enabled()) obs::counter(commandSpanName(request.cmd)).add(1);
-  // Always-on latency histograms: a few relaxed atomics per request, cheap
-  // enough that tail latency stays visible without MSC_METRICS.
-  static auto& requestHist = obs::histogram("serve.request_seconds");
-  static auto& queueWaitHist = obs::histogram("serve.queue_wait_seconds");
-  queueWaitHist.record(queueWaitSeconds);
-
-  const auto begin = std::chrono::steady_clock::now();
-  const auto wallSince = [&begin] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         begin)
-        .count();
-  };
-
-  // Request-scoped attribution (docs/ALGORITHMS.md §14): one context per
-  // request, bound to the executor thread and inherited by every pool
-  // worker / pass thread the solve spawns. "profile" is validated lazily
-  // so a malformed value takes the normal error-response path below.
-  bool profile = false;
-  std::string profileError;
-  try {
-    profile = getBoolParam(request, "profile", false);
-  } catch (const std::exception& e) {
-    profileError = e.what();
-  }
-  obs::RequestContext rctx(json::dump(request.id), profile);
-  rctx.addPhaseNs(obs::Phase::QueueWait,
-                  static_cast<std::int64_t>(queueWaitSeconds * 1e9));
-
-  // Cooperative cancellation (docs/ALGORITHMS.md §18): every request gets a
-  // token — the Server's admission-time token when one was shared, else a
-  // request-local one — registered under the request id so `cancel` can
-  // reach it, and bound through the context so solvers poll it at round
-  // boundaries. A fired token downgrades the reply to an anytime result.
-  util::CancelToken localToken;
-  util::CancelToken& token = cancel != nullptr ? *cancel : localToken;
-  rctx.setCancelToken(&token);
-  std::optional<obs::ProgressReporter> progressReporter;
-
-  executing_.add(1);
-  std::multimap<std::string, util::CancelToken*>::iterator inflightIt;
-  bool inflightRegistered = false;
-  if (!request.id.isNull()) {
-    const std::lock_guard<std::mutex> lock(inflightMu_);
-    inflightIt = inflightTokens_.emplace(json::dump(request.id), &token);
-    inflightRegistered = true;
+/// Keyed by the JSON rendering of the request id: `cancel` fires every
+/// token under its target, so duplicate client ids all stop. A request
+/// without an id gets a token nothing can reach.
+class Engine::CancelTicket {
+ public:
+  CancelTicket(Engine& engine, const json::Value& id) : engine_(engine) {
+    if (id.isNull()) return;
+    const std::lock_guard<std::mutex> lock(engine_.cancelMu_);
+    entry_ = engine_.cancelTokens_.emplace(json::dump(id), &token_);
   }
 
-  const obs::ScopedRequestBind bindRequest(&rctx);
+  ~CancelTicket() {
+    if (!entry_) return;
+    const std::lock_guard<std::mutex> lock(engine_.cancelMu_);
+    engine_.cancelTokens_.erase(*entry_);
+  }
 
-  std::string response;
-  const char* status = "ok";
-  std::string error;
-  std::string cache;
-  std::string traceFile;
-  double wallExec = 0.0;
-  try {
-    if (!profileError.empty()) throw ProtocolError(profileError, request.id);
+  CancelTicket(const CancelTicket&) = delete;
+  CancelTicket& operator=(const CancelTicket&) = delete;
 
-    // Deadline (msc.serve.v1 addition): total budget in seconds from
-    // admission. Queue wait already spent part of it, so the token is
-    // armed with the remainder — a request that waited past its deadline
-    // cancels at its first round boundary and still returns a reply.
+  util::CancelToken& token() noexcept { return token_; }
+
+ private:
+  Engine& engine_;
+  util::CancelToken token_;
+  std::optional<decltype(cancelTokens_)::iterator> entry_;
+};
+
+/// One request inside the engine (docs/ALGORITHMS.md §12). The constructor
+/// opens its spans, counts it and binds its context and cancel token;
+/// reply() or fail() renders the answer after the same finish(); the
+/// destructor records the histograms, the oracle totals and the log line.
+class Engine::Lifecycle {
+ public:
+  Lifecycle(Engine& engine, const Request& request, double queueWaitSeconds,
+            util::CancelToken* cancel)
+      : engine_(engine),
+        request_(request),
+        queueWait_(queueWaitSeconds),
+        cmdSpan_(commandSpec(request.cmd).span),
+        // "profile" is validated in arm(), so a malformed value takes the
+        // normal error reply.
+        rctx_(json::dump(request.id), readProfile(request, profileError_)),
+        token_(cancel != nullptr ? *cancel
+                                 : ownTicket_.emplace(engine, request.id)
+                                       .token()),
+        bind_(&rctx_) {
+    engine_.requests_.add(1);
+    engine_.executing_.add(1);
+    latency().queueWait.record(queueWaitSeconds);
+    rctx_.addPhaseNs(obs::Phase::QueueWait,
+                     static_cast<std::int64_t>(queueWaitSeconds * 1e9));
+    // Solvers poll the token at round boundaries through the context.
+    rctx_.setCancelToken(&token_);
+  }
+
+  Lifecycle(const Lifecycle&) = delete;
+  Lifecycle& operator=(const Lifecycle&) = delete;
+
+  ~Lifecycle() {
+    const double wall = wallSince();
+    latency().request.record(wall);
+    // Oracle totals: every request's usage.oracle, so they never go down
+    // when the cache drops or rebuilds an oracle.
+    if (const Usage& ou = rctx_.oracle(); ou.any()) {
+      for (std::size_t i = 0; i < engine_.oracleTotals_.size(); ++i) {
+        engine_.oracleTotals_[i]->add(
+            (ou.*kOracleCounters[i].field).load(std::memory_order_relaxed));
+      }
+    }
+    // Per-phase latency (Prometheus per-phase p99s, so a slow phase shows
+    // even when end-to-end latency is flat). Zero-duration phases are
+    // skipped so cheap commands (health, stats) don't flood the
+    // apsp/round_scan series.
+    for (const auto& [phase, hist] :
+         {std::pair{obs::Phase::Apsp, &latency().apsp},
+          std::pair{obs::Phase::RoundScan, &latency().roundScan},
+          std::pair{obs::Phase::Other, &latency().other}}) {
+      if (rctx_.phaseNs(phase) > 0) hist->record(rctx_.phaseSeconds(phase));
+    }
+    if (obs::log::enabled(obs::log::Level::Info)) {
+      std::vector<obs::log::Field> logFields{
+          {"id", rctx_.id()},
+          {"cmd", commandSpec(request_.cmd).name},
+          {"status", status_},
+          {"queue_wait_seconds", queueWait_},
+          {"wall_seconds", wall},
+          {"cpu_seconds", rctx_.cpuSeconds()},
+          {"apsp_seconds", rctx_.phaseSeconds(obs::Phase::Apsp)},
+          {"round_scan_seconds", rctx_.phaseSeconds(obs::Phase::RoundScan)},
+          {"gain_evals", rctx_.gainEvals()},
+      };
+      if (*rctx_.apspCache() != '\0') {
+        logFields.emplace_back("cache", rctx_.apspCache());
+      }
+      if (!error_.empty()) logFields.emplace_back("error", error_);
+      if (!traceFile_.empty()) logFields.emplace_back("trace_file", traceFile_);
+      obs::log::write(obs::log::Level::Info, "serve.request", logFields);
+    }
+    engine_.executing_.add(-1);
+  }
+
+  obs::RequestContext& context() noexcept { return rctx_; }
+
+  /// Applies the per-request parameters: "profile" (parsed earlier),
+  /// "deadline_seconds" and "progress". Throws ProtocolError.
+  void arm(const Notify* notify) {
+    if (!profileError_.empty()) throw ProtocolError(profileError_);
+    // Deadline: total budget in seconds from admission. Queue wait already
+    // spent part of it, so the token is armed with the remainder — a
+    // request that waited past its deadline cancels at its first round
+    // boundary and still returns a reply.
     const double deadlineSeconds =
-        getNumberParam(request, "deadline_seconds", 0.0);
-    if (findParam(request, "deadline_seconds") != nullptr) {
+        getNumberParam(request_, "deadline_seconds", 0.0);
+    if (findParam(request_, "deadline_seconds") != nullptr) {
       if (!(deadlineSeconds > 0.0)) {
         throw ProtocolError("\"deadline_seconds\" must be > 0");
       }
-      rctx.setDeadlineSeconds(deadlineSeconds);
-      token.setDeadlineAfterSeconds(deadlineSeconds - queueWaitSeconds);
+      rctx_.setDeadlineSeconds(deadlineSeconds);
+      token_.setDeadlineAfterSeconds(deadlineSeconds - queueWait_);
     }
-
-    // Progress streaming (msc.serve.v1 addition): {"progress":
-    // {"every_ms": N}} emits rate-limited {"event":"progress"} lines via
-    // `notify` while the solve runs. Without a notify sink (direct
-    // Engine::handle callers) snapshots are still counted for `usage`.
-    if (const json::Value* prog = findParam(request, "progress")) {
-      if (!prog->isObject()) {
-        throw ProtocolError("\"progress\" must be an object");
+    // Progress streaming: {"progress": {"every_ms": N}} emits rate-limited
+    // {"event":"progress"} lines via `notify` while the solve runs. Without
+    // a notify sink (direct Engine::handle callers) snapshots are still
+    // counted for `usage`.
+    const json::Value* prog = findParam(request_, "progress");
+    if (prog == nullptr) return;
+    if (!prog->isObject()) throw ProtocolError("\"progress\" must be an object");
+    double everyMs = 100.0;
+    const json::Object& progObj = prog->asObject();
+    if (const auto it = progObj.find("every_ms"); it != progObj.end()) {
+      if (!it->second.isNumber()) {
+        throw ProtocolError("\"progress.every_ms\" must be a number");
       }
-      double everyMs = 100.0;
-      const json::Object& progObj = prog->asObject();
-      if (const auto it = progObj.find("every_ms"); it != progObj.end()) {
-        if (!it->second.isNumber()) {
-          throw ProtocolError("\"progress.every_ms\" must be a number");
-        }
-        everyMs = it->second.asNumber();
+      everyMs = it->second.asNumber();
+    }
+    progress_.emplace(
+        [notify, &id = request_.id](const obs::ProgressSnapshot& snap) {
+          if (notify != nullptr && *notify) {
+            (*notify)(renderProgressEvent(id, snap));
+          }
+        },
+        everyMs);
+    rctx_.setProgress(&*progress_);
+  }
+
+  /// The ok reply — or, when the token fired, the anytime reply: the
+  /// fields already hold the best-so-far state (completed-round prefix),
+  /// only the status and the usage annotation differ.
+  std::string reply(json::Object fields) {
+    const double wallExec = finish();
+    json::Object usage = renderUsage();
+    if (token_.cancelled()) {
+      const util::CancelReason reason = token_.reason();
+      const bool deadline = reason == util::CancelReason::Deadline;
+      status_ = deadline ? "deadline_exceeded" : "cancelled";
+      (deadline ? engine_.cancelledDeadline_ : engine_.cancelledClient_).add(1);
+      usage["cancelled"] = util::cancelReasonName(reason);
+    }
+    fields["usage"] = std::move(usage);
+    return statusResponse(request_.id, request_.cmd, std::move(fields),
+                          status_, wallExec, rctx_.gainEvals());
+  }
+
+  std::string fail(const std::string& error) {
+    status_ = "error";
+    error_ = error;
+    return engine_.errorReply(request_.id, error_, finish());
+  }
+
+ private:
+  static bool readProfile(const Request& request, std::string& error) {
+    try {
+      return getBoolParam(request, "profile", false);
+    } catch (const std::exception& e) {
+      error = e.what();
+      return false;
+    }
+  }
+
+  double wallSince() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         begin_)
+        .count();
+  }
+
+  /// Freezes the execution wall time and finalizes the context, then runs
+  /// the tail-sampling flight recorder (docs/ALGORITHMS.md §14): a request
+  /// that breached the latency threshold or asked for a profile gets its
+  /// trace events dumped. The wall time is frozen before the (possibly
+  /// file-writing) dump so usage phases sum to queue_wait + wall_seconds.
+  /// A dump failure (unwritable dir) is logged, never reported to the
+  /// client: diagnostics must not fail the request they diagnose. Failing
+  /// requests get a dump too; the error schema has no usage block, so
+  /// their path is log-only. Returns the execution wall seconds.
+  double finish() {
+    const double wallExec = wallSince();
+    rctx_.finalize(wallExec);
+    const double thresholdMs = obs::slowRequestThresholdMs();
+    const bool slow =
+        thresholdMs > 0.0 && (queueWait_ + wallExec) * 1000.0 >= thresholdMs;
+    if (slow) engine_.slowRequests_.add(1);
+    if (!slow && !rctx_.profile()) return wallExec;
+    try {
+      traceFile_ = obs::dumpFlightRecord(rctx_);
+    } catch (const std::exception& e) {
+      if (obs::log::enabled(obs::log::Level::Warn)) {
+        obs::log::write(obs::log::Level::Warn, "serve.flight_record_failed",
+                        {{"id", rctx_.id()}, {"error", e.what()}});
       }
-      progressReporter.emplace(
-          [notify, &request](const obs::ProgressSnapshot& snap) {
-            if (notify != nullptr && *notify) {
-              (*notify)(renderProgressEvent(request.id, snap));
-            }
-          },
-          everyMs);
-      rctx.setProgress(&*progressReporter);
     }
+    return wallExec;
+  }
 
-    std::uint64_t gainEvals = 0;
-    json::Object fields;
-    {
-      // The executor thread's own CPU share; workers add theirs in the
-      // pool (util/parallel.cpp), pass threads in sandwich.cpp.
-      const obs::ScopedCpuAttribution cpu;
-      fields = dispatch(request, gainEvals, token);
-    }
-    rctx.addGainEvals(gainEvals);
-    if (const auto it = fields.find("apsp_cache");
-        it != fields.end() && it->second.isString()) {
-      cache = it->second.asString();
-      rctx.noteApspCache(cache == "hit");
-    }
-    // Execution wall time is frozen before the (possibly file-writing)
-    // flight-record dump so usage phases sum to queue_wait + wall_seconds.
-    wallExec = wallSince();
-    rctx.finalize(wallExec);
-    traceFile = maybeDumpFlightRecord(rctx, queueWaitSeconds + wallExec);
-
+  /// The usage block of an ok or anytime reply (docs/ALGORITHMS.md §14).
+  json::Object renderUsage() const {
     json::Object usage;
-    usage["gain_evals"] = rctx.gainEvals();
-    usage["cpu_seconds"] = rctx.cpuSeconds();
-    if (*rctx.apspCache() != '\0') usage["apsp_cache"] = rctx.apspCache();
+    usage["gain_evals"] = rctx_.gainEvals();
+    usage["cpu_seconds"] = rctx_.cpuSeconds();
+    if (*rctx_.apspCache() != '\0') usage["apsp_cache"] = rctx_.apspCache();
     json::Object phases;
     for (const obs::Phase phase :
          {obs::Phase::QueueWait, obs::Phase::Apsp, obs::Phase::RoundScan,
           obs::Phase::Other}) {
-      phases[obs::phaseName(phase)] = rctx.phaseSeconds(phase);
+      phases[obs::phaseName(phase)] = rctx_.phaseSeconds(phase);
     }
     usage["phases"] = std::move(phases);
-    // msc.serve.v1 addition: distance-oracle work charged to this request
-    // (docs/ALGORITHMS.md §16). Omitted entirely when the request touched
-    // no oracle (load_*, stats, health stay lean).
-    const obs::RequestContext::OracleUsage& ou = rctx.oracle();
+    // Distance-oracle work charged to this request (docs/ALGORITHMS.md
+    // §16). Omitted entirely when the request touched no oracle (load_*,
+    // stats, health stay lean).
+    const Usage& ou = rctx_.oracle();
     if (ou.any()) {
       json::Object oracleUsage;
       for (const OracleCounter& c : kOracleCounters) {
@@ -376,147 +441,107 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
       }
       usage["oracle"] = std::move(oracleUsage);
     }
-    if (!traceFile.empty()) usage["trace_file"] = traceFile;
-    if (rctx.deadlineSeconds() > 0.0) {
-      usage["deadline_seconds"] = rctx.deadlineSeconds();
+    if (!traceFile_.empty()) usage["trace_file"] = traceFile_;
+    if (rctx_.deadlineSeconds() > 0.0) {
+      usage["deadline_seconds"] = rctx_.deadlineSeconds();
     }
-    if (progressReporter.has_value()) {
+    if (progress_.has_value()) {
       json::Object progUsage;
-      progUsage["every_ms"] = progressReporter->everyMs();
-      progUsage["snapshots"] = progressReporter->offered();
-      progUsage["events"] = progressReporter->emitted();
+      progUsage["every_ms"] = progress_->everyMs();
+      progUsage["snapshots"] = progress_->offered();
+      progUsage["events"] = progress_->emitted();
       usage["progress"] = std::move(progUsage);
     }
-    // Anytime-result downgrade: the fields above already hold the
-    // best-so-far state (completed-round prefix); only the status and the
-    // usage annotation differ from a normal reply.
-    if (token.cancelled()) {
-      const util::CancelReason reason = token.reason();
-      status = reason == util::CancelReason::Deadline ? "deadline_exceeded"
-                                                      : "cancelled";
-      (reason == util::CancelReason::Deadline ? cancelledDeadline_
-                                              : cancelledClient_)
-          .add(1);
-      usage["cancelled"] = util::cancelReasonName(reason);
+    return usage;
+  }
+
+  Engine& engine_;
+  const Request& request_;
+  const double queueWait_;
+  obs::ScopedSpan requestSpan_{"serve.request"};
+  obs::ScopedSpan cmdSpan_;
+  const std::chrono::steady_clock::time_point begin_ =
+      std::chrono::steady_clock::now();
+  std::string profileError_;
+  obs::RequestContext rctx_;
+  std::optional<CancelTicket> ownTicket_;
+  util::CancelToken& token_;
+  std::optional<obs::ProgressReporter> progress_;
+  const obs::ScopedRequestBind bind_;
+  const char* status_ = "ok";
+  std::string error_;
+  std::string traceFile_;
+};
+
+std::string Engine::handleLine(const std::string& line) {
+  try {
+    return handle(parseRequest(line));
+  } catch (const ProtocolError& e) {
+    return errorReply(e.id, e.what());
+  }
+}
+
+std::string Engine::handle(const Request& request, double queueWaitSeconds,
+                           const Notify* notify, util::CancelToken* cancel) {
+  // Indexed by Command, in the order of the protocol's command table.
+  static constexpr Handler kHandlers[] = {
+      &Engine::cmdLoadGraph, &Engine::cmdLoadPairs, &Engine::cmdSolve,
+      &Engine::cmdEval,      &Engine::cmdStats,     &Engine::cmdMetrics,
+      &Engine::cmdHealth,    &Engine::cmdSleep,     &Engine::cmdCancel,
+      &Engine::cmdShutdown,
+  };
+  static_assert(std::size(kHandlers) == kCommandCount);
+  Lifecycle life(*this, request, queueWaitSeconds, cancel);
+  try {
+    life.arm(notify);
+    json::Object fields;
+    {
+      // The executor thread's own CPU share; workers add theirs in the
+      // pool (util/parallel.cpp), pass threads in sandwich.cpp.
+      const obs::ScopedCpuAttribution cpu;
+      fields = (this->*kHandlers[static_cast<std::size_t>(request.cmd)])(
+          request, life.context());
     }
-    fields["usage"] = std::move(usage);
-    response = statusResponse(request.id, request.cmd, std::move(fields),
-                              status, wallExec, gainEvals);
+    return life.reply(std::move(fields));
   } catch (const std::exception& e) {
-    errors_.add(1);
-    status = "error";
-    error = e.what();
-    wallExec = wallSince();
-    rctx.finalize(wallExec);
-    // Slow *failing* requests are the ones most worth a flight record;
-    // the error schema carries no usage block, so the path is log-only.
-    traceFile = maybeDumpFlightRecord(rctx, queueWaitSeconds + wallExec);
-    response = errorResponse(request.id, error, wallExec);
+    return life.fail(e.what());
   }
-  const double wall = wallSince();
-  requestHist.record(wall);
-  // Oracle totals: every request's usage.oracle, so they never go down
-  // when the cache drops or rebuilds an oracle.
-  if (const Usage& ou = rctx.oracle(); ou.any()) {
-    for (std::size_t i = 0; i < oracleTotals_.size(); ++i) {
-      oracleTotals_[i]->add(
-          (ou.*kOracleCounters[i].field).load(std::memory_order_relaxed));
-    }
-  }
-  // Always-on per-phase latency histograms (Prometheus per-phase p99s, so
-  // a slow phase shows even when end-to-end latency is flat). Zero-duration
-  // phases are skipped so cheap commands (health, stats) don't flood the
-  // apsp/round_scan series.
-  static auto& apspPhaseHist = obs::histogram("serve.phase.apsp_seconds");
-  static auto& scanPhaseHist =
-      obs::histogram("serve.phase.round_scan_seconds");
-  static auto& otherPhaseHist = obs::histogram("serve.phase.other_seconds");
-  if (rctx.phaseNs(obs::Phase::Apsp) > 0) {
-    apspPhaseHist.record(rctx.phaseSeconds(obs::Phase::Apsp));
-  }
-  if (rctx.phaseNs(obs::Phase::RoundScan) > 0) {
-    scanPhaseHist.record(rctx.phaseSeconds(obs::Phase::RoundScan));
-  }
-  if (rctx.phaseNs(obs::Phase::Other) > 0) {
-    otherPhaseHist.record(rctx.phaseSeconds(obs::Phase::Other));
-  }
-  if (obs::log::enabled(obs::log::Level::Info)) {
-    std::vector<obs::log::Field> logFields{
-        {"id", json::dump(request.id)},
-        {"cmd", commandName(request.cmd)},
-        {"status", status},
-        {"queue_wait_seconds", queueWaitSeconds},
-        {"wall_seconds", wall},
-        {"cpu_seconds", rctx.cpuSeconds()},
-        {"apsp_seconds", rctx.phaseSeconds(obs::Phase::Apsp)},
-        {"round_scan_seconds", rctx.phaseSeconds(obs::Phase::RoundScan)},
-        {"gain_evals", rctx.gainEvals()},
-    };
-    if (!cache.empty()) logFields.emplace_back("cache", cache);
-    if (!error.empty()) logFields.emplace_back("error", error);
-    if (!traceFile.empty()) logFields.emplace_back("trace_file", traceFile);
-    obs::log::write(obs::log::Level::Info, "serve.request", logFields);
-  }
-  if (inflightRegistered) {
-    const std::lock_guard<std::mutex> lock(inflightMu_);
-    inflightTokens_.erase(inflightIt);
-  }
-  executing_.add(-1);
-  return response;
 }
 
-json::Object Engine::dispatch(const Request& request,
-                              std::uint64_t& gainEvals,
-                              util::CancelToken& cancel) {
-  switch (request.cmd) {
-    case Command::LoadGraph:
-      return cmdLoadGraph(request);
-    case Command::LoadPairs:
-      return cmdLoadPairs(request);
-    case Command::Solve:
-      return cmdSolve(request, gainEvals);
-    case Command::Eval:
-      return cmdEval(request);
-    case Command::Stats:
-      return cmdStats(request);
-    case Command::Metrics:
-      return cmdMetrics(request);
-    case Command::Health:
-      return cmdHealth(request);
-    case Command::Cancel:
-      return cmdCancel(request);
-    case Command::Sleep: {
-      // Cancellation-aware: sleeps in <= 50 ms slices so a `cancel` or an
-      // armed deadline interrupts the wait promptly (the queue-backpressure
-      // tests use sleep as a stand-in for a long solve). The reply reports
-      // the REQUESTED duration so uncancelled replies stay byte-identical.
-      const long long ms = getIntParam(request, "ms", 0, 0, 60000);
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(ms);
-      while (!cancel.cancelled()) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= until) break;
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(until - now);
-        std::this_thread::sleep_for(
-            std::min<std::chrono::milliseconds>(remaining,
-                                                std::chrono::milliseconds(50)));
-      }
-      json::Object fields;
-      fields["slept_ms"] = ms;
-      return fields;
-    }
-    case Command::Shutdown: {
-      shutdown_.store(true, std::memory_order_release);
-      json::Object fields;
-      fields["draining"] = true;
-      return fields;
-    }
-  }
-  throw ProtocolError("unhandled command", request.id);
+std::string Engine::errorReply(const json::Value& id,
+                               const std::string& message,
+                               double wallSeconds) {
+  errors_.add(1);
+  return errorResponse(id, message, wallSeconds);
 }
 
-json::Object Engine::cmdLoadGraph(const Request& request) {
+json::Object Engine::cmdSleep(const Request& request,
+                              obs::RequestContext& ctx) {
+  // Cancellation-aware: sleeps in <= 50 ms slices so a `cancel` or an armed
+  // deadline interrupts the wait promptly (the queue-backpressure tests use
+  // sleep as a stand-in for a long solve). The reply reports the REQUESTED
+  // duration so uncancelled replies stay byte-identical.
+  const long long ms = getIntParam(request, "ms", 0, 0, 60000);
+  const util::CancelToken& cancel = *ctx.cancelToken();
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  while (!cancel.cancelled()) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= until) break;
+    std::this_thread::sleep_for(std::min<std::chrono::milliseconds>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(until - now),
+        std::chrono::milliseconds(50)));
+  }
+  return {{"slept_ms", ms}};
+}
+
+json::Object Engine::cmdShutdown(const Request&, obs::RequestContext&) {
+  shutdown_.store(true, std::memory_order_release);
+  return {{"draining", true}};
+}
+
+json::Object Engine::cmdLoadGraph(const Request& request,
+                                  obs::RequestContext&) {
   const std::string payload = loadPayload(request, "load_graph");
   std::istringstream in(payload);
   msc::graph::Graph g;
@@ -541,31 +566,24 @@ json::Object Engine::cmdLoadGraph(const Request& request) {
   const std::string key = cache_.putGraph(std::move(g), *mode);
   fields["graph"] = key;
   fields["distance_mode"] = msc::graph::distanceModeName(*mode);
-  const std::string alias = getStringParam(request, "as", "");
-  if (!alias.empty()) {
-    registerAlias(alias, key);
-    fields["alias"] = alias;
-  }
+  registerAlias(request, key, fields);
   return fields;
 }
 
-json::Object Engine::cmdLoadPairs(const Request& request) {
+json::Object Engine::cmdLoadPairs(const Request& request,
+                                  obs::RequestContext&) {
   const std::string payload = loadPayload(request, "load_pairs");
   std::vector<core::SocialPair> pairs = parsePairsText(payload);
   json::Object fields;
   fields["count"] = pairs.size();
   const std::string key = cache_.putPairs(std::move(pairs));
   fields["pairs"] = key;
-  const std::string alias = getStringParam(request, "as", "");
-  if (!alias.empty()) {
-    registerAlias(alias, key);
-    fields["alias"] = alias;
-  }
+  registerAlias(request, key, fields);
   return fields;
 }
 
 json::Object Engine::cmdSolve(const Request& request,
-                              std::uint64_t& gainEvals) {
+                              obs::RequestContext& ctx) {
   const std::string graphKey = resolveKey(requireStringParam(request, "graph"));
   const std::string pairsKey = resolveKey(requireStringParam(request, "pairs"));
   const double threshold = requestThreshold(request);
@@ -627,7 +645,7 @@ json::Object Engine::cmdSolve(const Request& request,
                          : mc::sandwich(inst, *cands, options, mcOptions);
     placement = res.placement;
     value = res.sigmaHat;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
     fields["worlds"] = res.worlds;
     fields["uncertain_pairs"] = res.uncertainPairs;
     if (algo != "greedy") fields["winner"] = res.winner;
@@ -639,12 +657,12 @@ json::Object Engine::cmdSolve(const Request& request,
     const auto res = core::greedyMaximize(sigma, *cands, options);
     placement = res.placement;
     value = res.value;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
   } else if (algo == "sandwich" || algo == "aa") {
     const auto res = core::sandwichApproximation(inst, *cands, options);
     placement = res.placement;
     value = res.sigma;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
     fields["winner"] = res.winner;
     if (const auto ratio = res.dataDependentRatio()) {
       fields["data_dependent_ratio"] = *ratio;
@@ -665,7 +683,7 @@ json::Object Engine::cmdSolve(const Request& request,
     const auto res = core::evolutionaryAlgorithm(sigma, *cands, options, cfg);
     placement = res.placement;
     value = res.value;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
   } else if (algo == "aea") {
     core::SigmaEvaluator sigma(inst);
     core::AeaConfig cfg;
@@ -674,7 +692,7 @@ json::Object Engine::cmdSolve(const Request& request,
         core::adaptiveEvolutionaryAlgorithm(sigma, *cands, options, cfg);
     placement = res.placement;
     value = res.value;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
   } else if (algo == "budgeted") {
     const double budget =
         getNumberParam(request, "budget", static_cast<double>(k));
@@ -684,7 +702,7 @@ json::Object Engine::cmdSolve(const Request& request,
                                           budget, options);
     placement = res.placement;
     value = res.value;
-    gainEvals = res.gainEvaluations;
+    ctx.addGainEvals(res.gainEvaluations);
     fields["winner"] = res.winner;
     fields["cost"] = res.cost;
   } else {
@@ -700,6 +718,7 @@ json::Object Engine::cmdSolve(const Request& request,
   fields["value"] = value;
   fields["pairs_total"] = inst.pairCount();
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
+  ctx.noteApspCache(apspHit);
   // msc.serve.v1 additions: the graph's resolved distance mode and how
   // many candidate shortcuts the search ranged over.
   fields["distance_mode"] = msc::graph::distanceModeName(mode);
@@ -707,7 +726,8 @@ json::Object Engine::cmdSolve(const Request& request,
   return fields;
 }
 
-json::Object Engine::cmdEval(const Request& request) {
+json::Object Engine::cmdEval(const Request& request,
+                             obs::RequestContext& ctx) {
   const std::string graphKey = resolveKey(requireStringParam(request, "graph"));
   const std::string pairsKey = resolveKey(requireStringParam(request, "pairs"));
   const double threshold = requestThreshold(request);
@@ -729,11 +749,12 @@ json::Object Engine::cmdEval(const Request& request) {
   fields["pairs_total"] = inst.pairCount();
   fields["placement"] = placementSpec(placement);
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
+  ctx.noteApspCache(apspHit);
   fields["distance_mode"] = msc::graph::distanceModeName(mode);
   return fields;
 }
 
-json::Object Engine::cmdStats(const Request&) {
+json::Object Engine::cmdStats(const Request&, obs::RequestContext&) {
   const obs::Snapshot snap = snapshot();
   const auto v = [&snap](std::string_view name, const char* labels = "") {
     const obs::Sample* s = snap.find(name, labels);
@@ -792,7 +813,7 @@ json::Object Engine::cmdStats(const Request&) {
   return fields;
 }
 
-json::Object Engine::cmdMetrics(const Request&) {
+json::Object Engine::cmdMetrics(const Request&, obs::RequestContext&) {
   json::Object fields;
   fields["format"] = "prometheus-text-0.0.4";
   fields["prometheus"] = metricsText();
@@ -841,7 +862,7 @@ bool Engine::ready() const {
   return true;
 }
 
-json::Object Engine::cmdHealth(const Request&) {
+json::Object Engine::cmdHealth(const Request&, obs::RequestContext&) {
   const bool isReady = ready();
   json::Object fields;
   fields["ready"] = isReady;
@@ -852,7 +873,8 @@ json::Object Engine::cmdHealth(const Request&) {
   return fields;
 }
 
-json::Object Engine::cmdCancel(const Request& request) {
+json::Object Engine::cmdCancel(const Request& request,
+                               obs::RequestContext&) {
   const json::Value* target = findParam(request, "target");
   if (target == nullptr) {
     throw ProtocolError("cancel needs a \"target\" request id");
@@ -860,22 +882,19 @@ json::Object Engine::cmdCancel(const Request& request) {
   if (!target->isString() && !target->isNumber()) {
     throw ProtocolError("\"target\" must be a string or number");
   }
-  // Ids are matched by their JSON rendering, the same key the inflight
-  // registry uses — so 7 matches 7 and "7" matches "7", never across.
-  const std::string key = json::dump(*target);
+  // Ids are matched by their JSON rendering, the registry's key — so 7
+  // matches 7 and "7" matches "7", never across. The registry holds queued
+  // requests too (the Server registers at admission): they stop at their
+  // first round boundary once the executor reaches them.
   bool delivered = false;
   {
-    const std::lock_guard<std::mutex> lock(inflightMu_);
-    const auto [lo, hi] = inflightTokens_.equal_range(key);
+    const std::lock_guard<std::mutex> lock(cancelMu_);
+    const auto [lo, hi] = cancelTokens_.equal_range(json::dump(*target));
     for (auto it = lo; it != hi; ++it) {
       it->second->requestCancel(util::CancelReason::Client);
       delivered = true;
     }
   }
-  // Admission-queue tokens (requests admitted but not yet executing): the
-  // Server's hook fires them so a queued request cancels at its very first
-  // round boundary once the executor reaches it.
-  if (cancelHook_ && cancelHook_(key)) delivered = true;
   json::Object fields;
   fields["target"] = *target;
   fields["result"] = delivered ? "delivered" : "not_found";
@@ -888,7 +907,11 @@ std::string Engine::resolveKey(const std::string& ref) {
   return it == aliases_.end() ? ref : it->second;
 }
 
-void Engine::registerAlias(const std::string& alias, const std::string& key) {
+void Engine::registerAlias(const Request& request, const std::string& key,
+                           json::Object& fields) {
+  const std::string alias = getStringParam(request, "as", "");
+  if (alias.empty()) return;
+  fields["alias"] = alias;
   const std::lock_guard<std::mutex> lock(aliasMu_);
   aliases_[alias] = key;
 }
@@ -1033,28 +1056,20 @@ struct ServerRun {
     Request request;
     std::shared_ptr<ReplySink> sink;
     std::chrono::steady_clock::time_point admitted;
-    /// Created at ADMISSION (not execution) and registered in `tokens`
-    /// under idKey, so a `cancel` answered on the reader thread reaches
-    /// requests still sitting in the queue: they execute later but stop at
-    /// their first round boundary. Null for requests without an id.
-    std::shared_ptr<util::CancelToken> token;
-    std::string idKey;
+    /// Taken at ADMISSION (not execution), so a `cancel` answered on the
+    /// reader thread reaches requests still sitting in the queue: they
+    /// execute later but stop at their first round boundary.
+    std::unique_ptr<Engine::CancelTicket> ticket;
   };
 
   Engine& engine;
   const std::size_t queueLimit;
-  /// Engine series: rejections answered here count with the engine's own
-  /// error replies.
-  obs::Counter& errors;
   obs::Counter& overloaded;
   obs::Gauge& queued;
 
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Job> queue;
-  /// Admission-time cancel registry: every queued or executing job with an
-  /// id, keyed by the id's JSON rendering. Guarded by `mu`.
-  std::multimap<std::string, std::shared_ptr<util::CancelToken>> tokens;
   bool readersDone = false;   // no further admissions will arrive
   bool stopping = false;      // shutdown executed; error-out new arrivals
   std::thread executor;
@@ -1062,22 +1077,10 @@ struct ServerRun {
   explicit ServerRun(Server& s)
       : engine(s.engine_),
         queueLimit(s.config_.queueLimit),
-        errors(engine.metrics().counter("serve.errors")),
         overloaded(engine.metrics().counter("serve.overloaded")),
         queued(engine.metrics().gauge("serve.requests_inflight",
-                                      "phase=\"queued\"")) {
-    engine.setCancelHook([this](const std::string& key) {
-      const std::lock_guard<std::mutex> lock(mu);
-      bool any = false;
-      const auto [lo, hi] = tokens.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        it->second->requestCancel(util::CancelReason::Client);
-        any = true;
-      }
-      return any;
-    });
-    executor = std::thread([this] { runExecutor(); });
-  }
+                                      "phase=\"queued\"")),
+        executor([this] { runExecutor(); }) {}
 
   ~ServerRun() { finish(); }
 
@@ -1086,6 +1089,13 @@ struct ServerRun {
     if (obs::trace::enabled()) {
       obs::trace::counter("serve.queue_depth", static_cast<double>(depth));
     }
+  }
+
+  /// Answers a job. Its cancel ticket goes first, so once the client sees
+  /// the reply, a `cancel` naming it finds nothing.
+  static void answer(Job& job, const std::string& line) {
+    job.ticket.reset();
+    job.sink->write(line);
   }
 
   /// Parses and admits one line; responses for rejected lines (parse error,
@@ -1097,15 +1107,10 @@ struct ServerRun {
     try {
       request = parseRequest(line);
     } catch (const ProtocolError& e) {
-      errors.add(1);
-      sink->write(errorResponse(e.id, e.what()));
+      sink->write(engine.errorReply(e.id, e.what()));
       return;
     }
-    // Readiness probes and cancels bypass the admission queue entirely:
-    // answered on the reader thread (cheap, never queued behind a long
-    // solve — a cancel stuck behind the very request it targets would be
-    // useless). The engine's cancel hook reaches back into `tokens` here.
-    if (request.cmd == Command::Health || request.cmd == Command::Cancel) {
+    if (commandSpec(request.cmd).outOfBand) {
       sink->write(engine.handle(request));
       return;
     }
@@ -1113,8 +1118,7 @@ struct ServerRun {
     {
       const std::lock_guard<std::mutex> lock(mu);
       if (stopping) {
-        errors.add(1);
-        sink->write(errorResponse(request.id, "server is shutting down"));
+        sink->write(engine.errorReply(request.id, kShuttingDown));
         return;
       }
       if (queue.size() >= queueLimit) {
@@ -1122,14 +1126,9 @@ struct ServerRun {
         sink->write(overloadedResponse(request.id, queue.size(), queueLimit));
         return;
       }
-      Job job{std::move(request), sink, std::chrono::steady_clock::now(),
-              nullptr, ""};
-      if (!job.request.id.isNull()) {
-        job.idKey = json::dump(job.request.id);
-        job.token = std::make_shared<util::CancelToken>();
-        tokens.emplace(job.idKey, job.token);
-      }
-      queue.push_back(std::move(job));
+      auto ticket = std::make_unique<Engine::CancelTicket>(engine, request.id);
+      queue.push_back({std::move(request), sink,
+                       std::chrono::steady_clock::now(), std::move(ticket)});
       depth = queue.size();
     }
     publishDepth(depth);
@@ -1155,26 +1154,13 @@ struct ServerRun {
       // Progress events go to the job's own sink (thread-safe; interleaves
       // with replies for other requests on the same connection but never
       // splits a line).
-      const std::function<void(const std::string&)> notify =
-          [&job](const std::string& line) { job.sink->write(line); };
-      job.sink->write(
-          engine.handle(job.request, queueWait, &notify, job.token.get()));
-      if (job.token != nullptr) releaseToken(job);
+      const Engine::Notify notify = [&job](const std::string& line) {
+        job.sink->write(line);
+      };
+      answer(job, engine.handle(job.request, queueWait, &notify,
+                                &job.ticket->token()));
       if (engine.shutdownRequested()) {
         drainWithShutdownError();
-        return;
-      }
-    }
-  }
-
-  /// Drops the answered job's token from the cancel registry (matched by
-  /// identity — duplicate client ids each registered their own token).
-  void releaseToken(const Job& job) {
-    const std::lock_guard<std::mutex> lock(mu);
-    const auto [lo, hi] = tokens.equal_range(job.idKey);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == job.token) {
-        tokens.erase(it);
         return;
       }
     }
@@ -1188,13 +1174,10 @@ struct ServerRun {
       const std::lock_guard<std::mutex> lock(mu);
       stopping = true;
       rest.swap(queue);
-      tokens.clear();
     }
     publishDepth(0);
-    errors.add(static_cast<std::uint64_t>(rest.size()));
-    for (const Job& job : rest) {
-      job.sink->write(
-          errorResponse(job.request.id, "server is shutting down"));
+    for (Job& job : rest) {
+      answer(job, engine.errorReply(job.request.id, kShuttingDown));
     }
   }
 
@@ -1210,8 +1193,7 @@ struct ServerRun {
         admitLine(line, sink);
         continue;
       }
-      errors.add(1);
-      sink->write(errorResponse(
+      sink->write(engine.errorReply(
           json::Value(), "request line exceeds the " +
                              std::to_string(kMaxLineBytes >> 20) +
                              " MiB line limit; discarded"));
@@ -1230,8 +1212,6 @@ struct ServerRun {
     }
     cv.notify_all();
     if (executor.joinable()) executor.join();
-    // The engine outlives this run; a stale hook would dangle.
-    engine.setCancelHook(nullptr);
   }
 };
 

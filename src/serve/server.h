@@ -17,6 +17,19 @@
 //             immediately instead of growing the queue — backpressure the
 //             client can see. The executor drains FIFO, so responses to
 //             admitted requests preserve admission order per connection.
+//             Commands the protocol's table marks out-of-band (`health`,
+//             `cancel`) are answered on the reader thread, never queued.
+//
+// One request lifecycle: Engine::handle runs every request through one
+// RAII lifecycle (server.cpp) that owns its request context, cancel token,
+// deadline and progress reporter, calls the command's handler (looked up by
+// Command in a table; every handler takes the request and its context and
+// returns the reply fields) and then finalizes it the same way for ok and
+// error replies: wall time, flight record, latency histograms, oracle
+// totals, one log line. The engine holds the one cancel registry: a
+// CancelTicket keeps a token in it for as long as the request is queued or
+// executing, so `cancel` reaches both. Every error reply, the Server's
+// reader-side rejections included, goes through Engine::errorReply.
 //
 // Shutdown: a `shutdown` request, EOF on the input, or
 // Server::requestShutdown() (async-signal-safe; wire it to SIGINT/SIGTERM)
@@ -24,26 +37,17 @@
 // Requests that arrive after a shutdown request are answered with a
 // structured "server is shutting down" error, never silently dropped.
 //
-// Observability: each request runs under an obs span (span.serve.request +
-// a per-command span), counts into the engine's own registry (requests,
-// errors, cancellations, overload rejections, oracle work) and emits a
-// "serve.queue_depth" trace counter track, so a solve service under load
-// can be profiled with the exact same MSC_METRICS / MSC_TRACE tooling as a
-// one-shot CLI run. `stats`, `metrics` and GET /metrics all render one
-// Engine::snapshot(). Service-grade telemetry on top of that
-// (docs/ALGORITHMS.md §13):
-//   - latency histograms (obs/histogram.h), always on: per-request wall
-//     time ("serve.request_seconds") and admission-queue wait
-//     ("serve.queue_wait_seconds"), alongside the library-level
-//     "apsp.build_seconds" / "greedy.round_scan_seconds";
-//   - Prometheus text exposition of the whole registry via the `metrics`
-//     command or a plain-HTTP GET /metrics listener
-//     (startMetricsHttp, `msc_cli serve --metrics-listen PORT`);
-//   - one structured JSONL log line per request (obs/log.h, MSC_LOG=info)
-//     with id, command, status, cache hit/miss, queue wait and wall time;
-//   - a `health` readiness probe answered on the reader thread (never
-//     queued behind solves) that reports ready:false while
-//     draining/shutting down, mirrored as HTTP 200/503 on GET /healthz.
+// Observability: each request runs under span.serve.request plus its
+// command's span, counts into the engine's own registry (requests, errors,
+// slow requests, cancellations, overload rejections, oracle work) and the
+// queue depth is a "serve.queue_depth" trace counter track. `stats`,
+// `metrics` and GET /metrics all render one Engine::snapshot(). On top of
+// that (docs/ALGORITHMS.md §13): always-on latency histograms
+// ("serve.request_seconds", "serve.queue_wait_seconds"), Prometheus text
+// via `metrics` or a plain-HTTP listener (startMetricsHttp,
+// `msc_cli serve --metrics-listen PORT`), one JSONL log line per request
+// (obs/log.h, MSC_LOG=info), and a `health` readiness probe that reports
+// ready:false while draining, mirrored as HTTP 200/503 on GET /healthz.
 #pragma once
 
 #include <array>
@@ -62,6 +66,10 @@
 #include "serve/instance_cache.h"
 #include "serve/protocol.h"
 #include "util/cancel.h"
+
+namespace msc::obs {
+class RequestContext;
+}  // namespace msc::obs
 
 namespace msc::serve {
 
@@ -82,6 +90,13 @@ struct EngineConfig {
 
 class Engine {
  public:
+  using Notify = std::function<void(const std::string&)>;
+
+  /// A cancel token held in the engine's one cancel registry for as long
+  /// as the ticket lives (server.cpp; the Server takes one per admitted
+  /// job).
+  class CancelTicket;
+
   explicit Engine(EngineConfig config = {});
 
   /// Parses and executes one request line. Never throws: malformed input
@@ -96,17 +111,23 @@ class Engine {
   /// Live introspection (docs/ALGORITHMS.md §18): when the request carries
   /// a `"progress"` object, `notify` (if non-null) receives one rendered
   /// `{"event":"progress",...}` line per emitted snapshot, from the solver
-  /// thread, before the final response line is returned. `cancel` lets the
-  /// caller share a pre-registered token (the Server registers one per
-  /// admitted job so `cancel` reaches requests still in the queue); when
-  /// null the engine uses a request-local token. A `"deadline_seconds"`
-  /// parameter arms the token with the remaining budget (deadline minus
-  /// queue wait); a fired token turns the reply into an anytime result
-  /// with status "cancelled" / "deadline_exceeded".
+  /// thread, before the final response line is returned. A non-null
+  /// `cancel` is the caller's token, already in the cancel registry under
+  /// a CancelTicket (the Server takes one per job at admission, so
+  /// `cancel` reaches requests still in the queue); when null the engine
+  /// makes and registers a token of its own for the request's duration. A
+  /// `"deadline_seconds"` parameter arms the token with the remaining
+  /// budget (deadline minus queue wait); a fired token turns the reply into
+  /// an anytime result with status "cancelled" / "deadline_exceeded".
   std::string handle(const Request& request, double queueWaitSeconds = 0.0,
-                     const std::function<void(const std::string&)>* notify =
-                         nullptr,
+                     const Notify* notify = nullptr,
                      util::CancelToken* cancel = nullptr);
+
+  /// The one error writer: counts serve.errors and renders the
+  /// status:"error" reply. Engine failures and the Server's reader-side
+  /// rejections (parse error, over-long line, shutting down) all use it.
+  std::string errorReply(const json::Value& id, const std::string& message,
+                         double wallSeconds = 0.0);
 
   /// True once a shutdown request has been executed.
   bool shutdownRequested() const noexcept {
@@ -120,15 +141,6 @@ class Engine {
   /// wires the process-wide shutdown flag in). Set before serving traffic.
   void setReadyHook(std::function<bool()> hook) {
     readyHook_ = std::move(hook);
-  }
-
-  /// Extra cancellation targets consulted by the `cancel` command after the
-  /// engine's own executing-request registry: the Server wires the
-  /// admission queue's per-job tokens in, so a cancel reaches requests that
-  /// are admitted but not yet executing. Returns true when a matching
-  /// request was found and its token fired.
-  void setCancelHook(std::function<bool(const std::string&)> hook) {
-    cancelHook_ = std::move(hook);
   }
 
   /// Readiness as `health` reports it: false once shutdown was requested
@@ -149,20 +161,27 @@ class Engine {
   std::string metricsText() const;
 
  private:
-  json::Object dispatch(const Request& request, std::uint64_t& gainEvals,
-                        util::CancelToken& cancel);
-  json::Object cmdLoadGraph(const Request& request);
-  json::Object cmdLoadPairs(const Request& request);
-  json::Object cmdSolve(const Request& request, std::uint64_t& gainEvals);
-  json::Object cmdEval(const Request& request);
-  json::Object cmdStats(const Request& request);
-  json::Object cmdMetrics(const Request& request);
-  json::Object cmdHealth(const Request& request);
-  json::Object cmdCancel(const Request& request);
+  class Lifecycle;
+  /// Every command handler: the request in, its reply fields out. Gain
+  /// evaluations and the APSP cache outcome go on the context.
+  using Handler = json::Object (Engine::*)(const Request&,
+                                           obs::RequestContext&);
+  json::Object cmdLoadGraph(const Request& request, obs::RequestContext&);
+  json::Object cmdLoadPairs(const Request& request, obs::RequestContext&);
+  json::Object cmdSolve(const Request& request, obs::RequestContext& ctx);
+  json::Object cmdEval(const Request& request, obs::RequestContext& ctx);
+  json::Object cmdStats(const Request&, obs::RequestContext&);
+  json::Object cmdMetrics(const Request&, obs::RequestContext&);
+  json::Object cmdHealth(const Request&, obs::RequestContext&);
+  json::Object cmdSleep(const Request& request, obs::RequestContext& ctx);
+  json::Object cmdCancel(const Request& request, obs::RequestContext&);
+  json::Object cmdShutdown(const Request&, obs::RequestContext&);
   /// Resolves a client-supplied graph/pairs reference: an alias registered
   /// via load_*'s "as" field, or a raw content key.
   std::string resolveKey(const std::string& ref);
-  void registerAlias(const std::string& alias, const std::string& key);
+  /// Registers load_*'s optional "as" alias for `key`, echoed in `fields`.
+  void registerAlias(const Request& request, const std::string& key,
+                     json::Object& fields);
 
   EngineConfig config_;
   InstanceCache cache_;
@@ -171,21 +190,19 @@ class Engine {
   // Handles into metrics_, registered at zero by the constructor.
   obs::Counter& requests_;
   obs::Counter& errors_;
+  obs::Counter& slowRequests_;
   obs::Counter& cancelledClient_;
   obs::Counter& cancelledDeadline_;
   obs::Gauge& executing_;
   /// usage.oracle totals, folded in as each request finishes.
   std::array<obs::Counter*, 6> oracleTotals_{};
   std::function<bool()> readyHook_;
-  std::function<bool(const std::string&)> cancelHook_;
   std::chrono::steady_clock::time_point start_;
   mutable std::mutex aliasMu_;
   std::map<std::string, std::string> aliases_;
-  /// Tokens of currently-executing requests keyed by the JSON-rendered
-  /// request id; `cancel` fires every match (duplicate client ids are the
-  /// client's problem — all of them stop).
-  mutable std::mutex inflightMu_;
-  std::multimap<std::string, util::CancelToken*> inflightTokens_;
+  /// The cancel registry: one entry per live CancelTicket.
+  std::mutex cancelMu_;
+  std::multimap<std::string, util::CancelToken*> cancelTokens_;
 };
 
 struct ServerConfig {

@@ -420,10 +420,11 @@ TEST(ServeEngineObservability2, SlowRequestBreachDumpsFlightRecord) {
   const double savedMs = msc::obs::slowRequestThresholdMs();
   const std::string savedDir = msc::obs::slowRequestDir();
   const std::string dumpDir = "serve_obs_slow_" + std::to_string(::getpid());
-  const std::uint64_t slowBefore =
-      msc::obs::counter("serve.slow_requests").value();
 
   Engine engine;
+  // Registered at zero: present from the first scrape.
+  EXPECT_NE(engine.metricsText().find("\nmsc_serve_slow_requests_total 0\n"),
+            std::string::npos);
   loadFixture(engine, msc::test::randomGraph(30, 0.12, 5), "0 29\n4 21\n");
   // Arm the recorder only for the solve, so the load requests above don't
   // breach and litter the scratch dir with their own dumps.
@@ -436,7 +437,7 @@ TEST(ServeEngineObservability2, SlowRequestBreachDumpsFlightRecord) {
   msc::obs::setSlowRequestDir(savedDir);
 
   ASSERT_EQ(resp.find("status")->asString(), "ok");
-  EXPECT_GT(msc::obs::counter("serve.slow_requests").value(), slowBefore);
+  EXPECT_EQ(engine.snapshot().find("serve.slow_requests")->value, 1.0);
 
   const auto* traceFile = resp.find("usage")->find("trace_file");
   ASSERT_NE(traceFile, nullptr);
@@ -607,12 +608,21 @@ TEST(ServeServer, ShutdownDrainsAdmittedRequestsWithStructuredErrors) {
   Server server;
   // The sleep keeps the executor busy long enough for the reader to admit
   // everything, so the post-shutdown stats are deterministically drained.
+  // A parse error (reader side) and a bad eval (engine side) join the two
+  // drained requests as error replies.
   const auto responses = runScript(
-      server, {"{\"id\":1,\"cmd\":\"stats\"}",
-               "{\"id\":2,\"cmd\":\"sleep\",\"ms\":150}",
-               "{\"id\":3,\"cmd\":\"shutdown\"}", "{\"id\":4,\"cmd\":\"stats\"}",
-               "{\"id\":5,\"cmd\":\"stats\"}"});
-  ASSERT_EQ(responses.size(), 5u);
+      server,
+      {"{\"id\":1,\"cmd\":\"stats\"}", "{broken",
+       "{\"id\":6,\"cmd\":\"load_graph\",\"as\":\"g\",\"text\":\"" +
+           jsonEscape(graphText(msc::test::lineGraph(5))) + "\"}",
+       "{\"id\":7,\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"0 4\"}",
+       "{\"id\":8,\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\","
+       "\"placement\":\"0-999\"}",
+       "{\"id\":2,\"cmd\":\"sleep\",\"ms\":150}",
+       "{\"id\":3,\"cmd\":\"shutdown\"}", "{\"id\":4,\"cmd\":\"stats\"}",
+       "{\"id\":5,\"cmd\":\"stats\"}"});
+  ASSERT_EQ(responses.size(), 9u);
+  EXPECT_EQ(responseForId(responses, 8)->find("status")->asString(), "error");
   EXPECT_EQ(responseForId(responses, 1)->find("status")->asString(), "ok");
   EXPECT_EQ(responseForId(responses, 2)->find("status")->asString(), "ok");
   EXPECT_EQ(responseForId(responses, 3)->find("status")->asString(), "ok");
@@ -623,6 +633,14 @@ TEST(ServeServer, ShutdownDrainsAdmittedRequestsWithStructuredErrors) {
     EXPECT_NE(r->find("error")->asString().find("shutting down"),
               std::string::npos);
   }
+  // One error writer: serve.errors counts every error reply, exactly.
+  double errorReplies = 0;
+  for (const auto& r : responses) {
+    if (r.find("status")->asString() == "error") ++errorReplies;
+  }
+  EXPECT_EQ(errorReplies, 4.0);
+  EXPECT_EQ(server.engine().snapshot().find("serve.errors")->value,
+            errorReplies);
 }
 
 TEST(ServeServer, TinyQueueRepliesOverloadedUnderBurst) {
@@ -1045,6 +1063,80 @@ TEST(ServeCancel, CancelCommandStopsSleepingRequest) {
   ASSERT_NE(cancel, nullptr);
   EXPECT_EQ(cancel->find("status")->asString(), "ok");
   EXPECT_EQ(cancel->find("result")->asString(), "delivered");
+}
+
+// A cancel reaches a request still waiting in the admission queue, and the
+// request's registry entry is gone once its reply is written.
+TEST(ServeCancel, CancelReachesQueuedRequestAndEntryGoesWithItsReply) {
+  std::signal(SIGPIPE, SIG_IGN);
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  Server server;
+  std::thread serving([&] { EXPECT_EQ(server.serveFd(in[0], out[1]), 0); });
+  const auto send = [&](const std::string& line) {
+    const std::string buf = line + "\n";
+    ASSERT_EQ(::write(in[1], buf.data(), buf.size()),
+              static_cast<ssize_t>(buf.size()));
+  };
+  std::map<double, json::Value> replies;
+  std::string pending;
+  // Reads reply lines until the one for `id` has arrived.
+  const auto awaitReply = [&](double id) {
+    char buf[4096];
+    while (replies.count(id) == 0) {
+      for (std::size_t nl; (nl = pending.find('\n')) != std::string::npos;) {
+        const auto r = json::parse(pending.substr(0, nl));
+        pending.erase(0, nl + 1);
+        replies[r.find("id")->asNumber()] = r;
+      }
+      if (replies.count(id) != 0) break;
+      const ssize_t n = ::read(out[0], buf, sizeof(buf));
+      ASSERT_GT(n, 0);
+      pending.append(buf, static_cast<std::size_t>(n));
+    }
+  };
+  // Sleep 1 holds the executor while sleep 2 sits in the queue.
+  send("{\"id\":1,\"cmd\":\"sleep\",\"ms\":300}");
+  send("{\"id\":2,\"cmd\":\"sleep\",\"ms\":10000}");
+  send("{\"id\":3,\"cmd\":\"cancel\",\"target\":2}");
+  awaitReply(2);
+  send("{\"id\":4,\"cmd\":\"cancel\",\"target\":2}");
+  awaitReply(4);
+  ::close(in[1]);
+  serving.join();
+  ::close(in[0]);
+  ::close(out[1]);
+  ::close(out[0]);
+
+  EXPECT_EQ(replies.at(1).find("status")->asString(), "ok");
+  const json::Value& queued = replies.at(2);
+  EXPECT_EQ(queued.find("status")->asString(), "cancelled");
+  EXPECT_EQ(queued.find("usage")->find("cancelled")->asString(), "client");
+  EXPECT_LT(queued.find("wall_seconds")->asNumber(), 5.0);
+  EXPECT_EQ(replies.at(3).find("result")->asString(), "delivered");
+  EXPECT_EQ(replies.at(4).find("result")->asString(), "not_found");
+}
+
+TEST(ServeCancel, CancelStopsEveryQueuedRequestWithTheSameId) {
+  Server server;
+  const auto responses = runScript(
+      server, {"{\"id\":1,\"cmd\":\"sleep\",\"ms\":300}",
+               "{\"id\":2,\"cmd\":\"sleep\",\"ms\":10000}",
+               "{\"id\":2,\"cmd\":\"sleep\",\"ms\":10000}",
+               "{\"id\":3,\"cmd\":\"cancel\",\"target\":2}"});
+  ASSERT_EQ(responses.size(), 4u);
+  int cancelled = 0;
+  for (const auto& r : responses) {
+    if (r.find("id")->asNumber() != 2) continue;
+    EXPECT_EQ(r.find("status")->asString(), "cancelled");
+    EXPECT_LT(r.find("wall_seconds")->asNumber(), 5.0);
+    ++cancelled;
+  }
+  EXPECT_EQ(cancelled, 2);
+  EXPECT_EQ(responseForId(responses, 3)->find("result")->asString(),
+            "delivered");
 }
 
 TEST(ServeCancel, DeadlineExceededSleepReturnsEarlyWithAttribution) {
