@@ -99,10 +99,10 @@ int usage() {
       "--metrics-prom FILE (metrics as Prometheus text exposition), and\n"
       "--trace-out FILE (solver timeline as Chrome trace-event JSON for\n"
       "Perfetto/chrome://tracing; a .jsonl extension selects flat JSONL),\n"
-      "and honours MSC_METRICS=1 (text metrics footer on stdout),\n"
-      "MSC_METRICS_PROM=FILE (Prometheus export at exit), MSC_LOG=info\n"
-      "(structured JSONL logs; MSC_LOG_FILE=PATH), and MSC_TRACE=1 (trace\n"
-      "summary footer; MSC_TRACE_OUT=FILE to export)\n";
+      "and honours MSC_METRICS=1 (text metrics footer on stdout, on stderr\n"
+      "for serve), MSC_METRICS_PROM=FILE (Prometheus export at exit),\n"
+      "MSC_LOG=info (structured JSONL logs; MSC_LOG_FILE=PATH), and\n"
+      "MSC_TRACE=1 (trace summary footer; MSC_TRACE_OUT=FILE to export)\n";
   return 2;
 }
 
@@ -573,28 +573,31 @@ int main(int argc, char** argv) {
 
     const int rc = dispatch(cmd, args);
 
+    // serve's stdout is the msc.serve.v1 reply stream (one JSON object per
+    // line), so its export notes and footers go to stderr.
+    std::ostream& notes = cmd == "serve" ? std::cerr : std::cout;
     if (rc == 0 && args.has("metrics-out")) {
       const std::string path = args.requireString("metrics-out");
       msc::obs::writeJsonFile(path, msc::obs::Registry::global().snapshot());
-      std::cout << "wrote metrics to " << path << '\n';
+      notes << "wrote metrics to " << path << '\n';
     }
     if (rc == 0 && args.has("metrics-prom")) {
       const std::string path = args.requireString("metrics-prom");
       msc::obs::writePromFile(path, msc::obs::Registry::global().snapshot());
-      std::cout << "wrote prometheus metrics to " << path << '\n';
+      notes << "wrote prometheus metrics to " << path << '\n';
     }
     if (rc == 0 && args.has("trace-out")) {
       const std::string path = args.requireString("trace-out");
       msc::obs::trace::writeFile(path, msc::obs::trace::snapshot());
-      std::cout << "wrote trace to " << path << '\n';
+      notes << "wrote trace to " << path << '\n';
     }
     // With MSC_METRICS=1 / MSC_TRACE=1 (and no explicit export) append the
     // human-readable footers, mirroring the bench binaries.
     if (rc == 0 && !args.has("metrics-out")) {
-      msc::eval::printMetricsFooter(std::cout);
+      msc::eval::printMetricsFooter(notes);
     }
     if (rc == 0 && !args.has("trace-out")) {
-      msc::eval::printTraceFooter(std::cout);
+      msc::eval::printTraceFooter(notes);
     }
     return rc;
   } catch (const std::exception& e) {

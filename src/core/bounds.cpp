@@ -11,15 +11,14 @@ namespace msc::core {
 
 namespace {
 
-// Base distance rows of every pair endpoint (cached in the oracle, so the
-// pointers stay valid while the instance lives).
+// Base distance rows of every pair endpoint, exact within d_t (cached in
+// the oracle, so the pointers stay valid while the instance lives).
 std::vector<PairRows> pairEndpointRows(const Instance& instance) {
-  const auto& oracle = instance.distanceOracle();
   std::vector<PairRows> rows;
   rows.reserve(instance.pairs().size());
   for (const SocialPair& p : instance.pairs()) {
     rows.push_back(
-        {oracle.distancesFrom(p.u).data(), oracle.distancesFrom(p.w).data()});
+        {instance.baseRow(p.u).data(), instance.baseRow(p.w).data()});
   }
   return rows;
 }
@@ -160,9 +159,8 @@ NuEvaluator::NuEvaluator(const Instance& instance)
   // touched — no O(n^2) materialization in the pair-centric mode.
   coverage_.assign(static_cast<std::size_t>(n),
                    util::Bitset(pairNodes.size()));
-  const auto& oracle = instance.distanceOracle();
   for (std::size_t i = 0; i < pairNodes.size(); ++i) {
-    const std::span<const double> row = oracle.distancesFrom(pairNodes[i]);
+    const std::span<const double> row = instance.baseRow(pairNodes[i]);
     for (int v = 0; v < n; ++v) {
       if (row[static_cast<std::size_t>(v)] <= dt) {
         coverage_[static_cast<std::size_t>(v)].set(i);

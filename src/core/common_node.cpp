@@ -44,7 +44,6 @@ CommonNodeResult solveCommonNodeCoverage(const Instance& instance,
                                          NodeId commonNode, int k) {
   checkCommonNode(instance, commonNode, k);
   const auto& pairs = instance.pairs();
-  const auto& oracle = instance.distanceOracle();
   const double dt = instance.distanceThreshold();
   const int n = instance.graph().nodeCount();
 
@@ -57,7 +56,7 @@ CommonNodeResult solveCommonNodeCoverage(const Instance& instance,
                                      util::Bitset(pairs.size()));
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const NodeId w = (pairs[i].u == commonNode) ? pairs[i].w : pairs[i].u;
-    const std::span<const double> row = oracle.distancesFrom(w);
+    const std::span<const double> row = instance.baseRow(w);
     for (NodeId v = 0; v < n; ++v) {
       if (row[static_cast<std::size_t>(v)] <= dt) {
         coverage[static_cast<std::size_t>(v)].set(i);

@@ -49,7 +49,7 @@ void Instance::validateAndPrefetch(int threads) {
   // Every evaluator starts from the pair-node rows; one parallel burst
   // here (a no-op in the dense mode) keeps their constructors off the
   // Dijkstra path and makes later reads deterministic cache hits.
-  oracle_->prefetchRows(pairNodes_, threads);
+  oracle_->prefetchRowsWithin(pairNodes_, distanceThreshold_, threads);
 }
 
 Instance::Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,

@@ -7,12 +7,17 @@
 //
 // Distances come from a row-cache oracle (graph/distance_oracle.h): small
 // instances keep every row resident (the dense mode), large ones build
-// only the rows they touch. Construction prefetches the pair-node rows so
-// every evaluator starts from cached data.
+// only the rows they touch. Every objective only tests sums of base
+// distances against d_t, so the evaluators read rows exact within d_t
+// (baseRow): in the pair-centric mode each is a Dijkstra bounded at d_t,
+// in the dense mode the resident full row serves. Construction prefetches
+// the pair-node rows so every evaluator starts from cached data.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -98,14 +103,24 @@ class Instance {
   int pairCount() const noexcept { return static_cast<int>(pairs_.size()); }
   double distanceThreshold() const noexcept { return distanceThreshold_; }
 
-  /// Pair-distance in the base graph (no shortcuts).
+  /// Pair-distance in the base graph (no shortcuts); exact at any value.
   double baseDistance(const SocialPair& p) const {
     return oracle_->distance(p.u, p.w);
   }
 
-  /// Whether a pair already meets the requirement with no shortcuts.
+  /// Base distance row of `v`, exact within d_t: every entry <= d_t is the
+  /// base distance, every other entry is > d_t (+inf for a row built
+  /// bounded). The row every objective reads; same span lifetime as
+  /// DistanceOracle::distancesWithin (this instance holds the lease).
+  std::span<const double> baseRow(NodeId v) const {
+    return oracle_->distancesWithin(v, distanceThreshold_);
+  }
+
+  /// Whether a pair already meets the requirement with no shortcuts. Reads
+  /// the pair's base row of min(u, w), the entry distance() would serve.
   bool baseSatisfied(const SocialPair& p) const {
-    return baseDistance(p) <= distanceThreshold_;
+    const auto t = static_cast<std::size_t>(std::max(p.u, p.w));
+    return baseRow(std::min(p.u, p.w))[t] <= distanceThreshold_;
   }
 
   /// Deduplicated list of nodes that appear in some pair, ascending.

@@ -34,8 +34,10 @@ double sigmaOver(const msc::graph::OverlayEvaluator& overlay,
 
 SigmaEvaluator::SigmaEvaluator(const Instance& instance)
     : instance_(&instance),
-      overlay_(instance.distanceOracle(), instance.pairNodes()),
-      rows_(instance.distanceOracle(), instance.pairNodes()) {
+      overlay_(instance.distanceOracle(), instance.pairNodes(),
+               instance.distanceThreshold()),
+      rows_(instance.distanceOracle(), instance.pairNodes(), 1,
+            instance.distanceThreshold()) {
   refreshSatisfied();
 }
 
@@ -138,7 +140,8 @@ std::vector<double> pairDistancesUnder(
 
 double sigmaValue(const Instance& instance, const ShortcutList& placement) {
   const msc::graph::OverlayEvaluator overlay(instance.distanceOracle(),
-                                             instance.pairNodes());
+                                             instance.pairNodes(),
+                                             instance.distanceThreshold());
   return sigmaOver(overlay, instance, placement);
 }
 

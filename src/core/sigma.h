@@ -51,7 +51,10 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   bool pairSatisfied(int pairIndex) const {
     return pairSatisfied_.at(static_cast<std::size_t>(pairIndex)) != 0;
   }
-  /// Distance of pair `pairIndex` under the current placement.
+  /// Distance of pair `pairIndex` under the current placement. Exact when
+  /// <= d_t; above d_t the rows are exact only within d_t (see
+  /// Instance::baseRow), so in the pair-centric mode a larger distance may
+  /// read +inf. The dense mode's rows are full, so there it is exact.
   double pairDistance(int pairIndex) const;
   const Instance& instance() const noexcept { return *instance_; }
 

@@ -31,8 +31,10 @@ WeightedSigmaEvaluator::WeightedSigmaEvaluator(const Instance& instance,
                                                std::vector<double> pairWeights)
     : instance_(&instance),
       weights_(checkPairWeights(instance, std::move(pairWeights))),
-      overlay_(instance.distanceOracle(), instance.pairNodes()),
-      rows_(instance.distanceOracle(), instance.pairNodes()) {
+      overlay_(instance.distanceOracle(), instance.pairNodes(),
+               instance.distanceThreshold()),
+      rows_(instance.distanceOracle(), instance.pairNodes(), 1,
+            instance.distanceThreshold()) {
   reset();
 }
 
@@ -198,9 +200,8 @@ WeightedNuEvaluator::WeightedNuEvaluator(const Instance& instance,
   // pair-centric mode never materializes n^2 entries.
   coverage_.assign(static_cast<std::size_t>(n),
                    util::Bitset(pairNodes.size()));
-  const auto& oracle = instance.distanceOracle();
   for (std::size_t i = 0; i < pairNodes.size(); ++i) {
-    const std::span<const double> row = oracle.distancesFrom(pairNodes[i]);
+    const std::span<const double> row = instance.baseRow(pairNodes[i]);
     for (int v = 0; v < n; ++v) {
       if (row[static_cast<std::size_t>(v)] <= dt) {
         coverage_[static_cast<std::size_t>(v)].set(i);

@@ -26,11 +26,10 @@ std::int64_t steadyNowNs() noexcept {
       .count();
 }
 
-/// Always-on histogram of one Dijkstra row build; shared by both the
-/// single-row and the prefetch-burst paths.
-void recordRowBuild(std::int64_t ns) {
-  static auto& h = msc::obs::histogram("oracle.row_build_seconds");
-  h.record(static_cast<double>(ns) * 1e-9);
+void checkRadius(double radius) {
+  if (!(radius >= 0.0)) {
+    throw std::invalid_argument("DistanceOracle: row radius must be >= 0");
+  }
 }
 
 }  // namespace
@@ -120,7 +119,8 @@ std::shared_ptr<const PairCentricOracle> PairCentricOracle::allRows(
   {
     const std::lock_guard<std::mutex> lock(oracle->mu_);
     for (std::size_t v = 0; v < n; ++v) {
-      oracle->insertRowLocked(static_cast<NodeId>(v), std::move(rows[v]));
+      oracle->insertRowLocked(static_cast<NodeId>(v), std::move(rows[v]),
+                              kInfDist);
     }
   }
   buildHist.record(static_cast<double>(steadyNowNs() - t0) * 1e-9);
@@ -143,7 +143,7 @@ void PairCentricOracle::selectLandmarks(int count) {
       distToSet[v] = std::min(distToSet[v], row[v]);
     }
     landmarkIds_.push_back(next);
-    Row& cached = insertRowLocked(next, std::move(row));
+    Row& cached = insertRowLocked(next, std::move(row), kInfDist);
     cached.pinned = true;
     landmarkRows_.push_back(cached.data);
     if (pick + 1 == count) break;
@@ -161,38 +161,79 @@ void PairCentricOracle::selectLandmarks(int count) {
 }
 
 PairCentricOracle::Row& PairCentricOracle::insertRowLocked(
-    NodeId v, std::vector<double>&& dist) const {
+    NodeId v, std::vector<double>&& dist, double radius) const {
   const auto [it, inserted] = rows_.emplace(v, Row{});
+  Row& row = it->second;
   if (inserted) {
-    it->second.data =
-        std::make_shared<const std::vector<double>>(std::move(dist));
-    const std::size_t bytes = oracleRowBytes(it->second.data->size());
+    const std::size_t bytes = oracleRowBytes(dist.size());
     rowCacheBytes_ += bytes;
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  } else if (row.radius < radius) {
+    // A wider rebuild of a cached row: same length, so the cache bytes are
+    // unchanged; the old data may still back handed-out spans.
+    bytes_.fetch_add(oracleRowBytes(dist.size()), std::memory_order_relaxed);
+    retireLocked(std::move(row.data));
   }
-  it->second.touch = ++touchSeq_;
-  return it->second;
+  if (!row.data) {
+    row.data = std::make_shared<const std::vector<double>>(std::move(dist));
+    row.radius = radius;
+  }
+  row.touch = ++touchSeq_;
+  return row;
 }
 
-std::vector<double> PairCentricOracle::buildRow(NodeId v) const {
-  const std::int64_t t0 = steadyNowNs();
-  auto dist = dijkstra(*graph_, v).dist;
-  const std::int64_t dt = steadyNowNs() - t0;
-  rowBuilds_.fetch_add(1, std::memory_order_relaxed);
-  rowBuildNs_.fetch_add(static_cast<std::uint64_t>(dt),
+void PairCentricOracle::retireLocked(
+    std::shared_ptr<const std::vector<double>>&& data) const {
+  if (budget_ == 0 || leases_.load(std::memory_order_acquire) > 0) {
+    retired_.push_back(std::move(data));
+  } else {
+    bytes_.fetch_sub(oracleRowBytes(data->size()), std::memory_order_relaxed);
+    data.reset();
+  }
+}
+
+std::vector<std::vector<double>> PairCentricOracle::buildRows(
+    std::span<const NodeId> sources, double radius, int threads) const {
+  if (msc::obs::enabled()) {
+    static auto& cRows = msc::obs::counter("oracle.row_builds");
+    cRows.add(sources.size());
+  }
+  std::vector<std::vector<double>> rows(sources.size());
+  std::vector<std::int64_t> buildNs(sources.size(), 0);
+  const auto build = [&](std::size_t i) {
+    const std::int64_t t0 = steadyNowNs();
+    rows[i] = dijkstraBounded(*graph_, sources[i], radius).dist;
+    buildNs[i] = steadyNowNs() - t0;
+  };
+  // A single row runs inline: distancesWithin may be called from inside a
+  // parallelFor chunk, where a nested parallelFor would throw.
+  if (sources.size() == 1) {
+    build(0);
+  } else {
+    msc::util::parallelForThreads(
+        threads, 0, sources.size(), 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) build(i);
+        });
+  }
+  static auto& hBuild = msc::obs::histogram("oracle.row_build_seconds");
+  std::int64_t totalNs = 0;
+  for (const std::int64_t ns : buildNs) {
+    hBuild.record(static_cast<double>(ns) * 1e-9);
+    totalNs += ns;
+  }
+  rowBuilds_.fetch_add(sources.size(), std::memory_order_relaxed);
+  rowBuildNs_.fetch_add(static_cast<std::uint64_t>(totalNs),
                         std::memory_order_relaxed);
-  recordRowBuild(dt);
   if (auto* ctx = obs::currentRequest()) {
     auto& usage = ctx->oracle();
-    usage.rowBuilds.fetch_add(1, std::memory_order_relaxed);
-    usage.rowBuildNs.fetch_add(dt, std::memory_order_relaxed);
+    usage.rowBuilds.fetch_add(sources.size(), std::memory_order_relaxed);
+    usage.rowBuildNs.fetch_add(totalNs, std::memory_order_relaxed);
   }
-  return dist;
+  return rows;
 }
 
 void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
   if (budget_ == 0) return;
-  const bool leased = leases_.load(std::memory_order_acquire) > 0;
   std::uint64_t evicted = 0;
   while (rowCacheBytes_ > budget_) {
     // LRU victim among evictable rows (not pinned, not the row the caller
@@ -206,15 +247,10 @@ void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
       }
     }
     if (victim == rows_.end()) break;  // only pinned/protected rows left
-    const std::size_t bytes = oracleRowBytes(victim->second.data->size());
-    rowCacheBytes_ -= bytes;
-    if (leased) {
-      // Spans handed out under a lease may point into this row: park it
-      // (still counted resident) until the last lease is released.
-      retired_.push_back(std::move(victim->second.data));
-    } else {
-      bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    }
+    rowCacheBytes_ -= oracleRowBytes(victim->second.data->size());
+    // Spans handed out under a lease may point into this row: it stays
+    // parked (still counted resident) until the last lease is released.
+    retireLocked(std::move(victim->second.data));
     rows_.erase(victim);
     ++evicted;
   }
@@ -269,14 +305,16 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
   if (x == y) return 0.0;
   // Always the row of the smaller endpoint: the row of the larger one can
   // differ in the last ulp, so serving it would make the bits depend on
-  // which rows happen to be cached.
+  // which rows happen to be cached. An entry beyond the row's radius is
+  // not the distance, so it takes the exact ALT path too.
   const NodeId s = std::min(x, y);
   const NodeId t = std::max(x, y);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = rows_.find(s); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      return (*it->second.data)[static_cast<std::size_t>(t)];
+      const double d = (*it->second.data)[static_cast<std::size_t>(t)];
+      if (d <= it->second.radius) return d;
     }
   }
   if (msc::obs::enabled()) {
@@ -286,8 +324,10 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
   return altPointQuery(s, t);
 }
 
-std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
+std::span<const double> PairCentricOracle::distancesWithin(
+    NodeId v, double radius) const {
   checkNode(v);
+  checkRadius(radius);
   rowQueries_.fetch_add(1, std::memory_order_relaxed);
   auto* ctx = obs::currentRequest();
   if (ctx) {
@@ -295,68 +335,41 @@ std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = rows_.find(v); it != rows_.end()) {
+    if (const auto it = rows_.find(v);
+        it != rows_.end() && it->second.radius >= radius) {
       it->second.touch = ++touchSeq_;
       rowHits_.fetch_add(1, std::memory_order_relaxed);
       if (ctx) ctx->oracle().rowHits.fetch_add(1, std::memory_order_relaxed);
       return *it->second.data;
     }
   }
-  if (msc::obs::enabled()) {
-    static auto& cRows = msc::obs::counter("oracle.row_builds");
-    cRows.add(1);
-  }
-  auto dist = buildRow(v);
+  auto built = buildRows(std::span<const NodeId>(&v, 1), radius, 1);
   const std::lock_guard<std::mutex> lock(mu_);
-  const Row& row = insertRowLocked(v, std::move(dist));
+  const Row& row = insertRowLocked(v, std::move(built.front()), radius);
   enforceBudgetLocked(v);  // protects v: `row` stays valid
   return *row.data;
 }
 
-void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
-                                     int threads) const {
+void PairCentricOracle::prefetchRowsWithin(std::span<const NodeId> sources,
+                                           double radius, int threads) const {
+  checkRadius(radius);
   std::vector<NodeId> need;
   need.reserve(sources.size());
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const NodeId v : sources) {
       checkNode(v);
-      if (!rows_.contains(v)) need.push_back(v);
+      const auto it = rows_.find(v);
+      if (it == rows_.end() || it->second.radius < radius) need.push_back(v);
     }
   }
   std::sort(need.begin(), need.end());
   need.erase(std::unique(need.begin(), need.end()), need.end());
   if (need.empty()) return;
-  if (msc::obs::enabled()) {
-    static auto& cRows = msc::obs::counter("oracle.row_builds");
-    cRows.add(need.size());
-  }
-  std::vector<std::vector<double>> computed(need.size());
-  std::vector<std::int64_t> buildNs(need.size(), 0);
-  msc::util::parallelForThreads(
-      threads, 0, need.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::int64_t t0 = steadyNowNs();
-          computed[i] = dijkstra(*graph_, need[i]).dist;
-          buildNs[i] = steadyNowNs() - t0;
-        }
-      });
-  std::int64_t totalNs = 0;
-  for (std::size_t i = 0; i < need.size(); ++i) {
-    recordRowBuild(buildNs[i]);
-    totalNs += buildNs[i];
-  }
-  rowBuilds_.fetch_add(need.size(), std::memory_order_relaxed);
-  rowBuildNs_.fetch_add(static_cast<std::uint64_t>(totalNs),
-                        std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    auto& usage = ctx->oracle();
-    usage.rowBuilds.fetch_add(need.size(), std::memory_order_relaxed);
-    usage.rowBuildNs.fetch_add(totalNs, std::memory_order_relaxed);
-  }
+  auto built = buildRows(need, radius, threads);
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < need.size(); ++i) {
-    insertRowLocked(need[i], std::move(computed[i]));
+    insertRowLocked(need[i], std::move(built[i]), radius);
   }
   enforceBudgetLocked(need.back());
 }

@@ -8,14 +8,27 @@
 // computed on demand, plus ALT landmark rows for point-to-point queries
 // that do not deserve a full row.
 //
-// The dense mode is the same cache with every row resident:
+// Row radii (docs/ALGORITHMS.md §15). Every row carries the radius it was
+// built to: a row of radius r comes from a Dijkstra bounded at r, so every
+// entry <= r is bit-identical to the full row's entry (lengths are >= 0,
+// so a node's distance is a min over predecessors settled no later than
+// it) and every entry above r reads kInfDist. A cached row of radius >= r
+// serves a request at r; a request above the cached radius rebuilds the
+// row and parks the superseded data (see eviction below), so spans handed
+// out earlier stay valid. distancesFrom / prefetchRows ask for radius +inf
+// (full rows); the MSC objectives only ever test whether a sum of row
+// entries is <= d_t, and since fl(x + y) >= x for y >= 0 an entry above
+// d_t may read +inf without changing any such predicate, so the
+// pair-centric Instance asks for its rows at radius d_t.
+//
+// The dense mode is the same cache with every row resident and full:
 // makeDistanceOracle(..., DistanceMode::Dense, ...) builds all n rows when
 // the oracle is made (the APSP cost lands in set-up) and never evicts.
-// There is one source of bits: a row is always the raw Dijkstra result
-// from its source, and distance(x, y) is always the entry of row
-// min(x, y) — read from the cache when that row is resident, recomputed
-// bit-identically by ALT otherwise. No value depends on what happens to be
-// cached.
+// There is one source of bits: a row entry within the row's radius is
+// always the raw Dijkstra result from its source, and distance(x, y) is
+// always the entry of row min(x, y) — read from the cache when that row is
+// resident and the entry lies within its radius, recomputed bit-identically
+// by ALT otherwise. No value depends on what happens to be cached.
 //
 // Telemetry (docs/ALGORITHMS.md §16): the oracle self-measures its query
 // mix — point vs row queries, lazy-row builds vs hits, ALT queries,
@@ -33,7 +46,8 @@
 // in residentBytes) instead of freed, so previously returned spans stay
 // valid. Instance holds a lease for its lifetime, which covers every
 // evaluator in the tree. Without a budget (the default) nothing is ever
-// evicted and spans simply live as long as the oracle.
+// evicted and spans simply live as long as the oracle: rows superseded by
+// a wider rebuild are parked until the oracle goes away.
 #pragma once
 
 #include <atomic>
@@ -94,7 +108,7 @@ struct OracleStats {
   std::uint64_t altQueries = 0;      ///< ALT A* point queries
   std::uint64_t rowsEvicted = 0;     ///< rows dropped under the budget
   std::uint64_t rowBuildNs = 0;      ///< wall ns spent building lazy rows
-  std::size_t rowsResident = 0;      ///< cached full rows (landmarks incl.)
+  std::size_t rowsResident = 0;      ///< cached rows (landmarks incl.)
   std::size_t residentBytes = 0;     ///< same value as residentBytes()
 };
 
@@ -124,6 +138,23 @@ class DistanceOracle {
   /// parallelFor chunk.
   virtual void prefetchRows(std::span<const NodeId> sources,
                             int threads) const = 0;
+
+  /// Row of v exact within `radius` (>= 0): every entry <= radius is
+  /// bit-identical to distancesFrom(v)'s, every other entry is > radius.
+  /// Same span lifetime as distancesFrom. The default serves the full row.
+  virtual std::span<const double> distancesWithin(NodeId v,
+                                                  double radius) const {
+    (void)radius;
+    return distancesFrom(v);
+  }
+
+  /// prefetchRows for rows exact within `radius`. The default prefetches
+  /// full rows.
+  virtual void prefetchRowsWithin(std::span<const NodeId> sources,
+                                  double radius, int threads) const {
+    (void)radius;
+    prefetchRows(sources, threads);
+  }
 
   /// Full n x n matrix, stacked from the oracle's own rows (row v is
   /// distancesFrom(v)) and cached on first call — an O(n^2) escape hatch
@@ -185,9 +216,17 @@ class PairCentricOracle final : public DistanceOracle {
     return graph_->nodeCount();
   }
   double distance(NodeId x, NodeId y) const override;
-  std::span<const double> distancesFrom(NodeId v) const override;
+  std::span<const double> distancesFrom(NodeId v) const override {
+    return distancesWithin(v, kInfDist);
+  }
   void prefetchRows(std::span<const NodeId> sources,
-                    int threads) const override;
+                    int threads) const override {
+    prefetchRowsWithin(sources, kInfDist, threads);
+  }
+  std::span<const double> distancesWithin(NodeId v,
+                                          double radius) const override;
+  void prefetchRowsWithin(std::span<const NodeId> sources, double radius,
+                          int threads) const override;
   const DistanceMatrix& materialize() const override;
   std::size_t residentBytes() const noexcept override {
     return bytes_.load(std::memory_order_relaxed);
@@ -202,7 +241,7 @@ class PairCentricOracle final : public DistanceOracle {
   /// from node 0; may be shorter than Config::landmarks on tiny graphs).
   std::span<const NodeId> landmarks() const noexcept { return landmarkIds_; }
 
-  /// Number of full rows currently cached (landmarks included).
+  /// Number of rows currently cached (landmarks included).
   std::size_t cachedRowCount() const;
 
   /// Configured row-cache budget (0 = unbounded).
@@ -211,6 +250,7 @@ class PairCentricOracle final : public DistanceOracle {
  private:
   struct Row {
     std::shared_ptr<const std::vector<double>> data;
+    double radius = kInfDist;    // exact within this radius (see file top)
     std::uint64_t touch = 0;     // logical LRU clock (higher = hotter)
     bool pinned = false;         // landmark rows are never evicted
   };
@@ -221,11 +261,21 @@ class PairCentricOracle final : public DistanceOracle {
   double altSearch(NodeId s, NodeId t, std::size_t& settledOut,
                    double& boundOut) const;
   void selectLandmarks(int count);
-  /// Builds the row of `v` (timed, counted). Lock-free; call outside mu_.
-  std::vector<double> buildRow(NodeId v) const;
-  /// Caches `dist` as the row of `v` unless one is cached already, marks
-  /// it most recently used and returns it. Caller holds mu_.
-  Row& insertRowLocked(NodeId v, std::vector<double>&& dist) const;
+  /// Builds the rows of `sources` at `radius`, `threads` at a time (one
+  /// row runs inline), and records them: counters, the row-build
+  /// histogram and the bound request's usage. Lock-free; call outside mu_.
+  std::vector<std::vector<double>> buildRows(std::span<const NodeId> sources,
+                                             double radius, int threads) const;
+  /// Caches `dist` (exact within `radius`) as the row of `v` unless a row
+  /// of at least that radius is cached already — a narrower one is
+  /// superseded and its data retired — marks it most recently used and
+  /// returns it. Caller holds mu_.
+  Row& insertRowLocked(NodeId v, std::vector<double>&& dist,
+                       double radius) const;
+  /// Frees row data that left the cache, or parks it while spans into it
+  /// may still be live: under a lease, or always on an unbounded oracle,
+  /// whose spans live as long as the oracle. Caller holds mu_.
+  void retireLocked(std::shared_ptr<const std::vector<double>>&& data) const;
   /// Evicts LRU rows until the cache fits the budget; never evicts pinned
   /// rows or `protect`. Caller holds mu_.
   void enforceBudgetLocked(NodeId protect) const;
@@ -244,8 +294,8 @@ class PairCentricOracle final : public DistanceOracle {
   mutable std::map<NodeId, Row> rows_;
   mutable std::uint64_t touchSeq_ = 0;
   mutable std::size_t rowCacheBytes_ = 0;  // rows_ only, excludes full_
-  // Rows evicted while a lease was outstanding: still resident (spans may
-  // point into them), freed when the last lease goes away.
+  // Rows evicted or superseded while spans into them may be live: still
+  // resident, freed when the last lease goes away (never, unbounded).
   mutable std::vector<std::shared_ptr<const std::vector<double>>> retired_;
   mutable std::atomic<int> leases_{0};
 

@@ -8,8 +8,9 @@
 namespace msc::graph {
 
 OverlayEvaluator::OverlayEvaluator(const DistanceOracle& oracle,
-                                   std::vector<NodeId> terminals)
-    : oracle_(&oracle), terminals_(std::move(terminals)) {
+                                   std::vector<NodeId> terminals,
+                                   double radius)
+    : oracle_(&oracle), radius_(radius), terminals_(std::move(terminals)) {
   indexTerminals();
 }
 
@@ -56,7 +57,7 @@ std::vector<double> OverlayEvaluator::pairDistances(
   const std::size_t v = overlayNodes.size();
   std::vector<std::span<const double>> nodeRows(v);
   for (std::size_t i = 0; i < v; ++i) {
-    nodeRows[i] = oracle_->distancesFrom(overlayNodes[i]);
+    nodeRows[i] = oracle_->distancesWithin(overlayNodes[i], radius_);
   }
   DistanceMatrix w(v, v, kInfDist);
   for (std::size_t i = 0; i < v; ++i) {

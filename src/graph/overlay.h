@@ -31,12 +31,15 @@ class OverlayEvaluator {
   /// `terminals` are the nodes whose pairwise distances will be queried
   /// (duplicates are deduplicated). Shortcut endpoints passed to
   /// pairDistances() need not be listed; their distance rows are pulled
-  /// from the oracle on demand (and cached there).
-  OverlayEvaluator(const DistanceOracle& oracle, std::vector<NodeId> terminals);
+  /// from the oracle on demand (and cached there), exact within `radius`.
+  OverlayEvaluator(const DistanceOracle& oracle, std::vector<NodeId> terminals,
+                   double radius = kInfDist);
 
-  /// Exact distances in G ∪ shortcuts for each query pair. Query endpoints
-  /// must be terminals given at construction; shortcut endpoints may be any
-  /// node of the base graph.
+  /// Distances in G ∪ shortcuts for each query pair: exact when <= the
+  /// radius, otherwise some value > the radius (the relaxation keeps that
+  /// property, see ShortcutRowStore). Query endpoints must be terminals
+  /// given at construction; shortcut endpoints may be any node of the base
+  /// graph.
   std::vector<double> pairDistances(
       const std::vector<std::pair<NodeId, NodeId>>& queryPairs,
       const std::vector<std::pair<NodeId, NodeId>>& shortcuts) const;
@@ -45,6 +48,7 @@ class OverlayEvaluator {
   void indexTerminals();
 
   const DistanceOracle* oracle_;
+  double radius_;
   std::vector<NodeId> terminals_;        // deduplicated, sorted
   std::vector<int> terminalIndex_;       // node -> overlay slot or -1
 };

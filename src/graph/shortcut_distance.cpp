@@ -45,8 +45,11 @@ void applyZeroEdge(DistanceMatrix& dist, NodeId a, NodeId b) {
 
 ShortcutRowStore::ShortcutRowStore(const DistanceOracle& oracle,
                                    std::span<const NodeId> terminals,
-                                   int threads)
-    : oracle_(&oracle), n_(oracle.nodeCount()), threads_(threads) {
+                                   int threads, double radius)
+    : oracle_(&oracle),
+      n_(oracle.nodeCount()),
+      threads_(threads),
+      radius_(radius) {
   baseTerminals_.assign(terminals.begin(), terminals.end());
   std::sort(baseTerminals_.begin(), baseTerminals_.end());
   baseTerminals_.erase(
@@ -67,9 +70,9 @@ void ShortcutRowStore::reset() {
   owners_ = baseTerminals_;
   rows_.assign(owners_.size(), {});
   // One bulk fetch so lazy oracles compute missing rows in parallel.
-  oracle_->prefetchRows(owners_, threads_);
+  oracle_->prefetchRowsWithin(owners_, radius_, threads_);
   for (std::size_t i = 0; i < owners_.size(); ++i) {
-    const auto row = oracle_->distancesFrom(owners_[i]);
+    const auto row = oracle_->distancesWithin(owners_[i], radius_);
     rows_[i].assign(row.begin(), row.end());
     slot_[static_cast<std::size_t>(owners_[i])] = static_cast<int>(i);
   }
@@ -100,7 +103,7 @@ std::size_t ShortcutRowStore::ensureRowSlot(NodeId v) {
   // shortcut. The merged snapshot of step i is the evolved row of that
   // step's endpoints, so the replay reproduces exactly the dense-matrix
   // row this node would have ended up with.
-  const auto base = oracle_->distancesFrom(v);
+  const auto base = oracle_->distancesWithin(v, radius_);
   std::vector<double> row(base.begin(), base.end());
   for (const AppliedShortcut& f : applied_) {
     const auto ua = static_cast<std::size_t>(f.a);

@@ -55,13 +55,20 @@ void applyZeroEdge(DistanceMatrix& dist, NodeId a, NodeId b);
 ///
 /// Memory: (|terminals| + 2|applied|) rows of n doubles, plus one merged
 /// snapshot per applied shortcut — O((|T| + k) * n) instead of O(n^2).
+///
+/// Radius: base rows are fetched exact within `radius` (the oracle's
+/// distancesWithin). Every min and + above keeps the property "equal to
+/// the full-row value when that value is <= radius, else > radius"
+/// (fl(x + y) >= x for y >= 0), so every <= radius predicate on a stored
+/// row reads as it would on full rows.
 class ShortcutRowStore {
  public:
   /// Seeds one row per terminal from the oracle (duplicates collapse).
   /// The oracle must outlive the store. `threads` parallelizes the initial
   /// fetch of rows the oracle has not cached yet (0 = all cores).
   ShortcutRowStore(const DistanceOracle& oracle,
-                   std::span<const NodeId> terminals, int threads = 1);
+                   std::span<const NodeId> terminals, int threads = 1,
+                   double radius = kInfDist);
 
   int nodeCount() const noexcept { return n_; }
   std::size_t rowCount() const noexcept { return rows_.size(); }
@@ -120,6 +127,7 @@ class ShortcutRowStore {
   const DistanceOracle* oracle_;
   int n_;
   int threads_;
+  double radius_;
   std::vector<NodeId> baseTerminals_;  // deduplicated; reset() target
   std::vector<int> slot_;              // node -> row index or -1
   std::vector<NodeId> owners_;         // row index -> node

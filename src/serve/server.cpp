@@ -848,7 +848,7 @@ obs::Snapshot Engine::snapshot() const {
   add("serve.oracle.bytes", G, cs.oracleBytes,
       "resident bytes of cached distance oracles");
   add("serve.oracle.rows", G, cs.oracleRows,
-      "full distance rows resident in cached oracles");
+      "distance rows resident in cached oracles");
   obs::Snapshot snap = obs::Registry::global().snapshot();
   snap.addSamples(std::move(rows));
   return snap;

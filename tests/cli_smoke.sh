@@ -257,6 +257,36 @@ print(by_id[3]["placement"])
 PYEOF
 fi
 
+# The same script with every exit footer switched on: serve's stdout is
+# the reply stream, so the metrics and trace footers and the Prometheus
+# export note go to stderr and every stdout line stays one msc.serve.v1
+# object.
+MSC_METRICS=1 MSC_TRACE=1 MSC_METRICS_PROM="$WORK/serve_exit.prom" \
+  MSC_SLOWREQ_DIR="$WORK/slow_footer" \
+  "$CLI" serve < "$WORK/serve_script.jsonl" > "$WORK/serve_footer.jsonl" \
+  2> "$WORK/serve_footer.err" \
+  || { echo "FAIL: serve with exit footers exited non-zero"; exit 1; }
+RESPONSES=$(wc -l < "$WORK/serve_footer.jsonl")
+[ "$RESPONSES" -eq 9 ] \
+  || { echo "FAIL: serve with exit footers wrote $RESPONSES/9 lines"; exit 1; }
+if grep -v '^{.*"schema":"msc.serve.v1".*}$' "$WORK/serve_footer.jsonl"; then
+  echo "FAIL: serve stdout carries a non-reply line"; exit 1
+fi
+grep -q -- '---- metrics (MSC_METRICS=1) ----' "$WORK/serve_footer.err" \
+  || { echo "FAIL: serve metrics footer missing from stderr"; exit 1; }
+grep -q -- '---- trace (MSC_TRACE=1) ----' "$WORK/serve_footer.err" \
+  || { echo "FAIL: serve trace footer missing from stderr"; exit 1; }
+grep -q 'prometheus metrics written to' "$WORK/serve_footer.err" \
+  || { echo "FAIL: serve Prometheus export note missing from stderr"; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$WORK/serve_footer.jsonl" <<'PYEOF' || { echo "FAIL: serve stdout is not one reply per line"; exit 1; }
+import json, sys
+for line in open(sys.argv[1]):
+    reply = json.loads(line)
+    assert isinstance(reply, dict) and reply["schema"] == "msc.serve.v1", line
+PYEOF
+fi
+
 # The serve path must produce the exact placement the direct CLI does at
 # equal {algo, k, threads, seed}.
 SERVE_PLACEMENT=$(sed -n 's/.*"placement":"\([^"]*\)".*"status":"ok".*/\1/p' \
@@ -386,13 +416,17 @@ BURST=$(wc -l < "$WORK/burst_out.jsonl")
 
 # Live solve introspection (docs/ALGORITHMS.md §18): --progress prints a
 # stderr ticker without touching stdout (results must be byte-identical).
-"$CLI" solve --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
+# The exit footers stay off here: they carry timings and --progress's own
+# progress.* counters, which differ between the two runs by design.
+MSC_METRICS=0 MSC_TRACE=0 \
+  "$CLI" solve --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
        --k 3 --algo greedy --progress > "$WORK/prog_out.txt" \
        2> "$WORK/prog_err.txt" \
   || { echo "FAIL: solve --progress exited non-zero"; exit 1; }
 grep -q '^progress greedy round [1-9]' "$WORK/prog_err.txt" \
   || { echo "FAIL: --progress printed no ticker lines"; exit 1; }
-"$CLI" solve --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
+MSC_METRICS=0 MSC_TRACE=0 \
+  "$CLI" solve --graph "$WORK/g.txt" --pairs "$WORK/p.txt" --pt 0.14 \
        --k 3 --algo greedy > "$WORK/noprog_out.txt" 2>/dev/null
 cmp -s "$WORK/prog_out.txt" "$WORK/noprog_out.txt" \
   || { echo "FAIL: --progress changed solve stdout"; exit 1; }

@@ -1,13 +1,22 @@
 // Shared fixtures/builders for the test suite.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/types.h"
+#include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
+#include "gen/gowalla.h"
+#include "gen/grid.h"
+#include "gen/random_geometric.h"
+#include "gen/watts_strogatz.h"
 #include "graph/apsp.h"
+#include "graph/distance_oracle.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -55,6 +64,91 @@ inline msc::core::Instance randomInstance(int n, int m, double dt,
     }
   }
   return msc::core::Instance(std::move(g), std::move(pairs), dt);
+}
+
+struct GenCase {
+  std::string name;
+  msc::graph::Graph graph;
+};
+
+/// One representative topology per src/gen generator, sized so the dense
+/// path stays cheap but paths are several edges long (where row directions
+/// differ in the last ulp).
+inline std::vector<GenCase> generatorSweep() {
+  std::vector<GenCase> cases;
+  {
+    msc::gen::GridConfig cfg;
+    cfg.width = 7;
+    cfg.height = 5;
+    cases.push_back({"grid", msc::gen::grid(cfg).graph});
+  }
+  {
+    msc::gen::RandomGeometricConfig cfg;
+    cfg.nodes = 60;
+    cfg.radius = 0.2;
+    cfg.seed = 3;
+    cases.push_back({"random_geometric", msc::gen::randomGeometric(cfg).graph});
+  }
+  {
+    msc::gen::ErdosRenyiConfig cfg;
+    cfg.nodes = 50;
+    cfg.edgeProbability = 0.08;
+    cfg.seed = 5;
+    cases.push_back({"erdos_renyi", msc::gen::erdosRenyi(cfg)});
+  }
+  {
+    msc::gen::WattsStrogatzConfig cfg;
+    cfg.nodes = 48;
+    cfg.neighbors = 2;
+    cfg.seed = 7;
+    cases.push_back({"watts_strogatz", msc::gen::wattsStrogatz(cfg)});
+  }
+  {
+    msc::gen::BarabasiAlbertConfig cfg;
+    cfg.nodes = 50;
+    cfg.attachEdges = 2;
+    cfg.seed = 11;
+    cases.push_back({"barabasi_albert", msc::gen::barabasiAlbert(cfg)});
+  }
+  {
+    msc::gen::GowallaConfig cfg;
+    cfg.users = 60;
+    cfg.anchors = 4;
+    cases.push_back({"gowalla_like", msc::gen::gowallaLike(cfg).graph});
+  }
+  return cases;
+}
+
+/// Deterministic pair sample (u < w): endpoints spread across the node
+/// range so some pairs are far (unsatisfied at a threshold) and some near.
+inline std::vector<msc::core::SocialPair> samplePairs(
+    const msc::graph::Graph& g, int m, std::uint64_t seed) {
+  msc::util::Rng rng(seed);
+  const auto n = static_cast<std::uint64_t>(g.nodeCount());
+  std::vector<msc::core::SocialPair> pairs;
+  while (static_cast<int>(pairs.size()) < m) {
+    const auto u = static_cast<msc::graph::NodeId>(rng.below(n));
+    const auto w = static_cast<msc::graph::NodeId>(rng.below(n));
+    if (u == w) continue;
+    pairs.push_back({std::min(u, w), std::max(u, w)});
+  }
+  return pairs;
+}
+
+/// A threshold that splits the sampled pairs: exactly the median finite
+/// pair distance, so sigma is neither 0 nor m trivially. Sitting on a pair
+/// distance is deliberate: every mode serves the same bits, so even the
+/// d <= dt comparison at the boundary must agree.
+inline double medianThreshold(const msc::graph::DistanceOracle& oracle,
+                              const std::vector<msc::core::SocialPair>& pairs) {
+  std::vector<double> finite;
+  for (const auto& p : pairs) {
+    const double d = oracle.distance(p.u, p.w);
+    if (d != msc::graph::kInfDist) finite.push_back(d);
+  }
+  if (finite.empty()) return 1.0;
+  std::sort(finite.begin(), finite.end());
+  return finite[finite.size() / 2];
 }
 
 /// Random shortcut set of the given size over nodes [0, n).

@@ -6,14 +6,19 @@
 // 1 and 4 threads, and that sigma/mu/nu and greedy therefore agree exactly
 // at any threshold. Plus the corner cases: disconnected pairs (kInfDist),
 // degenerate landmark counts, ALT point-query vs row bit-identity,
-// point queries independent of cache state, and ShortcutRowStore vs the
-// full-matrix relaxation.
+// point queries independent of cache state, row radii (bounded rows exact
+// within their radius, point queries beyond it, widening rebuilds, mixed
+// radii across threads), and ShortcutRowStore vs the full-matrix
+// relaxation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,12 +27,6 @@
 #include "core/greedy.h"
 #include "core/instance.h"
 #include "core/sigma.h"
-#include "gen/barabasi_albert.h"
-#include "gen/erdos_renyi.h"
-#include "gen/gowalla.h"
-#include "gen/grid.h"
-#include "gen/random_geometric.h"
-#include "gen/watts_strogatz.h"
 #include "graph/apsp.h"
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
@@ -52,90 +51,9 @@ using msc::graph::kInfDist;
 using msc::graph::NodeId;
 using msc::graph::PairCentricOracle;
 
-struct GenCase {
-  std::string name;
-  Graph graph;
-};
-
-// One representative topology per generator, sized so the dense path stays
-// cheap but paths are several edges long (where row directions differ in
-// the last ulp).
-std::vector<GenCase> generatorSweep() {
-  std::vector<GenCase> cases;
-  {
-    msc::gen::GridConfig cfg;
-    cfg.width = 7;
-    cfg.height = 5;
-    cases.push_back({"grid", msc::gen::grid(cfg).graph});
-  }
-  {
-    msc::gen::RandomGeometricConfig cfg;
-    cfg.nodes = 60;
-    cfg.radius = 0.2;
-    cfg.seed = 3;
-    cases.push_back({"random_geometric", msc::gen::randomGeometric(cfg).graph});
-  }
-  {
-    msc::gen::ErdosRenyiConfig cfg;
-    cfg.nodes = 50;
-    cfg.edgeProbability = 0.08;
-    cfg.seed = 5;
-    cases.push_back({"erdos_renyi", msc::gen::erdosRenyi(cfg)});
-  }
-  {
-    msc::gen::WattsStrogatzConfig cfg;
-    cfg.nodes = 48;
-    cfg.neighbors = 2;
-    cfg.seed = 7;
-    cases.push_back({"watts_strogatz", msc::gen::wattsStrogatz(cfg)});
-  }
-  {
-    msc::gen::BarabasiAlbertConfig cfg;
-    cfg.nodes = 50;
-    cfg.attachEdges = 2;
-    cfg.seed = 11;
-    cases.push_back({"barabasi_albert", msc::gen::barabasiAlbert(cfg)});
-  }
-  {
-    msc::gen::GowallaConfig cfg;
-    cfg.users = 60;
-    cfg.anchors = 4;
-    cases.push_back({"gowalla_like", msc::gen::gowallaLike(cfg).graph});
-  }
-  return cases;
-}
-
-// Deterministic pair sample: spread endpoints across the node range so
-// some pairs are far (unsatisfied at the threshold) and some near.
-std::vector<SocialPair> samplePairs(const Graph& g, int m,
-                                    std::uint64_t seed) {
-  msc::util::Rng rng(seed);
-  const auto n = static_cast<std::uint64_t>(g.nodeCount());
-  std::vector<SocialPair> pairs;
-  while (static_cast<int>(pairs.size()) < m) {
-    const auto u = static_cast<NodeId>(rng.below(n));
-    const auto w = static_cast<NodeId>(rng.below(n));
-    if (u == w) continue;
-    pairs.push_back({std::min(u, w), std::max(u, w)});
-  }
-  return pairs;
-}
-
-// A threshold that splits the sampled pairs: exactly the median finite
-// pair distance, so sigma is neither 0 nor m trivially. Sitting on a pair
-// distance is deliberate: every mode serves the same bits, so even the
-// d <= dt comparison at the boundary must agree.
-double medianThreshold(const msc::graph::DistanceOracle& oracle,
-                       const std::vector<SocialPair>& pairs) {
-  std::vector<double> finite;
-  for (const auto& p : pairs) {
-    const double d = oracle.distance(p.u, p.w);
-    if (d != kInfDist) finite.push_back(d);
-  }
-  if (finite.empty()) return 1.0;
-  std::sort(finite.begin(), finite.end());
-  return finite[finite.size() / 2];
-}
+using msc::test::generatorSweep;
+using msc::test::medianThreshold;
+using msc::test::samplePairs;
 
 class OracleBackendEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -301,6 +219,153 @@ TEST(OracleAltQuery, PointQueryIgnoresCachedRowOfLargerEndpoint) {
   EXPECT_EQ(oracle.distance(3, 0), point);
   EXPECT_EQ(point, oracle.distancesFrom(0)[3]);
   EXPECT_EQ(point, 0.6000000000000001);
+}
+
+// A point query whose cached row of min(s, t) is bounded: an entry within
+// the row's radius is served from it, an entry beyond it is not the
+// distance, so ALT computes it — bit-identical to the full row's entry.
+TEST(OracleAltQuery, PointQueryBeyondBoundedRowRadiusFallsBackToAlt) {
+  const auto g = msc::test::randomGraph(40, 0.1, 33);
+  const auto shared = std::make_shared<const Graph>(g);
+  const auto eager = PairCentricOracle::allRows(shared, 1);
+  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
+  // The lowest non-landmark node: its row is not cached up front, and it
+  // is min(s, t) for every t above it.
+  const auto lms = oracle.landmarks();
+  NodeId s = 0;
+  while (std::find(lms.begin(), lms.end(), s) != lms.end()) ++s;
+  const auto full = eager->distancesFrom(s);
+  std::vector<double> finite;
+  for (const double d : full) {
+    if (d > 0.0 && d != kInfDist) finite.push_back(d);
+  }
+  ASSERT_GE(finite.size(), 4u);
+  std::sort(finite.begin(), finite.end());
+  const double radius = finite[finite.size() / 2];
+
+  const std::vector<NodeId> only = {s};
+  oracle.prefetchRowsWithin(only, radius, 1);
+  int inside = 0;
+  int beyond = 0;
+  for (NodeId t = s + 1; t < g.nodeCount(); ++t) {
+    const std::uint64_t altBefore = oracle.stats().altQueries;
+    const double d = oracle.distance(s, t);
+    EXPECT_EQ(d, full[static_cast<std::size_t>(t)]) << "t=" << t;
+    const bool tookAlt = oracle.stats().altQueries > altBefore;
+    EXPECT_EQ(tookAlt, full[static_cast<std::size_t>(t)] > radius)
+        << "t=" << t;
+    ++(tookAlt ? beyond : inside);
+  }
+  EXPECT_GT(inside, 0);
+  EXPECT_GT(beyond, 0);
+  EXPECT_EQ(oracle.stats().rowBuilds, 1u);  // ALT never caches a row
+}
+
+// Every entry of a bounded row within its radius is the full row's entry
+// bit for bit; every entry beyond it reads +inf — for every generator and
+// every source, at radius 0, the median pair distance and +inf.
+TEST(OracleRowRadius, BoundedRowsMatchFullRowsWithinTheirRadius) {
+  for (auto& gc : generatorSweep()) {
+    SCOPED_TRACE(gc.name);
+    const auto shared = std::make_shared<const Graph>(gc.graph);
+    const auto eager = PairCentricOracle::allRows(shared, 1);
+    const double median =
+        medianThreshold(*eager, samplePairs(gc.graph, 8, 13));
+    for (const double radius : {0.0, median, kInfDist}) {
+      SCOPED_TRACE(radius);
+      const PairCentricOracle lazy(shared, PairCentricOracle::Config{0, 1});
+      for (NodeId v = 0; v < gc.graph.nodeCount(); ++v) {
+        const auto want = eager->distancesFrom(v);
+        const auto got = lazy.distancesWithin(v, radius);
+        for (std::size_t y = 0; y < want.size(); ++y) {
+          ASSERT_EQ(got[y], want[y] <= radius ? want[y] : kInfDist)
+              << "v=" << v << " y=" << y;
+        }
+      }
+    }
+  }
+}
+
+// A cached row serves every request up to its radius; a wider request
+// rebuilds it, and the superseded data stays parked, so a span handed out
+// before the rebuild is still readable (ASan checks the reads) — on an
+// unbounded oracle, and under a budget while a lease is held.
+TEST(OracleRowRadius, WideningRebuildKeepsEarlierSpansReadable) {
+  const auto g = msc::test::randomGraph(40, 0.1, 35);
+  const auto shared = std::make_shared<const Graph>(g);
+  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  const double radius = medianThreshold(*eager, samplePairs(g, 8, 17));
+  for (const std::size_t budget :
+       {std::size_t{0}, 2 * msc::graph::oracleRowBytes(n)}) {
+    SCOPED_TRACE(budget);
+    const PairCentricOracle oracle(
+        shared, PairCentricOracle::Config{0, 1, budget});
+    const auto lease = oracle.acquireRowLease();
+    const NodeId v = 3;
+    const auto narrow = oracle.distancesWithin(v, radius);
+    EXPECT_EQ(oracle.stats().rowBuilds, 1u);
+    // Narrower requests are hits on the cached row.
+    EXPECT_EQ(oracle.distancesWithin(v, 0.0).data(), narrow.data());
+    EXPECT_EQ(oracle.stats().rowBuilds, 1u);
+    const std::size_t bytesBefore = oracle.residentBytes();
+
+    const auto full = oracle.distancesFrom(v);
+    EXPECT_EQ(oracle.stats().rowBuilds, 2u);
+    EXPECT_NE(full.data(), narrow.data());
+    EXPECT_EQ(oracle.residentBytes(),
+              bytesBefore + msc::graph::oracleRowBytes(n));  // parked
+    EXPECT_EQ(oracle.cachedRowCount(), 1u);
+    const auto want = eager->distancesFrom(v);
+    for (std::size_t y = 0; y < n; ++y) {
+      EXPECT_EQ(full[y], want[y]) << "y=" << y;
+      EXPECT_EQ(narrow[y], want[y] <= radius ? want[y] : kInfDist)
+          << "y=" << y;
+    }
+    // Once full, every radius is a hit on the same row.
+    EXPECT_EQ(oracle.distancesWithin(v, radius).data(), full.data());
+    EXPECT_EQ(oracle.stats().rowBuilds, 2u);
+  }
+}
+
+// Four threads requesting rows at mixed radii under a budget that evicts:
+// every span read under the lease is exact within the requested radius
+// (run under TSan in CI).
+TEST(OracleRowRadius, ConcurrentMixedRadiiUnderBudget) {
+  const auto g = msc::test::randomGraph(60, 0.08, 37);
+  const auto shared = std::make_shared<const Graph>(g);
+  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  const double median = medianThreshold(*eager, samplePairs(g, 8, 19));
+  const PairCentricOracle oracle(
+      shared, PairCentricOracle::Config{4, 1, 4 * msc::graph::oracleRowBytes(n)});
+  const auto lease = oracle.acquireRowLease();
+  const std::vector<double> radii = {0.0, median / 2, median, kInfDist};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      msc::util::Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 200; ++i) {
+        const auto v = static_cast<NodeId>(rng.below(n));
+        const double radius = radii[rng.below(radii.size())];
+        const auto row = oracle.distancesWithin(v, radius);
+        const auto want = eager->distancesFrom(v);
+        for (std::size_t y = 0; y < n; ++y) {
+          const bool ok = want[y] <= radius ? row[y] == want[y]
+                                            : row[y] > radius;
+          if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        const auto x = static_cast<NodeId>(rng.below(n));
+        if (oracle.distance(v, x) != eager->distance(v, x)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(oracle.stats().rowsEvicted, 0u);
 }
 
 TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {

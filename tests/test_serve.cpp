@@ -843,6 +843,47 @@ TEST(ServeEngine, DistanceModeKnobSelectsBackendAndSurfacesInStatsMetrics) {
   EXPECT_EQ(bad.find("status")->asString(), "error");
 }
 
+// Pair-centric rows are exact only within d_t, and every solver reads
+// them, not point queries: no served solve or eval ever falls back to an
+// ALT query, whatever the algorithm.
+TEST(ServeEngine, PairCentricSolvesNeverRunAltQueries) {
+  Engine engine;
+  const auto g = msc::test::randomGraph(60, 0.08, 9);
+  const auto load = json::parse(engine.handleLine(
+      "{\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":"
+      "\"pair_centric\",\"text\":\"" +
+      jsonEscape(graphText(g)) + "\"}"));
+  ASSERT_EQ(load.find("status")->asString(), "ok");
+  const auto pairs = json::parse(engine.handleLine(
+      "{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":"
+      "\"0 59\\n3 41\\n7 30\\n12 52\\n18 44\\n25 37\\n\"}"));
+  ASSERT_EQ(pairs.find("status")->asString(), "ok");
+
+  const auto expectNoAlt = [](const json::Value& reply, const char* what) {
+    ASSERT_EQ(reply.find("status")->asString(), "ok") << what;
+    const auto* oracle = reply.find("usage")->find("oracle");
+    ASSERT_NE(oracle, nullptr) << what;
+    EXPECT_GT(oracle->find("row_queries")->asNumber(), 0.0) << what;
+    EXPECT_EQ(oracle->find("alt_queries")->asNumber(), 0.0) << what;
+  };
+  std::string placement;
+  for (const char* algo :
+       {"greedy", "sandwich", "aa", "ea", "aea", "budgeted"}) {
+    const auto reply = json::parse(engine.handleLine(
+        std::string("{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\","
+                    "\"p_t\":0.6,\"k\":3,\"threads\":1,\"seed\":1,"
+                    "\"iters\":40,\"algo\":\"") +
+        algo + "\"}"));
+    expectNoAlt(reply, algo);
+    if (placement.empty()) placement = reply.find("placement")->asString();
+  }
+  expectNoAlt(json::parse(engine.handleLine(
+                  "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\","
+                  "\"p_t\":0.6,\"placement\":\"" +
+                  placement + "\"}")),
+              "eval");
+}
+
 // An auto graph resolves its mode once, at load_graph: whatever the
 // session loads or evaluates in between, the same solve request gets the
 // same candidate universe, placement and value. (A measured policy used to
