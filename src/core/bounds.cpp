@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/pair_ball.h"
+#include "core/sigma.h"
 #include "obs/metrics.h"
 
 namespace msc::core {
@@ -21,6 +22,14 @@ std::vector<PairRows> pairEndpointRows(const Instance& instance) {
         {instance.baseRow(p.u).data(), instance.baseRow(p.w).data()});
   }
   return rows;
+}
+
+// start + the weights of the set bits of `bits`, added in ascending order.
+double sumWeights(const util::Bitset& bits, const std::vector<double>& weights,
+                  double start = 0.0) {
+  double total = start;
+  bits.forEachSet([&](std::size_t i) { total += weights[i]; });
+  return total;
 }
 
 }  // namespace
@@ -67,9 +76,11 @@ std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
 // ---------------------------------------------------------------- Mu ----
 
 MuEvaluator::MuEvaluator(const Instance& instance,
-                         const CandidateSet& candidates)
+                         const CandidateSet& candidates,
+                         std::vector<double> pairWeights)
     : instance_(&instance),
       candidates_(&candidates),
+      weights_(checkPairWeights(instance, std::move(pairWeights))),
       perCandidate_(oneShortcutSets(instance, candidates)),
       baseSatisfied_(instance.pairs().size()),
       covered_(instance.pairs().size()) {
@@ -93,10 +104,14 @@ double MuEvaluator::value(const ShortcutList& placement) const {
   util::Bitset acc = baseSatisfied_;
   util::Bitset scratch;
   for (const Shortcut& f : placement) acc |= bitsetFor(f, scratch);
-  return static_cast<double>(acc.count());
+  return sumWeights(acc, weights_);
 }
 
 void MuEvaluator::reset() { covered_ = baseSatisfied_; }
+
+double MuEvaluator::currentValue() const {
+  return sumWeights(covered_, weights_);
+}
 
 double MuEvaluator::gainIfAdd(const Shortcut& f) const {
   if (msc::obs::enabled()) {
@@ -104,7 +119,10 @@ double MuEvaluator::gainIfAdd(const Shortcut& f) const {
     cGain.add(1);
   }
   util::Bitset scratch;
-  return static_cast<double>(covered_.gainIfUnion(bitsetFor(f, scratch)));
+  double gain = 0.0;
+  covered_.forEachMissingFrom(bitsetFor(f, scratch),
+                              [&](std::size_t i) { gain += weights_[i]; });
+  return gain;
 }
 
 void MuEvaluator::add(const Shortcut& f) {
@@ -125,8 +143,10 @@ util::Bitset MuEvaluator::satisfiedBy(const Shortcut& f) const {
 
 // ---------------------------------------------------------------- Nu ----
 
-NuEvaluator::NuEvaluator(const Instance& instance)
+NuEvaluator::NuEvaluator(const Instance& instance,
+                         std::vector<double> pairWeights)
     : instance_(&instance), covered_(instance.pairNodes().size()) {
+  const auto weights = checkPairWeights(instance, std::move(pairWeights));
   const auto& pairs = instance.pairs();
   const auto& pairNodes = instance.pairNodes();
   const double dt = instance.distanceThreshold();
@@ -141,16 +161,16 @@ NuEvaluator::NuEvaluator(const Instance& instance)
   // Weights count only initially-unsatisfied pairs; the satisfied ones are
   // folded into baseConstant_ so nu still upper-bounds sigma on instances
   // with pre-satisfied pairs.
-  weights_.assign(pairNodes.size(), 0.0);
-  for (const SocialPair& p : pairs) {
-    if (instance.baseSatisfied(p)) {
-      baseConstant_ += 1.0;
+  nodeWeights_.assign(pairNodes.size(), 0.0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (instance.baseSatisfied(pairs[i])) {
+      baseConstant_ += weights[i];
       continue;
     }
-    weights_[static_cast<std::size_t>(slot[static_cast<std::size_t>(p.u)])] +=
-        0.5;
-    weights_[static_cast<std::size_t>(slot[static_cast<std::size_t>(p.w)])] +=
-        0.5;
+    for (const NodeId x : {pairs[i].u, pairs[i].w}) {
+      nodeWeights_[static_cast<std::size_t>(
+          slot[static_cast<std::size_t>(x)])] += 0.5 * weights[i];
+    }
   }
 
   // coverage_[v]: pair-nodes within d_t of graph node v. Built by sweeping
@@ -176,17 +196,7 @@ double NuEvaluator::value(const ShortcutList& placement) const {
     acc |= coverage_[static_cast<std::size_t>(f.a)];
     acc |= coverage_[static_cast<std::size_t>(f.b)];
   }
-  double total = baseConstant_;
-  const auto& words = acc.words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      total += weights_[w * 64 + static_cast<std::size_t>(bit)];
-      bits &= bits - 1;
-    }
-  }
-  return total;
+  return sumWeights(acc, nodeWeights_, baseConstant_);
 }
 
 void NuEvaluator::reset() {
@@ -198,7 +208,7 @@ double NuEvaluator::gainOfEndpoint(NodeId v,
                                    const util::Bitset& covered) const {
   double gain = 0.0;
   covered.forEachMissingFrom(coverage_[static_cast<std::size_t>(v)],
-                             [&](std::size_t bit) { gain += weights_[bit]; });
+                             [&](std::size_t i) { gain += nodeWeights_[i]; });
   return gain;
 }
 
@@ -214,7 +224,7 @@ double NuEvaluator::gainIfAdd(const Shortcut& f) const {
   // word, in the same ascending bit order as before.
   covered_.forEachMissingFrom(coverage_[static_cast<std::size_t>(f.b)],
                               coverage_[static_cast<std::size_t>(f.a)],
-                              [&](std::size_t bit) { gain += weights_[bit]; });
+                              [&](std::size_t i) { gain += nodeWeights_[i]; });
   return gain;
 }
 

@@ -18,6 +18,12 @@
 // shortcuts at all: those pairs contribute a constant to both bounds, which
 // keeps mu <= sigma <= nu valid for arbitrary instances, not only the
 // paper's "every sampled pair starts unsatisfied" setting.
+//
+// Pair weights (core/sigma.h checkPairWeights; empty = 1.0 per pair) carry
+// over unchanged: mu sums the weights of its covered pairs, and a pair-node
+// weighs half the sum of its open pairs' weights. Both stay monotone
+// submodular and still bracket the weighted sigma — the §V-B2 arguments
+// never use that the weights are 1.
 #pragma once
 
 #include <memory>
@@ -47,8 +53,10 @@ std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
 class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
   /// Bitsets for `candidates` are precomputed; shortcuts outside the
-  /// candidate set are still handled (computed on the fly).
-  MuEvaluator(const Instance& instance, const CandidateSet& candidates);
+  /// candidate set are still handled (computed on the fly). `pairWeights`
+  /// as in checkPairWeights.
+  MuEvaluator(const Instance& instance, const CandidateSet& candidates,
+              std::vector<double> pairWeights = {});
 
   // SetFunction
   double value(const ShortcutList& placement) const override;
@@ -56,9 +64,7 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
   // IncrementalEvaluator
   void reset() override;
-  double currentValue() const override {
-    return static_cast<double>(covered_.count());
-  }
+  double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
 
@@ -71,6 +77,7 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
   const Instance* instance_;
   const CandidateSet* candidates_;
+  std::vector<double> weights_;             // [pair]
   std::vector<util::Bitset> perCandidate_;  // [candidate index] -> pair bits
   util::Bitset baseSatisfied_;
   util::Bitset covered_;  // incremental state
@@ -79,7 +86,9 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 /// Upper bound nu: weighted coverage of pair endpoints.
 class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
-  explicit NuEvaluator(const Instance& instance);
+  /// `pairWeights` as in checkPairWeights.
+  explicit NuEvaluator(const Instance& instance,
+                       std::vector<double> pairWeights = {});
 
   // SetFunction
   double value(const ShortcutList& placement) const override;
@@ -91,10 +100,11 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
 
-  /// Weight of pair-node index i (occurrences among initially-unsatisfied
-  /// pairs, halved).
+  /// Weight of pair-node index i: half the summed weights of the
+  /// initially-unsatisfied pairs it belongs to (with unit weights, its
+  /// occurrences among them, halved).
   double nodeWeight(std::size_t pairNodeIndex) const {
-    return weights_.at(pairNodeIndex);
+    return nodeWeights_.at(pairNodeIndex);
   }
 
  private:
@@ -102,8 +112,8 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
   const Instance* instance_;
   std::vector<util::Bitset> coverage_;  // [graph node] -> pair-node bits
-  std::vector<double> weights_;         // [pair-node index]
-  double baseConstant_ = 0.0;           // count of base-satisfied pairs
+  std::vector<double> nodeWeights_;     // [pair-node index]
+  double baseConstant_ = 0.0;           // weight of base-satisfied pairs
   util::Bitset covered_;                // incremental state over pair-nodes
   double current_ = 0.0;
 };

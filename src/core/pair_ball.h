@@ -12,10 +12,9 @@
 // have passed, so gains (and their floating-point sums) are bit-identical
 // to the full loop.
 //
-// The σ evaluators build it once per scan (IncrementalEvaluator::
-// prepareScan) over the current rows and drop it on add()/reset(); the μ
-// evaluators build it once over base rows to fill their per-candidate
-// bitsets. Building costs O(open pairs * |nodes|), never more than one
+// The σ evaluator builds it once per scan (IncrementalEvaluator::
+// prepareScan) over the current rows and drops it on add()/reset(); μ
+// builds it once over base rows to fill its per-candidate bitsets. Building costs O(open pairs * |nodes|), never more than one
 // probe per indexed node; it is written only outside parallel probe loops,
 // which just read it.
 #pragma once
@@ -40,12 +39,11 @@ struct PairRows {
 };
 
 /// Rows of every pair's endpoints in `store`, which must hold them (the
-/// σ evaluators seed their stores with the pair nodes).
+/// σ evaluator seeds its store with the pair nodes).
 std::vector<PairRows> pairRowsOf(std::span<const SocialPair> pairs,
                                  const msc::graph::ShortcutRowStore& store);
 
-/// The one-shortcut test of pair p for shortcut f (the μ predicate, also
-/// weighted σ's gain test):
+/// The one-shortcut test of pair p for shortcut f (the μ predicate):
 /// min(d(u,w), d(u,a) + d(b,w), d(u,b) + d(a,w)) <= dt.
 inline bool satisfiedWithOneShortcut(const PairRows& rows, const SocialPair& p,
                                      const Shortcut& f, double dt) {
@@ -84,8 +82,11 @@ class PairBallIndex {
     const int sa = slotOf(a);
     const int sb = slotOf(b);
     if (sa < 0 || sb < 0) return false;
-    const std::uint64_t* na = &words_[static_cast<std::size_t>(sa) * stride_];
-    const std::uint64_t* nb = &words_[static_cast<std::size_t>(sb) * stride_];
+    // data() + offset, not &words_[offset]: with no pairs words_ is empty.
+    const std::uint64_t* na =
+        words_.data() + static_cast<std::size_t>(sa) * stride_;
+    const std::uint64_t* nb =
+        words_.data() + static_cast<std::size_t>(sb) * stride_;
     for (std::size_t w = 0; w < stride_; ++w) {
       std::uint64_t bits = na[w] & nb[w];
       while (bits != 0) {

@@ -19,10 +19,11 @@ namespace msc::core {
 
 SandwichResult sandwichApproximation(const Instance& instance,
                                      const CandidateSet& candidates,
-                                     const SolveOptions& options) {
-  SigmaEvaluator sigmaEval(instance);
-  MuEvaluator muEval(instance, candidates);
-  NuEvaluator nuEval(instance);
+                                     const SolveOptions& options,
+                                     std::vector<double> pairWeights) {
+  SigmaEvaluator sigmaEval(instance, pairWeights);
+  MuEvaluator muEval(instance, candidates, pairWeights);
+  NuEvaluator nuEval(instance, std::move(pairWeights));
   return sandwichApproximation(sigmaEval, muEval, nuEval, sigmaEval, nuEval,
                                candidates, options);
 }
@@ -38,96 +39,84 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
   const auto startTime = std::chrono::steady_clock::now();
   SandwichResult result;
 
-  GreedyResult mu, sg, nu;
-  const int threads = util::resolveThreadCount(options.threads);
+  // One greedy pass per bound; every name is a literal (spans and trace
+  // lanes keep the pointer).
+  struct Pass {
+    const char* name;    // progress stage
+    const char* span;    // MSC_OBS_SPAN
+    const char* thread;  // trace lane when the pass gets its own thread
+    IncrementalEvaluator& eval;
+    GreedyResult (*maximize)(IncrementalEvaluator&, const CandidateSet&,
+                             const SolveOptions&);
+    GreedyResult result{};
+    std::exception_ptr error{};
+  };
+  Pass passes[] = {
+      {"mu", "sandwich.pass.mu", "sandwich.mu", muEval, lazyGreedyMaximize},
+      {"sigma", "sandwich.pass.sigma", nullptr, sigmaEval, greedyMaximize},
+      {"nu", "sandwich.pass.nu", "sandwich.nu", nuEval, lazyGreedyMaximize},
+  };
   // Per-bound pass progress: each completed pass is one of three sandwich
   // "rounds" (forced past the rate limit so the certified interval's
   // tightening always reaches the sink). Called on whichever thread ran
   // the pass — the reporter is shared and thread-safe.
   std::atomic<int> passesDone{0};
-  const auto reportPass = [&passesDone](const char* pass,
-                                        const GreedyResult& r) {
-    msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
-    if (progress == nullptr) return;
-    msc::obs::ProgressSnapshot snap;
-    snap.solver = "sandwich";
-    snap.stage = pass;
-    snap.round = passesDone.fetch_add(1, std::memory_order_relaxed) + 1;
-    snap.totalRounds = 3;
-    snap.value = r.value;
-    snap.gainEvals = r.gainEvaluations;
-    snap.extra("pass_rounds", static_cast<double>(r.rounds));
-    progress->report(snap, /*force=*/true);
+  const auto run = [&](Pass& pass) {
+    try {
+      MSC_OBS_SPAN(pass.span);
+      const msc::obs::ScopedProgressStage stage(pass.name);
+      pass.result = pass.maximize(pass.eval, candidates, options);
+      msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
+      if (progress == nullptr) return;
+      msc::obs::ProgressSnapshot snap;
+      snap.solver = "sandwich";
+      snap.stage = pass.name;
+      snap.round = passesDone.fetch_add(1, std::memory_order_relaxed) + 1;
+      snap.totalRounds = 3;
+      snap.value = pass.result.value;
+      snap.gainEvals = pass.result.gainEvaluations;
+      snap.extra("pass_rounds", static_cast<double>(pass.result.rounds));
+      progress->report(snap, /*force=*/true);
+    } catch (...) {
+      pass.error = std::current_exception();
+    }
   };
-  if (threads <= 1) {
-    {
-      MSC_OBS_SPAN("sandwich.pass.mu");
-      const msc::obs::ScopedProgressStage stage("mu");
-      mu = lazyGreedyMaximize(muEval, candidates, options);
-      reportPass("mu", mu);
-    }
-    {
-      MSC_OBS_SPAN("sandwich.pass.sigma");
-      const msc::obs::ScopedProgressStage stage("sigma");
-      sg = greedyMaximize(sigmaEval, candidates, options);
-      reportPass("sigma", sg);
-    }
-    {
-      MSC_OBS_SPAN("sandwich.pass.nu");
-      const msc::obs::ScopedProgressStage stage("nu");
-      nu = lazyGreedyMaximize(nuEval, candidates, options);
-      reportPass("nu", nu);
+  if (util::resolveThreadCount(options.threads) <= 1) {
+    for (Pass& pass : passes) {
+      run(pass);
+      if (pass.error) std::rethrow_exception(pass.error);
     }
   } else {
     // The three passes touch disjoint evaluators, so they can overlap;
     // their inner gain scans serialize on (and share) the global pool.
     // Each pass is individually deterministic, so the concurrent schedule
-    // returns exactly the sequential result.
-    std::exception_ptr muError, sigmaError, nuError;
-    // Directly-spawned threads don't inherit the serve request binding the
-    // way pool workers do; capture it here and re-bind inside each pass so
-    // their trace events, phase notes and CPU time stay attributed.
+    // returns exactly the sequential result. mu and nu get their own
+    // threads, sigma runs here. Directly-spawned threads don't inherit the
+    // serve request binding the way pool workers do; capture it here and
+    // re-bind inside each pass so their trace events, phase notes and CPU
+    // time stay attributed.
     msc::obs::RequestContext* const requestCtx = msc::obs::currentRequest();
-    std::thread muThread([&, requestCtx] {
-      try {
-        msc::obs::trace::setCurrentThreadName("sandwich.mu");
+    const auto spawn = [&](Pass& pass) {
+      return std::thread([&run, &pass, requestCtx] {
+        // A fresh thread has no trace lane yet, so naming it cannot throw.
+        msc::obs::trace::setCurrentThreadName(pass.thread);
         const msc::obs::ScopedRequestBind bind(requestCtx);
         const msc::obs::ScopedCpuAttribution cpu;
-        MSC_OBS_SPAN("sandwich.pass.mu");
-        const msc::obs::ScopedProgressStage stage("mu");
-        mu = lazyGreedyMaximize(muEval, candidates, options);
-        reportPass("mu", mu);
-      } catch (...) {
-        muError = std::current_exception();
-      }
-    });
-    std::thread nuThread([&, requestCtx] {
-      try {
-        msc::obs::trace::setCurrentThreadName("sandwich.nu");
-        const msc::obs::ScopedRequestBind bind(requestCtx);
-        const msc::obs::ScopedCpuAttribution cpu;
-        MSC_OBS_SPAN("sandwich.pass.nu");
-        const msc::obs::ScopedProgressStage stage("nu");
-        nu = lazyGreedyMaximize(nuEval, candidates, options);
-        reportPass("nu", nu);
-      } catch (...) {
-        nuError = std::current_exception();
-      }
-    });
-    try {
-      MSC_OBS_SPAN("sandwich.pass.sigma");
-      const msc::obs::ScopedProgressStage stage("sigma");
-      sg = greedyMaximize(sigmaEval, candidates, options);
-      reportPass("sigma", sg);
-    } catch (...) {
-      sigmaError = std::current_exception();
-    }
+        run(pass);
+      });
+    };
+    std::thread muThread = spawn(passes[0]);
+    std::thread nuThread = spawn(passes[2]);
+    run(passes[1]);
     muThread.join();
     nuThread.join();
-    if (muError) std::rethrow_exception(muError);
-    if (sigmaError) std::rethrow_exception(sigmaError);
-    if (nuError) std::rethrow_exception(nuError);
+    for (const Pass& pass : passes) {
+      if (pass.error) std::rethrow_exception(pass.error);
+    }
   }
+  const GreedyResult& mu = passes[0].result;
+  const GreedyResult& sg = passes[1].result;
+  const GreedyResult& nu = passes[2].result;
 
   result.placementMu = mu.placement;
   result.placementSigma = sg.placement;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "core/candidates.h"
 #include "core/greedy.h"
@@ -79,10 +80,12 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
                                      const SolveOptions& options);
 
 /// Convenience wrapper for a single static instance: builds the three
-/// evaluators internally.
+/// evaluators internally, all over `pairWeights` (one per pair, finite and
+/// >= 0; empty = 1.0 each, the paper's unweighted objective).
 class Instance;
 SandwichResult sandwichApproximation(const Instance& instance,
                                      const CandidateSet& candidates,
-                                     const SolveOptions& options);
+                                     const SolveOptions& options,
+                                     std::vector<double> pairWeights = {});
 
 }  // namespace msc::core

@@ -1,6 +1,11 @@
 #include "core/sigma.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 
 #include "core/candidates.h"
 #include "obs/metrics.h"
@@ -16,24 +21,54 @@ void publishPairChecks(std::size_t checks) {
   cRelax.add(checks);
 }
 
+// `w` if `keep`, else +0.0, without a branch: whether an open pair counts
+// for a probe is close to a coin flip, and a mispredicted branch costs more
+// than the add. Adding +0.0 to a sum of weights >= 0 leaves it unchanged.
+double weightIf(bool keep, double w) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(w) &
+                               -static_cast<std::uint64_t>(keep));
+}
+
+// Weights of the pairs maintained under `placement`, summed in ascending
+// pair order.
 double sigmaOver(const msc::graph::OverlayEvaluator& overlay,
-                 const Instance& instance, const ShortcutList& placement) {
+                 const Instance& instance, const std::vector<double>& weights,
+                 const ShortcutList& placement) {
   if (msc::obs::enabled()) {
     static auto& cCalls = msc::obs::counter("sigma.calls");
     cCalls.add(1);
   }
+  const auto dists = pairDistancesUnder(overlay, instance, placement);
   const double dt = instance.distanceThreshold();
-  int count = 0;
-  for (const double d : pairDistancesUnder(overlay, instance, placement)) {
-    if (d <= dt) ++count;
+  double total = 0.0;
+  for (std::size_t i = 0; i < dists.size(); ++i) {
+    if (dists[i] <= dt) total += weights[i];
   }
-  return static_cast<double>(count);
+  return total;
 }
 
 }  // namespace
 
-SigmaEvaluator::SigmaEvaluator(const Instance& instance)
+std::vector<double> checkPairWeights(const Instance& instance,
+                                     std::vector<double> weights) {
+  const auto m = static_cast<std::size_t>(instance.pairCount());
+  if (weights.empty()) return std::vector<double>(m, 1.0);
+  if (weights.size() != m) {
+    throw std::invalid_argument("pair weights: size must equal pair count");
+  }
+  for (const double w : weights) {
+    if (!std::isfinite(w) || w < 0.0) {
+      throw std::invalid_argument(
+          "pair weights: must be finite and non-negative");
+    }
+  }
+  return weights;
+}
+
+SigmaEvaluator::SigmaEvaluator(const Instance& instance,
+                               std::vector<double> pairWeights)
     : instance_(&instance),
+      weights_(checkPairWeights(instance, std::move(pairWeights))),
       overlay_(instance.distanceOracle(), instance.pairNodes(),
                instance.distanceThreshold()),
       rows_(instance.distanceOracle(), instance.pairNodes(), 1,
@@ -51,12 +86,20 @@ void SigmaEvaluator::refreshSatisfied() {
   const auto& pairs = instance_->pairs();
   pairSatisfied_.assign(pairs.size(), 0);
   satisfied_ = 0;
+  current_ = 0.0;
+  markSatisfied();
+}
+
+void SigmaEvaluator::markSatisfied() {
+  const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairSatisfied_[i]) continue;  // distances only shrink
     const double* ru = rows_.rowIfPresent(pairs[i].u);
     if (ru[static_cast<std::size_t>(pairs[i].w)] <= dt) {
       pairSatisfied_[i] = 1;
       ++satisfied_;
+      current_ += weights_[i];
     }
   }
 }
@@ -72,23 +115,24 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
   const double dt = instance_->distanceThreshold();
   const auto a = static_cast<std::size_t>(f.a);
   const auto b = static_cast<std::size_t>(f.b);
-  int gain = 0;
+  double gain = 0.0;
   std::size_t checks = 0;
-  // The row of w stands in for the columns of w (the evolved metric is
-  // symmetric).
-  const auto check = [&](const double* ru, const double* rw) {
+  // Open pairs only, in ascending pair order either way. The row of w
+  // stands in for the columns of w (the evolved metric is symmetric).
+  const auto check = [&](std::size_t i, const double* ru, const double* rw) {
     ++checks;
     const double viaAB = ru[a] + rw[b];
     const double viaBA = ru[b] + rw[a];
-    if (std::min(viaAB, viaBA) <= dt) ++gain;
+    gain += weightIf(std::min(viaAB, viaBA) <= dt, weights_[i]);
   };
   const bool indexed = near_.forEachShared(f.a, f.b, [&](std::size_t i) {
-    check(near_.rows(i).u, near_.rows(i).w);
+    check(i, near_.rows(i).u, near_.rows(i).w);
   });
   if (!indexed) {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (pairSatisfied_[i]) continue;  // distances only shrink
-      check(rows_.rowIfPresent(pairs[i].u), rows_.rowIfPresent(pairs[i].w));
+      check(i, rows_.rowIfPresent(pairs[i].u),
+            rows_.rowIfPresent(pairs[i].w));
     }
   }
   if (msc::obs::enabled()) {
@@ -96,7 +140,7 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
     cGain.add(1);
     publishPairChecks(checks);
   }
-  return static_cast<double>(gain);
+  return gain;
 }
 
 void SigmaEvaluator::add(const Shortcut& f) {
@@ -108,16 +152,7 @@ void SigmaEvaluator::add(const Shortcut& f) {
   }
   near_.invalidate();
   rows_.applyZeroEdge(f.a, f.b);
-  const auto& pairs = instance_->pairs();
-  const double dt = instance_->distanceThreshold();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairSatisfied_[i]) continue;
-    const double* ru = rows_.rowIfPresent(pairs[i].u);
-    if (ru[static_cast<std::size_t>(pairs[i].w)] <= dt) {
-      pairSatisfied_[i] = 1;
-      ++satisfied_;
-    }
-  }
+  markSatisfied();
 }
 
 double SigmaEvaluator::pairDistance(int pairIndex) const {
@@ -126,7 +161,7 @@ double SigmaEvaluator::pairDistance(int pairIndex) const {
 }
 
 double SigmaEvaluator::value(const ShortcutList& placement) const {
-  return sigmaOver(overlay_, *instance_, placement);
+  return sigmaOver(overlay_, *instance_, weights_, placement);
 }
 
 std::vector<double> pairDistancesUnder(
@@ -142,7 +177,8 @@ double sigmaValue(const Instance& instance, const ShortcutList& placement) {
   const msc::graph::OverlayEvaluator overlay(instance.distanceOracle(),
                                              instance.pairNodes(),
                                              instance.distanceThreshold());
-  return sigmaOver(overlay, instance, placement);
+  return sigmaOver(overlay, instance, checkPairWeights(instance, {}),
+                   placement);
 }
 
 }  // namespace msc::core

@@ -1,6 +1,8 @@
 // The MSC objective sigma(F): number of important social pairs whose
 // shortest-path distance in G ∪ F meets the distance requirement
-// (paper §III-C).
+// (paper §III-C). With pair weights (one per pair, finite and >= 0) it is
+// the sum of the maintained pairs' weights; no weights means 1.0 each,
+// which is the paper's count exactly (every partial sum is an integer).
 //
 // Two exact paths, one per access pattern:
 //   * incremental (reset/prepareScan/gainIfAdd/add): apply each added
@@ -28,10 +30,17 @@
 
 namespace msc::core {
 
+/// `weights` with one entry per pair of `instance`, each finite and >= 0;
+/// empty means 1.0 per pair. Throws std::invalid_argument otherwise.
+std::vector<double> checkPairWeights(const Instance& instance,
+                                     std::vector<double> weights);
+
 class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
-  /// The instance must outlive the evaluator.
-  explicit SigmaEvaluator(const Instance& instance);
+  /// The instance must outlive the evaluator. `pairWeights` as in
+  /// checkPairWeights (empty: every pair weighs 1.0).
+  explicit SigmaEvaluator(const Instance& instance,
+                          std::vector<double> pairWeights = {});
 
   // --- SetFunction ---
   double value(const ShortcutList& placement) const override;
@@ -39,14 +48,15 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
 
   // --- IncrementalEvaluator ---
   void reset() override;
-  double currentValue() const override {
-    return static_cast<double>(satisfied_);
-  }
+  /// Sum of the weights of the pairs maintained under the current
+  /// placement (added in ascending pair order within each add()).
+  double currentValue() const override { return current_; }
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
   void prepareScan(const CandidateSet& candidates) override;
 
   // --- introspection on the current incremental state ---
+  /// Number of maintained pairs, whatever their weights.
   int satisfiedCount() const noexcept { return satisfied_; }
   bool pairSatisfied(int pairIndex) const {
     return pairSatisfied_.at(static_cast<std::size_t>(pairIndex)) != 0;
@@ -60,20 +70,24 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
 
  private:
   void refreshSatisfied();
+  // Marks the open pairs the current rows satisfy, in ascending order.
+  void markSatisfied();
 
   const Instance* instance_;
+  std::vector<double> weights_;  // one per pair
   msc::graph::OverlayEvaluator overlay_;  // over instance.pairNodes()
   // Pair-endpoint distance rows under the current placement.
   msc::graph::ShortcutRowStore rows_;
   std::vector<std::uint8_t> pairSatisfied_;
   int satisfied_ = 0;
+  double current_ = 0.0;
   // Scan index over rows_ (valid from prepareScan until add/reset).
   PairBallIndex near_;
 };
 
 /// Distance of every pair of `instance` in G ∪ placement, in pair order,
 /// read off `overlay` (built over instance.pairNodes()). The whole-placement
-/// path of sigma and weighted sigma.
+/// path of sigma.
 std::vector<double> pairDistancesUnder(
     const msc::graph::OverlayEvaluator& overlay, const Instance& instance,
     const ShortcutList& placement);

@@ -142,6 +142,14 @@ class Bitset {
     words_[w] = value;
   }
 
+  /// Calls fn(bitIndex) for every set bit, in ascending order.
+  template <typename Fn>
+  void forEachSet(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      forEachBit(words_[w], w, fn);
+    }
+  }
+
   /// Calls fn(bitIndex) for every bit set in `other` but not in *this,
   /// in ascending order.
   template <typename Fn>

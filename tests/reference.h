@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/bounds.h"
 #include "core/instance.h"
 #include "core/set_function.h"
 #include "core/types.h"
@@ -92,6 +93,59 @@ inline double weightedSigmaByRebuild(const msc::core::Instance& instance,
   double total = 0.0;
   for (std::size_t i = 0; i < dists.size(); ++i) {
     if (dists[i] <= instance.distanceThreshold()) total += weights[i];
+  }
+  return total;
+}
+
+/// Weighted mu(F) from its definition: the pairs satisfied with no
+/// shortcut or through one member of F alone (oneShortcutSet), their
+/// weights summed in ascending pair order.
+inline double weightedMuByDefinition(const msc::core::Instance& instance,
+                                     const std::vector<double>& weights,
+                                     const msc::core::ShortcutList& placement) {
+  const auto& pairs = instance.pairs();
+  msc::util::Bitset covered(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (instance.baseSatisfied(pairs[i])) covered.set(i);
+  }
+  for (const msc::core::Shortcut& f : placement) {
+    covered |= msc::core::oneShortcutSet(instance, f);
+  }
+  double total = 0.0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (covered.test(i)) total += weights[i];
+  }
+  return total;
+}
+
+/// Weighted nu(F) from its definition over base rows: the weights of the
+/// pairs satisfied with no shortcut, plus, for every pair node within d_t
+/// of an endpoint of F (ascending), half the weights of its open pairs
+/// (ascending).
+inline double weightedNuByDefinition(const msc::core::Instance& instance,
+                                     const std::vector<double>& weights,
+                                     const msc::core::ShortcutList& placement) {
+  const auto& pairs = instance.pairs();
+  const double dt = instance.distanceThreshold();
+  double total = 0.0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (instance.baseSatisfied(pairs[i])) total += weights[i];
+  }
+  for (const msc::graph::NodeId x : instance.pairNodes()) {
+    const auto row = instance.baseRow(x);
+    bool covered = false;
+    for (const msc::core::Shortcut& f : placement) {
+      for (const msc::graph::NodeId v : {f.a, f.b}) {
+        if (row[static_cast<std::size_t>(v)] <= dt) covered = true;
+      }
+    }
+    if (!covered) continue;
+    double weight = 0.0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (instance.baseSatisfied(pairs[i])) continue;
+      if (pairs[i].u == x || pairs[i].w == x) weight += 0.5 * weights[i];
+    }
+    total += weight;
   }
   return total;
 }

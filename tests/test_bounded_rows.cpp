@@ -27,7 +27,6 @@
 #include "core/instance.h"
 #include "core/sandwich.h"
 #include "core/sigma.h"
-#include "core/weighted.h"
 #include "graph/distance_oracle.h"
 #include "helpers.h"
 #include "util/rng.h"
@@ -205,8 +204,9 @@ void expectSolversAgree(const Instance& bounded, const Instance& full,
     for (int i = 0; i < bounded.pairCount(); ++i) {
       weights.push_back(0.5 + 0.25 * (i % 4));
     }
-    expectSame(msc::core::weightedSandwich(bounded, weights, cands, options),
-               msc::core::weightedSandwich(full, weights, cands, options));
+    expectSame(
+        msc::core::sandwichApproximation(bounded, cands, options, weights),
+        msc::core::sandwichApproximation(full, cands, options, weights));
   }
   {
     SCOPED_TRACE("budgeted");

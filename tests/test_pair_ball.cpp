@@ -1,9 +1,9 @@
 // Differential tests for the per-scan d_t-ball pair index
-// (core/pair_ball.h): after prepareScan, σ and weighted-σ gains must equal
-// a reference full-pair loop bit for bit, for every candidate at every
-// greedy round — across generators, distance modes, candidate sets and
-// thread counts — and the μ per-candidate bitsets must equal the
-// one-shortcut predicate evaluated pair by pair.
+// (core/pair_ball.h): after prepareScan, σ gains with unit and with random
+// pair weights must equal a reference full-pair loop bit for bit, for every
+// candidate at every greedy round — across generators, distance modes,
+// candidate sets and thread counts — and the μ per-candidate bitsets must
+// equal the one-shortcut predicate evaluated pair by pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "core/pair_ball.h"
 #include "core/robust.h"
 #include "core/sigma.h"
-#include "core/weighted.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
 #include "gen/grid.h"
@@ -40,7 +39,6 @@ using msc::core::Shortcut;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
 using msc::core::SocialPair;
-using msc::core::WeightedSigmaEvaluator;
 using msc::graph::DistanceMode;
 using msc::graph::Graph;
 using msc::graph::NodeId;
@@ -172,7 +170,8 @@ class ReferenceSigma {
     return gain;
   }
 
-  // WeightedSigmaEvaluator's expression, summed in ascending pair order.
+  // The one-shortcut test over the open pairs, weights summed in ascending
+  // pair order.
   double weightedGain(const Shortcut& f) const {
     double gain = 0.0;
     forEachOpen([&](std::size_t i, const double* ru, const double* rw) {
@@ -227,7 +226,7 @@ void expectIndexedGainsMatch(const Instance& inst, const CandidateSet& cands,
                              int threads, int rounds) {
   const auto weights = sampleWeights(inst.pairs().size(), 17);
   SigmaEvaluator sigma(inst);
-  WeightedSigmaEvaluator weighted(inst, weights);
+  SigmaEvaluator weighted(inst, weights);
   ReferenceSigma ref(inst, weights);
   std::vector<double> got(cands.size());
   std::vector<double> gotWeighted(cands.size());

@@ -12,7 +12,6 @@
 #include "core/routing.h"
 #include "core/sandwich.h"
 #include "core/sigma.h"
-#include "core/weighted.h"
 #include "gen/barabasi_albert.h"
 #include "gen/grid.h"
 #include "gen/watts_strogatz.h"
@@ -157,7 +156,7 @@ TEST(Extensions, BudgetedGreedyOnWeightedObjective) {
   for (int i = 0; i < inst.pairCount(); ++i) {
     weights.push_back(rng.uniform(0.5, 3.0));
   }
-  msc::core::WeightedSigmaEvaluator wsigma(inst, weights);
+  msc::core::SigmaEvaluator wsigma(inst, weights);
   const auto cost = [](const Shortcut& f) {
     return 1.0 + 0.2 * static_cast<double>(f.b % 4);
   };
@@ -196,7 +195,7 @@ TEST(Extensions, WeightedSandwichOnCommonNodeInstance) {
   const auto cands = CandidateSet::allPairs(12);
   // Pair (0,11) is 10x more important.
   const auto aa =
-      msc::core::weightedSandwich(inst, {1.0, 10.0}, cands, {.k = 1});
+      msc::core::sandwichApproximation(inst, cands, {.k = 1}, {1.0, 10.0});
   EXPECT_GE(aa.sigma, 10.0);  // the heavy pair must be maintained
 }
 

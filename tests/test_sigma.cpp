@@ -4,7 +4,6 @@
 
 #include <unordered_set>
 
-#include "core/weighted.h"
 #include "graph/distance_oracle.h"
 #include "helpers.h"
 #include "obs/metrics.h"
@@ -17,7 +16,6 @@ using msc::core::Instance;
 using msc::core::Shortcut;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
-using msc::core::WeightedSigmaEvaluator;
 
 Instance paperCounterexample() {
   // §V-A: V = {v0, v1, v2}, E = {}, all three pairs important, d_t = 1.
@@ -152,7 +150,7 @@ TEST_P(SigmaStrategies, WeightedValueMatchesRebuild) {
   SigmaEvaluator sigma(inst);
   for (const auto& weights : {std::vector<double>(m, 1.0), random}) {
     const bool unit = weights == std::vector<double>(m, 1.0);
-    WeightedSigmaEvaluator eval(inst, weights);
+    SigmaEvaluator eval(inst, weights);
     for (int trial = 0; trial < 8; ++trial) {
       const auto placement =
           msc::test::randomPlacement(30, static_cast<int>(rng.below(7)), rng);
