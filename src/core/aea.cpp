@@ -1,7 +1,6 @@
 #include "core/aea.h"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 
 #include "core/gain_scan.h"
@@ -43,7 +42,6 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
   }
 
   MSC_OBS_SPAN("aea.run");
-  const auto startTime = std::chrono::steady_clock::now();
   std::uint64_t greedySwaps = 0;
   std::uint64_t randomSwaps = 0;
   std::uint64_t evaluations = 0;
@@ -51,9 +49,6 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
   const auto finishResult = [&](AeaResult& r) {
     r.gainEvaluations = evaluations;
     r.iterations = iterationsRun;
-    r.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - startTime)
-                        .count();
   };
 
   util::Rng rng(options.seed);
@@ -129,11 +124,13 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
       eval.evaluate(f);  // state = F \ {dropped}
       ++evaluations;
       // Same phase as the greedy round scans: a full candidate sweep.
-      const msc::obs::ScopedPhaseTimer scanPhase(msc::obs::Phase::RoundScan);
-      const detail::ScanBest add = detail::gainScan(
-          eval, candidates, threads, /*requirePositiveGain=*/false,
-          [&](std::size_t c) { return contains(f, candidates[c]); },
-          [](double gain, std::size_t) { return gain; });
+      const detail::ScanBest add = [&] {
+        MSC_OBS_SPAN("aea.add_scan", msc::obs::Phase::RoundScan);
+        return detail::gainScan(
+            eval, candidates, threads, /*requirePositiveGain=*/false,
+            [&](std::size_t c) { return contains(f, candidates[c]); },
+            [](double gain, std::size_t) { return gain; });
+      }();
       evaluations += add.evaluations;
       if (add.index < 0) {
         // Only possible when the cancel token fired mid-scan and chunks
@@ -213,7 +210,6 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
   finishResult(result);
 
   if (msc::obs::enabled()) {
-    msc::obs::counter("aea.runs").add(1);
     msc::obs::counter("aea.generations")
         .add(static_cast<std::uint64_t>(iterationsRun));
     msc::obs::counter("aea.greedy_swaps").add(greedySwaps);

@@ -48,8 +48,6 @@ struct AeaResult {
   /// Swap iterations actually run (== config.iterations unless the run
   /// was interrupted).
   int iterations = 0;
-  /// Wall-clock duration of the run in seconds.
-  double wallSeconds = 0.0;
   /// Why the run stopped early (None = all iterations ran). Checked at
   /// generation boundaries; the population always holds feasible size-k
   /// placements, so the best member is a valid anytime answer.

@@ -1,6 +1,5 @@
 #include "core/budgeted.h"
 
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -103,7 +102,6 @@ BudgetedResult budgetedGreedy(IncrementalEvaluator& eval,
   if (!(budget >= 0.0) || !std::isfinite(budget)) {
     throw std::invalid_argument("budgetedGreedy: budget must be finite >= 0");
   }
-  const auto startTime = std::chrono::steady_clock::now();
   const int threads = util::resolveThreadCount(options.threads);
   std::vector<double> costs(candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
@@ -141,9 +139,6 @@ BudgetedResult budgetedGreedy(IncrementalEvaluator& eval,
     result.cost = uniform.cost;
     result.winner = "uniform";
   }
-  result.wallSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - startTime)
-                           .count();
   return result;
 }
 

@@ -53,8 +53,6 @@ struct BudgetedResult {
   std::size_t gainEvaluations = 0;
   /// Accepted picks summed over both greedy rules.
   int rounds = 0;
-  /// Wall-clock duration of the run in seconds.
-  double wallSeconds = 0.0;
   /// Why the run stopped early (None = both rules ran to exhaustion).
   /// Checked at pick boundaries of each rule; both component placements
   /// are valid (budget-respecting) prefixes.

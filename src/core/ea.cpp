@@ -1,7 +1,6 @@
 #include "core/ea.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -35,7 +34,6 @@ EaResult evolutionaryAlgorithm(const SetFunction& objective,
   const int k = options.k;
   if (k < 0) throw std::invalid_argument("EA: negative budget");
   if (config.iterations < 0) throw std::invalid_argument("EA: negative r");
-  const auto startTime = std::chrono::steady_clock::now();
   if (candidates.empty()) {
     EaResult empty;
     empty.value = objective.value({});
@@ -44,9 +42,6 @@ EaResult evolutionaryAlgorithm(const SetFunction& objective,
     empty.archiveSize = 1;
     empty.gainEvaluations = 1;
     empty.iterations = config.iterations;
-    empty.wallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - startTime)
-                            .count();
     return empty;
   }
   const double flipP =
@@ -187,12 +182,8 @@ EaResult evolutionaryAlgorithm(const SetFunction& objective,
   result.archiveSize = archive.size();
   result.gainEvaluations = offspringEvals + 1;  // + the initial archive seed
   result.iterations = iterationsRun;
-  result.wallSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - startTime)
-                           .count();
 
   if (msc::obs::enabled()) {
-    msc::obs::counter("ea.runs").add(1);
     msc::obs::counter("ea.generations")
         .add(static_cast<std::uint64_t>(iterationsRun));
     msc::obs::counter("ea.mutation_flips").add(mutationFlips);

@@ -55,8 +55,6 @@ struct EaResult {
   /// Mutation iterations actually run (== config.iterations unless the
   /// run was interrupted).
   int iterations = 0;
-  /// Wall-clock duration of the run in seconds.
-  double wallSeconds = 0.0;
   /// Why the run stopped early (None = all iterations ran). Checked at
   /// generation boundaries; the archive built so far still yields a valid
   /// best-feasible placement.

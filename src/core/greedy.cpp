@@ -1,6 +1,5 @@
 #include "core/greedy.h"
 
-#include <chrono>
 #include <queue>
 #include <stdexcept>
 #include <vector>
@@ -21,18 +20,11 @@ void checkBudget(int k) {
   if (k < 0) throw std::invalid_argument("greedy: negative budget k");
 }
 
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 // Publishes a finished pass's counters under the given prefix
 // ("greedy" / "greedy.lazy").
 void publishPass(const char* prefix, const GreedyResult& result) {
   if (!msc::obs::enabled()) return;
   const std::string p(prefix);
-  msc::obs::counter(p + ".passes").add(1);
   msc::obs::counter(p + ".rounds").add(static_cast<std::uint64_t>(result.rounds));
   msc::obs::counter(p + ".gain_evals").add(result.gainEvaluations);
   if (result.lazyRecomputes != 0) {
@@ -48,7 +40,6 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
   checkBudget(options.k);
   const int threads = util::resolveThreadCount(options.threads);
   MSC_OBS_SPAN("greedy.pass");
-  const auto start = std::chrono::steady_clock::now();
   eval.reset();
   GreedyResult result;
   std::vector<char> chosen(candidates.size(), 0);
@@ -58,25 +49,21 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
   msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
   const char* const stage = msc::obs::currentProgressStage();
   // One sample per round (each round is a full candidate scan, so the two
-  // extra clock reads are noise); recorded even with metrics disabled so
-  // the serve layer's Prometheus export always has gain-scan tail latency.
+  // clock reads are noise); recorded even with metrics disabled so the
+  // serve layer's Prometheus export always has gain-scan tail latency.
   static auto& scanHist = msc::obs::histogram("greedy.round_scan_seconds");
   for (int round = 0; round < options.k; ++round) {
     if (cancel != nullptr && cancel->cancelled()) {
       result.interrupted = cancel->reason();
       break;
     }
-    MSC_OBS_SPAN("greedy.iteration");
-    const auto scanStart = std::chrono::steady_clock::now();
-    const detail::ScanBest best = detail::gainScan(
-        eval, candidates, threads, /*requirePositiveGain=*/true,
-        [&](std::size_t c) { return chosen[c] != 0; },
-        [](double gain, std::size_t) { return gain; });
-    const double scanSeconds = secondsSince(scanStart);
-    scanHist.record(scanSeconds);
-    // Reuses the duration the histogram already measured — zero extra
-    // clock reads on the unattributed path.
-    msc::obs::notePhaseSeconds(msc::obs::Phase::RoundScan, scanSeconds);
+    const detail::ScanBest best = [&] {
+      MSC_OBS_SPAN("greedy.round_scan", scanHist, msc::obs::Phase::RoundScan);
+      return detail::gainScan(
+          eval, candidates, threads, /*requirePositiveGain=*/true,
+          [&](std::size_t c) { return chosen[c] != 0; },
+          [](double gain, std::size_t) { return gain; });
+    }();
     result.gainEvaluations += best.evaluations;
     if (cancel != nullptr && cancel->cancelled()) {
       // The token fired mid-scan, so the scan may have skipped chunks:
@@ -115,7 +102,6 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
     }
   }
   result.value = eval.currentValue();
-  result.wallSeconds = secondsSince(start);
   publishPass("greedy", result);
   return result;
 }
@@ -126,7 +112,6 @@ GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
   checkBudget(options.k);
   const int threads = util::resolveThreadCount(options.threads);
   MSC_OBS_SPAN("greedy.lazy_pass");
-  const auto start = std::chrono::steady_clock::now();
   eval.reset();
   GreedyResult result;
 
@@ -149,8 +134,8 @@ GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
   // in index order afterwards keeps the heap identical to a serial fill.
   {
     // The fill is the lazy pass's analogue of a full gain scan; charge it
-    // to the same request phase (clock read only under a bound context).
-    const msc::obs::ScopedPhaseTimer scanPhase(msc::obs::Phase::RoundScan);
+    // to the same request phase.
+    MSC_OBS_SPAN("greedy.lazy_fill", msc::obs::Phase::RoundScan);
     std::vector<double> initialGain(candidates.size());
     eval.prepareScan(candidates);
     {
@@ -232,7 +217,6 @@ GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
     }
   }
   result.value = eval.currentValue();
-  result.wallSeconds = secondsSince(start);
   publishPass("greedy.lazy", result);
   return result;
 }

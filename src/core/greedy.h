@@ -37,8 +37,6 @@ struct GreedyResult {
   int rounds = 0;
   /// Stale-gain recomputations (lazy greedy only; 0 for plain greedy).
   std::size_t lazyRecomputes = 0;
-  /// Wall-clock duration of the pass in seconds.
-  double wallSeconds = 0.0;
   /// Why the pass stopped early (None = ran to its natural end). Observed
   /// from the request's util::CancelToken at round boundaries; when set,
   /// placement/trajectory hold the completed-round prefix, bit-identical

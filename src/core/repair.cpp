@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/gain_scan.h"
+
 namespace msc::core {
 
 RepairResult repairPlacement(IncrementalEvaluator& objective,
@@ -40,20 +42,13 @@ RepairResult repairPlacement(IncrementalEvaluator& objective,
     // Add the best candidate (possibly the dropped edge itself, in which
     // case the swap is a no-op and we stop).
     objective.evaluate(reduced);
-    objective.prepareScan(candidates);
-    double bestGain = 0.0;
-    long bestIdx = -1;
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (contains(reduced, candidates[c])) continue;
-      const double gain = objective.gainIfAdd(candidates[c]);
-      if (bestIdx < 0 || gain > bestGain) {
-        bestGain = gain;
-        bestIdx = static_cast<long>(c);
-      }
-    }
-    if (bestIdx < 0) break;
-    const Shortcut added = candidates[static_cast<std::size_t>(bestIdx)];
-    const double candidateValue = bestWithout + bestGain;
+    const detail::ScanBest add = detail::gainScan(
+        objective, candidates, /*threads=*/1, /*requirePositiveGain=*/false,
+        [&](std::size_t c) { return contains(reduced, candidates[c]); },
+        [](double gain, std::size_t) { return gain; });
+    if (add.index < 0) break;
+    const Shortcut added = candidates[static_cast<std::size_t>(add.index)];
+    const double candidateValue = bestWithout + add.gain;
     if (candidateValue <= best || added == dropped) {
       break;  // no improving swap left
     }

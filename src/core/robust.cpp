@@ -3,7 +3,6 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 
@@ -126,7 +125,6 @@ SaturateResult robustSaturate(std::vector<IncrementalEvaluator*> children,
     throw std::invalid_argument("robustSaturate: maxTarget must be >= 0");
   }
 
-  const auto startTime = std::chrono::steady_clock::now();
   MinEvaluator minFn(children, childFunctions, "robust");
   SaturateResult best;
   best.worstCase = minFn.value({});
@@ -162,9 +160,6 @@ SaturateResult robustSaturate(std::vector<IncrementalEvaluator*> children,
       hi = c - 1;
     }
   }
-  best.wallSeconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - startTime)
-                         .count();
   return best;
 }
 

@@ -88,8 +88,6 @@ struct SaturateResult {
   std::size_t gainEvaluations = 0;
   /// Binary-search steps (inner greedy runs) taken.
   int iterations = 0;
-  /// Wall-clock duration of the search in seconds.
-  double wallSeconds = 0.0;
 };
 
 /// SATURATE-style robust placement (Krause et al.), adapted to a hard

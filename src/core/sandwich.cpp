@@ -1,7 +1,6 @@
 #include "core/sandwich.h"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <thread>
@@ -36,7 +35,6 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
                                      const CandidateSet& candidates,
                                      const SolveOptions& options) {
   MSC_OBS_SPAN("sandwich.total");
-  const auto startTime = std::chrono::steady_clock::now();
   SandwichResult result;
 
   // One greedy pass per bound; every name is a literal (spans and trace
@@ -159,9 +157,6 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
 
   result.gainEvaluations =
       mu.gainEvaluations + sg.gainEvaluations + nu.gainEvaluations;
-  result.wallSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - startTime)
-                           .count();
 
   // Terminal snapshot: the certified optimality interval [sigma, upper]
   // after scoring — this is the bound gap an interrupted reply carries.
@@ -196,7 +191,6 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
                               {"sigma_of_nu", result.sigmaOfNu}});
   }
   if (msc::obs::enabled()) {
-    msc::obs::counter("sandwich.runs").add(1);
     msc::obs::counter("sandwich.gain_evals.mu").add(mu.gainEvaluations);
     msc::obs::counter("sandwich.gain_evals.sigma").add(sg.gainEvaluations);
     msc::obs::counter("sandwich.gain_evals.nu").add(nu.gainEvaluations);

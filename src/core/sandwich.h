@@ -44,8 +44,6 @@ struct SandwichResult {
   // --- observability (always filled, independent of msc::obs state) ---
   /// gainIfAdd calls summed over the three greedy passes.
   std::size_t gainEvaluations = 0;
-  /// Wall-clock duration of the whole sandwich run in seconds.
-  double wallSeconds = 0.0;
   /// Why the run stopped early (None = all three passes completed). The
   /// shared request token interrupts every pass; each returns its
   /// committed prefix and the best-of-three scoring still applies, so the

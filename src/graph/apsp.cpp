@@ -1,7 +1,6 @@
 #include "graph/apsp.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
@@ -10,11 +9,10 @@
 namespace msc::graph {
 
 DistanceMatrix allPairsDistances(const Graph& g, int threads) {
-  MSC_OBS_SPAN("apsp.run");
   // Histograms record even with metrics disabled (one sample per build):
   // the serve layer needs APSP tail latency without turning on MSC_METRICS.
   static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
-  const auto buildStart = std::chrono::steady_clock::now();
+  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
   const auto n = static_cast<std::size_t>(g.nodeCount());
   DistanceMatrix d(n, n, kInfDist);
   // One Dijkstra per source; each writes only its own row.
@@ -45,9 +43,6 @@ DistanceMatrix allPairsDistances(const Graph& g, int threads) {
           for (std::size_t j = 0; j < i; ++j) d(i, j) = d(j, i);
         }
       });
-  buildHist.record(std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - buildStart)
-                       .count());
   return d;
 }
 

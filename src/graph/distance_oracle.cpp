@@ -98,12 +98,11 @@ PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
 
 std::shared_ptr<const PairCentricOracle> PairCentricOracle::allRows(
     std::shared_ptr<const Graph> graph, int threads) {
-  MSC_OBS_SPAN("apsp.run");
   // The n-row build is the dense mode's APSP phase: it keeps the APSP
   // histogram (always on, one sample per build) and is not counted as
   // lazy row builds.
   static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
-  const std::int64_t t0 = steadyNowNs();
+  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
   auto oracle = std::make_shared<PairCentricOracle>(
       std::move(graph), Config{.landmarks = 0, .threads = threads});
   oracle->allRows_ = true;
@@ -123,13 +122,14 @@ std::shared_ptr<const PairCentricOracle> PairCentricOracle::allRows(
                               kInfDist);
     }
   }
-  buildHist.record(static_cast<double>(steadyNowNs() - t0) * 1e-9);
   return oracle;
 }
 
 void PairCentricOracle::selectLandmarks(int count) {
   const int n = graph_->nodeCount();
   if (count <= 0 || n == 0) return;
+  // The pair-centric mode's distance build: its share of the APSP phase.
+  MSC_OBS_SPAN("oracle.landmarks", msc::obs::Phase::Apsp);
   // Deterministic farthest-point sweep: start at node 0, then repeatedly
   // take the node farthest from the chosen set (unreachable counts as
   // farther than any finite distance, so every component gets a landmark

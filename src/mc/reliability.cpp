@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -34,9 +33,12 @@ bool relaxInto(const Bitset& rx, const Bitset* plane, Bitset& ry) {
   return changed;
 }
 
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
+/// Committed-propagation latency, one sample per reset or rebuild; recorded
+/// even with metrics disabled so tail latency is always visible. gainIfAdd
+/// deliberately records nothing: it is the parallel-scan hot loop.
+msc::obs::Histogram& frontierHistogram() {
+  static auto& hist = msc::obs::histogram("mc.frontier_seconds");
+  return hist;
 }
 
 }  // namespace
@@ -109,13 +111,14 @@ void ReliabilityEvaluator::reset() {
   }
   placement_.clear();
 
-  const auto start = std::chrono::steady_clock::now();
-  for (auto& sr : sources_) {
-    for (auto& plane : sr.planes) plane.clear();
-    sr.planes[static_cast<std::size_t>(sr.source)].setAll();
-    propagate(sr, {sr.source});
+  {
+    MSC_OBS_SPAN("mc.frontier", frontierHistogram());
+    for (auto& sr : sources_) {
+      for (auto& plane : sr.planes) plane.clear();
+      sr.planes[static_cast<std::size_t>(sr.source)].setAll();
+      propagate(sr, {sr.source});
+    }
   }
-  recordFrontierSeconds(secondsSince(start));
   refreshCounts();
 }
 
@@ -145,18 +148,9 @@ void ReliabilityEvaluator::propagate(SourceReach& sr,
   }
 }
 
-void ReliabilityEvaluator::recordFrontierSeconds(double seconds) {
-  // Committed-propagation latency; recorded even with metrics disabled so
-  // tail latency is always visible (PR 8 histogram convention). gainIfAdd
-  // deliberately does not record: it is the parallel-scan hot loop.
-  static auto& frontierHist = msc::obs::histogram("mc.frontier_seconds");
-  frontierHist.record(seconds);
-}
-
 void ReliabilityEvaluator::rebuildFrom(const std::vector<NodeId>& seeds) {
-  const auto start = std::chrono::steady_clock::now();
+  MSC_OBS_SPAN("mc.frontier", frontierHistogram());
   for (auto& sr : sources_) propagate(sr, seeds);
-  recordFrontierSeconds(secondsSince(start));
 }
 
 void ReliabilityEvaluator::add(const core::Shortcut& f) {

@@ -119,7 +119,6 @@ class ReliabilityEvaluator final : public core::SetFunction,
   /// Offers an estimator-convergence snapshot (σ̂, uncertain pairs,
   /// half-width spread) to the bound ProgressReporter, if any.
   void reportProgress() const;
-  static void recordFrontierSeconds(double seconds);
 
   const core::Instance* instance_;
   const WorldSet* worlds_;

@@ -1,6 +1,5 @@
 #include "mc/solver.h"
 
-#include <chrono>
 #include <utility>
 
 #include "core/greedy.h"
@@ -8,11 +7,6 @@
 
 namespace msc::mc {
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 /// Fills the result fields that depend on the evaluator's final state.
 /// The evaluator must currently hold `placement`.
@@ -34,7 +28,6 @@ McSolveResult greedy(const core::Instance& instance,
                      const core::CandidateSet& candidates,
                      const core::SolveOptions& options,
                      const McOptions& mcOptions) {
-  const auto start = std::chrono::steady_clock::now();
   const WorldSet worlds(instance.graph(),
                         {.worlds = mcOptions.worlds, .seed = options.seed});
   ReliabilityEvaluator eval(instance, worlds, Objective::MaintainedCount);
@@ -48,7 +41,6 @@ McSolveResult greedy(const core::Instance& instance,
   result.rounds = run.rounds;
   result.interrupted = run.interrupted;
   finishResult(result, eval, mcOptions);
-  result.wallSeconds = secondsSince(start);
   return result;
 }
 
@@ -56,7 +48,6 @@ McSolveResult sandwich(const core::Instance& instance,
                        const core::CandidateSet& candidates,
                        const core::SolveOptions& options,
                        const McOptions& mcOptions) {
-  const auto start = std::chrono::steady_clock::now();
   const WorldSet worlds(instance.graph(),
                         {.worlds = mcOptions.worlds, .seed = options.seed});
 
@@ -112,7 +103,6 @@ McSolveResult sandwich(const core::Instance& instance,
                            ? softRun.interrupted
                            : surrogate.interrupted;
   finishResult(result, hard, mcOptions);
-  result.wallSeconds = secondsSince(start);
   return result;
 }
 

@@ -53,7 +53,6 @@ struct McSolveResult {
   // --- observability (always filled, independent of msc::obs state) ---
   std::size_t gainEvaluations = 0;
   int rounds = 0;
-  double wallSeconds = 0.0;
   /// Why the solve stopped early (None = ran to completion). The placement
   /// is the interrupted contender's committed prefix (mc::sandwich still
   /// scores whatever prefixes its contenders produced).

@@ -195,27 +195,12 @@ ScopedRequestBind::~ScopedRequestBind() {
   trace::setCurrentRequestId(prevTraceId_);
 }
 
-ScopedPhaseTimer::ScopedPhaseTimer(Phase phase) noexcept
-    : ctx_(tlsRequest), phase_(phase) {
-  if (ctx_ != nullptr) startNs_ = trace::nowNs();
-}
-
-ScopedPhaseTimer::~ScopedPhaseTimer() {
-  if (ctx_ != nullptr) ctx_->addPhaseNs(phase_, trace::nowNs() - startNs_);
-}
-
 ScopedCpuAttribution::ScopedCpuAttribution() noexcept : ctx_(tlsRequest) {
   if (ctx_ != nullptr) startNs_ = threadCpuNs();
 }
 
 ScopedCpuAttribution::~ScopedCpuAttribution() {
   if (ctx_ != nullptr) ctx_->addCpuNs(threadCpuNs() - startNs_);
-}
-
-void notePhaseSeconds(Phase phase, double seconds) noexcept {
-  if (tlsRequest != nullptr && seconds > 0.0) {
-    tlsRequest->addPhaseNs(phase, static_cast<std::int64_t>(seconds * 1e9));
-  }
 }
 
 std::int64_t threadCpuNs() noexcept {

@@ -6,7 +6,7 @@
 // doing", never "which request burned the time". A RequestContext closes
 // that gap. The serve engine creates one per request, binds it to the
 // executing thread with ScopedRequestBind, and every layer below — the
-// thread pool, the instance cache's APSP build, the greedy round scans —
+// thread pool, the oracle's APSP build, the greedy round scans —
 // charges its work to whatever context is bound:
 //
 //   * per-phase wall time (queue_wait / apsp / round_scan / other),
@@ -26,9 +26,12 @@
 //   * Attribution is additive-only through relaxed atomics: any thread may
 //     charge a bound context concurrently.
 //
+// Phases are charged by obs::ScopedSpan (obs/metrics.h): a span that names
+// a phase adds its one clock reading to the context bound when it opened.
+//
 // Determinism contract: none of this may change what the solvers compute.
-// Attribution happens strictly outside the chunk callbacks' data path, the
-// phase timers read the clock only while a context is bound, and a solve
+// Attribution happens strictly outside the chunk callbacks' data path, a
+// span reads the clock only when one of its consumers is on, and a solve
 // under a bound context is bit-identical to an unbound one (enforced by
 // tests/test_serve.cpp and tests/test_context.cpp).
 //
@@ -58,7 +61,7 @@ class ProgressReporter;
 /// remainder).
 enum class Phase : int {
   QueueWait = 0,  // admission-queue time before execution started
-  Apsp,           // all-pairs shortest-path (re)build in the instance cache
+  Apsp,           // distance build: all-pairs rows or the landmark sweep
   RoundScan,      // greedy/AEA candidate gain scans (incl. lazy initial fill)
   Other,          // execution time not covered by a finer phase
 };
@@ -211,22 +214,6 @@ class ScopedRequestBind {
   bool bound_ = false;
 };
 
-/// Charges the scope's wall time to `phase` of the bound context. Reads the
-/// clock only when a context is bound at construction — unbound call sites
-/// (CLI runs, benches without attribution) pay one thread-local load.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(Phase phase) noexcept;
-  ~ScopedPhaseTimer();
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  RequestContext* ctx_ = nullptr;
-  Phase phase_;
-  std::int64_t startNs_ = 0;
-};
-
 /// Charges the scope's thread CPU time (CLOCK_THREAD_CPUTIME_ID delta) to
 /// the context bound at construction; no-op when unbound.
 class ScopedCpuAttribution {
@@ -240,10 +227,6 @@ class ScopedCpuAttribution {
   RequestContext* ctx_ = nullptr;
   std::int64_t startNs_ = 0;
 };
-
-/// Adds `seconds` to `phase` of the bound context; no-op when unbound. For
-/// call sites that already measured the duration themselves.
-void notePhaseSeconds(Phase phase, double seconds) noexcept;
 
 /// Calling thread's consumed CPU time (CLOCK_THREAD_CPUTIME_ID), ns.
 std::int64_t threadCpuNs() noexcept;

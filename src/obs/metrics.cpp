@@ -114,32 +114,44 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
+ScopedSpan::ScopedSpan(const char* name)
+    : ScopedSpan(name, nullptr, nullptr, Phase{}) {}
+
+ScopedSpan::ScopedSpan(const char* name, Histogram& histogram)
+    : ScopedSpan(name, &histogram, nullptr, Phase{}) {}
+
+ScopedSpan::ScopedSpan(const char* name, Phase phase)
+    : ScopedSpan(name, nullptr, currentRequest(), phase) {}
+
+ScopedSpan::ScopedSpan(const char* name, Histogram& histogram, Phase phase)
+    : ScopedSpan(name, &histogram, currentRequest(), phase) {}
+
+ScopedSpan::ScopedSpan(const char* name, Histogram* histogram,
+                       RequestContext* request, Phase phase)
+    : histogram_(histogram), request_(request), phase_(phase) {
   Registry& reg = Registry::global();
-  const bool metricsOn = reg.enabled();
-  const bool traceOn = trace::enabled();
-  if (!metricsOn && !traceOn) return;
-  if (metricsOn) {
+  if (reg.enabled()) {
     std::string key("span.");
     key.append(name);
     stat_ = &reg.stat(key);
-    start_ = std::chrono::steady_clock::now();
   }
-  if (traceOn) {
-    traceName_ = name;
-    trace::begin(name);
-  }
-  ++gSpanDepth;
+  if (trace::enabled()) traceName_ = name;
+  if (!timed()) return;
+  startNs_ = trace::nowNs();
+  if (traceName_ != nullptr) trace::beginAt(traceName_, startNs_);
+  if (stat_ != nullptr || traceName_ != nullptr) ++gSpanDepth;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (stat_ == nullptr && traceName_ == nullptr) return;
-  if (traceName_ != nullptr) trace::end(traceName_);
-  if (stat_ != nullptr) {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    stat_->record(std::chrono::duration<double>(elapsed).count());
-  }
-  --gSpanDepth;
+  if (!timed()) return;
+  const std::int64_t endNs = trace::nowNs();
+  const std::int64_t ns = endNs - startNs_;
+  const double seconds = static_cast<double>(ns) * 1e-9;
+  if (traceName_ != nullptr) trace::endAt(traceName_, endNs);
+  if (stat_ != nullptr) stat_->record(seconds);
+  if (histogram_ != nullptr) histogram_->record(seconds);
+  if (request_ != nullptr) request_->addPhaseNs(phase_, ns);
+  if (stat_ != nullptr || traceName_ != nullptr) --gSpanDepth;
 }
 
 int ScopedSpan::depth() noexcept { return gSpanDepth; }

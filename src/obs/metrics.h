@@ -15,7 +15,11 @@
 //     runs.add(1);
 //   }
 //   ...
-//   MSC_OBS_SPAN("greedy.iteration");   // records span.greedy.iteration
+//   MSC_OBS_SPAN("greedy.pass");   // records span.greedy.pass
+//   static auto& scanHist = msc::obs::histogram("greedy.round_scan_seconds");
+//   MSC_OBS_SPAN("greedy.round_scan", scanHist, msc::obs::Phase::RoundScan);
+//                 // one reading feeds span.greedy.round_scan, the
+//                 // histogram and the bound request's round_scan phase
 //
 // Counter/stat references are stable for the lifetime of the process: the
 // registry is intentionally leaked and entries are never erased (reset()
@@ -24,7 +28,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -32,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/context.h"
 #include "obs/histogram.h"
 #include "util/stats.h"
 
@@ -213,35 +217,55 @@ inline Histogram& histogram(std::string_view name) {
 }
 inline void resetAll() { Registry::global().reset(); }
 
-/// RAII span: when metrics are enabled at construction, records the scope's
-/// wall duration (seconds) into stat "span.<name>"; when tracing
-/// (obs/trace.h) is enabled, additionally emits a begin/end event pair on
-/// the current thread's timeline lane. Tracks nesting depth for the
-/// current thread while either backend is on. A fully disabled span is two
-/// relaxed loads and no clock reads.
+/// RAII span, the one scoped timer: every consumer of a timed interval
+/// reads the same clock pair. When metrics are enabled at construction it
+/// records the scope's wall duration (seconds) into stat "span.<name>";
+/// when tracing (obs/trace.h) is enabled it emits a begin/end slice on the
+/// current thread's timeline lane. The second forms also name an always-on
+/// histogram (so the clock is always read) and/or a request phase, charged
+/// to the RequestContext bound at construction (obs/context.h). Tracks
+/// nesting depth for the current thread while metrics or tracing is on. A
+/// span with no consumer is a few relaxed/thread-local loads and no clock
+/// reads.
 ///
 /// `name` must have static storage duration (pass a string literal) — the
 /// trace backend stores the pointer, not a copy.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name);
+  ScopedSpan(const char* name, Histogram& histogram);
+  ScopedSpan(const char* name, Phase phase);
+  ScopedSpan(const char* name, Histogram& histogram, Phase phase);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Nesting depth of currently-open *enabled* spans on this thread.
+  /// Nesting depth of currently-open metrics- or trace-enabled spans on
+  /// this thread.
   static int depth() noexcept;
 
  private:
-  Stat* stat_ = nullptr;            // null when metrics are off
-  const char* traceName_ = nullptr; // null when tracing is off
-  std::chrono::steady_clock::time_point start_{};
+  ScopedSpan(const char* name, Histogram* histogram, RequestContext* request,
+             Phase phase);
+  /// True when some consumer wants this span's clock pair.
+  bool timed() const noexcept {
+    return stat_ != nullptr || traceName_ != nullptr ||
+           histogram_ != nullptr || request_ != nullptr;
+  }
+
+  Stat* stat_ = nullptr;               // null when metrics are off
+  const char* traceName_ = nullptr;    // null when tracing is off
+  Histogram* histogram_ = nullptr;     // null when none was named
+  RequestContext* request_ = nullptr;  // null without a phase or a binding
+  Phase phase_;
+  std::int64_t startNs_ = 0;  // trace::nowNs() at construction
 };
 
 #define MSC_OBS_CONCAT_INNER(a, b) a##b
 #define MSC_OBS_CONCAT(a, b) MSC_OBS_CONCAT_INNER(a, b)
-/// Opens a ScopedSpan for the rest of the enclosing scope.
-#define MSC_OBS_SPAN(name) \
-  ::msc::obs::ScopedSpan MSC_OBS_CONCAT(mscObsSpan_, __LINE__)(name)
+/// Opens a ScopedSpan for the rest of the enclosing scope; the arguments
+/// are any ScopedSpan constructor's: (name[, histogram][, phase]).
+#define MSC_OBS_SPAN(...) \
+  ::msc::obs::ScopedSpan MSC_OBS_CONCAT(mscObsSpan_, __LINE__)(__VA_ARGS__)
 
 }  // namespace msc::obs

@@ -94,15 +94,17 @@ LaneBuffer& acquireLane() {
   return *t.lane;
 }
 
+/// `tsNs` < 0 stamps the event with the current time.
 void record(EventKind kind, const char* name,
-            std::initializer_list<Arg> args) {
+            std::initializer_list<Arg> args, std::int64_t tsNs = -1) {
   Global& G = g();
   if (!G.enabled.load(std::memory_order_relaxed)) return;
 
   Event e;
-  e.tsNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - G.epoch)
-               .count();
+  e.tsNs = tsNs >= 0 ? tsNs
+                     : std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - G.epoch)
+                           .count();
   e.name = name;
   e.kind = kind;
   e.req = tlsRequestId;
@@ -148,6 +150,14 @@ void begin(const char* name, std::initializer_list<Arg> args) {
 }
 
 void end(const char* name) { record(EventKind::End, name, {}); }
+
+void beginAt(const char* name, std::int64_t tsNs) {
+  record(EventKind::Begin, name, {}, tsNs);
+}
+
+void endAt(const char* name, std::int64_t tsNs) {
+  record(EventKind::End, name, {}, tsNs);
+}
 
 void instant(const char* name, std::initializer_list<Arg> args) {
   record(EventKind::Instant, name, args);

@@ -98,6 +98,10 @@ const char* intern(std::string_view s);
 
 void begin(const char* name, std::initializer_list<Arg> args = {});
 void end(const char* name);
+/// begin()/end() stamped with a nowNs() reading the caller already took, so
+/// a scope timed once (obs::ScopedSpan) draws its slice from that reading.
+void beginAt(const char* name, std::int64_t tsNs);
+void endAt(const char* name, std::int64_t tsNs);
 void instant(const char* name, std::initializer_list<Arg> args = {});
 void counter(const char* name, double value);
 

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/context.h"
-
 namespace msc::serve {
 
 namespace {
@@ -199,11 +197,8 @@ bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
     return true;
   }
   ++counters_.apspComputes;
-  // Request-phase attribution: the distance build is the dominant
-  // cold-cache cost, so it gets its own phase in the serve usage block
-  // (§14). Covers both the dense n-row build and the pair-centric
-  // landmark runs.
-  const obs::ScopedPhaseTimer phase(obs::Phase::Apsp);
+  // The build charges the request's APSP phase itself (§14): the dense
+  // n-row build and the pair-centric landmark sweep each open a span.
   entry.oracle = msc::graph::makeDistanceOracle(
       entry.graph, entry.mode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
   refreshOracleBytes(entry);

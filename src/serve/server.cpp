@@ -11,11 +11,9 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <istream>
 #include <iterator>
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -930,20 +928,6 @@ class ReplySink {
   virtual void write(const std::string& line) = 0;
 };
 
-class StreamSink final : public ReplySink {
- public:
-  explicit StreamSink(std::ostream& out) : out_(out) {}
-  void write(const std::string& line) override {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out_ << line << '\n';
-    out_.flush();
-  }
-
- private:
-  std::mutex mu_;
-  std::ostream& out_;
-};
-
 class FdSink final : public ReplySink {
  public:
   /// With `ownsFd`, the fd closes when the last sink reference goes away —
@@ -1050,7 +1034,7 @@ bool isBlank(const std::string& line) {
 }  // namespace
 
 /// One serving session: the admission queue, its executor thread, and the
-/// admit/drain rules shared by the stream, fd and socket front ends.
+/// admit/drain rules shared by the fd and socket front ends.
 struct ServerRun {
   struct Job {
     Request request;
@@ -1340,17 +1324,6 @@ void Server::serveOneMetricsHttpConn(int conn) {
     }
     off += static_cast<std::size_t>(n);
   }
-}
-
-int Server::serveStream(std::istream& in, std::ostream& out) {
-  ServerRun run(*this);
-  auto sink = std::make_shared<StreamSink>(out);
-  std::string line;
-  while (!shutdownRequested() && !run.stopped() && std::getline(in, line)) {
-    run.admitLine(line, sink);
-  }
-  run.finish();
-  return 0;
 }
 
 int Server::serveFd(int inFd, int outFd) {

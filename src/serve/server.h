@@ -10,10 +10,10 @@
 //             same request set (content-addressed cache keys make replies
 //             independent of interleaving).
 //   Server  — owns one Engine, a BOUNDED admission queue and one executor
-//             thread. Front ends (stdin/stdout JSONL, arbitrary iostreams
-//             for tests, or a Unix-domain socket accepting concurrent
-//             connections) parse lines and admit them; when the queue is
-//             full the request is answered `status:"overloaded"`
+//             thread. Front ends (JSONL over a pair of file descriptors —
+//             stdin/stdout in the CLI — or a Unix-domain socket accepting
+//             concurrent connections) parse lines and admit them; when the
+//             queue is full the request is answered `status:"overloaded"`
 //             immediately instead of growing the queue — backpressure the
 //             client can see. The executor drains FIFO, so responses to
 //             admitted requests preserve admission order per connection.
@@ -219,16 +219,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// JSONL loop over iostreams (tests; also fine for pipes). Blocks until
-  /// EOF, a shutdown request, or requestShutdown(); drains admitted
-  /// requests before returning. Returns 0 on clean shutdown.
-  /// Note: a blocking istream read cannot be interrupted mid-call — with a
-  /// terminal attached use serveFd, whose poll loop notices flags promptly.
-  int serveStream(std::istream& in, std::ostream& out);
-
-  /// Same protocol over raw file descriptors (poll-based reader, reacts to
-  /// shutdown within ~200 ms even while idle). The CLI's stdio front end
-  /// is serveFd(0, 1).
+  /// JSONL loop over raw file descriptors (poll-based reader, reacts to
+  /// shutdown within ~200 ms even while idle). Blocks until EOF, a
+  /// shutdown request, or requestShutdown(); drains admitted requests
+  /// before returning. Returns 0 on clean shutdown. The CLI's stdio front
+  /// end is serveFd(0, 1).
   int serveFd(int inFd, int outFd);
 
   /// Unix-domain-socket front end: binds `path` (an existing socket file

@@ -10,10 +10,12 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/json.h"
 #include "util/parallel.h"
@@ -103,9 +105,30 @@ TEST(RequestContext, FinalizeClampsOtherAtZero) {
 
 TEST(RequestContext, UnboundHelpersAreNoOps) {
   ASSERT_EQ(msc::obs::currentRequest(), nullptr);
-  msc::obs::notePhaseSeconds(Phase::Apsp, 1.0);  // must not crash
-  { const msc::obs::ScopedPhaseTimer timer(Phase::RoundScan); }
+  { MSC_OBS_SPAN("test.unbound_phase", Phase::RoundScan); }  // must not crash
   { const msc::obs::ScopedCpuAttribution cpu; }
+}
+
+TEST(RequestContext, SpanChargesPhaseOfContextBoundAtOpen) {
+  RequestContext ctx("1");
+  {
+    const msc::obs::ScopedRequestBind bind(&ctx);
+    MSC_OBS_SPAN("test.phase", Phase::Apsp);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i);
+  }
+  EXPECT_GT(ctx.phaseNs(Phase::Apsp), 0);
+  EXPECT_EQ(ctx.phaseNs(Phase::RoundScan), 0);
+  // A span opened while unbound charges nothing, even if a context is
+  // bound by the time it closes.
+  RequestContext late("2");
+  std::optional<msc::obs::ScopedRequestBind> lateBind;
+  {
+    MSC_OBS_SPAN("test.phase", Phase::Apsp);
+    lateBind.emplace(&late);
+  }
+  lateBind.reset();
+  EXPECT_EQ(late.phaseNs(Phase::Apsp), 0);
 }
 
 TEST(RequestContext, ThreadCpuClockIsMonotonic) {
@@ -137,7 +160,7 @@ TEST(RequestContextPool, WorkersInheritSubmitterContext) {
             seen[i] = msc::obs::currentRequest();
             // Concurrent attribution from every chunk: relaxed atomics,
             // must be race-free under TSan.
-            msc::obs::notePhaseSeconds(Phase::RoundScan, 1e-9);
+            MSC_OBS_SPAN("test.chunk", Phase::RoundScan);
             ctx.addGainEvals(1);
             volatile double sink = 0.0;
             for (int r = 0; r < 200; ++r) sink = sink + r;

@@ -381,7 +381,6 @@ TEST(McSolver, SandwichNeverBelowGreedyAndFillsResultFields) {
   EXPECT_EQ(gr.pairs, 5);
   EXPECT_EQ(gr.estimates.size(), 5u);
   EXPECT_GT(gr.gainEvaluations, 0u);
-  EXPECT_GE(gr.wallSeconds, 0.0);
 }
 
 // --------------------------------------------------------------- serve ---

@@ -223,10 +223,11 @@ std::string jsonEscape(const std::string& raw) {
 }
 
 json::Value loadFixture(Engine& engine, const msc::graph::Graph& g,
-                        const std::string& pairsText) {
+                        const std::string& pairsText,
+                        const std::string& distanceMode = "auto") {
   const auto r1 = json::parse(engine.handleLine(
-      "{\"cmd\":\"load_graph\",\"as\":\"g\",\"text\":\"" +
-      jsonEscape(graphText(g)) + "\"}"));
+      "{\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":\"" +
+      distanceMode + "\",\"text\":\"" + jsonEscape(graphText(g)) + "\"}"));
   EXPECT_EQ(r1.find("status")->asString(), "ok");
   const auto r2 = json::parse(engine.handleLine(
       "{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"" +
@@ -416,6 +417,75 @@ TEST_P(ServeEngineObservability, UsagePhasesSumToWallSeconds) {
 INSTANTIATE_TEST_SUITE_P(Threads, ServeEngineObservability,
                          ::testing::Values(1, 4));
 
+/// The one sample histogram `name` holds since the last resetAll().
+double singleHistogramSample(const std::string& name) {
+  for (const auto& row : msc::obs::Registry::global().snapshot().histograms) {
+    if (row.name != name) continue;
+    EXPECT_EQ(row.snapshot.count, 1u) << name;
+    return row.snapshot.sum;
+  }
+  ADD_FAILURE() << "no histogram " << name;
+  return -1.0;
+}
+
+/// The one sample stat "span.<name>" holds since the last resetAll().
+double singleSpanSample(const std::string& name) {
+  for (const auto& row : msc::obs::Registry::global().snapshot().stats) {
+    if (row.name != "span." + name) continue;
+    EXPECT_EQ(row.stats.count(), 1u) << name;
+    return row.stats.mean();
+  }
+  ADD_FAILURE() << "no span " << name;
+  return -1.0;
+}
+
+// One timer per interval: a timed scope's span stat, its always-on
+// histogram and the request phase it charges all carry the same single
+// clock reading, so they agree exactly, not just approximately.
+TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
+  const bool wasEnabled = msc::obs::enabled();
+  msc::obs::setEnabled(true);
+  const auto phase = [](const json::Value& reply, const char* name) {
+    return reply.find("usage")->find("phases")->find(name)->asNumber();
+  };
+  for (const char* mode : {"dense", "pair_centric"}) {
+    SCOPED_TRACE(mode);
+    Engine engine;
+    loadFixture(engine, msc::test::randomGraph(40, 0.1, 7),
+                "0 39\n3 31\n5 22\n", mode);
+
+    // Cold eval: the distance build is the request's whole APSP phase.
+    msc::obs::resetAll();
+    const auto eval = json::parse(engine.handleLine(
+        "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+        "\"placement\":\"0-39\"}"));
+    ASSERT_EQ(eval.find("status")->asString(), "ok");
+    const double apsp = phase(eval, "apsp");
+    EXPECT_GT(apsp, 0.0);
+    if (std::string_view(mode) == "dense") {
+      EXPECT_EQ(apsp, singleHistogramSample("apsp.build_seconds"));
+      EXPECT_EQ(apsp, singleSpanSample("apsp.run"));
+    } else {
+      // The landmark sweep is pair-centric's distance build; it keeps no
+      // histogram of its own.
+      EXPECT_EQ(apsp, singleSpanSample("oracle.landmarks"));
+    }
+
+    // One greedy round: one round-scan reading.
+    msc::obs::resetAll();
+    const auto solve = json::parse(engine.handleLine(
+        "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+        "\"algo\":\"greedy\",\"k\":1,\"threads\":1,\"seed\":1}"));
+    ASSERT_EQ(solve.find("status")->asString(), "ok");
+    EXPECT_EQ(phase(solve, "apsp"), 0.0);  // warm oracle
+    const double roundScan = phase(solve, "round_scan");
+    EXPECT_EQ(roundScan, singleHistogramSample("greedy.round_scan_seconds"));
+    EXPECT_EQ(roundScan, singleSpanSample("greedy.round_scan"));
+  }
+  msc::obs::resetAll();
+  msc::obs::setEnabled(wasEnabled);
+}
+
 TEST(ServeEngineObservability2, SlowRequestBreachDumpsFlightRecord) {
   const double savedMs = msc::obs::slowRequestThresholdMs();
   const std::string savedDir = msc::obs::slowRequestDir();
@@ -581,15 +651,35 @@ TEST(ServeEngine, StatsReportsCacheAndRequestCounters) {
 
 // ---------------------------------------------------------------- server ---
 
+/// Serves `script` through serveFd — the CLI's poll reader and line cap —
+/// from one unlinked temp file into another; returns what the server wrote.
+std::string serveScript(Server& server, const std::string& script) {
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  EXPECT_NE(in, nullptr);
+  EXPECT_NE(out, nullptr);
+  if (in == nullptr || out == nullptr) return "";
+  EXPECT_EQ(::write(::fileno(in), script.data(), script.size()),
+            static_cast<ssize_t>(script.size()));
+  ::lseek(::fileno(in), 0, SEEK_SET);
+  EXPECT_EQ(server.serveFd(::fileno(in), ::fileno(out)), 0);
+  std::string written;
+  ::lseek(::fileno(out), 0, SEEK_SET);
+  char buf[4096];
+  for (ssize_t n; (n = ::read(::fileno(out), buf, sizeof(buf))) > 0;) {
+    written.append(buf, static_cast<std::size_t>(n));
+  }
+  std::fclose(in);
+  std::fclose(out);
+  return written;
+}
+
 std::vector<json::Value> runScript(Server& server,
                                    const std::vector<std::string>& lines) {
   std::string script;
   for (const auto& l : lines) script += l + "\n";
-  std::istringstream in(script);
-  std::ostringstream out;
-  EXPECT_EQ(server.serveStream(in, out), 0);
   std::vector<json::Value> responses;
-  std::istringstream parsed(out.str());
+  std::istringstream parsed(serveScript(server, script));
   std::string line;
   while (std::getline(parsed, line)) responses.push_back(json::parse(line));
   return responses;
@@ -1399,10 +1489,8 @@ TEST(ServeServer, GlobalShutdownFlagStopsStreamLoop) {
   Server::requestShutdown();
   EXPECT_TRUE(Server::shutdownRequested());
   Server server;
-  std::istringstream in("{\"id\":1,\"cmd\":\"stats\"}\n");
-  std::ostringstream out;
-  EXPECT_EQ(server.serveStream(in, out), 0);
-  EXPECT_TRUE(out.str().empty());  // flag was set before any admission
+  // flag was set before any admission
+  EXPECT_TRUE(serveScript(server, "{\"id\":1,\"cmd\":\"stats\"}\n").empty());
   Server::clearShutdownFlag();
   EXPECT_FALSE(Server::shutdownRequested());
 }
