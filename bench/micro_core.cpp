@@ -1,15 +1,17 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
 // whole-placement sigma (the terminal overlay), the zero-edge relaxation,
-// per-candidate marginal gains, APSP, one greedy round, and the
+// bulk gain scans, APSP, one greedy round, a dense sandwich, and the
 // Monte-Carlo evaluator's gain probe and reset.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/bounds.h"
 #include "core/candidates.h"
 #include "core/greedy.h"
+#include "core/sandwich.h"
 #include "core/sigma.h"
 #include "eval/experiment.h"
 #include "gen/gowalla.h"
@@ -147,25 +149,54 @@ BENCHMARK(BM_SigmaValue)
     ->Args({100, 80, 10})
     ->Args({512, 100, 5});
 
+// One full greedy-round scan over all candidates: the bulk scanGains that
+// gainScan calls.
 void BM_SigmaGainScan(benchmark::State& state) {
-  // One full greedy-round scan over all candidates, announced the way
-  // gainScan announces it (prepareScan builds the pair index per scan).
   const int n = static_cast<int>(state.range(0));
   const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
   SigmaEvaluator eval(spatial.instance);
   const auto cands = CandidateSet::allPairs(n);
+  std::vector<double> gains(cands.size());
   eval.reset();
   for (auto _ : state) {
-    eval.prepareScan(cands);
-    double best = 0.0;
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      best = std::max(best, eval.gainIfAdd(cands[c]));
-    }
-    benchmark::DoNotOptimize(best);
+    eval.scanGains(cands, gains, 1, {});
+    benchmark::DoNotOptimize(gains.data());
+    benchmark::ClobberMemory();
   }
   state.counters["probes"] = static_cast<double>(cands.size());
 }
 BENCHMARK(BM_SigmaGainScan)->Args({100, 80})->Args({512, 100});
+
+// The ν lazy-greedy fill: every candidate's upper-bound gain from the
+// empty placement.
+void BM_NuGainScan(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  msc::core::NuEvaluator eval(spatial.instance);
+  const auto cands = CandidateSet::allPairs(n);
+  std::vector<double> gains(cands.size());
+  eval.reset();
+  for (auto _ : state) {
+    eval.scanGains(cands, gains, 1, {});
+    benchmark::DoNotOptimize(gains.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["probes"] = static_cast<double>(cands.size());
+}
+BENCHMARK(BM_NuGainScan)->Args({512, 100});
+
+// One whole sandwich (μ construction, the three greedy passes, scoring)
+// at k = 5 on one thread: the served dense_solve sandwich request.
+void BM_SandwichDense(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  const auto cands = CandidateSet::allPairs(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(msc::core::sandwichApproximation(
+        spatial.instance, cands, msc::core::SolveOptions{.k = 5}));
+  }
+}
+BENCHMARK(BM_SandwichDense)->Args({512, 100})->Unit(benchmark::kMillisecond);
 
 void BM_MuConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -133,8 +133,8 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
       }();
       evaluations += add.evaluations;
       if (add.index < 0) {
-        // Only possible when the cancel token fired mid-scan and chunks
-        // were skipped: discard the half-built swap, keep the population.
+        // Only possible when the cancel token fired during the scan:
+        // discard the half-built swap, keep the population.
         result.interrupted =
             cancel != nullptr ? cancel->reason() : util::CancelReason::None;
         iterationsRun = iter;

@@ -43,7 +43,7 @@ struct AeaResult {
   std::vector<double> bestByIteration;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// Whole-set evaluations + greedy-add gainIfAdd calls across the run.
+  /// Whole-set evaluations + candidates scored by greedy adds.
   std::size_t gainEvaluations = 0;
   /// Swap iterations actually run (== config.iterations unless the run
   /// was interrupted).

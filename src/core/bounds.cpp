@@ -1,10 +1,12 @@
 #include "core/bounds.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
-#include "core/pair_ball.h"
+#include "core/gain_scan.h"
 #include "core/sigma.h"
 #include "obs/metrics.h"
 
@@ -38,39 +40,16 @@ util::Bitset oneShortcutSet(const Instance& instance, const Shortcut& f) {
   const auto& pairs = instance.pairs();
   const auto rows = pairEndpointRows(instance);
   const double dt = instance.distanceThreshold();
+  const auto a = static_cast<std::size_t>(f.a);
+  const auto b = static_cast<std::size_t>(f.b);
   util::Bitset bits(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (satisfiedWithOneShortcut(rows[i], pairs[i], f, dt)) bits.set(i);
+    const double* ru = rows[i].u;
+    const double* rw = rows[i].w;
+    const auto w = static_cast<std::size_t>(pairs[i].w);
+    if (std::min({ru[w], ru[a] + rw[b], ru[b] + rw[a]}) <= dt) bits.set(i);
   }
   return bits;
-}
-
-std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
-                                          const CandidateSet& candidates) {
-  const auto& pairs = instance.pairs();
-  const auto rows = pairEndpointRows(instance);
-  const double dt = instance.distanceThreshold();
-  // A pair with d(u,w) <= d_t passes for every shortcut; every other pair
-  // passes only through the two sums, i.e. only inside near(a) ∩ near(b).
-  util::Bitset base(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (rows[i].u[static_cast<std::size_t>(pairs[i].w)] <= dt) base.set(i);
-  }
-  PairBallIndex near;
-  near.build(pairs, rows, dt, candidates.endpoints(),
-             instance.graph().nodeCount());
-  std::vector<util::Bitset> sets;
-  sets.reserve(candidates.size());
-  for (std::size_t c = 0; c < candidates.size(); ++c) {
-    util::Bitset bits = base;
-    near.forEachShared(candidates[c].a, candidates[c].b, [&](std::size_t i) {
-      if (satisfiedWithOneShortcut(rows[i], pairs[i], candidates[c], dt)) {
-        bits.set(i);
-      }
-    });
-    sets.push_back(std::move(bits));
-  }
-  return sets;
 }
 
 // ---------------------------------------------------------------- Mu ----
@@ -81,29 +60,88 @@ MuEvaluator::MuEvaluator(const Instance& instance,
     : instance_(&instance),
       candidates_(&candidates),
       weights_(checkPairWeights(instance, std::move(pairWeights))),
-      perCandidate_(oneShortcutSets(instance, candidates)),
+      shared_(instance.pairs().size()),
       baseSatisfied_(instance.pairs().size()),
       covered_(instance.pairs().size()) {
   const auto& pairs = instance.pairs();
+  const auto rows = pairEndpointRows(instance);
+  const double dt = instance.distanceThreshold();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (instance.baseSatisfied(pairs[i])) baseSatisfied_.set(i);
+    if (rows[i].u[static_cast<std::size_t>(pairs[i].w)] <= dt) {
+      shared_.set(i);
+      if (!baseSatisfied_.test(i)) {
+        extra_.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
   }
+  // A pair with d(u,w) <= d_t passes for every shortcut (shared_); every
+  // other pair passes exactly at the ball-product hits. Hits arrive in
+  // ascending pair order, so a stable sort by candidate keeps each row
+  // ascending.
+  BallProduct balls;
+  balls.build(pairs, rows, dt, candidates);
+  std::vector<std::pair<std::size_t, std::uint32_t>> hits;
+  balls.forEachHit(0, candidates.size(), [&](std::size_t i, std::size_t c) {
+    hits.emplace_back(c, static_cast<std::uint32_t>(i));
+  });
+  std::stable_sort(hits.begin(), hits.end(), [](const auto& l, const auto& r) {
+    return l.first < r.first;
+  });
+  hitPairs_.reserve(hits.size());
+  for (const auto& [c, i] : hits) {
+    if (hitCandidate_.empty() || hitCandidate_.back() != c) {
+      hitCandidate_.push_back(c);
+      hitBegin_.push_back(hitPairs_.size());
+    }
+    hitPairs_.push_back(i);
+  }
+  hitBegin_.push_back(hitPairs_.size());
   reset();
 }
 
-const util::Bitset& MuEvaluator::bitsetFor(const Shortcut& f,
-                                           util::Bitset& scratch) const {
+std::span<const std::uint32_t> MuEvaluator::hitsOf(std::size_t c) const {
+  const auto it =
+      std::lower_bound(hitCandidate_.begin(), hitCandidate_.end(), c);
+  if (it == hitCandidate_.end() || *it != c) return {};
+  const auto r = static_cast<std::size_t>(it - hitCandidate_.begin());
+  return std::span<const std::uint32_t>(hitPairs_).subspan(
+      hitBegin_[r], hitBegin_[r + 1] - hitBegin_[r]);
+}
+
+double MuEvaluator::uncoveredWeight(
+    std::span<const std::uint32_t> hits) const {
+  // hits and extra_ are disjoint (hits are open pairs) and ascending:
+  // merge them so the weights are added in ascending pair order.
+  double gain = 0.0;
+  const auto addIfOpen = [&](std::uint32_t i) {
+    if (!covered_.test(i)) gain += weights_[i];
+  };
+  std::size_t e = 0;
+  for (const std::uint32_t i : hits) {
+    for (; e < extra_.size() && extra_[e] < i; ++e) addIfOpen(extra_[e]);
+    addIfOpen(i);
+  }
+  for (; e < extra_.size(); ++e) addIfOpen(extra_[e]);
+  return gain;
+}
+
+void MuEvaluator::orInto(util::Bitset& acc, const Shortcut& f) const {
   const long idx = candidates_->indexOf(f);
-  if (idx >= 0) return perCandidate_[static_cast<std::size_t>(idx)];
-  // Not a precomputed candidate: compute from scratch.
-  scratch = oneShortcutSet(*instance_, f);
-  return scratch;
+  if (idx < 0) {
+    // Not a precomputed candidate: compute from scratch.
+    acc |= oneShortcutSet(*instance_, f);
+    return;
+  }
+  acc |= shared_;
+  for (const std::uint32_t i : hitsOf(static_cast<std::size_t>(idx))) {
+    acc.set(i);
+  }
 }
 
 double MuEvaluator::value(const ShortcutList& placement) const {
   util::Bitset acc = baseSatisfied_;
-  util::Bitset scratch;
-  for (const Shortcut& f : placement) acc |= bitsetFor(f, scratch);
+  for (const Shortcut& f : placement) orInto(acc, f);
   return sumWeights(acc, weights_);
 }
 
@@ -118,11 +156,43 @@ double MuEvaluator::gainIfAdd(const Shortcut& f) const {
     static auto& cGain = msc::obs::counter("mu.gain_calls");
     cGain.add(1);
   }
-  util::Bitset scratch;
+  // covered_ holds baseSatisfied_, so of the shared pairs only extra_ can
+  // be missing from it.
+  const long idx = candidates_->indexOf(f);
+  if (idx >= 0) return uncoveredWeight(hitsOf(static_cast<std::size_t>(idx)));
   double gain = 0.0;
-  covered_.forEachMissingFrom(bitsetFor(f, scratch),
+  covered_.forEachMissingFrom(oneShortcutSet(*instance_, f),
                               [&](std::size_t i) { gain += weights_[i]; });
   return gain;
+}
+
+void MuEvaluator::scanGains(const CandidateSet& candidates,
+                            std::span<double> gains, int threads,
+                            std::span<const std::uint8_t> skip) {
+  if (&candidates != candidates_) {
+    IncrementalEvaluator::scanGains(candidates, gains, threads, skip);
+    return;
+  }
+  detail::checkScanSize(candidates, gains, skip);
+  if (msc::obs::enabled()) {
+    static auto& cGain = msc::obs::counter("mu.gain_calls");
+    cGain.add(candidates.size());
+  }
+  const double none = uncoveredWeight({});  // a candidate without hits
+  detail::forEachCandidateRange(
+      candidates.size(), threads, 4, [&](std::size_t begin, std::size_t end) {
+        std::fill(gains.begin() + static_cast<std::ptrdiff_t>(begin),
+                  gains.begin() + static_cast<std::ptrdiff_t>(end), none);
+        auto r = static_cast<std::size_t>(
+            std::lower_bound(hitCandidate_.begin(), hitCandidate_.end(),
+                             begin) -
+            hitCandidate_.begin());
+        for (; r < hitCandidate_.size() && hitCandidate_[r] < end; ++r) {
+          gains[hitCandidate_[r]] = uncoveredWeight(
+              std::span<const std::uint32_t>(hitPairs_).subspan(
+                  hitBegin_[r], hitBegin_[r + 1] - hitBegin_[r]));
+        }
+      });
 }
 
 void MuEvaluator::add(const Shortcut& f) {
@@ -130,14 +200,12 @@ void MuEvaluator::add(const Shortcut& f) {
     static auto& cAdd = msc::obs::counter("mu.adds");
     cAdd.add(1);
   }
-  util::Bitset scratch;
-  covered_ |= bitsetFor(f, scratch);
+  orInto(covered_, f);
 }
 
 util::Bitset MuEvaluator::satisfiedBy(const Shortcut& f) const {
-  util::Bitset scratch;
-  util::Bitset out = bitsetFor(f, scratch);
-  out |= baseSatisfied_;
+  util::Bitset out = baseSatisfied_;
+  orInto(out, f);
   return out;
 }
 
@@ -226,6 +294,54 @@ double NuEvaluator::gainIfAdd(const Shortcut& f) const {
                               coverage_[static_cast<std::size_t>(f.a)],
                               [&](std::size_t i) { gain += nodeWeights_[i]; });
   return gain;
+}
+
+void NuEvaluator::scanGains(const CandidateSet& candidates,
+                            std::span<double> gains, int threads,
+                            std::span<const std::uint8_t> skip) {
+  detail::checkScanSize(candidates, gains, skip);
+  if (msc::obs::enabled()) {
+    static auto& cGain = msc::obs::counter("nu.gain_calls");
+    cGain.add(candidates.size());
+  }
+  // gainIfAdd(a, b) starts from gainOfEndpoint(a): compute it once per
+  // endpoint instead of once per candidate.
+  std::vector<double> first(coverage_.size(), 0.0);
+  for (const NodeId v : candidates.endpoints()) {
+    first[static_cast<std::size_t>(v)] = gainOfEndpoint(v, covered_);
+  }
+  const std::size_t words = covered_.wordCount();
+  const auto& coveredWords = covered_.words();
+  detail::forEachCandidateRange(
+      candidates.size(), threads, 4, [&](std::size_t begin, std::size_t end) {
+        // open[w] = ~covered & ~coverage(a), refreshed when a changes
+        // (candidates are sorted by a).
+        std::vector<std::uint64_t> open(words);
+        NodeId a = -1;
+        for (std::size_t c = begin; c < end; ++c) {
+          const Shortcut& f = candidates.all()[c];
+          if (f.a != a) {
+            a = f.a;
+            const auto& cov = coverage_[static_cast<std::size_t>(a)].words();
+            for (std::size_t w = 0; w < words; ++w) {
+              open[w] = ~coveredWords[w] & ~cov[w];
+            }
+          }
+          // The same bits gainIfAdd's forEachMissingFrom visits, in the
+          // same ascending order, added onto the same first-endpoint sum.
+          double gain = first[static_cast<std::size_t>(a)];
+          const auto& covB = coverage_[static_cast<std::size_t>(f.b)].words();
+          for (std::size_t w = 0; w < words; ++w) {
+            std::uint64_t bits = covB[w] & open[w];
+            while (bits != 0) {
+              gain += nodeWeights_[w * 64 + static_cast<std::size_t>(
+                                                std::countr_zero(bits))];
+              bits &= bits - 1;
+            }
+          }
+          gains[c] = gain;
+        }
+      });
 }
 
 void NuEvaluator::add(const Shortcut& f) {

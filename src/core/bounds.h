@@ -26,7 +26,9 @@
 // never use that the weights are 1.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/candidates.h"
@@ -41,20 +43,19 @@ namespace msc::core {
 /// with u's row read at w, a and b, and w's row standing in for w's column.
 util::Bitset oneShortcutSet(const Instance& instance, const Shortcut& f);
 
-/// oneShortcutSet for every candidate, bit-identical to calling it per
-/// candidate. Pairs satisfied without shortcuts are copied in; the rest are
-/// tested only against candidates whose endpoints both reach them within
-/// d_t (core/pair_ball.h), so the build costs O(m * |endpoints| + C * m/64
-/// + hits) instead of O(C * m).
-std::vector<util::Bitset> oneShortcutSets(const Instance& instance,
-                                          const CandidateSet& candidates);
-
-/// Lower bound mu: max coverage over per-shortcut satisfied-pair bitsets.
+/// Lower bound mu: max coverage over per-shortcut satisfied-pair sets.
+///
+/// A candidate's set is the pairs with d(u,w) <= d_t, which every
+/// candidate shares, plus the open pairs it satisfies alone. The latter
+/// are built once from the σ scan's ball-product visits over base rows
+/// (BallProduct, core/sigma.h) and kept sparse: ascending pair lists, CSR
+/// over the candidates that have any, so memory follows the hits, not
+/// candidates x pairs.
 class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
-  /// Bitsets for `candidates` are precomputed; shortcuts outside the
+  /// Sets for `candidates` are precomputed; shortcuts outside the
   /// candidate set are still handled (computed on the fly). `pairWeights`
-  /// as in checkPairWeights.
+  /// as in checkPairWeights. `candidates` must outlive the evaluator.
   MuEvaluator(const Instance& instance, const CandidateSet& candidates,
               std::vector<double> pairWeights = {});
 
@@ -67,18 +68,37 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  /// One pass over the sparse sets when `candidates` is the set the
+  /// evaluator was built for; the gainIfAdd loop otherwise.
+  void scanGains(const CandidateSet& candidates, std::span<double> gains,
+                 int threads, std::span<const std::uint8_t> skip) override;
 
   /// Pairs satisfied by the single shortcut f under the one-shortcut
   /// restriction (includes base-satisfied pairs).
   util::Bitset satisfiedBy(const Shortcut& f) const;
 
  private:
-  const util::Bitset& bitsetFor(const Shortcut& f, util::Bitset& scratch) const;
+  // Open pairs candidate c satisfies alone, ascending (empty if none).
+  std::span<const std::uint32_t> hitsOf(std::size_t c) const;
+  // Weights of the pairs in `hits` or in extra_ not yet covered, added in
+  // ascending pair order.
+  double uncoveredWeight(std::span<const std::uint32_t> hits) const;
+  // acc |= the one-shortcut set of f.
+  void orInto(util::Bitset& acc, const Shortcut& f) const;
 
   const Instance* instance_;
   const CandidateSet* candidates_;
-  std::vector<double> weights_;             // [pair]
-  std::vector<util::Bitset> perCandidate_;  // [candidate index] -> pair bits
+  std::vector<double> weights_;  // [pair]
+  // CSR over the candidates with hits: row r is candidate hitCandidate_[r]
+  // (ascending), its pairs are hitPairs_[hitBegin_[r], hitBegin_[r + 1]).
+  std::vector<std::size_t> hitCandidate_;
+  std::vector<std::size_t> hitBegin_;
+  std::vector<std::uint32_t> hitPairs_;
+  util::Bitset shared_;  // pairs with row_u[w] <= d_t: in every set
+  // shared_ minus baseSatisfied_, ascending. Empty unless d(u,w) and
+  // d(w,u) straddle d_t by rounding (baseSatisfied reads the lower
+  // endpoint's row); kept so every gain matches the set semantics exactly.
+  std::vector<std::uint32_t> extra_;
   util::Bitset baseSatisfied_;
   util::Bitset covered_;  // incremental state
 };
@@ -99,6 +119,10 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override { return current_; }
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
+  /// Computes every node's first-endpoint gain once, then continues it per
+  /// candidate over coverage(b) minus the covered and coverage(a) nodes.
+  void scanGains(const CandidateSet& candidates, std::span<double> gains,
+                 int threads, std::span<const std::uint8_t> skip) override;
 
   /// Weight of pair-node index i: half the summed weights of the
   /// initially-unsatisfied pairs it belongs to (with unit weights, its

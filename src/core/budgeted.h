@@ -49,7 +49,7 @@ struct BudgetedResult {
   double densityValue = 0.0, uniformValue = 0.0;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// gainIfAdd calls summed over both greedy rules.
+  /// Candidate gains scored, summed over both greedy rules.
   std::size_t gainEvaluations = 0;
   /// Accepted picks summed over both greedy rules.
   int rounds = 0;

@@ -36,24 +36,28 @@ CandidateSet::CandidateSet(ShortcutList candidates)
                     candidates_.end());
   if (candidates_.empty()) return;
   // Mark-and-collect over the id range: O(size + range), no sort.
-  NodeId lo = candidates_.front().a;
+  lo_ = candidates_.front().a;
   NodeId hi = candidates_.front().b;
   for (const Shortcut& f : candidates_) hi = std::max(hi, f.b);
-  std::vector<char> seen(static_cast<std::size_t>(hi - lo) + 1, 0);
+  slot_.assign(static_cast<std::size_t>(hi - lo_) + 1, -1);
   for (const Shortcut& f : candidates_) {
-    seen[static_cast<std::size_t>(f.a - lo)] = 1;
-    seen[static_cast<std::size_t>(f.b - lo)] = 1;
+    slot_[static_cast<std::size_t>(f.a - lo_)] = 0;
+    slot_[static_cast<std::size_t>(f.b - lo_)] = 0;
   }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i] != 0) endpoints_.push_back(lo + static_cast<NodeId>(i));
+  for (std::size_t i = 0; i < slot_.size(); ++i) {
+    if (slot_[i] < 0) continue;
+    slot_[i] = static_cast<int>(endpoints_.size());
+    endpoints_.push_back(lo_ + static_cast<NodeId>(i));
   }
-}
-
-long CandidateSet::indexOf(const Shortcut& f) const {
-  const auto it =
-      std::lower_bound(candidates_.begin(), candidates_.end(), f);
-  if (it == candidates_.end() || !(*it == f)) return -1;
-  return static_cast<long>(it - candidates_.begin());
+  // Candidates are sorted by a, so each endpoint's run is contiguous.
+  firstOf_.assign(endpoints_.size() + 1, 0);
+  for (const Shortcut& f : candidates_) {
+    const int pa = slot_[static_cast<std::size_t>(f.a - lo_)];
+    ++firstOf_[static_cast<std::size_t>(pa) + 1];
+  }
+  for (std::size_t p = 1; p < firstOf_.size(); ++p) {
+    firstOf_[p] += firstOf_[p - 1];
+  }
 }
 
 }  // namespace msc::core

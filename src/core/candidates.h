@@ -6,6 +6,8 @@
 // constructor supports ablations (e.g. only pair-node incident shortcuts).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "core/types.h"
@@ -34,12 +36,36 @@ class CandidateSet {
   /// gain scan over this set can probe.
   const std::vector<NodeId>& endpoints() const noexcept { return endpoints_; }
 
-  /// Index of a shortcut, or -1 if not a candidate. O(log size).
-  long indexOf(const Shortcut& f) const;
+  /// Index of a shortcut, or -1 if not a candidate. O(1) when the
+  /// candidates starting at f.a are every later endpoint (allPairs, the
+  /// serve pair-node universe), O(log size) otherwise.
+  long indexOf(const Shortcut& f) const {
+    if (!(f.a < f.b) || candidates_.empty() || f.a < lo_ ||
+        f.b >= lo_ + static_cast<NodeId>(slot_.size())) {
+      return -1;
+    }
+    const int pa = slot_[static_cast<std::size_t>(f.a - lo_)];
+    const int pb = slot_[static_cast<std::size_t>(f.b - lo_)];
+    if (pa < 0 || pb < 0) return -1;
+    const std::size_t first = firstOf_[static_cast<std::size_t>(pa)];
+    const std::size_t last = firstOf_[static_cast<std::size_t>(pa) + 1];
+    if (last - first == endpoints_.size() - static_cast<std::size_t>(pa) - 1) {
+      return static_cast<long>(first) + (pb - pa - 1);
+    }
+    const auto begin = candidates_.begin() + static_cast<long>(first);
+    const auto end = candidates_.begin() + static_cast<long>(last);
+    const auto it = std::lower_bound(begin, end, f);
+    if (it == end || !(*it == f)) return -1;
+    return static_cast<long>(it - candidates_.begin());
+  }
 
  private:
   ShortcutList candidates_;  // sorted, unique
   std::vector<NodeId> endpoints_;
+  NodeId lo_ = 0;          // smallest endpoint
+  std::vector<int> slot_;  // [node - lo_] -> position in endpoints_, or -1
+  // [position p] -> first candidate whose a is endpoints_[p]; size + 1 entries.
+  std::vector<std::size_t> firstOf_;
 };
 
 }  // namespace msc::core

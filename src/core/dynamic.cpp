@@ -1,6 +1,10 @@
 #include "core/dynamic.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "core/gain_scan.h"
 
 namespace msc::core {
 
@@ -41,8 +45,16 @@ void SumEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
 }
 
-void SumEvaluator::prepareScan(const CandidateSet& candidates) {
-  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
+void SumEvaluator::scanGains(const CandidateSet& candidates,
+                             std::span<double> gains, int threads,
+                             std::span<const std::uint8_t> skip) {
+  detail::checkScanSize(candidates, gains, skip);
+  std::fill(gains.begin(), gains.end(), 0.0);
+  std::vector<double> part(candidates.size());
+  for (IncrementalEvaluator* c : children_) {
+    c->scanGains(candidates, part, threads, skip);
+    for (std::size_t i = 0; i < part.size(); ++i) gains[i] += part[i];
+  }
 }
 
 DynamicProblem::DynamicProblem(std::vector<Instance> instances,

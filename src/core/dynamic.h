@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/bounds.h"
@@ -40,7 +41,9 @@ class SumEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
-  void prepareScan(const CandidateSet& candidates) override;
+  /// The children's scanGains, combined per candidate as gainIfAdd does.
+  void scanGains(const CandidateSet& candidates, std::span<double> gains,
+                 int threads, std::span<const std::uint8_t> skip) override;
 
  private:
   std::vector<IncrementalEvaluator*> children_;

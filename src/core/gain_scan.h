@@ -1,100 +1,89 @@
-// Internal: one deterministic candidate-selection scan, serial or sharded.
+// Internal: one deterministic candidate-selection scan, and the helpers
+// the scanGains implementations share.
 //
-// Every per-round selection loop in the library has the same shape — walk
-// the candidate set, query a read-only gainIfAdd, keep the first candidate
-// attaining the strict running maximum of some score. That left fold is
-// invariant under chunking as long as per-chunk winners are merged in chunk
-// order with the same first-wins rule, which is exactly what gainScan does:
-// the parallel result is bit-identical to the serial one for any thread
-// count and any chunk size (no floating-point reassociation happens — each
-// candidate's gain and score are computed by the same expressions either
-// way, only comparisons are folded).
+// Every per-round selection loop in the library has the same shape — score
+// every candidate's marginal gain, keep the first candidate attaining the
+// strict running maximum of some score. gainScan gets all the gains from
+// one IncrementalEvaluator::scanGains call (sharded by candidate range,
+// each gain bit-identical to gainIfAdd) and then folds over them in index
+// order, so the pick is the same for any thread count: no floating-point
+// reassociation happens, only comparisons are folded.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/candidates.h"
 #include "core/set_function.h"
 #include "obs/context.h"
 #include "util/cancel.h"
-#include "util/parallel.h"
 
 namespace msc::core::detail {
+
+/// The scanGains size contract: throws std::invalid_argument unless
+/// `gains` holds one entry per candidate and `skip` is empty or does too.
+void checkScanSize(const CandidateSet& candidates,
+                   std::span<const double> gains,
+                   std::span<const std::uint8_t> skip);
+
+/// Runs fn(begin, end) over [0, count) cut into contiguous candidate
+/// ranges, about `chunksPerThread` per worker of `threads`: inline as one
+/// range at one thread, over the global pool otherwise. The layout is pure
+/// in (count, threads, chunksPerThread). scanGains implementations use it
+/// so that threads split work by candidate range and every gain is
+/// computed by one thread with the serial expression.
+void forEachCandidateRange(
+    std::size_t count, int threads, std::size_t chunksPerThread,
+    const std::function<void(std::size_t, std::size_t)>& fn);
 
 struct ScanBest {
   double score = 0.0;  // selection score of the best candidate so far
   double gain = 0.0;   // raw marginal gain of that candidate
   long index = -1;     // candidate index, -1 when nothing was eligible
-  std::size_t evaluations = 0;  // gainIfAdd calls made by the scan
+  std::size_t evaluations = 0;  // unskipped candidates the fold scored
 };
 
-/// Folds a per-chunk winner into the running one: ties and equal scores go
-/// to the earlier chunk (= lower candidate index), matching a serial scan.
-inline void mergeScan(ScanBest& acc, const ScanBest& chunk) {
-  acc.evaluations += chunk.evaluations;
-  if (chunk.index < 0) return;
-  if (acc.index < 0 || chunk.score > acc.score) {
-    acc.score = chunk.score;
-    acc.gain = chunk.gain;
-    acc.index = chunk.index;
-  }
-}
-
 /// One selection scan over `candidates` with `threads` workers (resolved via
-/// util::resolveThreadCount). skip(i) -> bool excludes candidates without
-/// evaluating them; score(gain, i) -> double ranks the rest. When
+/// util::resolveThreadCount). skip(i) -> bool excludes candidates from the
+/// scan and the fold (each is asked once); score(gain, i) -> double ranks
+/// the rest. When
 /// requirePositiveGain, candidates with gain <= 0 are ineligible (plain
 /// greedy's stop condition); otherwise the first unskipped candidate is
-/// always a valid fallback (AEA's "always swap something" rule). The
-/// evaluator gets its prepareScan hint first; the probes themselves are
-/// read-only.
+/// always a valid fallback (AEA's "always swap something" rule). When the
+/// request's cancel token fires during the scan, some gains may be unset,
+/// so the result is empty (index -1, no evaluations).
 template <typename SkipFn, typename ScoreFn>
 ScanBest gainScan(IncrementalEvaluator& eval, const CandidateSet& candidates,
                   int threads, bool requirePositiveGain, SkipFn skip,
                   ScoreFn score) {
-  eval.prepareScan(candidates);
-  const std::size_t count = candidates.size();
-  const auto scanRange = [&](std::size_t rangeBegin, std::size_t rangeEnd) {
-    ScanBest local;
-    for (std::size_t c = rangeBegin; c < rangeEnd; ++c) {
-      if (skip(c)) continue;
-      const double gain = eval.gainIfAdd(candidates[c]);
-      ++local.evaluations;
-      if (requirePositiveGain && gain <= 0.0) continue;
-      const double s = score(gain, c);
-      if (local.index < 0 || s > local.score) {
-        local.score = s;
-        local.gain = gain;
-        local.index = static_cast<long>(c);
-      }
-    }
-    return local;
-  };
-
-  const int resolved = util::resolveThreadCount(threads);
-  if (resolved <= 1 || count < 2) return scanRange(0, count);
-
-  // ~4 chunks per thread: coarse enough that the pool's per-chunk
-  // bookkeeping is noise, fine enough to absorb gain-cost imbalance.
-  const std::size_t shards = static_cast<std::size_t>(resolved) * 4;
-  const std::size_t grain = std::max<std::size_t>(1, (count + shards - 1) / shards);
-  const std::size_t chunkCount = (count + grain - 1) / grain;
-  std::vector<ScanBest> perChunk(chunkCount);
-  // A scan's per-chunk results are discarded wholesale by the solver when
-  // its cancel token fired (it re-checks after the scan and drops the
-  // round), so chunk-level skipping is safe here — a skipped chunk just
-  // leaves its ScanBest empty. This is the "between thread-pool chunks"
-  // check of the §18 cancellation contract.
-  const util::ScopedChunkCancel chunkCancel(obs::currentCancelToken());
-  util::parallelForThreads(resolved, 0, count, grain,
-                           [&](std::size_t chunkBegin, std::size_t chunkEnd) {
-                             perChunk[chunkBegin / grain] =
-                                 scanRange(chunkBegin, chunkEnd);
-                           });
+  std::vector<std::uint8_t> skipped(candidates.size());
+  for (std::size_t c = 0; c < skipped.size(); ++c) skipped[c] = skip(c);
+  std::vector<double> gains(candidates.size());
+  util::CancelToken* const cancel = obs::currentCancelToken();
+  {
+    // The caller re-checks the token after the scan and drops the round,
+    // so the pool may skip the remaining chunks once it fires. This is the
+    // "between thread-pool chunks" check of the §18 cancellation contract.
+    const util::ScopedChunkCancel chunkCancel(cancel);
+    eval.scanGains(candidates, gains, threads, skipped);
+  }
   ScanBest best;
-  for (const ScanBest& chunk : perChunk) mergeScan(best, chunk);
+  if (cancel != nullptr && cancel->cancelled()) return best;
+  for (std::size_t c = 0; c < gains.size(); ++c) {
+    if (skipped[c] != 0) continue;
+    ++best.evaluations;
+    const double gain = gains[c];
+    if (requirePositiveGain && gain <= 0.0) continue;
+    const double s = score(gain, c);
+    if (best.index < 0 || s > best.score) {
+      best.score = s;
+      best.gain = gain;
+      best.index = static_cast<long>(c);
+    }
+  }
   return best;
 }
 

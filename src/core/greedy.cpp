@@ -2,6 +2,7 @@
 
 #include <queue>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/gain_scan.h"
@@ -130,35 +131,31 @@ GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
   msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
   const char* const stage = msc::obs::currentProgressStage();
   // The initial fill computes every candidate's gain against the empty
-  // placement — read-only on the evaluator, so it shards cleanly. Pushing
-  // in index order afterwards keeps the heap identical to a serial fill.
+  // placement in one scanGains call (sharded by candidate range), and the
+  // heap is built from all of them at once (O(C) instead of C pushes).
+  // cmp is a strict total order (candidate indices are distinct), so the
+  // pop sequence does not depend on how the heap was built.
   {
     // The fill is the lazy pass's analogue of a full gain scan; charge it
     // to the same request phase.
     MSC_OBS_SPAN("greedy.lazy_fill", msc::obs::Phase::RoundScan);
     std::vector<double> initialGain(candidates.size());
-    eval.prepareScan(candidates);
     {
       // Fill results are discarded below when the token fired, so the pool
       // may skip remaining chunks once it does.
       const util::ScopedChunkCancel chunkCancel(cancel);
-      util::parallelForThreads(
-          threads, 0, candidates.size(),
-          std::max<std::size_t>(1, candidates.size() /
-                                       (static_cast<std::size_t>(threads) * 4)),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t c = begin; c < end; ++c) {
-              initialGain[c] = eval.gainIfAdd(candidates[c]);
-            }
-          });
+      eval.scanGains(candidates, initialGain, threads, {});
     }
     if (cancel != nullptr && cancel->cancelled()) {
       result.interrupted = cancel->reason();
     } else {
+      std::vector<Entry> entries;
+      entries.reserve(candidates.size());
       for (std::size_t c = 0; c < candidates.size(); ++c) {
-        heap.push({initialGain[c], c, 0});
-        ++result.gainEvaluations;
+        entries.push_back({initialGain[c], c, 0});
       }
+      heap = decltype(heap)(cmp, std::move(entries));
+      result.gainEvaluations += candidates.size();
     }
   }
 

@@ -31,7 +31,8 @@ struct GreedyResult {
   std::vector<double> trajectory;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// Number of eval.gainIfAdd calls this pass made.
+  /// Gains this pass scored: the unskipped candidates of every scan (the
+  /// lazy fill scores all of them) plus the lazy recomputes.
   std::size_t gainEvaluations = 0;
   /// Accepted picks (== placement.size(), kept separate for reporting).
   int rounds = 0;

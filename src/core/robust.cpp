@@ -1,10 +1,12 @@
 #include "core/robust.h"
 
-#include "core/greedy.h"
-
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <vector>
+
+#include "core/gain_scan.h"
+#include "core/greedy.h"
 
 namespace msc::core {
 
@@ -51,8 +53,23 @@ void MinEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
 }
 
-void MinEvaluator::prepareScan(const CandidateSet& candidates) {
-  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
+void MinEvaluator::scanGains(const CandidateSet& candidates,
+                             std::span<double> gains, int threads,
+                             std::span<const std::uint8_t> skip) {
+  detail::checkScanSize(candidates, gains, skip);
+  // gains holds worstAfter until the final subtraction.
+  std::fill(gains.begin(), gains.end(),
+            std::numeric_limits<double>::infinity());
+  std::vector<double> part(candidates.size());
+  for (IncrementalEvaluator* c : children_) {
+    const double current = c->currentValue();
+    c->scanGains(candidates, part, threads, skip);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      gains[i] = std::min(gains[i], current + part[i]);
+    }
+  }
+  const double current = currentValue();
+  for (double& g : gains) g -= current;
 }
 
 // ------------------------------------------------------- TruncatedSum ----
@@ -105,8 +122,20 @@ void TruncatedSumEvaluator::add(const Shortcut& f) {
   for (IncrementalEvaluator* c : children_) c->add(f);
 }
 
-void TruncatedSumEvaluator::prepareScan(const CandidateSet& candidates) {
-  for (IncrementalEvaluator* c : children_) c->prepareScan(candidates);
+void TruncatedSumEvaluator::scanGains(const CandidateSet& candidates,
+                                      std::span<double> gains, int threads,
+                                      std::span<const std::uint8_t> skip) {
+  detail::checkScanSize(candidates, gains, skip);
+  std::fill(gains.begin(), gains.end(), 0.0);
+  std::vector<double> part(candidates.size());
+  for (IncrementalEvaluator* c : children_) {
+    const double before = std::min(c->currentValue(), cap_);
+    c->scanGains(candidates, part, threads, skip);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      const double after = std::min(c->currentValue() + part[i], cap_);
+      gains[i] += after - before;
+    }
+  }
 }
 
 // ------------------------------------------------------------ SATURATE ----

@@ -12,6 +12,7 @@
 // IncrementalEvaluator interface this class implements.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +40,9 @@ class MinEvaluator final : public SetFunction, public IncrementalEvaluator {
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
-  void prepareScan(const CandidateSet& candidates) override;
+  /// The children's scanGains, combined per candidate as gainIfAdd does.
+  void scanGains(const CandidateSet& candidates, std::span<double> gains,
+                 int threads, std::span<const std::uint8_t> skip) override;
 
  private:
   std::vector<IncrementalEvaluator*> children_;
@@ -65,7 +68,9 @@ class TruncatedSumEvaluator final : public SetFunction,
   double currentValue() const override;
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
-  void prepareScan(const CandidateSet& candidates) override;
+  /// The children's scanGains, combined per candidate as gainIfAdd does.
+  void scanGains(const CandidateSet& candidates, std::span<double> gains,
+                 int threads, std::span<const std::uint8_t> skip) override;
 
   double cap() const noexcept { return cap_; }
 
@@ -84,7 +89,7 @@ struct SaturateResult {
   double targetReached = 0.0;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// gainIfAdd calls summed over all inner greedy runs.
+  /// Candidate gains scored, summed over all inner greedy runs.
   std::size_t gainEvaluations = 0;
   /// Binary-search steps (inner greedy runs) taken.
   int iterations = 0;

@@ -42,7 +42,7 @@ struct SandwichResult {
   double sigmaOfFnu = 0.0;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// gainIfAdd calls summed over the three greedy passes.
+  /// Candidate gains scored, summed over the three greedy passes.
   std::size_t gainEvaluations = 0;
   /// Why the run stopped early (None = all three passes completed). The
   /// shared request token interrupts every pass; each returns its

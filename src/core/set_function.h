@@ -8,6 +8,8 @@
 // (cheap marginal gains against mutable internal state).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/types.h"
@@ -44,14 +46,21 @@ class IncrementalEvaluator {
   virtual double gainIfAdd(const Shortcut& f) const = 0;
   virtual void add(const Shortcut& f) = 0;
 
-  /// Hint that gainIfAdd is about to be probed for (mostly) the members of
-  /// `candidates` under the current state, possibly from several threads.
-  /// Evaluators may build per-scan acceleration state here; it must not
-  /// change any gain, and add()/reset() must drop it. Called only outside
-  /// parallel probe loops. No-op by default.
-  virtual void prepareScan(const CandidateSet& candidates) {
-    static_cast<void>(candidates);
-  }
+  /// Fills gains[c] with gainIfAdd(candidates[c]) for every candidate c
+  /// not flagged in `skip`, bit for bit, under the current state, using
+  /// `threads` workers (util::resolveThreadCount). Does not change the
+  /// state. `skip` is empty (score every candidate) or holds one flag per
+  /// candidate; a flagged entry of `gains` is left unspecified, and the
+  /// default never probes it, so a probe-counting wrapper sees exactly the
+  /// candidates its caller scores. The default runs the gainIfAdd loop
+  /// sharded over the pool by candidate range; evaluators with a cheaper
+  /// bulk form override it. Callers may run it under a
+  /// util::ScopedChunkCancel and must then discard `gains` once the token
+  /// fired (skipped chunks leave their entries unset). gains.size() must
+  /// equal candidates.size().
+  virtual void scanGains(const CandidateSet& candidates,
+                         std::span<double> gains, int threads,
+                         std::span<const std::uint8_t> skip);
 
   /// Sets the state to exactly `placement` and returns its value.
   double evaluate(const ShortcutList& placement) {

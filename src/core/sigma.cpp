@@ -1,21 +1,23 @@
 #include "core/sigma.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 
-#include "core/candidates.h"
+#include "core/gain_scan.h"
 #include "obs/metrics.h"
 
 namespace msc::core {
 
 namespace {
 
-// Pair checks made by one gainIfAdd/add call, published per call so
-// strategy comparisons see operation counts, not just call counts.
+// Pair checks made by one gainIfAdd/add call, or the ball-product visits
+// of one scanGains, published per call so strategy comparisons see
+// operation counts, not just call counts.
 void publishPairChecks(std::size_t checks) {
   static auto& cRelax = msc::obs::counter("sigma.relaxations");
   cRelax.add(checks);
@@ -65,6 +67,37 @@ std::vector<double> checkPairWeights(const Instance& instance,
   return weights;
 }
 
+void BallProduct::build(std::span<const SocialPair> pairs,
+                        std::span<const PairRows> rows, double dt,
+                        const CandidateSet& candidates) {
+  if (rows.size() != pairs.size()) {
+    throw std::invalid_argument("BallProduct: one row pair per pair");
+  }
+  candidates_ = &candidates;
+  dt_ = dt;
+  open_.clear();
+  near_.clear();
+  const auto ball = [&](const double* row) {
+    const std::size_t first = near_.size();
+    for (const NodeId x : candidates.endpoints()) {
+      const double d = row[static_cast<std::size_t>(x)];
+      if (d <= dt) near_.push_back({d, x});
+    }
+    std::sort(near_.begin() + static_cast<std::ptrdiff_t>(first), near_.end(),
+              [](const Near& l, const Near& r) {
+                return l.d < r.d || (l.d == r.d && l.x < r.x);
+              });
+    return near_.size();
+  };
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (rows[i].u[static_cast<std::size_t>(pairs[i].w)] <= dt) continue;
+    OpenPair p{i, rows[i], near_.size(), 0, 0};
+    p.wBegin = ball(rows[i].u);
+    p.wEnd = ball(rows[i].w);
+    open_.push_back(p);
+  }
+}
+
 SigmaEvaluator::SigmaEvaluator(const Instance& instance,
                                std::vector<double> pairWeights)
     : instance_(&instance),
@@ -77,7 +110,6 @@ SigmaEvaluator::SigmaEvaluator(const Instance& instance,
 }
 
 void SigmaEvaluator::reset() {
-  near_.invalidate();
   rows_.reset();
   refreshSatisfied();
 }
@@ -104,12 +136,6 @@ void SigmaEvaluator::markSatisfied() {
   }
 }
 
-void SigmaEvaluator::prepareScan(const CandidateSet& candidates) {
-  const auto& pairs = instance_->pairs();
-  near_.build(pairs, pairRowsOf(pairs, rows_), instance_->distanceThreshold(),
-              candidates.endpoints(), instance_->graph().nodeCount());
-}
-
 double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
   const auto& pairs = instance_->pairs();
   const double dt = instance_->distanceThreshold();
@@ -117,23 +143,16 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
   const auto b = static_cast<std::size_t>(f.b);
   double gain = 0.0;
   std::size_t checks = 0;
-  // Open pairs only, in ascending pair order either way. The row of w
-  // stands in for the columns of w (the evolved metric is symmetric).
-  const auto check = [&](std::size_t i, const double* ru, const double* rw) {
+  // Open pairs only, in ascending pair order. The row of w stands in for
+  // the columns of w (the evolved metric is symmetric).
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairSatisfied_[i]) continue;  // distances only shrink
     ++checks;
+    const double* ru = rows_.rowIfPresent(pairs[i].u);
+    const double* rw = rows_.rowIfPresent(pairs[i].w);
     const double viaAB = ru[a] + rw[b];
     const double viaBA = ru[b] + rw[a];
     gain += weightIf(std::min(viaAB, viaBA) <= dt, weights_[i]);
-  };
-  const bool indexed = near_.forEachShared(f.a, f.b, [&](std::size_t i) {
-    check(i, near_.rows(i).u, near_.rows(i).w);
-  });
-  if (!indexed) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (pairSatisfied_[i]) continue;  // distances only shrink
-      check(i, rows_.rowIfPresent(pairs[i].u),
-            rows_.rowIfPresent(pairs[i].w));
-    }
   }
   if (msc::obs::enabled()) {
     static auto& cGain = msc::obs::counter("sigma.gain_calls");
@@ -143,6 +162,40 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
   return gain;
 }
 
+void SigmaEvaluator::scanGains(const CandidateSet& candidates,
+                               std::span<double> gains, int threads,
+                               std::span<const std::uint8_t> skip) {
+  detail::checkScanSize(candidates, gains, skip);
+  const auto& pairs = instance_->pairs();
+  std::vector<PairRows> rows;
+  rows.reserve(pairs.size());
+  for (const SocialPair& p : pairs) {
+    rows.push_back({rows_.rowIfPresent(p.u), rows_.rowIfPresent(p.w)});
+  }
+  balls_.build(pairs, rows, instance_->distanceThreshold(), candidates);
+  // Pairs run in ascending order inside every range, so each gain adds its
+  // pairs' weights in the order gainIfAdd does (skipped pairs add +0.0
+  // there, which leaves a sum of weights >= 0 unchanged). One range per
+  // thread: each range walks every ball product and keeps its own hits.
+  std::atomic<std::size_t> visits{0};
+  detail::forEachCandidateRange(
+      candidates.size(), threads, 1, [&](std::size_t begin, std::size_t end) {
+        std::fill(gains.begin() + static_cast<std::ptrdiff_t>(begin),
+                  gains.begin() + static_cast<std::ptrdiff_t>(end), 0.0);
+        visits.fetch_add(
+            balls_.forEachHit(begin, end,
+                              [&](std::size_t i, std::size_t c) {
+                                gains[c] += weights_[i];
+                              }),
+            std::memory_order_relaxed);
+      });
+  if (msc::obs::enabled()) {
+    static auto& cGain = msc::obs::counter("sigma.gain_calls");
+    cGain.add(candidates.size());
+    publishPairChecks(visits.load(std::memory_order_relaxed));
+  }
+}
+
 void SigmaEvaluator::add(const Shortcut& f) {
   if (msc::obs::enabled()) {
     static auto& cAdd = msc::obs::counter("sigma.adds");
@@ -150,7 +203,6 @@ void SigmaEvaluator::add(const Shortcut& f) {
     publishPairChecks(instance_->pairs().size() -
                       static_cast<std::size_t>(satisfied_));
   }
-  near_.invalidate();
   rows_.applyZeroEdge(f.a, f.b);
   markSatisfied();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "graph/distance_oracle.h"
 #include "helpers.h"
@@ -300,11 +301,17 @@ TEST(SigmaMetrics, IncrementalPathCountsGainsAndAdds) {
 
   eval.gainIfAdd(Shortcut::make(0, 5));
   eval.gainIfAdd(Shortcut::make(2, 3));
+  // A scan counts every candidate it scores, and its (pair, a, b)
+  // ball-product visits: 6 for (0, 5) and 11 for (1, 4) at d_t = 2.
+  const auto cands = msc::core::CandidateSet::allPairs(6);
+  std::vector<double> gains(cands.size());
+  eval.scanGains(cands, gains, 1, {});
   eval.add(Shortcut::make(0, 5));
-  EXPECT_EQ(msc::obs::counter("sigma.gain_calls").value(), 2u);
+  EXPECT_EQ(msc::obs::counter("sigma.gain_calls").value(), 2u + cands.size());
   EXPECT_EQ(msc::obs::counter("sigma.adds").value(), 1u);
-  // Both pairs were unsatisfied at every probe: 2 + 2 + 2 relaxations.
-  EXPECT_EQ(msc::obs::counter("sigma.relaxations").value(), 6u);
+  // Both pairs were unsatisfied at every probe and at the add: 2 + 2 + 2
+  // pair checks, plus the scan's 17 visits.
+  EXPECT_EQ(msc::obs::counter("sigma.relaxations").value(), 23u);
 }
 
 TEST(SigmaMetrics, DisabledRegistryRecordsNothing) {
