@@ -167,8 +167,8 @@ void BM_SigmaGainScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SigmaGainScan)->Args({100, 80})->Args({512, 100});
 
-// The ν lazy-greedy fill: every candidate's upper-bound gain from the
-// empty placement.
+// One ν greedy round scan: every candidate's upper-bound gain, here from
+// the empty placement.
 void BM_NuGainScan(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));

@@ -3,16 +3,14 @@
 // The paper runs the same multi-round selection against three different set
 // functions (sigma, mu, nu — §IV-B, §V-B) and against dynamic-network sums
 // (§VI); this module implements it once over the IncrementalEvaluator
-// interface. Plain greedy scans every candidate per round; lazy greedy
-// (Minoux's accelerated variant) is exact for monotone submodular functions
-// (mu, nu, the MSC-CN coverage form) and is what the sandwich algorithm
-// uses for its bound runs.
+// interface. Each round scores every candidate in one bulk scanGains call
+// and keeps the best; the sandwich algorithm runs this same loop for all
+// three of its passes.
 //
-// With options.threads > 1 the per-round candidate gain scan (and lazy
-// greedy's initial heap fill) is sharded across the global thread pool
-// against read-only evaluator state; the deterministic lowest-index
-// tie-break reduction makes parallel picks bit-identical to sequential
-// (ALGORITHMS.md §10).
+// With options.threads > 1 the per-round candidate gain scan is sharded
+// across the global thread pool against read-only evaluator state; the
+// deterministic lowest-index tie-break reduction makes parallel picks
+// bit-identical to sequential (ALGORITHMS.md §10).
 #pragma once
 
 #include <vector>
@@ -31,13 +29,10 @@ struct GreedyResult {
   std::vector<double> trajectory;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// Gains this pass scored: the unskipped candidates of every scan (the
-  /// lazy fill scores all of them) plus the lazy recomputes.
+  /// Gains this pass scored: the unskipped candidates of every scan.
   std::size_t gainEvaluations = 0;
   /// Accepted picks (== placement.size(), kept separate for reporting).
   int rounds = 0;
-  /// Stale-gain recomputations (lazy greedy only; 0 for plain greedy).
-  std::size_t lazyRecomputes = 0;
   /// Why the pass stopped early (None = ran to its natural end). Observed
   /// from the request's util::CancelToken at round boundaries; when set,
   /// placement/trajectory hold the completed-round prefix, bit-identical
@@ -52,15 +47,5 @@ struct GreedyResult {
 GreedyResult greedyMaximize(IncrementalEvaluator& eval,
                             const CandidateSet& candidates,
                             const SolveOptions& options);
-
-/// Lazy greedy with a stale-gain priority queue. Produces exactly the same
-/// picks as greedyMaximize when the function is monotone submodular
-/// (cached gains are then valid upper bounds); on non-submodular functions
-/// it is a heuristic. Same tie-breaking (lowest index). options.threads
-/// parallelizes the initial whole-set gain computation; the per-round heap
-/// walk is inherently sequential.
-GreedyResult lazyGreedyMaximize(IncrementalEvaluator& eval,
-                                const CandidateSet& candidates,
-                                const SolveOptions& options);
 
 }  // namespace msc::core

@@ -1,18 +1,13 @@
 #include "core/sandwich.h"
 
-#include <atomic>
 #include <cmath>
-#include <exception>
-#include <thread>
 
 #include "core/bounds.h"
 #include "core/sigma.h"
-#include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
-#include "util/parallel.h"
 
 namespace msc::core {
 
@@ -37,84 +32,36 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
   MSC_OBS_SPAN("sandwich.total");
   SandwichResult result;
 
-  // One greedy pass per bound; every name is a literal (spans and trace
-  // lanes keep the pointer).
-  struct Pass {
-    const char* name;    // progress stage
-    const char* span;    // MSC_OBS_SPAN
-    const char* thread;  // trace lane when the pass gets its own thread
-    IncrementalEvaluator& eval;
-    GreedyResult (*maximize)(IncrementalEvaluator&, const CandidateSet&,
-                             const SolveOptions&);
-    GreedyResult result{};
-    std::exception_ptr error{};
-  };
-  Pass passes[] = {
-      {"mu", "sandwich.pass.mu", "sandwich.mu", muEval, lazyGreedyMaximize},
-      {"sigma", "sandwich.pass.sigma", nullptr, sigmaEval, greedyMaximize},
-      {"nu", "sandwich.pass.nu", "sandwich.nu", nuEval, lazyGreedyMaximize},
-  };
-  // Per-bound pass progress: each completed pass is one of three sandwich
-  // "rounds" (forced past the rate limit so the certified interval's
-  // tightening always reaches the sink). Called on whichever thread ran
-  // the pass — the reporter is shared and thread-safe.
-  std::atomic<int> passesDone{0};
-  const auto run = [&](Pass& pass) {
-    try {
-      MSC_OBS_SPAN(pass.span);
-      const msc::obs::ScopedProgressStage stage(pass.name);
-      pass.result = pass.maximize(pass.eval, candidates, options);
-      msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
-      if (progress == nullptr) return;
+  // One greedy pass per bound, run in order on this thread at every thread
+  // count; each round's gain scan is what uses the pool. nu runs first, so
+  // a run cancelled after it finished still certifies its bound. `span`
+  // must be a literal (spans keep the pointer).
+  int passesDone = 0;
+  const auto runPass = [&](const char* name, const char* span,
+                           IncrementalEvaluator& eval) {
+    MSC_OBS_SPAN(span);
+    const msc::obs::ScopedProgressStage stage(name);
+    GreedyResult pass = greedyMaximize(eval, candidates, options);
+    // Per-bound pass progress: each completed pass is one of three
+    // sandwich "rounds" (forced past the rate limit so the certified
+    // interval's tightening always reaches the sink).
+    if (msc::obs::ProgressReporter* const progress =
+            msc::obs::currentProgress()) {
       msc::obs::ProgressSnapshot snap;
       snap.solver = "sandwich";
-      snap.stage = pass.name;
-      snap.round = passesDone.fetch_add(1, std::memory_order_relaxed) + 1;
+      snap.stage = name;
+      snap.round = ++passesDone;
       snap.totalRounds = 3;
-      snap.value = pass.result.value;
-      snap.gainEvals = pass.result.gainEvaluations;
-      snap.extra("pass_rounds", static_cast<double>(pass.result.rounds));
+      snap.value = pass.value;
+      snap.gainEvals = pass.gainEvaluations;
+      snap.extra("pass_rounds", static_cast<double>(pass.rounds));
       progress->report(snap, /*force=*/true);
-    } catch (...) {
-      pass.error = std::current_exception();
     }
+    return pass;
   };
-  if (util::resolveThreadCount(options.threads) <= 1) {
-    for (Pass& pass : passes) {
-      run(pass);
-      if (pass.error) std::rethrow_exception(pass.error);
-    }
-  } else {
-    // The three passes touch disjoint evaluators, so they can overlap;
-    // their inner gain scans serialize on (and share) the global pool.
-    // Each pass is individually deterministic, so the concurrent schedule
-    // returns exactly the sequential result. mu and nu get their own
-    // threads, sigma runs here. Directly-spawned threads don't inherit the
-    // serve request binding the way pool workers do; capture it here and
-    // re-bind inside each pass so their trace events, phase notes and CPU
-    // time stay attributed.
-    msc::obs::RequestContext* const requestCtx = msc::obs::currentRequest();
-    const auto spawn = [&](Pass& pass) {
-      return std::thread([&run, &pass, requestCtx] {
-        // A fresh thread has no trace lane yet, so naming it cannot throw.
-        msc::obs::trace::setCurrentThreadName(pass.thread);
-        const msc::obs::ScopedRequestBind bind(requestCtx);
-        const msc::obs::ScopedCpuAttribution cpu;
-        run(pass);
-      });
-    };
-    std::thread muThread = spawn(passes[0]);
-    std::thread nuThread = spawn(passes[2]);
-    run(passes[1]);
-    muThread.join();
-    nuThread.join();
-    for (const Pass& pass : passes) {
-      if (pass.error) std::rethrow_exception(pass.error);
-    }
-  }
-  const GreedyResult& mu = passes[0].result;
-  const GreedyResult& sg = passes[1].result;
-  const GreedyResult& nu = passes[2].result;
+  const GreedyResult nu = runPass("nu", "sandwich.pass.nu", nuEval);
+  const GreedyResult mu = runPass("mu", "sandwich.pass.mu", muEval);
+  const GreedyResult sg = runPass("sigma", "sandwich.pass.sigma", sigmaEval);
 
   result.placementMu = mu.placement;
   result.placementSigma = sg.placement;

@@ -10,9 +10,10 @@
 // and Tables I/II of the paper report exactly the sigma(F_nu)/nu(F_nu)
 // factor — exposed here as dataDependentRatio().
 //
-// The three greedy passes own independent evaluators, so with
-// options.threads > 1 they run concurrently (their inner gain scans share
-// the global pool); results are bit-identical to the sequential schedule.
+// All three passes are greedyMaximize, run one after another (nu first,
+// then mu and sigma); with options.threads > 1 each round's gain scan is
+// sharded over the global pool, and the results are bit-identical at every
+// thread count.
 #pragma once
 
 #include <optional>
@@ -46,11 +47,12 @@ struct SandwichResult {
   std::size_t gainEvaluations = 0;
   /// Why the run stopped early (None = all three passes completed). The
   /// shared request token interrupts every pass; each returns its
-  /// committed prefix and the best-of-three scoring still applies, so the
-  /// result is a valid anytime placement.
+  /// committed prefix (empty for a pass that had not started) and the
+  /// best-of-three scoring still applies, so the result is a valid anytime
+  /// placement.
   util::CancelReason interrupted = util::CancelReason::None;
   /// Certified upper bound on sigma(F*): nu(F_nu) / (1 - 1/e), valid
-  /// because nu >= sigma pointwise and lazy greedy on the monotone
+  /// because nu >= sigma pointwise and greedy on the monotone
   /// submodular nu is (1 - 1/e)-approximate. Only set when the nu pass ran
   /// to completion (an interrupted nu prefix certifies nothing), so
   /// `*certifiedUpperBound - sigma` is the optimality gap an interrupted
@@ -67,8 +69,7 @@ struct SandwichResult {
 
 /// Runs the three greedy passes. `sigma`, `mu`, `nu` must evaluate the same
 /// instance (or the same dynamic series); `sigmaFn` is used to score all
-/// three placements. Lazy greedy is used for the submodular bounds, plain
-/// greedy for sigma.
+/// three placements. Each pass is plain greedy (greedyMaximize).
 SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
                                      IncrementalEvaluator& muEval,
                                      IncrementalEvaluator& nuEval,

@@ -21,8 +21,8 @@
 //   * util::ThreadPool captures the submitter's context at parallelFor
 //     submission and binds it around each worker's chunk run, so pooled
 //     work is attributed to the request that submitted it.
-//   * Threads spawned directly (the sandwich mu/nu passes) capture
-//     currentRequest() before spawning and bind it themselves.
+//   * A thread spawned outside the pool must capture currentRequest()
+//     before spawning and bind it itself.
 //   * Attribution is additive-only through relaxed atomics: any thread may
 //     charge a bound context concurrently.
 //
@@ -62,7 +62,7 @@ class ProgressReporter;
 enum class Phase : int {
   QueueWait = 0,  // admission-queue time before execution started
   Apsp,           // distance build: all-pairs rows or the landmark sweep
-  RoundScan,      // greedy/AEA candidate gain scans (incl. lazy initial fill)
+  RoundScan,      // greedy/AEA candidate gain scans
   Other,          // execution time not covered by a finer phase
 };
 

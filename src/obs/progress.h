@@ -36,7 +36,7 @@ namespace msc::obs {
 /// One solver round-boundary observation. `solver`/`stage`/extra keys must
 /// be string literals (they are forwarded to the trace arena untouched).
 struct ProgressSnapshot {
-  const char* solver = "";  // "greedy", "greedy.lazy", "sandwich", "ea", ...
+  const char* solver = "";  // "greedy", "sandwich", "ea", ...
   const char* stage = "";   // sandwich pass ("mu"/"sigma"/"nu") or ""
   int round = 0;            // committed rounds so far (1-based after round 1)
   int totalRounds = -1;     // < 0 when unknown (budgeted has no fixed k)
@@ -48,7 +48,7 @@ struct ProgressSnapshot {
   double roundsPerSecond = 0.0;  // 0 when unknown
   std::uint64_t seq = 0;         // 1-based emission sequence number
 
-  /// Small fixed set of solver-specific metrics (lazy-heap reuse ratio,
+  /// Small fixed set of solver-specific metrics (picked edge, gain,
   /// archive size, MC half-widths, ...). Keys must be string literals.
   struct Extra {
     const char* key = "";
@@ -64,7 +64,7 @@ struct ProgressSnapshot {
 };
 
 /// Thread-safe snapshot collector + rate limiter. One per request; shared
-/// by every solver (and sandwich pass thread) running under that request.
+/// by every solver running under that request.
 class ProgressReporter {
  public:
   using Sink = std::function<void(const ProgressSnapshot&)>;

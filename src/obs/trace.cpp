@@ -51,7 +51,7 @@ Global& g() {
 }
 
 /// Thread-exit hook: parks this thread's lane for reuse so short-lived
-/// threads (sandwich passes) recycle lanes instead of growing the registry.
+/// threads (serve connections) recycle lanes instead of growing the registry.
 struct TlsLane {
   LaneBuffer* lane = nullptr;
   const char* pendingName = nullptr;

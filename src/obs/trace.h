@@ -33,8 +33,8 @@
 //
 // Thread lanes: each recording thread is assigned a small sequential lane
 // id (`tid` in the export) at first event. When a thread exits, its lane is
-// parked and reused by the next new thread — ephemeral threads (e.g. the
-// sandwich pass threads) therefore share lanes over time instead of leaking
+// parked and reused by the next new thread — ephemeral threads (e.g. serve
+// connection threads) therefore share lanes over time instead of leaking
 // one buffer each; events within a lane never interleave in time.
 #pragma once
 

@@ -495,7 +495,7 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
     json::Object fields;
     {
       // The executor thread's own CPU share; workers add theirs in the
-      // pool (util/parallel.cpp), pass threads in sandwich.cpp.
+      // pool (util/parallel.cpp).
       const obs::ScopedCpuAttribution cpu;
       fields = (this->*kHandlers[static_cast<std::size_t>(request.cmd)])(
           request, life.context());

@@ -127,7 +127,6 @@ void expectSame(const msc::core::GreedyResult& a,
   EXPECT_EQ(a.trajectory, b.trajectory);
   EXPECT_EQ(a.gainEvaluations, b.gainEvaluations);
   EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.lazyRecomputes, b.lazyRecomputes);
   EXPECT_TRUE(a.interrupted == b.interrupted);
 }
 

@@ -108,19 +108,19 @@ TEST(ParallelDeterminism, GreedyIdenticalAcrossThreadCountsOnRg) {
   EXPECT_EQ(serial.value, parallel.value);
 }
 
-TEST(ParallelDeterminism, LazyGreedyIdenticalAcrossThreadCounts) {
+TEST(ParallelDeterminism, MuGreedyIdenticalAcrossThreadCounts) {
   const auto inst = msc::test::randomInstance(36, 8, 1.5, 9);
   const auto cands = CandidateSet::allPairs(inst.graph().nodeCount());
   msc::core::MuEvaluator serialEval(inst, cands);
   const auto serial =
-      msc::core::lazyGreedyMaximize(serialEval, cands, SolveOptions{.k = 5});
+      msc::core::greedyMaximize(serialEval, cands, SolveOptions{.k = 5});
   msc::core::MuEvaluator eval(inst, cands);
-  const auto parallel = msc::core::lazyGreedyMaximize(
+  const auto parallel = msc::core::greedyMaximize(
       eval, cands, SolveOptions{.k = 5, .threads = 8});
   expectSamePlacement(serial.placement, parallel.placement);
   EXPECT_EQ(serial.value, parallel.value);
+  EXPECT_EQ(serial.trajectory, parallel.trajectory);
   EXPECT_EQ(serial.gainEvaluations, parallel.gainEvaluations);
-  EXPECT_EQ(serial.lazyRecomputes, parallel.lazyRecomputes);
 }
 
 TEST(ParallelDeterminism, SandwichIdenticalAcrossThreadCountsOnEr) {

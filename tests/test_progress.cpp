@@ -32,7 +32,6 @@ using msc::core::CandidateSet;
 using msc::core::GreedyResult;
 using msc::core::greedyMaximize;
 using msc::core::Instance;
-using msc::core::lazyGreedyMaximize;
 using msc::core::SigmaEvaluator;
 using msc::obs::ProgressReporter;
 using msc::obs::ProgressSnapshot;
@@ -313,40 +312,46 @@ TEST_P(ProgressThreads, GreedyCancelAtRoundBoundaryKeepsBitIdenticalPrefix) {
   EXPECT_EQ(snaps.size(), static_cast<std::size_t>(kCancelAfterRound));
 }
 
-TEST_P(ProgressThreads, LazyGreedyCancelKeepsBitIdenticalPrefix) {
+/// A cancel inside the sandwich's nu pass (the first) keeps the nu pass's
+/// committed rounds bit-identical to the uncancelled run, stops the mu and
+/// sigma passes before their first pick, and certifies no bound.
+TEST_P(ProgressThreads, SandwichNuCancelKeepsBitIdenticalPrefix) {
   const int threads = GetParam();
-  const auto inst = msc::test::randomInstance(40, 12, 1.2, 17);
+  const auto inst = msc::test::randomInstance(40, 12, 0.8, 17);
   const auto cands = CandidateSet::allPairs(40);
   constexpr int kCancelAfterRound = 2;
+  const msc::core::SolveOptions options{.k = 5, .threads = threads};
 
-  msc::core::MuEvaluator full(inst, cands);
-  const GreedyResult reference =
-      lazyGreedyMaximize(full, cands, {.k = 5, .threads = threads});
-  ASSERT_GT(reference.rounds, kCancelAfterRound);
+  const msc::core::SandwichResult reference =
+      msc::core::sandwichApproximation(inst, cands, options);
+  ASSERT_GT(reference.placementNu.size(),
+            static_cast<std::size_t>(kCancelAfterRound));
 
   CancelToken token;
-  msc::core::MuEvaluator eval(inst, cands);
-  GreedyResult cancelled;
+  msc::core::SandwichResult cancelled;
   {
     BoundProgress bound(
         [&](const ProgressSnapshot& s) {
           if (s.round == kCancelAfterRound &&
-              std::strcmp(s.solver, "greedy.lazy") == 0) {
+              std::strcmp(s.solver, "greedy") == 0 &&
+              std::strcmp(s.stage, "nu") == 0) {
             token.requestCancel();
           }
         },
         &token);
-    cancelled = lazyGreedyMaximize(eval, cands, {.k = 5, .threads = threads});
+    cancelled = msc::core::sandwichApproximation(inst, cands, options);
   }
 
   EXPECT_EQ(cancelled.interrupted, CancelReason::Client);
-  EXPECT_EQ(cancelled.rounds, kCancelAfterRound);
-  ASSERT_EQ(cancelled.placement.size(),
-            static_cast<std::size_t>(kCancelAfterRound));
-  for (int i = 0; i < kCancelAfterRound; ++i) {
-    EXPECT_EQ(cancelled.placement[i], reference.placement[i]) << "round " << i;
-    EXPECT_DOUBLE_EQ(cancelled.trajectory[i], reference.trajectory[i]);
-  }
+  EXPECT_TRUE(cancelled.placementMu.empty());
+  EXPECT_TRUE(cancelled.placementSigma.empty());
+  const msc::core::ShortcutList prefix(
+      reference.placementNu.begin(),
+      reference.placementNu.begin() + kCancelAfterRound);
+  EXPECT_EQ(cancelled.placementNu, prefix);
+  const msc::core::NuEvaluator nu(inst);
+  EXPECT_EQ(cancelled.nuOfFnu, nu.value(prefix));
+  EXPECT_FALSE(cancelled.certifiedUpperBound.has_value());
 }
 
 TEST_P(ProgressThreads, DeadlineFiresBeforeFirstRound) {

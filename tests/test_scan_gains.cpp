@@ -5,8 +5,8 @@
 // must fill, for every candidate, exactly the bits gainIfAdd returns:
 // across generators, distance modes, thresholds, thread counts and
 // committed prefixes. σ and μ are also checked against independent
-// full-pair loops, and whole greedy, lazy, budgeted and sandwich passes
-// against a loop-only reference evaluator. The PairBall* cases pin the
+// full-pair loops, and whole greedy, budgeted and sandwich passes against
+// a loop-only reference evaluator. The PairBall* cases pin the
 // d_t-ball edge cases: zero and infinite thresholds, zero-length edges,
 // infinite rows across components, non-candidate probes and composites.
 #include <gtest/gtest.h>
@@ -267,12 +267,12 @@ TEST_P(ScanGainsGrid, SolverPassesMatchLoopOnlyReference) {
     MuEvaluator muBulk(inst, cands);
     MuEvaluator muPlain(inst, cands);
     LoopOnly muLoop(muPlain);
-    const auto l1 = msc::core::lazyGreedyMaximize(muBulk, cands, options);
-    const auto l2 = msc::core::lazyGreedyMaximize(muLoop, cands, options);
-    EXPECT_EQ(l1.placement, l2.placement);
-    EXPECT_TRUE(sameBits(l1.value, l2.value));
-    EXPECT_EQ(l1.gainEvaluations, l2.gainEvaluations);
-    EXPECT_EQ(l1.lazyRecomputes, l2.lazyRecomputes);
+    const auto m1 = msc::core::greedyMaximize(muBulk, cands, options);
+    const auto m2 = msc::core::greedyMaximize(muLoop, cands, options);
+    EXPECT_EQ(m1.placement, m2.placement);
+    EXPECT_TRUE(sameBits(m1.value, m2.value));
+    EXPECT_EQ(m1.trajectory, m2.trajectory);
+    EXPECT_EQ(m1.gainEvaluations, m2.gainEvaluations);
 
     const auto cost = msc::core::unitCost();
     const auto b1 = msc::core::budgetedGreedy(bulk, cands, cost, 3.0, options);
@@ -587,11 +587,22 @@ TEST_P(PairBallGrid, IndexedGainsAndMuSetsMatchFullPairLoops) {
     EXPECT_EQ(a.placement, b.placement);
     EXPECT_EQ(a.trajectory, b.trajectory);
     EXPECT_EQ(a.gainEvaluations, b.gainEvaluations);
-    const auto la = msc::core::lazyGreedyMaximize(bulk, cands, options);
-    const auto lb = msc::core::lazyGreedyMaximize(loop, cands, options);
-    EXPECT_EQ(la.placement, lb.placement);
-    EXPECT_EQ(la.value, lb.value);
-    EXPECT_EQ(la.gainEvaluations, lb.gainEvaluations);
+    MuEvaluator mu(inst, cands);
+    MuEvaluator muPlain(inst, cands);
+    LoopOnly muLoop(muPlain);
+    NuEvaluator nu(inst);
+    NuEvaluator nuPlain(inst);
+    LoopOnly nuLoop(nuPlain);
+    const auto sa =
+        msc::core::sandwichApproximation(bulk, mu, nu, bulk, nu, cands, options);
+    const auto sb = msc::core::sandwichApproximation(
+        loop, muLoop, nuLoop, plain, nuPlain, cands, options);
+    EXPECT_EQ(sa.placementMu, sb.placementMu);
+    EXPECT_EQ(sa.placementSigma, sb.placementSigma);
+    EXPECT_EQ(sa.placementNu, sb.placementNu);
+    EXPECT_TRUE(sameBits(sa.sigma, sb.sigma));
+    EXPECT_TRUE(sameBits(sa.nuOfFnu, sb.nuOfFnu));
+    EXPECT_EQ(sa.gainEvaluations, sb.gainEvaluations);
   }
 }
 
@@ -820,9 +831,15 @@ TEST(ScanSkip, ReportedGainEvaluationsEqualProbesOnTheDefaultPath) {
     CountingProbes greedy(sigma);
     const auto g = msc::core::greedyMaximize(greedy, cands, options);
     EXPECT_EQ(g.gainEvaluations, greedy.probes());
-    CountingProbes lazy(sigma);
-    const auto l = msc::core::lazyGreedyMaximize(lazy, cands, options);
-    EXPECT_EQ(l.gainEvaluations, lazy.probes());
+    MuEvaluator mu(inst, cands);
+    NuEvaluator nu(inst);
+    CountingProbes aaSigma(sigma);
+    CountingProbes aaMu(mu);
+    CountingProbes aaNu(nu);
+    const auto aa = msc::core::sandwichApproximation(aaSigma, aaMu, aaNu, sigma,
+                                                     nu, cands, options);
+    EXPECT_EQ(aa.gainEvaluations,
+              aaSigma.probes() + aaMu.probes() + aaNu.probes());
     CountingProbes budgeted(sigma);
     const auto b = msc::core::budgetedGreedy(budgeted, cands,
                                              msc::core::unitCost(), 4.0, options);

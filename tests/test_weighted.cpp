@@ -224,7 +224,7 @@ class WeightedGrid : public ::testing::TestWithParam<GridParam> {};
 
 // At every grid point: value(F) == evaluate(F) for σ/μ/ν; σ equals the
 // weighted rebuild and μ/ν their definitions (tests/reference.h); gains
-// equal value differences; μ <= σ <= ν; and weighted greedy, lazy greedy,
+// equal value differences; μ <= σ <= ν; and weighted greedy on σ, μ and ν,
 // budgeted greedy and sandwich return identical results at threads 1 and
 // 4.
 TEST_P(WeightedGrid, EvaluatorsMatchDefinitionsAndThreadCounts) {
@@ -279,7 +279,7 @@ TEST_P(WeightedGrid, EvaluatorsMatchDefinitionsAndThreadCounts) {
   const auto cost = [](const Shortcut& f) {
     return 1.0 + 0.25 * static_cast<double>((f.a + f.b) % 3);
   };
-  std::vector<msc::core::GreedyResult> greedy, lazyMu, lazyNu;
+  std::vector<msc::core::GreedyResult> greedy, greedyMu, greedyNu;
   std::vector<msc::core::BudgetedResult> budgeted;
   std::vector<msc::core::SandwichResult> aa;
   for (const int threads : {1, 4}) {
@@ -288,16 +288,16 @@ TEST_P(WeightedGrid, EvaluatorsMatchDefinitionsAndThreadCounts) {
     msc::core::MuEvaluator m(inst, cands, weights);
     msc::core::NuEvaluator v(inst, weights);
     greedy.push_back(msc::core::greedyMaximize(s, cands, options));
-    lazyMu.push_back(msc::core::lazyGreedyMaximize(m, cands, options));
-    lazyNu.push_back(msc::core::lazyGreedyMaximize(v, cands, options));
+    greedyMu.push_back(msc::core::greedyMaximize(m, cands, options));
+    greedyNu.push_back(msc::core::greedyMaximize(v, cands, options));
     budgeted.push_back(
         msc::core::budgetedGreedy(s, cands, cost, 3.0, options));
     aa.push_back(
         msc::core::sandwichApproximation(inst, cands, options, weights));
   }
   expectSameGreedy(greedy[0], greedy[1]);
-  expectSameGreedy(lazyMu[0], lazyMu[1]);
-  expectSameGreedy(lazyNu[0], lazyNu[1]);
+  expectSameGreedy(greedyMu[0], greedyMu[1]);
+  expectSameGreedy(greedyNu[0], greedyNu[1]);
   EXPECT_EQ(budgeted[0].placement, budgeted[1].placement);
   EXPECT_EQ(budgeted[0].value, budgeted[1].value);
   EXPECT_EQ(aa[0].placement, aa[1].placement);
@@ -307,8 +307,8 @@ TEST_P(WeightedGrid, EvaluatorsMatchDefinitionsAndThreadCounts) {
   EXPECT_EQ(aa[0].gainEvaluations, aa[1].gainEvaluations);
   // The sandwich's passes are the greedy runs above.
   EXPECT_EQ(aa[0].placementSigma, greedy[0].placement);
-  EXPECT_EQ(aa[0].placementMu, lazyMu[0].placement);
-  EXPECT_EQ(aa[0].placementNu, lazyNu[0].placement);
+  EXPECT_EQ(aa[0].placementMu, greedyMu[0].placement);
+  EXPECT_EQ(aa[0].placementNu, greedyNu[0].placement);
   EXPECT_NEAR(aa[0].sigma, sigma.value(aa[0].placement), tol);
 }
 
