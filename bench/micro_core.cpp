@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
 // whole-placement sigma (the terminal overlay), the zero-edge relaxation,
-// bulk gain scans, APSP, one greedy round, a dense sandwich, and the
-// Monte-Carlo evaluator's gain probe and reset.
+// bulk gain scans, APSP, a cold Instance, one greedy round, a dense
+// sandwich, and the Monte-Carlo evaluator's gain probe and reset.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -79,13 +79,15 @@ void BM_Apsp(benchmark::State& state) {
 }
 BENCHMARK(BM_Apsp)->Arg(50)->Arg(100)->Arg(150);
 
-// Shared graph + eager (dense-mode) oracle: every row resident, so point
-// queries are cached-row lookups.
+// Shared graph + an oracle whose every full row materialize() has built
+// and cached, so point queries are cached-row lookups.
 std::shared_ptr<const msc::graph::DistanceOracle> eagerOracle(
     const msc::graph::Graph& g) {
-  return msc::graph::makeDistanceOracle(
+  auto oracle = std::make_shared<const msc::graph::PairCentricOracle>(
       std::make_shared<const msc::graph::Graph>(g),
-      msc::graph::DistanceMode::Dense, /*landmarks=*/0, /*threads=*/1);
+      msc::graph::PairCentricOracle::Config{.landmarks = 0, .threads = 1});
+  (void)oracle->materialize();
+  return oracle;
 }
 
 void BM_ApplyZeroEdge(benchmark::State& state) {
@@ -100,9 +102,9 @@ void BM_ApplyZeroEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyZeroEdge)->Arg(50)->Arg(100)->Arg(150);
 
-// Point-query cost of the oracle in its two modes on the same graph: the
-// all-rows (dense) lookup is the floor, the lazy ALT/cached-row query is
-// what replaces it past the auto threshold. Queries cycle through a fixed
+// Point-query cost of the oracle with every row cached and with rows on
+// demand, on the same graph: the cached-row lookup is the floor, the lazy
+// ALT/cached-row query is what a solve pays. Queries cycle through a fixed
 // endpoint sample so the lazy row cache behaves as it does mid-solve (hot
 // rows for repeated sources).
 void BM_MatrixLookup(benchmark::State& state) {
@@ -197,6 +199,23 @@ void BM_SandwichDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SandwichDense)->Args({512, 100})->Unit(benchmark::kMillisecond);
+
+// A cold Instance as a first solve on a fresh graph builds it: the
+// oracle's landmark sweep plus the d_t-bounded pair-node row prefetch, at
+// the perfbench dense_solve shape.
+void BM_InstanceCold(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  const auto graph =
+      std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
+  for (auto _ : state) {
+    const Instance inst(
+        graph, std::make_shared<const msc::graph::PairCentricOracle>(graph),
+        spatial.instance.pairs(), spatial.instance.distanceThreshold());
+    benchmark::DoNotOptimize(inst.baseRow(inst.pairNodes().front()).data());
+  }
+}
+BENCHMARK(BM_InstanceCold)->Args({512, 100})->Unit(benchmark::kMillisecond);
 
 void BM_MuConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

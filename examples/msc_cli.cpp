@@ -484,16 +484,17 @@ int cmdVersion() {
                "(auto|dense|pair_centric)\n"
             << "    and echoes it; auto resolves once per graph (dense iff "
                "n <= 2048); solve/eval\n"
-            << "    report the resolved \"distance_mode\" (dense = all "
-               "oracle rows prefetched and\n"
-            << "    all-pairs candidates; pair_centric = rows on demand and "
-               "pair-node candidates);\n"
-            << "    solve reports \"candidates\"; stats exposes "
-               "cache.oracles{count,bytes,\n"
-            << "    point_queries,row_queries,row_builds,row_hits,"
-               "alt_queries,rows_evicted,\n"
-            << "    rows_resident}; solve/eval responses carry "
-               "usage.oracle{point_queries,\n"
+            << "    report the resolved \"distance_mode\", which picks "
+               "the candidate universe\n"
+            << "    (dense = all node pairs; pair_centric = pair-node "
+               "pairs); rows are always\n"
+            << "    built on demand, exact within d_t; solve reports "
+               "\"candidates\"; stats\n"
+            << "    exposes cache.oracles{count,bytes,point_queries,"
+               "row_queries,row_builds,\n"
+            << "    row_hits,alt_queries,rows_evicted,rows_resident}; "
+               "solve/eval responses carry\n"
+            << "    usage.oracle{point_queries,\n"
             << "    row_queries,row_builds,row_hits,rows_evicted,"
                "alt_queries,rows_evolved,\n"
             << "    rows_replayed,row_build_seconds,alt_settled_ratio{count,"

@@ -66,12 +66,17 @@ int main() {
   // 4. Per-pair status under the chosen placement.
   core::SigmaEvaluator sigma(instance);
   sigma.evaluate(aa.placement);
+  // An overlay at the default radius (+inf) gives exact distances even
+  // above d_t, where the evaluator's d_t-bounded rows may read +inf.
+  const graph::OverlayEvaluator overlay(instance.distanceOracle(),
+                                        instance.pairNodes());
+  const auto dists = core::pairDistancesUnder(overlay, instance, aa.placement);
   std::cout << "\npair status:\n";
   for (int i = 0; i < instance.pairCount(); ++i) {
     const auto& p = instance.pairs()[static_cast<std::size_t>(i)];
     std::cout << "  {" << p.u << "," << p.w << "}  p_fail "
               << wireless::lengthToFailure(instance.baseDistance(p)) << " -> "
-              << wireless::lengthToFailure(sigma.pairDistance(i))
+              << wireless::lengthToFailure(dists[static_cast<std::size_t>(i)])
               << (sigma.pairSatisfied(i) ? "  [maintained]" : "  [broken]")
               << '\n';
   }

@@ -47,8 +47,8 @@ void Instance::validateAndPrefetch(int threads) {
   // instead of freed, so evaluator-held spans never dangle.
   rowLease_ = oracle_->acquireRowLease();
   // Every evaluator starts from the pair-node rows; one parallel burst
-  // here (a no-op in the dense mode) keeps their constructors off the
-  // Dijkstra path and makes later reads deterministic cache hits.
+  // here keeps their constructors off the Dijkstra path and makes later
+  // reads deterministic cache hits.
   oracle_->prefetchRowsWithin(pairNodes_, distanceThreshold_, threads);
 }
 
@@ -59,11 +59,12 @@ Instance::Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
   graph_ = owned;
   // Fail on bad pairs/threshold before paying for the distance build.
   validatePairsAndThreshold(*graph_, pairs_, distanceThreshold_);
-  oracle_ = msc::graph::makeDistanceOracle(std::move(owned),
-                                           options.distanceMode,
-                                           options.landmarkCount,
-                                           options.threads,
-                                           options.oracleRowBudgetBytes);
+  oracle_ = std::make_shared<const msc::graph::PairCentricOracle>(
+      std::move(owned),
+      msc::graph::PairCentricOracle::Config{
+          .landmarks = options.landmarkCount,
+          .threads = options.threads,
+          .rowBudgetBytes = options.oracleRowBudgetBytes});
   validateAndPrefetch(options.threads);
 }
 

@@ -5,13 +5,13 @@
 // d_t = -ln(1 - p_t). Every algorithm in this library consumes instances;
 // they are immutable after construction so evaluators can safely share them.
 //
-// Distances come from a row-cache oracle (graph/distance_oracle.h): small
-// instances keep every row resident (the dense mode), large ones build
-// only the rows they touch. Every objective only tests sums of base
-// distances against d_t, so the evaluators read rows exact within d_t
-// (baseRow): in the pair-centric mode each is a Dijkstra bounded at d_t,
-// in the dense mode the resident full row serves. Construction prefetches
-// the pair-node rows so every evaluator starts from cached data.
+// Distances come from a row-cache oracle (graph/distance_oracle.h) that
+// builds only the rows an instance touches, on demand. Every objective
+// only tests sums of base distances against d_t, so the evaluators read
+// rows exact within d_t (baseRow), each a Dijkstra bounded at d_t: the
+// rows of pair endpoints and of placed shortcut endpoints, never all n.
+// Construction prefetches the pair-node rows so every evaluator starts
+// from cached data.
 #pragma once
 
 #include <algorithm>
@@ -31,21 +31,16 @@ namespace msc::core {
 /// Named construction knobs for Instance — the builder-style alternative
 /// to the positional constructors, so new options stop growing their
 /// signatures. Construct with designated initializers:
-///     Instance(g, pairs, dt, {.threads = 8, .distanceMode = Dense});
+///     Instance(g, pairs, dt, {.threads = 8, .landmarkCount = 4});
 struct InstanceOptions {
-  /// Worker threads for the distance build (APSP or row prefetch);
-  /// 0 = all hardware threads. Values are identical for any count.
+  /// Worker threads for the pair-node row prefetch; 0 = all hardware
+  /// threads. Values are identical for any count.
   int threads = 1;
 
-  /// Row residency: Auto picks dense (all rows built up front) up to
-  /// kDenseAutoNodeLimit nodes and pair-centric (rows on demand) above.
-  /// Both serve the same bits.
-  msc::graph::DistanceMode distanceMode = msc::graph::DistanceMode::Auto;
-
-  /// ALT landmark count for the pair-centric mode (ignored by dense).
+  /// ALT landmark count for point queries (baseDistance beyond d_t).
   int landmarkCount = 8;
 
-  /// Row-cache byte budget for the pair-centric mode (0 = unbounded).
+  /// Row-cache byte budget (0 = unbounded).
   /// Defaults to the MSC_ORACLE_ROWS_MB environment knob. Evicted rows
   /// re-materialize bit-identically, so results never depend on it.
   std::size_t oracleRowBudgetBytes = msc::graph::defaultOracleRowBudgetBytes();
@@ -59,7 +54,7 @@ class Instance {
   Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
            double distanceThreshold, const InstanceOptions& options);
 
-  /// Positional compatibility form: Auto mode, `threads` workers.
+  /// Positional compatibility form: default options, `threads` workers.
   Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
            double distanceThreshold, int threads = 1)
       : Instance(std::move(g), std::move(pairs), distanceThreshold,
@@ -77,7 +72,7 @@ class Instance {
 
   /// Shares an existing graph and distance oracle instead of recomputing —
   /// the serving cache (src/serve) assembles instances this way so
-  /// repeated solves on the same topology skip the distance build. The
+  /// repeated solves on the same topology share its cached rows. The
   /// oracle must describe `graph` (the node count is validated, the values
   /// are trusted); pair/threshold validation matches the computing
   /// constructor, so the result is indistinguishable from it. `threads`

@@ -93,43 +93,16 @@ PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
   if (config.landmarks < 0) {
     throw std::invalid_argument("PairCentricOracle: negative landmark count");
   }
-  selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
-}
-
-std::shared_ptr<const PairCentricOracle> PairCentricOracle::allRows(
-    std::shared_ptr<const Graph> graph, int threads) {
-  // The n-row build is the dense mode's APSP phase: it keeps the APSP
-  // histogram (always on, one sample per build) and is not counted as
-  // lazy row builds.
+  // The landmark sweep is the oracle's cold distance build (§14): the
+  // request's APSP phase, with one APSP histogram sample per build.
   static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
   MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
-  auto oracle = std::make_shared<PairCentricOracle>(
-      std::move(graph), Config{.landmarks = 0, .threads = threads});
-  oracle->allRows_ = true;
-  const Graph& g = *oracle->graph_;
-  const auto n = static_cast<std::size_t>(g.nodeCount());
-  std::vector<std::vector<double>> rows(n);
-  msc::util::parallelForThreads(
-      threads, 0, n, 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t v = begin; v < end; ++v) {
-          rows[v] = dijkstra(g, static_cast<NodeId>(v)).dist;
-        }
-      });
-  {
-    const std::lock_guard<std::mutex> lock(oracle->mu_);
-    for (std::size_t v = 0; v < n; ++v) {
-      oracle->insertRowLocked(static_cast<NodeId>(v), std::move(rows[v]),
-                              kInfDist);
-    }
-  }
-  return oracle;
+  selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
 }
 
 void PairCentricOracle::selectLandmarks(int count) {
   const int n = graph_->nodeCount();
   if (count <= 0 || n == 0) return;
-  // The pair-centric mode's distance build: its share of the APSP phase.
-  MSC_OBS_SPAN("oracle.landmarks", msc::obs::Phase::Apsp);
   // Deterministic farthest-point sweep: start at node 0, then repeatedly
   // take the node farthest from the chosen set (unreachable counts as
   // farther than any finite distance, so every component gets a landmark
@@ -504,13 +477,10 @@ OracleStats PairCentricOracle::stats() const {
 // -------------------------------------------------------------- factory ----
 
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
-    std::shared_ptr<const Graph> graph, DistanceMode mode, int landmarks,
+    std::shared_ptr<const Graph> graph, DistanceMode /*mode*/, int landmarks,
     int threads, std::size_t rowBudgetBytes) {
   if (!graph) {
     throw std::invalid_argument("makeDistanceOracle: null graph");
-  }
-  if (resolveDistanceMode(mode, graph->nodeCount()) == DistanceMode::Dense) {
-    return PairCentricOracle::allRows(std::move(graph), threads);
   }
   return std::make_shared<const PairCentricOracle>(
       std::move(graph),

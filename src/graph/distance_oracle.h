@@ -19,11 +19,8 @@
 // (full rows); the MSC objectives only ever test whether a sum of row
 // entries is <= d_t, and since fl(x + y) >= x for y >= 0 an entry above
 // d_t may read +inf without changing any such predicate, so the
-// pair-centric Instance asks for its rows at radius d_t.
+// Instance asks for its rows at radius d_t.
 //
-// The dense mode is the same cache with every row resident and full:
-// makeDistanceOracle(..., DistanceMode::Dense, ...) builds all n rows when
-// the oracle is made (the APSP cost lands in set-up) and never evicts.
 // There is one source of bits: a row entry within the row's radius is
 // always the raw Dijkstra result from its source, and distance(x, y) is
 // always the entry of row min(x, y) — read from the cache when that row is
@@ -66,16 +63,18 @@
 
 namespace msc::graph {
 
-/// Row-residency knob (Instance, serve load_graph, msc_cli).
+/// Serve load_graph's "distance_mode" knob: the candidate universe of
+/// later solves on the graph (src/serve). It does not pick row residency:
+/// every oracle builds its rows on demand.
 enum class DistanceMode {
-  Auto,         ///< dense when n <= kDenseAutoNodeLimit, pair-centric above
-  Dense,        ///< all n rows built up front and kept resident
-  PairCentric,  ///< rows built on demand (optionally under a row budget)
+  Auto,         ///< Dense when n <= kDenseAutoNodeLimit, PairCentric above
+  Dense,        ///< all n(n-1)/2 node pairs
+  PairCentric,  ///< pairs of pair nodes only
 };
 
-/// Auto picks the dense mode up to this node count: 2048^2 doubles are
-/// 32 MiB — comfortably resident — while the next power of two quadruples
-/// that and the n-source build starts to dominate solve time.
+/// Auto ranges over all node pairs up to this node count: the all-pairs
+/// candidate list of 2048 nodes holds about 2.1M shortcuts, and the next
+/// power of two quadruples it.
 inline constexpr int kDenseAutoNodeLimit = 2048;
 
 /// Stable wire/display name: "auto", "dense", "pair_centric".
@@ -84,7 +83,7 @@ const char* distanceModeName(DistanceMode mode) noexcept;
 /// Inverse of distanceModeName; nullopt on unknown names.
 std::optional<DistanceMode> parseDistanceMode(std::string_view name) noexcept;
 
-/// Resolves Auto by the static node-count rule (dense iff
+/// Resolves Auto by the static node-count rule (Dense iff
 /// n <= kDenseAutoNodeLimit); Dense and PairCentric pass through.
 DistanceMode resolveDistanceMode(DistanceMode mode, int nodeCount) noexcept;
 
@@ -166,7 +165,8 @@ class DistanceOracle {
   /// are cached; shrinks again when budgeted rows are evicted and freed.
   virtual std::size_t residentBytes() const noexcept = 0;
 
-  /// Residency mode the oracle was built in: "dense" | "pair_centric".
+  /// Residency mode: "pair_centric" (rows on demand) for every oracle
+  /// this library builds; decorators forward it.
   virtual const char* mode() const noexcept = 0;
 
   /// Snapshot of the oracle's telemetry counters.
@@ -186,8 +186,7 @@ class DistanceOracle {
 /// (A*, landmarks, triangle-inequality) point-to-point queries for
 /// sources that never earn a full row. Resident memory is
 /// O((|cached rows| + landmarks) * n) — bounded when Config::rowBudgetBytes
-/// caps the row cache (see the file comment), and n^2 in the dense mode
-/// (allRows), where every row is built up front.
+/// caps the row cache (see the file comment).
 class PairCentricOracle final : public DistanceOracle {
  public:
   struct Config {
@@ -202,15 +201,11 @@ class PairCentricOracle final : public DistanceOracle {
   };
 
   /// Keeps the graph alive; landmark rows are computed eagerly (that many
-  /// Dijkstra runs) so later point queries never race the selection.
+  /// Dijkstra runs) so later point queries never race the selection. This
+  /// landmark sweep is the oracle's whole cold build: the `apsp.run` span,
+  /// one `apsp.build_seconds` sample and the request's APSP phase.
   PairCentricOracle(std::shared_ptr<const Graph> graph, Config config);
   explicit PairCentricOracle(std::shared_ptr<const Graph> graph);
-
-  /// The dense mode: an unbounded oracle with all n rows built up front,
-  /// `threads` at a time, and no landmarks (no query ever needs ALT).
-  /// mode() reports "dense".
-  static std::shared_ptr<const PairCentricOracle> allRows(
-      std::shared_ptr<const Graph> graph, int threads);
 
   int nodeCount() const noexcept override {
     return graph_->nodeCount();
@@ -231,9 +226,7 @@ class PairCentricOracle final : public DistanceOracle {
   std::size_t residentBytes() const noexcept override {
     return bytes_.load(std::memory_order_relaxed);
   }
-  const char* mode() const noexcept override {
-    return allRows_ ? "dense" : "pair_centric";
-  }
+  const char* mode() const noexcept override { return "pair_centric"; }
   OracleStats stats() const override;
   std::shared_ptr<void> acquireRowLease() const override;
 
@@ -284,7 +277,6 @@ class PairCentricOracle final : public DistanceOracle {
   std::shared_ptr<const Graph> graph_;
   int threads_;
   std::size_t budget_ = 0;
-  bool allRows_ = false;  // built by allRows(): the dense mode
   std::vector<NodeId> landmarkIds_;
   // Shared refs to the landmark rows give the point-query hot loop
   // lock-free access (the rows are immutable and pinned in the cache).
@@ -313,12 +305,11 @@ class PairCentricOracle final : public DistanceOracle {
   mutable std::atomic<std::uint64_t> rowBuildNs_{0};
 };
 
-/// Oracle factory. Dense (or Auto at n <= kDenseAutoNodeLimit) returns
-/// PairCentricOracle::allRows(graph, threads) and ignores `landmarks` and
-/// `rowBudgetBytes`; PairCentric (or Auto above the limit) returns a lazy
-/// oracle with `landmarks` ALT landmarks, `threads` materialize workers and
-/// `rowBudgetBytes` capping its row cache (0 = unbounded; defaults to the
-/// MSC_ORACLE_ROWS_MB environment knob).
+/// Oracle factory: a lazy PairCentricOracle with `landmarks` ALT
+/// landmarks, `threads` materialize workers and `rowBudgetBytes` capping
+/// its row cache (0 = unbounded; defaults to the MSC_ORACLE_ROWS_MB
+/// environment knob), whatever `mode` says — rows are always built on
+/// demand; `mode` is accepted for source compatibility.
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
     std::shared_ptr<const Graph> graph, DistanceMode mode, int landmarks,
     int threads, std::size_t rowBudgetBytes = defaultOracleRowBudgetBytes());

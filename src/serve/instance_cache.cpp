@@ -111,21 +111,17 @@ std::string InstanceCache::putGraph(msc::graph::Graph g,
     h.feedValue(e.length);
   }
   const std::string key = hexKey('g', h.value());
-  mode = msc::graph::resolveDistanceMode(mode, g.nodeCount());
+  const bool allPairs = msc::graph::resolveDistanceMode(mode, g.nodeCount()) ==
+                        msc::graph::DistanceMode::Dense;
 
   const std::lock_guard<std::mutex> lock(mu_);
   if (GraphEntry* existing = findGraphEntry(key, /*countStats=*/false)) {
-    // Re-touch. A different resolved mode drops the memoized oracle so the
-    // next solve rebuilds under the new mode.
-    if (existing->mode != mode) {
-      existing->mode = mode;
-      dropOracle(*existing);
-    }
+    existing->allPairs = allPairs;  // re-touch; the oracle stays
     return key;
   }
   GraphEntry entry;
   entry.graph = std::make_shared<const msc::graph::Graph>(std::move(g));
-  entry.mode = mode;
+  entry.allPairs = allPairs;
   entry.bytes = graphBytes(*entry.graph);
   lru_.push_front(key);
   entry.lruPos = lru_.begin();
@@ -180,14 +176,6 @@ void InstanceCache::refreshOracleBytes(GraphEntry& entry) {
   entry.oracleBytes = now;
 }
 
-void InstanceCache::dropOracle(GraphEntry& entry) {
-  if (!entry.oracle) return;
-  entry.oracle.reset();
-  bytesUsed_ -= entry.oracleBytes;
-  entry.bytes -= entry.oracleBytes;
-  entry.oracleBytes = 0;
-}
-
 bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
   if (entry.oracle) {
     ++counters_.apspHits;
@@ -197,10 +185,14 @@ bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
     return true;
   }
   ++counters_.apspComputes;
-  // The build charges the request's APSP phase itself (§14): the dense
-  // n-row build and the pair-centric landmark sweep each open a span.
-  entry.oracle = msc::graph::makeDistanceOracle(
-      entry.graph, entry.mode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
+  // The build charges the request's APSP phase itself (§14): the
+  // landmark sweep opens the apsp.run span.
+  entry.oracle = std::make_shared<const msc::graph::PairCentricOracle>(
+      entry.graph,
+      msc::graph::PairCentricOracle::Config{
+          .landmarks = 8,
+          .threads = threads,
+          .rowBudgetBytes = oracleRowBudgetBytes_});
   refreshOracleBytes(entry);
   return false;
 }
@@ -217,7 +209,7 @@ core::Instance InstanceCache::instance(const std::string& graphKey,
                                        const std::string& pairsKey,
                                        double distanceThreshold, int threads,
                                        bool* apspWasCached,
-                                       msc::graph::DistanceMode* resolvedMode) {
+                                       bool* allPairs) {
   std::shared_ptr<const msc::graph::Graph> graph;
   std::shared_ptr<const msc::graph::DistanceOracle> oracle;
   std::shared_ptr<const std::vector<core::SocialPair>> pairs;
@@ -237,14 +229,14 @@ core::Instance InstanceCache::instance(const std::string& graphKey,
     }
     const bool hit = ensureOracle(*gEntry, threads);
     if (apspWasCached) *apspWasCached = hit;
-    if (resolvedMode) *resolvedMode = gEntry->mode;
+    if (allPairs) *allPairs = gEntry->allPairs;
     graph = gEntry->graph;
     oracle = gEntry->oracle;
     pairs = pEntry->pairs;
     evictOverBudget(graphKey);
   }
-  // The pair-node row prefetch (pair-centric mode) runs outside the cache
-  // lock; its byte growth is picked up on the entry's next touch.
+  // The pair-node row prefetch runs outside the cache lock; its byte
+  // growth is picked up on the entry's next touch.
   return core::Instance(std::move(graph), std::move(oracle), *pairs,
                         distanceThreshold, threads);
 }

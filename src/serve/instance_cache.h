@@ -1,17 +1,18 @@
 // Content-addressed instance cache for the solve service.
 //
 // The expensive, request-independent work of a solve — parsing the graph,
-// the n-source APSP build, materializing the candidate universe — is
-// memoized here so repeated solves on the same topology skip it entirely.
+// the distance oracle and the rows it caches, materializing the candidate
+// universe — is memoized here so repeated solves on the same topology skip
+// it.
 // Graphs and pair sets are keyed by a content hash of their canonical
 // serialization ("g<16 hex>" / "p<16 hex>"): loading identical content
 // twice returns the same key and stores one copy, so keys are safe to
 // compute client-side or share between clients.
 //
 // Memory is bounded: every entry is charged an estimated byte size (graph
-// adjacency + edge list, the distance oracle once memoized — all n rows in
-// the dense mode, just the cached rows in pair_centric — the candidate
-// list, the pair list) against a budget (MSC_SERVE_CACHE_MB via
+// adjacency + edge list, the distance oracle once memoized — its landmark
+// rows and the rows solves have cached since — the candidate list, the
+// pair list) against a budget (MSC_SERVE_CACHE_MB via
 // the server config), and least-recently-used entries are evicted when the
 // total exceeds it. Eviction invalidates the key — a later request using it
 // gets a structured "unknown key" error and must re-load — but never
@@ -20,7 +21,8 @@
 //
 // All methods are thread-safe behind one mutex; the oracle memoization runs
 // under it, so concurrent first-touch solves of the same graph build the
-// distance oracle exactly once (later requests are APSP hits).
+// distance oracle exactly once (later requests are APSP hits). Rows are
+// built on demand, outside the lock, by the instances that read them.
 #pragma once
 
 #include <cstddef>
@@ -66,18 +68,18 @@ class InstanceCache {
   };
 
   /// `byteBudget` 0 means "effectively unbounded" (no eviction).
-  /// `oracleRowBudgetBytes` caps each pair-centric oracle's row cache
+  /// `oracleRowBudgetBytes` caps each oracle's row cache
   /// (0 = unbounded; defaults to the MSC_ORACLE_ROWS_MB knob).
   explicit InstanceCache(std::size_t byteBudget,
                          std::size_t oracleRowBudgetBytes =
                              msc::graph::defaultOracleRowBudgetBytes());
 
   /// Stores (or re-touches) a graph, returns its content key "g<hex>".
-  /// `mode` (load_graph's "distance_mode" knob) is resolved here, once —
-  /// Auto by the node-count rule — and the resolved mode alone decides the
-  /// oracle built lazily on first solve. Re-loading the same content with
-  /// a different resolved mode drops the memoized oracle so the next solve
-  /// rebuilds it in the new mode.
+  /// `mode` (load_graph's "distance_mode" knob) picks the graph's
+  /// candidate universe, resolved here — Auto by the node-count rule:
+  /// all node pairs when it resolves to Dense, pair-node pairs otherwise.
+  /// Re-loading the same content sets the rule again and keeps the
+  /// memoized oracle.
   std::string putGraph(
       msc::graph::Graph g,
       msc::graph::DistanceMode mode = msc::graph::DistanceMode::Auto);
@@ -92,16 +94,16 @@ class InstanceCache {
 
   /// Assembles an Instance for (graphKey, pairsKey, distanceThreshold),
   /// reusing the graph's memoized distance oracle when present (APSP hit)
-  /// and building + memoizing one with `threads` workers otherwise (in the
-  /// mode resolved at putGraph, reported through `resolvedMode`). The
-  /// result is bit-identical either way (the APSP determinism contract).
+  /// and building + memoizing one otherwise; `threads` workers prefetch
+  /// the pair-node rows. `allPairs` reports the graph's candidate rule
+  /// (see putGraph). The result is bit-identical either way.
   /// Throws std::runtime_error on an unknown/evicted key; whatever
   /// Instance's validation throws (bad pair endpoints, ...) propagates.
   core::Instance instance(const std::string& graphKey,
                           const std::string& pairsKey,
                           double distanceThreshold, int threads,
                           bool* apspWasCached = nullptr,
-                          msc::graph::DistanceMode* resolvedMode = nullptr);
+                          bool* allPairs = nullptr);
 
   /// The graph's all-pairs candidate set, memoized per graph entry.
   std::shared_ptr<const core::CandidateSet> candidates(
@@ -117,8 +119,7 @@ class InstanceCache {
     std::shared_ptr<const msc::graph::Graph> graph;
     std::shared_ptr<const msc::graph::DistanceOracle> oracle;  // lazy
     std::shared_ptr<const core::CandidateSet> candidates;      // lazy
-    /// Resolved at putGraph: Dense or PairCentric, never Auto.
-    msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
+    bool allPairs = true;  ///< candidate rule, set by putGraph
     std::size_t oracleBytes = 0;  ///< last residentBytes() charged
     std::size_t bytes = 0;
     std::list<std::string>::iterator lruPos;
@@ -133,12 +134,9 @@ class InstanceCache {
   void touch(std::list<std::string>::iterator pos);
   GraphEntry* findGraphEntry(const std::string& key, bool countStats);
   PairsEntry* findPairsEntry(const std::string& key, bool countStats);
-  /// Memoizes the distance oracle for an entry (the dense build runs all
-  /// n rows under the lock). Returns true when the oracle was already
-  /// present.
+  /// Memoizes the distance oracle for an entry (its landmark sweep runs
+  /// under the lock). Returns true when the oracle was already present.
   bool ensureOracle(GraphEntry& entry, int threads);
-  /// Drops the memoized oracle and unwinds its byte charge (mode change).
-  void dropOracle(GraphEntry& entry);
   /// Re-reads oracle->residentBytes() and folds the delta into the byte
   /// accounting (lazy oracles grow as rows are cached).
   void refreshOracleBytes(GraphEntry& entry);

@@ -91,6 +91,14 @@ LatencyHistograms& latency() {
   return histograms;
 }
 
+/// The "distance_mode" solve and eval replies report for a graph's
+/// candidate rule (InstanceCache::putGraph).
+const char* resolvedModeName(bool allPairs) {
+  return msc::graph::distanceModeName(allPairs
+                                          ? msc::graph::DistanceMode::Dense
+                                          : msc::graph::DistanceMode::PairCentric);
+}
+
 /// Reads the file or inline "text" parameter a load_* request names.
 std::string loadPayload(const Request& req, const char* what) {
   const json::Value* path = findParam(req, "path");
@@ -548,9 +556,10 @@ json::Object Engine::cmdLoadGraph(const Request& request,
   } catch (const std::exception& e) {
     throw ProtocolError(std::string("bad edge list: ") + e.what());
   }
-  // msc.serve.v1 addition: "distance_mode" picks the distance mode for
-  // every later solve on this graph (auto | dense | pair_centric); auto is
-  // resolved once, here, by node count.
+  // msc.serve.v1 addition: "distance_mode" picks the candidate universe
+  // of every later solve on this graph (auto | dense | pair_centric); auto
+  // is resolved once, here, by node count. Rows are built on demand in
+  // every mode.
   const std::string modeStr =
       getStringParam(request, "distance_mode", "auto");
   const auto mode = msc::graph::parseDistanceMode(modeStr);
@@ -595,17 +604,16 @@ json::Object Engine::cmdSolve(const Request& request,
       static_cast<int>(getIntParam(request, "iters", 500, 1, 1 << 28));
 
   bool apspHit = false;
-  msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
+  bool allPairs = true;
   const core::Instance inst = cache_.instance(graphKey, pairsKey, threshold,
-                                              threads, &apspHit, &mode);
+                                              threads, &apspHit, &allPairs);
 
-  // Candidate universe, decided by the graph's resolved mode alone: all
-  // n(n-1)/2 node pairs in the dense mode (memoized per graph), but only
-  // pair-node pairs under pair_centric — materializing the full universe
-  // would reintroduce the O(n^2) cost that mode exists to avoid. The
-  // restriction is visible in "candidates".
+  // Candidate universe, decided by the graph's distance_mode alone: all
+  // n(n-1)/2 node pairs under dense (memoized per graph), but only
+  // pair-node pairs under pair_centric — on a large graph the full
+  // universe alone is O(n^2). The restriction is visible in "candidates".
   std::shared_ptr<const core::CandidateSet> cands;
-  if (mode == msc::graph::DistanceMode::PairCentric) {
+  if (!allPairs) {
     const auto& nodes = inst.pairNodes();
     core::ShortcutList list;
     list.reserve(nodes.size() * (nodes.size() - 1) / 2);
@@ -719,7 +727,7 @@ json::Object Engine::cmdSolve(const Request& request,
   ctx.noteApspCache(apspHit);
   // msc.serve.v1 additions: the graph's resolved distance mode and how
   // many candidate shortcuts the search ranged over.
-  fields["distance_mode"] = msc::graph::distanceModeName(mode);
+  fields["distance_mode"] = resolvedModeName(allPairs);
   fields["candidates"] = cands->size();
   return fields;
 }
@@ -733,10 +741,10 @@ json::Object Engine::cmdEval(const Request& request,
       parsePlacementSpec(requireStringParam(request, "placement"));
 
   bool apspHit = false;
-  msc::graph::DistanceMode mode = msc::graph::DistanceMode::Dense;
+  bool allPairs = true;
   const core::Instance inst =
       cache_.instance(graphKey, pairsKey, threshold, config_.defaultThreads,
-                      &apspHit, &mode);
+                      &apspHit, &allPairs);
   for (const core::Shortcut& f : placement) {
     inst.graph().checkNode(f.a);  // untrusted input: reject out-of-range
     inst.graph().checkNode(f.b);  // endpoints before they reach the matrix
@@ -748,7 +756,7 @@ json::Object Engine::cmdEval(const Request& request,
   fields["placement"] = placementSpec(placement);
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
   ctx.noteApspCache(apspHit);
-  fields["distance_mode"] = msc::graph::distanceModeName(mode);
+  fields["distance_mode"] = resolvedModeName(allPairs);
   return fields;
 }
 

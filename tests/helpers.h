@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -137,8 +139,8 @@ inline std::vector<msc::core::SocialPair> samplePairs(
 
 /// A threshold that splits the sampled pairs: exactly the median finite
 /// pair distance, so sigma is neither 0 nor m trivially. Sitting on a pair
-/// distance is deliberate: every mode serves the same bits, so even the
-/// d <= dt comparison at the boundary must agree.
+/// distance is deliberate: bounded and full rows serve the same bits, so
+/// even the d <= dt comparison at the boundary must agree.
 inline double medianThreshold(const msc::graph::DistanceOracle& oracle,
                               const std::vector<msc::core::SocialPair>& pairs) {
   std::vector<double> finite;
@@ -149,6 +151,68 @@ inline double medianThreshold(const msc::graph::DistanceOracle& oracle,
   if (finite.empty()) return 1.0;
   std::sort(finite.begin(), finite.end());
   return finite[finite.size() / 2];
+}
+
+/// Full-row reference oracle: an unbounded oracle without landmarks whose
+/// every full row materialize() has built and cached, so rows and point
+/// queries read resident full rows.
+inline std::shared_ptr<const msc::graph::PairCentricOracle> allRowsOracle(
+    std::shared_ptr<const msc::graph::Graph> graph, int threads = 1) {
+  auto oracle = std::make_shared<const msc::graph::PairCentricOracle>(
+      std::move(graph),
+      msc::graph::PairCentricOracle::Config{.landmarks = 0,
+                                            .threads = threads});
+  (void)oracle->materialize();
+  return oracle;
+}
+
+/// Forwards everything but distancesWithin / prefetchRowsWithin, whose
+/// DistanceOracle defaults then serve full rows: behind it an Instance
+/// reads full rows instead of d_t-bounded ones.
+class FullRowOracle final : public msc::graph::DistanceOracle {
+ public:
+  explicit FullRowOracle(
+      std::shared_ptr<const msc::graph::DistanceOracle> inner)
+      : inner_(std::move(inner)) {}
+  int nodeCount() const noexcept override { return inner_->nodeCount(); }
+  double distance(msc::graph::NodeId x, msc::graph::NodeId y) const override {
+    return inner_->distance(x, y);
+  }
+  std::span<const double> distancesFrom(msc::graph::NodeId v) const override {
+    return inner_->distancesFrom(v);
+  }
+  void prefetchRows(std::span<const msc::graph::NodeId> sources,
+                    int threads) const override {
+    inner_->prefetchRows(sources, threads);
+  }
+  const msc::graph::DistanceMatrix& materialize() const override {
+    return inner_->materialize();
+  }
+  std::size_t residentBytes() const noexcept override {
+    return inner_->residentBytes();
+  }
+  const char* mode() const noexcept override { return inner_->mode(); }
+  msc::graph::OracleStats stats() const override { return inner_->stats(); }
+  std::shared_ptr<void> acquireRowLease() const override {
+    return inner_->acquireRowLease();
+  }
+
+ private:
+  std::shared_ptr<const msc::graph::DistanceOracle> inner_;
+};
+
+/// The full-row side of a bounded-vs-full comparison: an instance of
+/// (g, pairs, dt) over a FullRowOracle of an unbounded lazy oracle,
+/// `threads` workers.
+inline msc::core::Instance fullRowInstance(
+    const msc::graph::Graph& g, std::vector<msc::core::SocialPair> pairs,
+    double dt, int threads = 1) {
+  auto graph = std::make_shared<const msc::graph::Graph>(g);
+  auto oracle = std::make_shared<const FullRowOracle>(
+      std::make_shared<const msc::graph::PairCentricOracle>(
+          graph, msc::graph::PairCentricOracle::Config{.threads = threads}));
+  return msc::core::Instance(std::move(graph), std::move(oracle),
+                             std::move(pairs), dt, threads);
 }
 
 /// Random shortcut set of the given size over nodes [0, n).

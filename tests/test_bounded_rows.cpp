@@ -1,16 +1,20 @@
 // Differential test for d_t-bounded oracle rows (docs/ALGORITHMS.md §15):
-// an Instance reads its rows exact within d_t (Instance::baseRow), which a
-// pair-centric oracle serves from Dijkstra runs bounded at d_t. Every
-// solver must return exactly what it returns on full rows. The reference
-// is the same oracle behind a decorator that leaves the radius calls at
-// their DistanceOracle defaults, so every row it serves is full.
+// an Instance reads its rows exact within d_t (Instance::baseRow), which
+// the oracle serves from Dijkstra runs bounded at d_t, built on demand.
+// Every solver must return exactly what it returns on full rows. The
+// reference is the same oracle behind a decorator that leaves the radius
+// calls at their DistanceOracle defaults (msc::test::FullRowOracle), so
+// every row it serves is full.
 //
 // The grid: every generator in tests/helpers.h (the src/gen sweep plus the
 // line, cycle and random builders) x all-pairs and pair-node candidates x
 // threads {1, 4} x d_t in {0, the median pair distance, +inf} x an
 // unbounded oracle and one whose row budget forces evictions. At each point
-// sigma greedy, the sandwich (AA), the weighted sandwich, budgeted greedy
-// and both MSC-CN solvers must agree in every result field but wall time.
+// sigma greedy, the sandwich (AA), the weighted sandwich, EA, AEA, the
+// random baseline, budgeted greedy and both MSC-CN solvers must agree in
+// every result field but wall time. EA, AEA and the random baseline place
+// shortcuts with any endpoint, so over all pairs they build rows of
+// non-pair nodes on demand.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,9 +26,12 @@
 #include "core/bounds.h"
 #include "core/budgeted.h"
 #include "core/candidates.h"
+#include "core/aea.h"
 #include "core/common_node.h"
+#include "core/ea.h"
 #include "core/greedy.h"
 #include "core/instance.h"
+#include "core/random_baseline.h"
 #include "core/sandwich.h"
 #include "core/sigma.h"
 #include "graph/distance_oracle.h"
@@ -45,39 +52,7 @@ using msc::graph::Graph;
 using msc::graph::kInfDist;
 using msc::graph::NodeId;
 using msc::graph::PairCentricOracle;
-
-/// Forwards everything but distancesWithin / prefetchRowsWithin, whose
-/// DistanceOracle defaults then serve full rows.
-class FullRowOracle final : public DistanceOracle {
- public:
-  explicit FullRowOracle(std::shared_ptr<const DistanceOracle> inner)
-      : inner_(std::move(inner)) {}
-  int nodeCount() const noexcept override { return inner_->nodeCount(); }
-  double distance(NodeId x, NodeId y) const override {
-    return inner_->distance(x, y);
-  }
-  std::span<const double> distancesFrom(NodeId v) const override {
-    return inner_->distancesFrom(v);
-  }
-  void prefetchRows(std::span<const NodeId> sources,
-                    int threads) const override {
-    inner_->prefetchRows(sources, threads);
-  }
-  const msc::graph::DistanceMatrix& materialize() const override {
-    return inner_->materialize();
-  }
-  std::size_t residentBytes() const noexcept override {
-    return inner_->residentBytes();
-  }
-  const char* mode() const noexcept override { return inner_->mode(); }
-  msc::graph::OracleStats stats() const override { return inner_->stats(); }
-  std::shared_ptr<void> acquireRowLease() const override {
-    return inner_->acquireRowLease();
-  }
-
- private:
-  std::shared_ptr<const DistanceOracle> inner_;
-};
+using msc::test::FullRowOracle;
 
 enum class Radius { Zero, Median, Inf };
 enum class Budget { Unbounded, Evicting };
@@ -164,6 +139,31 @@ void expectSame(const msc::core::BudgetedResult& a,
   EXPECT_TRUE(a.interrupted == b.interrupted);
 }
 
+void expectSame(const msc::core::EaResult& a, const msc::core::EaResult& b) {
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.bestByIteration, b.bestByIteration);
+  EXPECT_EQ(a.archiveSize, b.archiveSize);
+  EXPECT_EQ(a.gainEvaluations, b.gainEvaluations);
+  EXPECT_EQ(a.iterations, b.iterations);
+}
+
+void expectSame(const msc::core::AeaResult& a,
+                const msc::core::AeaResult& b) {
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.bestByIteration, b.bestByIteration);
+  EXPECT_EQ(a.gainEvaluations, b.gainEvaluations);
+  EXPECT_EQ(a.iterations, b.iterations);
+}
+
+void expectSame(const msc::core::RandomBaselineResult& a,
+                const msc::core::RandomBaselineResult& b) {
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.meanValue, b.meanValue);
+}
+
 void expectSame(const msc::core::CommonNodeResult& a,
                 const msc::core::CommonNodeResult& b) {
   EXPECT_EQ(a.placement, b.placement);
@@ -208,6 +208,32 @@ void expectSolversAgree(const Instance& bounded, const Instance& full,
         msc::core::sandwichApproximation(full, cands, options, weights));
   }
   {
+    SCOPED_TRACE("ea");
+    const SigmaEvaluator a(bounded);
+    const SigmaEvaluator b(full);
+    msc::core::EaConfig config;
+    config.iterations = 60;
+    expectSame(msc::core::evolutionaryAlgorithm(a, cands, options, config),
+               msc::core::evolutionaryAlgorithm(b, cands, options, config));
+  }
+  {
+    SCOPED_TRACE("aea");
+    SigmaEvaluator a(bounded);
+    SigmaEvaluator b(full);
+    const msc::core::AeaConfig config{.iterations = 20, .populationSize = 4};
+    expectSame(
+        msc::core::adaptiveEvolutionaryAlgorithm(a, cands, options, config),
+        msc::core::adaptiveEvolutionaryAlgorithm(b, cands, options, config));
+  }
+  {
+    SCOPED_TRACE("random");
+    const SigmaEvaluator a(bounded);
+    const SigmaEvaluator b(full);
+    const msc::core::RandomBaselineConfig config{.repeats = 40, .seed = 3};
+    expectSame(msc::core::randomBaseline(a, cands, options.k, config),
+               msc::core::randomBaseline(b, cands, options.k, config));
+  }
+  {
     SCOPED_TRACE("budgeted");
     SigmaEvaluator a(bounded);
     SigmaEvaluator b(full);
@@ -241,8 +267,7 @@ TEST_P(BoundedRowsGrid, SolversMatchFullRows) {
     const auto pairs = msc::test::samplePairs(gc.graph, 8, 13);
     double dt = 0.0;
     if (radius == Radius::Median) {
-      dt = msc::test::medianThreshold(*PairCentricOracle::allRows(graph, 1),
-                                      pairs);
+      dt = msc::test::medianThreshold(*msc::test::allRowsOracle(graph), pairs);
     } else if (radius == Radius::Inf) {
       dt = kInfDist;
     }
@@ -253,6 +278,8 @@ TEST_P(BoundedRowsGrid, SolversMatchFullRows) {
     {
       SCOPED_TRACE("all pairs");
       expectSolversAgree(bounded, full, CandidateSet::allPairs(n), threads);
+      // Rows beyond the pair-node prefetch were built on demand.
+      EXPECT_GT(oracle->stats().rowBuilds, bounded.pairNodes().size());
     }
     {
       SCOPED_TRACE("pair nodes");

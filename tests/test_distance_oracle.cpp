@@ -1,15 +1,15 @@
-// Property suite for the DistanceOracle seam (ALGORITHMS.md §15): the
-// dense mode (every row built up front) and the lazy pair-centric mode —
+// Property suite for the DistanceOracle seam (ALGORITHMS.md §15): an
+// oracle whose every row materialize() built up front and the lazy oracle —
 // unbounded or under a row budget that evicts — are one row cache and must
 // hand out the same bits. Sweeps every src/gen generator and asserts
 // bit-identical distancesFrom rows and point queries across the three, at
-// 1 and 4 threads, and that sigma/mu/nu and greedy therefore agree exactly
-// at any threshold. Plus the corner cases: disconnected pairs (kInfDist),
-// degenerate landmark counts, ALT point-query vs row bit-identity,
-// point queries independent of cache state, row radii (bounded rows exact
-// within their radius, point queries beyond it, widening rebuilds, mixed
-// radii across threads), and ShortcutRowStore vs the full-matrix
-// relaxation.
+// 1 and 4 threads, and that sigma/mu/nu and greedy on d_t-bounded rows
+// agree exactly with full rows at any threshold. Plus the corner cases:
+// disconnected pairs (kInfDist), degenerate landmark counts, ALT
+// point-query vs row bit-identity, point queries independent of cache
+// state, row radii (bounded rows exact within their radius, point queries
+// beyond it, widening rebuilds, mixed radii across threads), and
+// ShortcutRowStore vs the full-matrix relaxation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,7 +38,6 @@ namespace {
 
 using msc::core::CandidateSet;
 using msc::core::Instance;
-using msc::core::InstanceOptions;
 using msc::core::MuEvaluator;
 using msc::core::NuEvaluator;
 using msc::core::Shortcut;
@@ -64,11 +63,13 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
     const auto shared = std::make_shared<const Graph>(gc.graph);
     const int n = gc.graph.nodeCount();
 
-    // Eager (dense mode), lazy unbounded, and lazy under a three-row
-    // budget that evicts on almost every query.
+    // Eager (every row built by materialize()), lazy unbounded, and lazy
+    // under a three-row budget that evicts on almost every query. The
+    // factory builds rows on demand whatever mode it is given.
     const auto eager = msc::graph::makeDistanceOracle(
         shared, DistanceMode::Dense, 8, threads);
-    ASSERT_STREQ(eager->mode(), "dense");
+    ASSERT_STREQ(eager->mode(), "pair_centric");
+    (void)eager->materialize();
     const PairCentricOracle lazy(shared, PairCentricOracle::Config{4, 1});
     const PairCentricOracle budgeted(
         shared,
@@ -97,16 +98,13 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
       }
     }
 
-    // Same rows, so the same objective values and the same greedy picks.
+    // Same bits within d_t, so the same objective values and the same
+    // greedy picks on full rows (denseT) and d_t-bounded ones (pcT).
     const auto pairs = samplePairs(gc.graph, 8, 13);
     const double dt = medianThreshold(*eager, pairs);
-    const Instance denseT(gc.graph, pairs, dt,
-                          InstanceOptions{.threads = threads,
-                                          .distanceMode = DistanceMode::Dense});
-    const Instance pcT(gc.graph, pairs, dt,
-                       InstanceOptions{.threads = threads,
-                                       .distanceMode =
-                                           DistanceMode::PairCentric});
+    const Instance denseT =
+        msc::test::fullRowInstance(gc.graph, pairs, dt, threads);
+    const Instance pcT(gc.graph, pairs, dt, threads);
     const auto cands = CandidateSet::allPairs(n);
     SigmaEvaluator sigmaDense(denseT);
     SigmaEvaluator sigmaPc(pcT);
@@ -138,11 +136,10 @@ TEST(OracleDisconnected, InfDistAgreesAndShortcutBridges) {
   for (int v : {4, 5, 6}) g.addEdge(v, v + 1, 1.0);
   const std::vector<SocialPair> pairs = {{0, 7}, {1, 2}};
 
-  for (const auto mode : {DistanceMode::Dense, DistanceMode::PairCentric}) {
-    SCOPED_TRACE(msc::graph::distanceModeName(mode));
-    Graph copy = g;
-    const Instance inst(std::move(copy), pairs, 2.5,
-                        InstanceOptions{.distanceMode = mode});
+  for (const bool fullRows : {true, false}) {
+    SCOPED_TRACE(fullRows ? "full rows" : "bounded rows");
+    const Instance inst = fullRows ? msc::test::fullRowInstance(g, pairs, 2.5)
+                                   : Instance(g, pairs, 2.5);
     EXPECT_EQ(inst.distanceOracle().distance(0, 7), kInfDist);
     EXPECT_EQ(inst.distanceOracle().distancesFrom(0)[7], kInfDist);
     SigmaEvaluator sigma(inst);
@@ -157,7 +154,7 @@ TEST(OracleDisconnected, InfDistAgreesAndShortcutBridges) {
 TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
   const auto g = msc::test::randomGraph(30, 0.12, 21);
   const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto eager = msc::test::allRowsOracle(shared);
 
   for (const int landmarks : {0, g.nodeCount(), g.nodeCount() + 5}) {
     SCOPED_TRACE(landmarks);
@@ -227,7 +224,7 @@ TEST(OracleAltQuery, PointQueryIgnoresCachedRowOfLargerEndpoint) {
 TEST(OracleAltQuery, PointQueryBeyondBoundedRowRadiusFallsBackToAlt) {
   const auto g = msc::test::randomGraph(40, 0.1, 33);
   const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto eager = msc::test::allRowsOracle(shared);
   PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
   // The lowest non-landmark node: its row is not cached up front, and it
   // is min(s, t) for every t above it.
@@ -268,7 +265,7 @@ TEST(OracleRowRadius, BoundedRowsMatchFullRowsWithinTheirRadius) {
   for (auto& gc : generatorSweep()) {
     SCOPED_TRACE(gc.name);
     const auto shared = std::make_shared<const Graph>(gc.graph);
-    const auto eager = PairCentricOracle::allRows(shared, 1);
+    const auto eager = msc::test::allRowsOracle(shared);
     const double median =
         medianThreshold(*eager, samplePairs(gc.graph, 8, 13));
     for (const double radius : {0.0, median, kInfDist}) {
@@ -293,7 +290,7 @@ TEST(OracleRowRadius, BoundedRowsMatchFullRowsWithinTheirRadius) {
 TEST(OracleRowRadius, WideningRebuildKeepsEarlierSpansReadable) {
   const auto g = msc::test::randomGraph(40, 0.1, 35);
   const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto eager = msc::test::allRowsOracle(shared);
   const auto n = static_cast<std::size_t>(g.nodeCount());
   const double radius = medianThreshold(*eager, samplePairs(g, 8, 17));
   for (const std::size_t budget :
@@ -334,7 +331,7 @@ TEST(OracleRowRadius, WideningRebuildKeepsEarlierSpansReadable) {
 TEST(OracleRowRadius, ConcurrentMixedRadiiUnderBudget) {
   const auto g = msc::test::randomGraph(60, 0.08, 37);
   const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = PairCentricOracle::allRows(shared, 1);
+  const auto eager = msc::test::allRowsOracle(shared);
   const auto n = static_cast<std::size_t>(g.nodeCount());
   const double median = medianThreshold(*eager, samplePairs(g, 8, 19));
   const PairCentricOracle oracle(
@@ -378,8 +375,7 @@ TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
     g.addEdge(e.u, e.v, std::ceil(e.length * 8.0) / 8.0);
   }
   const auto shared = std::make_shared<const Graph>(g);
-  const auto eager =
-      msc::graph::makeDistanceOracle(shared, DistanceMode::Dense, 0, 1);
+  const auto eager = msc::test::allRowsOracle(shared);
   const PairCentricOracle lazy(shared, PairCentricOracle::Config{2, 1});
   const auto& base = eager->materialize();
   ASSERT_EQ(base, msc::graph::allPairsDistances(g));
@@ -391,7 +387,7 @@ TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
   for (const msc::graph::DistanceOracle* oracle :
        {static_cast<const msc::graph::DistanceOracle*>(eager.get()),
         static_cast<const msc::graph::DistanceOracle*>(&lazy)}) {
-    SCOPED_TRACE(oracle->mode());
+    SCOPED_TRACE(oracle == eager.get() ? "eager" : "lazy");
     const std::vector<NodeId> terminals = {0, 3, 11, 20, 34};
     msc::graph::ShortcutRowStore rows(*oracle, terminals);
     for (const auto& [a, b] : shortcuts) rows.applyZeroEdge(a, b);

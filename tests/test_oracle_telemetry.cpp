@@ -2,8 +2,8 @@
 // (ALGORITHMS.md §16). Two properties anchor it:
 //
 //   1. Instrumentation is invisible: solver results are bit-identical with
-//      metrics on (counters + a bound RequestContext) and off, in both
-//      distance modes, at 1 and 4 threads.
+//      metrics on (counters + a bound RequestContext) and off, on full and
+//      on d_t-bounded rows, at 1 and 4 threads.
 //   2. Eviction is invisible: under an arbitrarily small row budget the
 //      pair-centric oracle stays byte-bounded, re-materializes evicted
 //      rows bit-identically, and greedy produces the same placement as an
@@ -36,7 +36,6 @@ using msc::core::InstanceOptions;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
 using msc::core::SocialPair;
-using msc::graph::DistanceMode;
 using msc::graph::Graph;
 using msc::graph::NodeId;
 using msc::graph::OracleStats;
@@ -61,11 +60,10 @@ struct SolveResult {
 };
 
 SolveResult solveOnce(const Graph& g, const std::vector<SocialPair>& pairs,
-                      DistanceMode mode, int threads) {
-  Graph copy = g;
-  const Instance inst(std::move(copy), pairs, 2.5,
-                      InstanceOptions{.threads = threads,
-                                      .distanceMode = mode});
+                      bool fullRows, int threads) {
+  const Instance inst = fullRows
+                            ? msc::test::fullRowInstance(g, pairs, 2.5, threads)
+                            : Instance(g, pairs, 2.5, threads);
   SigmaEvaluator sigma(inst);
   const auto cands = CandidateSet::allPairs(g.nodeCount());
   const auto greedy =
@@ -83,17 +81,17 @@ TEST_P(TelemetryBitIdentity, SolverResultsIdenticalWithMetricsOnAndOff) {
   const auto pairs = spreadPairs(g.nodeCount(), 8);
   const bool wasEnabled = msc::obs::enabled();
 
-  for (const auto mode : {DistanceMode::Dense, DistanceMode::PairCentric}) {
-    SCOPED_TRACE(msc::graph::distanceModeName(mode));
+  for (const bool fullRows : {true, false}) {
+    SCOPED_TRACE(fullRows ? "full rows" : "bounded rows");
     msc::obs::setEnabled(false);
-    const SolveResult off = solveOnce(g, pairs, mode, threads);
+    const SolveResult off = solveOnce(g, pairs, fullRows, threads);
 
     msc::obs::setEnabled(true);
     msc::obs::RequestContext ctx("\"telemetry-test\"");
     SolveResult on;
     {
       msc::obs::ScopedRequestBind bind(&ctx);
-      on = solveOnce(g, pairs, mode, threads);
+      on = solveOnce(g, pairs, fullRows, threads);
     }
     msc::obs::setEnabled(wasEnabled);
 
@@ -259,22 +257,23 @@ TEST(OracleEviction, LeaseParksEvictedRowsUntilReleased) {
   EXPECT_LT(oracle.residentBytes(), residentWithLease);
 }
 
-// Dense mode: the budget is ignored, nothing is evicted, no lease to hold.
+// The full-row reference (every row built by materialize(), no budget):
+// nothing is evicted, no lease to hold.
 TEST(OracleEviction, DenseBackendNeverEvicts) {
   const auto g = msc::test::randomGraph(40, 0.1, 47);
-  const auto oracle = msc::graph::makeDistanceOracle(
-      std::make_shared<const Graph>(g), DistanceMode::Dense, 8, 1,
-      /*rowBudgetBytes=*/1024);
+  const auto oracle =
+      msc::test::allRowsOracle(std::make_shared<const Graph>(g));
+  const OracleStats built = oracle->stats();
   (void)oracle->distancesFrom(3);
   (void)oracle->distance(1, 2);
   const OracleStats s = oracle->stats();
   EXPECT_EQ(s.rowsEvicted, 0u);
   EXPECT_EQ(oracle->acquireRowLease(), nullptr);
-  // All rows were built with the oracle (set-up cost, not lazy builds):
-  // every query is a hit.
+  // All rows were built up front (by materialize(), not by these
+  // queries): every later query is a hit.
   EXPECT_EQ(s.rowsResident, static_cast<std::size_t>(g.nodeCount()));
-  EXPECT_EQ(s.rowBuilds, 0u);
-  EXPECT_EQ(s.rowHits, s.rowQueries);
+  EXPECT_EQ(s.rowBuilds, built.rowBuilds);
+  EXPECT_EQ(s.rowHits - built.rowHits, s.rowQueries - built.rowQueries);
   EXPECT_EQ(s.altQueries, 0u);
 }
 
@@ -292,7 +291,6 @@ TEST(OracleEviction, GreedyPlacementMatchesUnboundedUnderPressure) {
     Graph copy = g;
     Instance inst(std::move(copy), pairs, 3.0,
                   InstanceOptions{.threads = 4,
-                                  .distanceMode = DistanceMode::PairCentric,
                                   .oracleRowBudgetBytes = budget});
     SigmaEvaluator sigma(inst);
     const auto cands = CandidateSet::allPairs(g.nodeCount());

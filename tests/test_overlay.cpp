@@ -17,12 +17,10 @@ namespace {
 using msc::graph::kInfDist;
 using msc::graph::OverlayEvaluator;
 
-// Dense-mode oracle over a copy of `g` (every row resident).
+// Oracle over a copy of `g` with every row resident.
 std::shared_ptr<const msc::graph::DistanceOracle> oracleOf(
     const msc::graph::Graph& g) {
-  return msc::graph::makeDistanceOracle(
-      std::make_shared<const msc::graph::Graph>(g),
-      msc::graph::DistanceMode::Dense, /*landmarks=*/0, /*threads=*/1);
+  return msc::test::allRowsOracle(std::make_shared<const msc::graph::Graph>(g));
 }
 
 TEST(Overlay, NoShortcutsReturnsBaseDistances) {

@@ -3,8 +3,8 @@
 // and zero-holding pair weights, μ, ν, and the Sum/Min/TruncatedSum
 // composites — and the default gainIfAdd loop (the Monte-Carlo evaluator)
 // must fill, for every candidate, exactly the bits gainIfAdd returns:
-// across generators, distance modes, thresholds, thread counts and
-// committed prefixes. σ and μ are also checked against independent
+// across generators, full and d_t-bounded rows, thresholds, thread counts
+// and committed prefixes. σ and μ are also checked against independent
 // full-pair loops, and whole greedy, budgeted and sandwich passes against
 // a loop-only reference evaluator. The PairBall* cases pin the
 // d_t-ball edge cases: zero and infinite thresholds, zero-length edges,
@@ -132,18 +132,23 @@ std::vector<double> zeroHoldingWeights(std::size_t m) {
 
 // ------------------------------------------------------- the full grid ---
 
-// Dense rows, or pair-centric rows under a row budget of a few rows, so
-// the row cache evicts (and re-materializes) while the evaluators read.
+// Full rows (Dense), or d_t-bounded rows under a row budget of a few
+// rows, so the row cache evicts (and re-materializes) while the
+// evaluators read.
 enum class RowKind { Dense, BudgetedPairCentric };
 
-InstanceOptions rowOptions(RowKind kind, int threads, int n) {
+Instance rowInstance(RowKind kind, const Graph& g,
+                     const std::vector<SocialPair>& pairs, double dt,
+                     int threads) {
   if (kind == RowKind::Dense) {
-    return {.threads = threads, .distanceMode = DistanceMode::Dense};
+    return msc::test::fullRowInstance(g, pairs, dt, threads);
   }
-  return {.threads = threads,
-          .distanceMode = DistanceMode::PairCentric,
-          .oracleRowBudgetBytes =
-              4 * static_cast<std::size_t>(n) * sizeof(double)};
+  return Instance(
+      g, pairs, dt,
+      InstanceOptions{.threads = threads,
+                      .oracleRowBudgetBytes =
+                          4 * static_cast<std::size_t>(g.nodeCount()) *
+                          sizeof(double)});
 }
 
 // generatorSweep's pairs with every other pair reversed (u > w), so rows
@@ -212,14 +217,14 @@ TEST_P(ScanGainsGrid, EveryEvaluatorMatchesGainIfAddAfterEachCommit) {
     SCOPED_TRACE(gc.name);
     const auto pairs = gridPairs(gc.graph);
     const int n = gc.graph.nodeCount();
-    const Instance probe(gc.graph, pairs, 0.0, rowOptions(kind, threads, n));
+    const Instance probe = rowInstance(kind, gc.graph, pairs, 0.0, threads);
     const double median =
         msc::test::medianThreshold(probe.distanceOracle(), pairs);
     const msc::mc::WorldSet worlds(gc.graph, {.worlds = 64, .seed = 3});
     const auto cands = CandidateSet::allPairs(n);
     for (const double dt : {0.0, median, kInf}) {
       SCOPED_TRACE("dt " + std::to_string(dt));
-      const Instance inst(gc.graph, pairs, dt, rowOptions(kind, threads, n));
+      const Instance inst = rowInstance(kind, gc.graph, pairs, dt, threads);
       EvaluatorSet evals(inst, cands, worlds);
       for (const auto& [name, eval] : evals.all()) eval->reset();
       msc::util::Rng rng(5);
@@ -249,9 +254,9 @@ TEST_P(ScanGainsGrid, SolverPassesMatchLoopOnlyReference) {
     SCOPED_TRACE(gc.name);
     const auto pairs = gridPairs(gc.graph);
     const int n = gc.graph.nodeCount();
-    const Instance probe(gc.graph, pairs, 0.0, rowOptions(kind, threads, n));
+    const Instance probe = rowInstance(kind, gc.graph, pairs, 0.0, threads);
     const double dt = msc::test::medianThreshold(probe.distanceOracle(), pairs);
-    const Instance inst(gc.graph, pairs, dt, rowOptions(kind, threads, n));
+    const Instance inst = rowInstance(kind, gc.graph, pairs, dt, threads);
     const auto cands = CandidateSet::allPairs(n);
     const auto weights = sampleWeights(pairs.size(), 29);
 
@@ -560,7 +565,17 @@ void expectMuSetsMatch(const Instance& inst, const CandidateSet& cands) {
   }
 }
 
+// The first axis keeps the names of the retired distance modes: Dense is
+// full rows, PairCentric d_t-bounded rows.
 using PairBallParam = std::tuple<DistanceMode, CandKind, int>;
+
+Instance modeInstance(DistanceMode mode, const Graph& g,
+                      const std::vector<SocialPair>& pairs, double dt,
+                      int threads = 1) {
+  return mode == DistanceMode::Dense
+             ? msc::test::fullRowInstance(g, pairs, dt, threads)
+             : Instance(g, pairs, dt, threads);
+}
 
 class PairBallGrid : public ::testing::TestWithParam<PairBallParam> {};
 
@@ -570,9 +585,7 @@ TEST_P(PairBallGrid, IndexedGainsAndMuSetsMatchFullPairLoops) {
     SCOPED_TRACE(gc.name);
     const auto pairs = samplePairs(gc.graph, 12, 29);
     const double dt = quartileThreshold(gc.graph, pairs);
-    const Instance inst(
-        gc.graph, pairs, dt,
-        InstanceOptions{.threads = threads, .distanceMode = mode});
+    const Instance inst = modeInstance(mode, gc.graph, pairs, dt, threads);
     const CandidateSet cands = makeCandidates(kind, inst);
     expectScanGainsMatch(inst, cands, threads, 4);
     expectMuSetsMatch(inst, cands);
@@ -657,8 +670,8 @@ TEST(PairBall, DisconnectedComponentsKeepInfiniteRowsExact) {
   for (int v : {4, 5, 6}) g.addEdge(v, v + 1, 1.0);
   for (const auto mode : {DistanceMode::Dense, DistanceMode::PairCentric}) {
     SCOPED_TRACE(msc::graph::distanceModeName(mode));
-    const Instance inst(g, {{0, 7}, {1, 6}, {3, 4}, {1, 2}}, 2.0,
-                        InstanceOptions{.distanceMode = mode});
+    const Instance inst =
+        modeInstance(mode, g, {{0, 7}, {1, 6}, {3, 4}, {1, 2}}, 2.0);
     const auto cands = CandidateSet::allPairs(8);
     expectScanGainsMatch(inst, cands, 1, 3);
     expectMuSetsMatch(inst, cands);

@@ -171,19 +171,19 @@ TEST(ServeCache, UnknownKeyThrows) {
 }
 
 TEST(ServeCache, EvictsLruUnderByteBudgetAndReloadRecovers) {
-  InstanceCache cache(4096);  // fits roughly one graph + matrix
+  InstanceCache cache(4096);  // fits roughly one graph + oracle
   const auto gA = cache.putGraph(msc::test::lineGraph(12));
   const auto p = cache.putPairs({{0, 11}});
-  (void)cache.instance(gA, p, 100.0, 1);  // memoize matrix for A
+  (void)cache.instance(gA, p, 100.0, 1);  // memoize the oracle for A
   const auto gB = cache.putGraph(msc::test::cycleGraph(13));
-  (void)cache.instance(gB, p, 100.0, 1);  // B's matrix pushes A out
+  (void)cache.instance(gB, p, 100.0, 1);  // B's oracle pushes A out
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_THROW(cache.instance(gA, p, 100.0, 1), std::runtime_error);
   // Re-loading the same content yields the same key and works again.
   EXPECT_EQ(cache.putGraph(msc::test::lineGraph(12)), gA);
   bool hit = true;
   (void)cache.instance(gA, p, 100.0, 1, &hit);
-  EXPECT_FALSE(hit);  // matrix was evicted with the entry
+  EXPECT_FALSE(hit);  // the oracle was evicted with the entry
   EXPECT_LE(cache.stats().bytesUsed, 2 * 4096u);  // keep-entry slack only
 }
 
@@ -454,7 +454,8 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
     loadFixture(engine, msc::test::randomGraph(40, 0.1, 7),
                 "0 39\n3 31\n5 22\n", mode);
 
-    // Cold eval: the distance build is the request's whole APSP phase.
+    // Cold eval: the distance build (the landmark sweep, whatever the
+    // mode) is the request's whole APSP phase.
     msc::obs::resetAll();
     const auto eval = json::parse(engine.handleLine(
         "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
@@ -462,14 +463,8 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
     ASSERT_EQ(eval.find("status")->asString(), "ok");
     const double apsp = phase(eval, "apsp");
     EXPECT_GT(apsp, 0.0);
-    if (std::string_view(mode) == "dense") {
-      EXPECT_EQ(apsp, singleHistogramSample("apsp.build_seconds"));
-      EXPECT_EQ(apsp, singleSpanSample("apsp.run"));
-    } else {
-      // The landmark sweep is pair-centric's distance build; it keeps no
-      // histogram of its own.
-      EXPECT_EQ(apsp, singleSpanSample("oracle.landmarks"));
-    }
+    EXPECT_EQ(apsp, singleHistogramSample("apsp.build_seconds"));
+    EXPECT_EQ(apsp, singleSpanSample("apsp.run"));
 
     // One greedy round: one round-scan reading.
     msc::obs::resetAll();
@@ -1590,8 +1585,9 @@ TEST(ServeServer, OversizedLineIsAnsweredAndServingContinues) {
   EXPECT_EQ(stats->find("errors")->asNumber(), 1.0);
 }
 
-// Oracle totals are per-engine sums of usage.oracle: dropping an oracle
-// (distance_mode re-load) or evicting its graph must not lower them.
+// Oracle totals are per-engine sums of usage.oracle: re-loading a graph
+// with another distance_mode (which keeps its oracle) or evicting the
+// graph must not lower them.
 TEST(ServeTelemetry, OracleTotalsNeverDecreaseAcrossReloadAndEviction) {
   EngineConfig config;
   config.cacheBytes = 64u << 10;
@@ -1642,10 +1638,13 @@ TEST(ServeTelemetry, OracleTotalsNeverDecreaseAcrossReloadAndEviction) {
   solve();
   const auto solved = totals();
   EXPECT_GT(solved.at("msc_serve_oracle_row_builds_total"), 0.0);
-  load(g, "dense");  // drops the pair-centric oracle
+  load(g, "dense");  // changes the candidate universe, keeps the oracle
   const auto reloaded = totals();
   expectNoDecrease(solved, reloaded, "mode re-load");
+  EXPECT_EQ(engine.cache().stats().oracles, 1u);
+  const std::uint64_t apspHits = engine.cache().stats().apspHits;
   solve();
+  EXPECT_EQ(engine.cache().stats().apspHits, apspHits + 1);
   const auto dense = totals();
   expectNoDecrease(reloaded, dense, "dense solve");
   load(msc::test::randomGraph(400, 0.05, 3), "dense");  // evicts g

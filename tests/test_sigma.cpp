@@ -173,14 +173,13 @@ TEST_P(SigmaStrategies, WeightedValueMatchesRebuild) {
 
 TEST_P(SigmaStrategies, PairCentricUnderEvictionAgrees) {
   const std::uint64_t seed = GetParam();
-  const auto dense = msc::test::randomInstance(40, 8, 1.2, seed);
-  const int n = dense.graph().nodeCount();
+  const auto unbounded = msc::test::randomInstance(40, 8, 1.2, seed);
+  const int n = unbounded.graph().nodeCount();
   // Four rows of budget (two pinned landmarks) against up to 16 pair-node
   // rows plus the shortcut endpoints: rows churn on every evaluation.
   const Instance inst(
-      dense.graph(), dense.pairs(), dense.distanceThreshold(),
+      unbounded.graph(), unbounded.pairs(), unbounded.distanceThreshold(),
       msc::core::InstanceOptions{
-          .distanceMode = msc::graph::DistanceMode::PairCentric,
           .landmarkCount = 2,
           .oracleRowBudgetBytes =
               4 * msc::graph::oracleRowBytes(static_cast<std::size_t>(n))});
@@ -193,7 +192,7 @@ TEST_P(SigmaStrategies, PairCentricUnderEvictionAgrees) {
   ASSERT_GE(outside.size(), 8u);
 
   SigmaEvaluator eval(inst);
-  SigmaEvaluator denseEval(dense);
+  SigmaEvaluator unboundedEval(unbounded);
   msc::util::Rng rng(seed ^ 0xe71cULL);
   for (int trial = 0; trial < 8; ++trial) {
     const int size = 1 + static_cast<int>(rng.below(4));
@@ -207,7 +206,7 @@ TEST_P(SigmaStrategies, PairCentricUnderEvictionAgrees) {
     }
     SCOPED_TRACE(testing::Message() << "seed=" << seed << " trial=" << trial);
     expectStrategiesAgree(eval, placement);
-    EXPECT_EQ(eval.value(placement), denseEval.value(placement));
+    EXPECT_EQ(eval.value(placement), unboundedEval.value(placement));
     EXPECT_EQ(msc::core::sigmaValue(inst, placement),
               eval.value(placement));
   }
