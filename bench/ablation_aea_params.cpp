@@ -50,9 +50,11 @@ int main() {
         cfg.iterations = iterations;
         cfg.populationSize = 10;
         cfg.delta = delta;
-        cfg.seed = static_cast<std::uint64_t>(trial + 1);
-        stat.push(core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = cfg.seed}, cfg)
-                      .value);
+        const core::SolveOptions options{
+            .k = k, .seed = static_cast<std::uint64_t>(trial + 1)};
+        stat.push(
+            core::adaptiveEvolutionaryAlgorithm(sigma, cands, options, cfg)
+                .value);
       }
       table.addRow({util::formatFixed(delta, 2),
                     util::formatFixed(stat.mean(), 2),
@@ -75,9 +77,11 @@ int main() {
         cfg.iterations = iterations;
         cfg.populationSize = l;
         cfg.delta = 0.05;
-        cfg.seed = static_cast<std::uint64_t>(trial + 1);
-        stat.push(core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = cfg.seed}, cfg)
-                      .value);
+        const core::SolveOptions options{
+            .k = k, .seed = static_cast<std::uint64_t>(trial + 1)};
+        stat.push(
+            core::adaptiveEvolutionaryAlgorithm(sigma, cands, options, cfg)
+                .value);
       }
       table.addRow({std::to_string(l), util::formatFixed(stat.mean(), 2),
                     util::formatFixed(stat.ci95HalfWidth(), 2)});

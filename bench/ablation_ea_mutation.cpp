@@ -43,8 +43,9 @@ int main() {
       core::EaConfig cfg;
       cfg.iterations = iterations;
       cfg.flipProbability = c / static_cast<double>(cands.size());
-      cfg.seed = static_cast<std::uint64_t>(trial + 1);
-      stat.push(core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = cfg.seed}, cfg).value);
+      const core::SolveOptions options{
+          .k = k, .seed = static_cast<std::uint64_t>(trial + 1)};
+      stat.push(core::evolutionaryAlgorithm(sigma, cands, options, cfg).value);
     }
     table.addRow({util::formatFixed(c, 1), util::formatFixed(stat.mean(), 2),
                   util::formatFixed(stat.ci95HalfWidth(), 2)});

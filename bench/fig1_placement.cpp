@@ -95,8 +95,8 @@ int main() {
   core::SigmaEvaluator sigma(inst);
   core::RandomBaselineConfig rndCfg;
   rndCfg.repeats = util::scaledIters(500);
-  rndCfg.seed = setup.seed;
-  const auto rnd = core::randomBaseline(sigma, cands, k, rndCfg);
+  const auto rnd = core::randomBaseline(
+      sigma, cands, {.k = k, .seed = setup.seed}, rndCfg);
   report("Random selection (best of " + std::to_string(rndCfg.repeats) + ")",
          inst, rnd.placement, spatial.positions, outDir + "/fig1_random.dot");
 

@@ -58,8 +58,8 @@ void runDataset(const std::string& dataset,
         msc::core::SigmaEvaluator sigma(inst);
         msc::core::RandomBaselineConfig rndCfg;
         rndCfg.repeats = msc::util::scaledIters(500);
-        rndCfg.seed = seed ^ 0xa0a0ULL;
-        const auto rnd = msc::core::randomBaseline(sigma, cands, k, rndCfg);
+        const auto rnd = msc::core::randomBaseline(
+            sigma, cands, {.k = k, .seed = seed ^ 0xa0a0ULL}, rndCfg);
         rndBestStat.push(rnd.value);
         rndMeanStat.push(rnd.meanValue);
       }

@@ -53,19 +53,19 @@ void runDataset(const std::string& dataset,
       const auto aa = msc::core::sandwichApproximation(inst, cands, {.k = k});
 
       msc::core::SigmaEvaluator sigma(inst);
+      const msc::core::SolveOptions options{
+          .k = k, .seed = seed + static_cast<std::uint64_t>(k)};
       msc::core::EaConfig eaCfg;
       eaCfg.iterations = iterations;
-      eaCfg.seed = seed + static_cast<std::uint64_t>(k);
       const auto ea =
-          msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = eaCfg.seed}, eaCfg);
+          msc::core::evolutionaryAlgorithm(sigma, cands, options, eaCfg);
 
       msc::core::AeaConfig aeaCfg;
       aeaCfg.iterations = iterations;
       aeaCfg.populationSize = 10;
       aeaCfg.delta = 0.05;
-      aeaCfg.seed = seed + static_cast<std::uint64_t>(k);
-      const auto aea =
-          msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg);
+      const auto aea = msc::core::adaptiveEvolutionaryAlgorithm(
+          sigma, cands, options, aeaCfg);
 
       table.addRow({msc::util::formatFixed(pt, 2), std::to_string(k),
                     msc::util::formatFixed(aa.sigma, 0),

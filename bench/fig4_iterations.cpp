@@ -61,16 +61,17 @@ void runDataset(const std::string& dataset, double pt,
     msc::core::SigmaEvaluator sigma(inst);
     msc::core::EaConfig eaCfg;
     eaCfg.iterations = maxIterations;
-    eaCfg.seed = seed + static_cast<std::uint64_t>(k);
-    const auto ea = msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = eaCfg.seed}, eaCfg);
+    const msc::core::SolveOptions options{
+        .k = k, .seed = seed + static_cast<std::uint64_t>(k)};
+    const auto ea =
+        msc::core::evolutionaryAlgorithm(sigma, cands, options, eaCfg);
 
     msc::core::AeaConfig aeaCfg;
     aeaCfg.iterations = maxIterations;
     aeaCfg.populationSize = 10;
     aeaCfg.delta = 0.05;
-    aeaCfg.seed = seed + static_cast<std::uint64_t>(k);
     const auto aea =
-        msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg);
+        msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, options, aeaCfg);
 
     msc::util::TableWriter table({"r", "EA", "AEA", "AA (ref)"});
     for (const int r : checkpoints) {

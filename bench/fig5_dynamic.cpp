@@ -50,17 +50,15 @@ AlgoValues runAll(msc::core::DynamicProblem& problem,
 
   msc::core::EaConfig eaCfg;
   eaCfg.iterations = iterations;
-  eaCfg.seed = seed;
-  out.ea = msc::core::evolutionaryAlgorithm(problem.sigmaFn(), cands, {.k = k, .seed = eaCfg.seed}, eaCfg)
+  out.ea = msc::core::evolutionaryAlgorithm(problem.sigmaFn(), cands, {.k = k, .seed = seed}, eaCfg)
                .value;
 
   msc::core::AeaConfig aeaCfg;
   aeaCfg.iterations = iterations;
   aeaCfg.populationSize = 10;
   aeaCfg.delta = 0.05;
-  aeaCfg.seed = seed;
   out.aea = msc::core::adaptiveEvolutionaryAlgorithm(
-                problem.sigma(), cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg)
+                problem.sigma(), cands, {.k = k, .seed = seed}, aeaCfg)
                 .value;
   return out;
 }

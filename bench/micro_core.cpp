@@ -85,7 +85,7 @@ std::shared_ptr<const msc::graph::DistanceOracle> eagerOracle(
     const msc::graph::Graph& g) {
   auto oracle = std::make_shared<const msc::graph::PairCentricOracle>(
       std::make_shared<const msc::graph::Graph>(g),
-      msc::graph::PairCentricOracle::Config{.landmarks = 0, .threads = 1});
+      msc::graph::PairCentricOracle::Config{.threads = 1});
   (void)oracle->materialize();
   return oracle;
 }
@@ -102,11 +102,10 @@ void BM_ApplyZeroEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyZeroEdge)->Arg(50)->Arg(100)->Arg(150);
 
-// Point-query cost of the oracle with every row cached and with rows on
-// demand, on the same graph: the cached-row lookup is the floor, the lazy
-// ALT/cached-row query is what a solve pays. Queries cycle through a fixed
-// endpoint sample so the lazy row cache behaves as it does mid-solve (hot
-// rows for repeated sources).
+// Point-query cost of the oracle with every row cached and with no row
+// cached, on the same graph: the cached-row lookup is the floor, the
+// early-exit Dijkstra of a miss is what baseDistance pays beyond d_t.
+// Queries cycle through a fixed endpoint sample.
 void BM_MatrixLookup(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
   const auto oracle = eagerOracle(spatial.instance.graph());
@@ -123,8 +122,7 @@ void BM_OracleQuery(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
   const auto graph =
       std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
-  const msc::graph::PairCentricOracle oracle(
-      graph, msc::graph::PairCentricOracle::Config{8, 1});
+  const msc::graph::PairCentricOracle oracle(graph);
   const int n = graph->nodeCount();
   int x = 0;
   for (auto _ : state) {
@@ -200,9 +198,9 @@ void BM_SandwichDense(benchmark::State& state) {
 }
 BENCHMARK(BM_SandwichDense)->Args({512, 100})->Unit(benchmark::kMillisecond);
 
-// A cold Instance as a first solve on a fresh graph builds it: the
-// oracle's landmark sweep plus the d_t-bounded pair-node row prefetch, at
-// the perfbench dense_solve shape.
+// A cold Instance as a first solve on a fresh graph builds it: an empty
+// oracle and the d_t-bounded pair-node row prefetch, at the perfbench
+// dense_solve shape.
 void BM_InstanceCold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));

@@ -65,7 +65,7 @@ int main() {
   const auto graph =
       std::make_shared<const msc::graph::Graph>(std::move(net.graph));
   const auto oracle = msc::graph::makeDistanceOracle(
-      graph, msc::graph::DistanceMode::PairCentric, /*landmarks=*/8,
+      graph, msc::graph::DistanceMode::PairCentric, /*landmarks=*/0,
       /*threads=*/0);
 
   // Threshold at the 25th percentile of the finite pair distances: ~75%

@@ -76,9 +76,8 @@ int main() {
   // AEA refines further (§VI-3).
   core::AeaConfig aeaCfg;
   aeaCfg.iterations = 150;
-  aeaCfg.seed = 1;
   const auto aea =
-      core::adaptiveEvolutionaryAlgorithm(problem.sigma(), cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg);
+      core::adaptiveEvolutionaryAlgorithm(problem.sigma(), cands, {.k = k, .seed = 1}, aeaCfg);
   std::cout << "AEA (k=" << k << ", r=" << aeaCfg.iterations
             << "): " << aea.value << "\n\n";
 

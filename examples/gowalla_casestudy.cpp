@@ -47,23 +47,20 @@ int main() {
   core::SigmaEvaluator sigma(inst);
   core::EaConfig eaCfg;
   eaCfg.iterations = 500;
-  eaCfg.seed = 3;
-  const auto ea = core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = eaCfg.seed}, eaCfg);
+  const auto ea = core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = 3}, eaCfg);
   table.addRow({"EA (GSEMO)", util::formatFixed(ea.value, 0),
                 std::to_string(inst.pairCount()), "r=500"});
 
   core::AeaConfig aeaCfg;
   aeaCfg.iterations = 500;
-  aeaCfg.seed = 3;
   const auto aea =
-      core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg);
+      core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = 3}, aeaCfg);
   table.addRow({"AEA", util::formatFixed(aea.value, 0),
                 std::to_string(inst.pairCount()), "r=500, l=10, delta=0.05"});
 
   core::RandomBaselineConfig rndCfg;
   rndCfg.repeats = 500;
-  rndCfg.seed = 3;
-  const auto rnd = core::randomBaseline(sigma, cands, k, rndCfg);
+  const auto rnd = core::randomBaseline(sigma, cands, {.k = k, .seed = 3}, rndCfg);
   table.addRow({"Random (best of 500)", util::formatFixed(rnd.value, 0),
                 std::to_string(inst.pairCount()),
                 "mean " + util::formatFixed(rnd.meanValue, 1)});

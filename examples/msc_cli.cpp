@@ -309,8 +309,7 @@ int cmdSolve(const Args& args) {
     msc::core::SigmaEvaluator sigma(inst);
     msc::core::RandomBaselineConfig cfg;
     cfg.repeats = iters;
-    cfg.seed = seed;
-    const auto res = msc::core::randomBaseline(sigma, cands, k, cfg);
+    const auto res = msc::core::randomBaseline(sigma, cands, options, cfg);
     placement = res.placement;
     value = res.value;
   } else {
@@ -497,8 +496,8 @@ int cmdVersion() {
             << "    usage.oracle{point_queries,\n"
             << "    row_queries,row_builds,row_hits,rows_evicted,"
                "alt_queries,rows_evolved,\n"
-            << "    rows_replayed,row_build_seconds,alt_settled_ratio{count,"
-               "p50,p90,max}};\n"
+            << "    rows_replayed,row_build_seconds} (alt_queries = point "
+               "queries answered by a search);\n"
             << "    solve accepts \"objective\" (sigma|mc_reliability) and "
                "\"worlds\" and echoes\n"
             << "    \"objective\"; mc_reliability responses (algo "

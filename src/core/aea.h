@@ -14,7 +14,6 @@
 // second improvement over EA).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/candidates.h"
@@ -31,9 +30,6 @@ struct AeaConfig {
   int populationSize = 10;
   /// Probability of a random (exploration) swap; the paper uses 0.05.
   double delta = 0.05;
-  /// Unused by the solver: options.seed drives the swaps. Kept so call
-  /// sites can stage a seed alongside the other AEA knobs.
-  std::uint64_t seed = 1;
 };
 
 struct AeaResult {

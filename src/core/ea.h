@@ -16,7 +16,6 @@
 // the paper's uncapped behaviour is sizeCapFactor = 0 (off).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -35,9 +34,6 @@ struct EaConfig {
   std::optional<double> flipProbability;
   /// Discard offspring with |F| > sizeCapFactor * k; 0 disables the cap.
   int sizeCapFactor = 2;
-  /// Unused by the solver: options.seed drives mutation. Kept so call
-  /// sites can stage a seed alongside the other EA knobs.
-  std::uint64_t seed = 1;
 };
 
 struct EaResult {

@@ -48,7 +48,8 @@ void Instance::validateAndPrefetch(int threads) {
   rowLease_ = oracle_->acquireRowLease();
   // Every evaluator starts from the pair-node rows; one parallel burst
   // here keeps their constructors off the Dijkstra path and makes later
-  // reads deterministic cache hits.
+  // reads deterministic cache hits. It is the instance's distance build:
+  // the apsp.run span when it builds rows, none when they are cached.
   oracle_->prefetchRowsWithin(pairNodes_, distanceThreshold_, threads);
 }
 
@@ -62,7 +63,6 @@ Instance::Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
   oracle_ = std::make_shared<const msc::graph::PairCentricOracle>(
       std::move(owned),
       msc::graph::PairCentricOracle::Config{
-          .landmarks = options.landmarkCount,
           .threads = options.threads,
           .rowBudgetBytes = options.oracleRowBudgetBytes});
   validateAndPrefetch(options.threads);

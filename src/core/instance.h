@@ -11,7 +11,8 @@
 // rows exact within d_t (baseRow), each a Dijkstra bounded at d_t: the
 // rows of pair endpoints and of placed shortcut endpoints, never all n.
 // Construction prefetches the pair-node rows so every evaluator starts
-// from cached data.
+// from cached data; that prefetch is the instance's distance build (the
+// APSP phase of docs/ALGORITHMS.md §14).
 #pragma once
 
 #include <algorithm>
@@ -31,14 +32,11 @@ namespace msc::core {
 /// Named construction knobs for Instance — the builder-style alternative
 /// to the positional constructors, so new options stop growing their
 /// signatures. Construct with designated initializers:
-///     Instance(g, pairs, dt, {.threads = 8, .landmarkCount = 4});
+///     Instance(g, pairs, dt, {.threads = 8});
 struct InstanceOptions {
   /// Worker threads for the pair-node row prefetch; 0 = all hardware
   /// threads. Values are identical for any count.
   int threads = 1;
-
-  /// ALT landmark count for point queries (baseDistance beyond d_t).
-  int landmarkCount = 8;
 
   /// Row-cache byte budget (0 = unbounded).
   /// Defaults to the MSC_ORACLE_ROWS_MB environment knob. Evicted rows
@@ -99,6 +97,7 @@ class Instance {
   double distanceThreshold() const noexcept { return distanceThreshold_; }
 
   /// Pair-distance in the base graph (no shortcuts); exact at any value.
+  /// An entry beyond d_t costs an early-exit Dijkstra.
   double baseDistance(const SocialPair& p) const {
     return oracle_->distance(p.u, p.w);
   }

@@ -24,9 +24,8 @@ struct SolveOptions {
   /// §10 for the determinism contract.
   int threads = 1;
 
-  /// Seed for the randomized solvers (EA, AEA, random baseline). This is
-  /// authoritative: any seed member on the per-algorithm config structs is
-  /// ignored by the solvers.
+  /// Seed for the randomized solvers (EA, AEA, random baseline); their
+  /// config structs carry no seed of their own.
   std::uint64_t seed = 1;
 };
 

@@ -8,8 +8,10 @@
 namespace msc::core {
 
 RandomBaselineResult randomBaseline(const SetFunction& objective,
-                                    const CandidateSet& candidates, int k,
+                                    const CandidateSet& candidates,
+                                    const SolveOptions& options,
                                     const RandomBaselineConfig& config) {
+  const int k = options.k;
   if (k < 0) throw std::invalid_argument("randomBaseline: negative budget");
   if (config.repeats < 1) {
     throw std::invalid_argument("randomBaseline: repeats must be >= 1");
@@ -17,7 +19,7 @@ RandomBaselineResult randomBaseline(const SetFunction& objective,
   const auto pick = static_cast<std::size_t>(
       std::min<std::size_t>(static_cast<std::size_t>(k), candidates.size()));
 
-  util::Rng rng(config.seed);
+  util::Rng rng(options.seed);
   RandomBaselineResult result;
   double sum = 0.0;
   bool first = true;

@@ -5,16 +5,14 @@
 // with the best objective value.
 #pragma once
 
-#include <cstdint>
-
 #include "core/candidates.h"
+#include "core/options.h"
 #include "core/set_function.h"
 
 namespace msc::core {
 
 struct RandomBaselineConfig {
   int repeats = 500;
-  std::uint64_t seed = 1;
 };
 
 struct RandomBaselineResult {
@@ -24,8 +22,12 @@ struct RandomBaselineResult {
   double meanValue = 0.0;
 };
 
+/// options.k placements per repeat (fewer when the universe is smaller)
+/// and options.seed drives the draws; the repeats run sequentially, so
+/// options.threads only reaches a parallel-aware `objective`.
 RandomBaselineResult randomBaseline(const SetFunction& objective,
-                                    const CandidateSet& candidates, int k,
-                                    const RandomBaselineConfig& config);
+                                    const CandidateSet& candidates,
+                                    const SolveOptions& options,
+                                    const RandomBaselineConfig& config = {});
 
 }  // namespace msc::core

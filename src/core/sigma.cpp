@@ -111,6 +111,7 @@ SigmaEvaluator::SigmaEvaluator(const Instance& instance,
 
 void SigmaEvaluator::reset() {
   rows_.reset();
+  placement_.clear();
   refreshSatisfied();
 }
 
@@ -204,12 +205,17 @@ void SigmaEvaluator::add(const Shortcut& f) {
                       static_cast<std::size_t>(satisfied_));
   }
   rows_.applyZeroEdge(f.a, f.b);
+  placement_.push_back(f);
   markSatisfied();
 }
 
 double SigmaEvaluator::pairDistance(int pairIndex) const {
   const auto& p = instance_->pairs().at(static_cast<std::size_t>(pairIndex));
-  return rows_.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)];
+  const double d = rows_.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)];
+  if (d <= instance_->distanceThreshold()) return d;
+  const msc::graph::OverlayEvaluator full(instance_->distanceOracle(),
+                                          {p.u, p.w});
+  return full.pairDistances({{p.u, p.w}}, asNodePairs(placement_)).front();
 }
 
 double SigmaEvaluator::value(const ShortcutList& placement) const {

@@ -149,10 +149,10 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   bool pairSatisfied(int pairIndex) const {
     return pairSatisfied_.at(static_cast<std::size_t>(pairIndex)) != 0;
   }
-  /// Distance of pair `pairIndex` under the current placement. Exact when
-  /// <= d_t; the rows are exact only within d_t (see Instance::baseRow),
-  /// so a larger distance may read +inf. For exact distances at any value,
-  /// use pairDistancesUnder over an overlay built at radius +inf.
+  /// Distance of pair `pairIndex` under the current placement, exact at
+  /// any value. Within d_t it is the row store's entry; beyond d_t those
+  /// rows are not exact (see Instance::baseRow), so it is read off full
+  /// rows instead.
   double pairDistance(int pairIndex) const;
   const Instance& instance() const noexcept { return *instance_; }
 
@@ -166,6 +166,7 @@ class SigmaEvaluator final : public SetFunction, public IncrementalEvaluator {
   msc::graph::OverlayEvaluator overlay_;  // over instance.pairNodes()
   // Pair-endpoint distance rows under the current placement.
   msc::graph::ShortcutRowStore rows_;
+  ShortcutList placement_;  // the current placement, in add() order
   std::vector<std::uint8_t> pairSatisfied_;
   int satisfied_ = 0;
   double current_ = 0.0;

@@ -1,12 +1,12 @@
 // All-pairs shortest path distances.
 //
-// The MSC evaluators repeatedly ask for distances between arbitrary node
-// pairs under varying shortcut placements; all of them start from the base
-// graph's APSP matrix computed once per instance. The n per-source Dijkstra
-// runs are independent (each writes its own matrix row), so the matrix
-// build parallelizes embarrassingly — pass threads > 1 for large instances
-// (the result is bit-identical to the sequential build for any thread
-// count). A Floyd-Warshall implementation is kept as an independent
+// No evaluator reads this matrix: they read d_t-bounded rows from the
+// distance oracle (distance_oracle.h). The full matrix serves the pair
+// samplers (core/instance.h), the tools and the tests. The n per-source
+// Dijkstra runs are independent (each writes its own matrix row), so the
+// matrix build parallelizes embarrassingly — pass threads > 1 for large
+// instances (the result is bit-identical to the sequential build for any
+// thread count). A Floyd-Warshall implementation is kept as an independent
 // reference for the test suite.
 #pragma once
 

@@ -1,11 +1,12 @@
 // Dijkstra shortest paths on the base graph.
 //
-// Three variants cover the library's needs:
-//   * full single-source distances (APSP precomputation),
+// Three variants of one search loop cover the library's needs:
+//   * full single-source distances (full oracle rows, APSP),
 //   * bounded search that never expands beyond a distance limit (the MSC
 //     distance requirement d_t makes most queries short-range),
-//   * point-to-point with target early exit (used by path reconstruction
-//     and by the overlay evaluator's cross-checks).
+//   * point-to-point with target early exit: the distance oracle's point
+//     queries whose row is not cached. A settled node's distance is final,
+//     so the result is bit-identical to the full row's entry.
 #pragma once
 
 #include <optional>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -90,47 +88,6 @@ PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
   if (!graph_) {
     throw std::invalid_argument("PairCentricOracle: null graph");
   }
-  if (config.landmarks < 0) {
-    throw std::invalid_argument("PairCentricOracle: negative landmark count");
-  }
-  // The landmark sweep is the oracle's cold distance build (§14): the
-  // request's APSP phase, with one APSP histogram sample per build.
-  static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
-  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
-  selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
-}
-
-void PairCentricOracle::selectLandmarks(int count) {
-  const int n = graph_->nodeCount();
-  if (count <= 0 || n == 0) return;
-  // Deterministic farthest-point sweep: start at node 0, then repeatedly
-  // take the node farthest from the chosen set (unreachable counts as
-  // farther than any finite distance, so every component gets a landmark
-  // before any component gets a second one); ties break to the lowest id.
-  std::vector<double> distToSet(static_cast<std::size_t>(n), kInfDist);
-  NodeId next = 0;
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (int pick = 0; pick < count; ++pick) {
-    auto row = dijkstra(*graph_, next).dist;
-    for (std::size_t v = 0; v < row.size(); ++v) {
-      distToSet[v] = std::min(distToSet[v], row[v]);
-    }
-    landmarkIds_.push_back(next);
-    Row& cached = insertRowLocked(next, std::move(row), kInfDist);
-    cached.pinned = true;
-    landmarkRows_.push_back(cached.data);
-    if (pick + 1 == count) break;
-    next = -1;
-    double best = -1.0;
-    for (NodeId v = 0; v < n; ++v) {
-      const double d = distToSet[static_cast<std::size_t>(v)];
-      if (d > best) {
-        best = d;
-        next = v;
-      }
-    }
-    if (next < 0 || best == 0.0) break;  // n distinct nodes exhausted
-  }
 }
 
 PairCentricOracle::Row& PairCentricOracle::insertRowLocked(
@@ -209,17 +166,17 @@ void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
   if (budget_ == 0) return;
   std::uint64_t evicted = 0;
   while (rowCacheBytes_ > budget_) {
-    // LRU victim among evictable rows (not pinned, not the row the caller
-    // just inserted/returned). Linear scan: under a budget the map holds
+    // LRU victim among the rows other than the one the caller just
+    // inserted/returned. Linear scan: under a budget the map holds
     // O(budget / rowBytes) entries, so this stays small by construction.
     auto victim = rows_.end();
     for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-      if (it->second.pinned || it->first == protect) continue;
+      if (it->first == protect) continue;
       if (victim == rows_.end() || it->second.touch < victim->second.touch) {
         victim = it;
       }
     }
-    if (victim == rows_.end()) break;  // only pinned/protected rows left
+    if (victim == rows_.end()) break;  // only the protected row left
     rowCacheBytes_ -= oracleRowBytes(victim->second.data->size());
     // Spans handed out under a lease may point into this row: it stays
     // parked (still counted resident) until the last lease is released.
@@ -279,7 +236,7 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
   // Always the row of the smaller endpoint: the row of the larger one can
   // differ in the last ulp, so serving it would make the bits depend on
   // which rows happen to be cached. An entry beyond the row's radius is
-  // not the distance, so it takes the exact ALT path too.
+  // not the distance, so it is searched for too.
   const NodeId s = std::min(x, y);
   const NodeId t = std::max(x, y);
   {
@@ -290,11 +247,17 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
       if (d <= it->second.radius) return d;
     }
   }
+  altQueries_.fetch_add(1, std::memory_order_relaxed);
+  if (auto* ctx = obs::currentRequest()) {
+    ctx->oracle().altQueries.fetch_add(1, std::memory_order_relaxed);
+  }
   if (msc::obs::enabled()) {
     static auto& cAlt = msc::obs::counter("oracle.alt_queries");
     cAlt.add(1);
   }
-  return altPointQuery(s, t);
+  // The row's own Dijkstra loop, stopped when t settles: bit-identical to
+  // the full row's entry.
+  return dijkstraDistance(*graph_, s, t);
 }
 
 std::span<const double> PairCentricOracle::distancesWithin(
@@ -339,94 +302,17 @@ void PairCentricOracle::prefetchRowsWithin(std::span<const NodeId> sources,
   std::sort(need.begin(), need.end());
   need.erase(std::unique(need.begin(), need.end()), need.end());
   if (need.empty()) return;
+  // A bulk build is a distance build (§14) — on every solve path the
+  // instance's pair-node prefetch: the request's APSP phase, with one APSP
+  // histogram sample per build. A prefetch of cached rows records nothing.
+  static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
+  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
   auto built = buildRows(need, radius, threads);
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < need.size(); ++i) {
     insertRowLocked(need[i], std::move(built[i]), radius);
   }
   enforceBudgetLocked(need.back());
-}
-
-double PairCentricOracle::altPointQuery(NodeId s, NodeId t) const {
-  altQueries_.fetch_add(1, std::memory_order_relaxed);
-  auto* ctx = obs::currentRequest();
-  if (ctx) {
-    ctx->oracle().altQueries.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::size_t settledCount = 0;
-  double bound = 0.0;
-  const double result = altSearch(s, t, settledCount, bound);
-  const int n = graph_->nodeCount();
-  const double ratio =
-      n > 0 ? static_cast<double>(settledCount) / static_cast<double>(n) : 0.0;
-  {
-    static auto& hSettled = msc::obs::histogram("oracle.alt_settled_ratio");
-    hSettled.record(ratio);
-  }
-  if (ctx) ctx->oracle().recordAltSettledRatio(ratio);
-  // Heuristic tightness h(s,t)/d(s,t): 1.0 means the landmark bound was
-  // exact, near 0 means the landmarks said nothing about this pair.
-  if (result > 0.0 && result < kInfDist && bound < kInfDist) {
-    static auto& hTight = msc::obs::histogram("oracle.alt_tightness");
-    hTight.record(bound / result);
-  }
-  return result;
-}
-
-double PairCentricOracle::altSearch(NodeId s, NodeId t,
-                                    std::size_t& settledOut,
-                                    double& boundOut) const {
-  const Graph& g = *graph_;
-  const auto n = static_cast<std::size_t>(g.nodeCount());
-  // ALT lower bound on d(v, t): the landmark triangle inequality gives
-  // |d(l, v) - d(l, t)| <= d(v, t). When exactly one of the two is
-  // infinite, v and t sit in different components, so d(v, t) itself is
-  // infinite and the node can be pruned outright.
-  const auto lowerBound = [&](NodeId v) -> double {
-    double best = 0.0;
-    for (const auto& row : landmarkRows_) {
-      const double dv = (*row)[static_cast<std::size_t>(v)];
-      const double dt = (*row)[static_cast<std::size_t>(t)];
-      if (dv == kInfDist || dt == kInfDist) {
-        if (dv != dt) return kInfDist;
-        continue;  // landmark sees neither endpoint: no information
-      }
-      best = std::max(best, std::abs(dv - dt));
-    }
-    return best;
-  };
-  boundOut = lowerBound(s);
-  if (boundOut == kInfDist) return kInfDist;
-
-  // A* with a consistent potential settles nodes in (g + h) order but
-  // computes the same final g values as plain Dijkstra (every improving
-  // predecessor still settles first), so the result is bit-identical to
-  // the corresponding distancesFrom(s) entry.
-  std::vector<double> dist(n, kInfDist);
-  std::vector<std::uint8_t> settled(n, 0);
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  dist[static_cast<std::size_t>(s)] = 0.0;
-  heap.push({boundOut, s});
-  while (!heap.empty()) {
-    const auto [f, u] = heap.top();
-    heap.pop();
-    if (settled[static_cast<std::size_t>(u)]) continue;
-    settled[static_cast<std::size_t>(u)] = 1;
-    ++settledOut;
-    if (u == t) return dist[static_cast<std::size_t>(u)];
-    const double du = dist[static_cast<std::size_t>(u)];
-    for (const Arc& arc : g.neighbors(u)) {
-      const double nd = du + arc.length;
-      if (nd < dist[static_cast<std::size_t>(arc.to)]) {
-        dist[static_cast<std::size_t>(arc.to)] = nd;
-        const double h = lowerBound(arc.to);
-        if (h == kInfDist) continue;  // cannot reach t; prune
-        heap.push({nd + h, arc.to});
-      }
-    }
-  }
-  return kInfDist;
 }
 
 const DistanceMatrix& PairCentricOracle::materialize() const {
@@ -477,15 +363,14 @@ OracleStats PairCentricOracle::stats() const {
 // -------------------------------------------------------------- factory ----
 
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
-    std::shared_ptr<const Graph> graph, DistanceMode /*mode*/, int landmarks,
-    int threads, std::size_t rowBudgetBytes) {
+    std::shared_ptr<const Graph> graph, DistanceMode /*mode*/,
+    int /*landmarks*/, int threads, std::size_t rowBudgetBytes) {
   if (!graph) {
     throw std::invalid_argument("makeDistanceOracle: null graph");
   }
   return std::make_shared<const PairCentricOracle>(
       std::move(graph),
-      PairCentricOracle::Config{.landmarks = landmarks,
-                                .threads = threads,
+      PairCentricOracle::Config{.threads = threads,
                                 .rowBudgetBytes = rowBudgetBytes});
 }
 

@@ -5,8 +5,7 @@
 // the m social-pair endpoints (and the endpoints of placed shortcuts) to
 // the rest of the graph. So the distance layer is one row cache,
 // PairCentricOracle: it stores one Dijkstra row per requested source,
-// computed on demand, plus ALT landmark rows for point-to-point queries
-// that do not deserve a full row.
+// computed on demand. Constructing one builds no rows.
 //
 // Row radii (docs/ALGORITHMS.md §15). Every row carries the radius it was
 // built to: a row of radius r comes from a Dijkstra bounded at r, so every
@@ -24,20 +23,22 @@
 // There is one source of bits: a row entry within the row's radius is
 // always the raw Dijkstra result from its source, and distance(x, y) is
 // always the entry of row min(x, y) — read from the cache when that row is
-// resident and the entry lies within its radius, recomputed bit-identically
-// by ALT otherwise. No value depends on what happens to be cached.
+// resident and the entry lies within its radius, recomputed otherwise by
+// dijkstraDistance (graph/dijkstra.h), the same Dijkstra loop with a
+// target exit, which caches nothing. No value depends on what happens to
+// be cached.
 //
 // Telemetry (docs/ALGORITHMS.md §16): the oracle self-measures its query
-// mix — point vs row queries, lazy-row builds vs hits, ALT queries,
-// evictions — through relaxed atomics that are always on. stats()
-// snapshots them. None of it changes what the solvers compute:
-// instrumentation never touches the distance values.
+// mix — point vs row queries, lazy-row builds vs hits, point queries
+// answered by a search, evictions — through relaxed atomics that are
+// always on. stats() snapshots them. None of it changes what the solvers
+// compute: instrumentation never touches the distance values.
 //
 // Row eviction (MSC_ORACLE_ROWS_MB): the oracle can run under a row cache
-// budget. When set, lazily cached rows are evicted least-recently-
-// touched-first; landmark rows are pinned and the row just inserted is
-// never the victim. Re-materializing an evicted row re-runs the identical
-// deterministic Dijkstra, so values are bit-identical across evictions.
+// budget. When set, cached rows are evicted least-recently-touched-first;
+// the row just inserted is never the victim. Re-materializing an evicted
+// row re-runs the identical deterministic Dijkstra, so values are
+// bit-identical across evictions.
 // Span safety under eviction is lease-based: acquireRowLease() returns a
 // token; while any token is alive, evicted rows are parked (still counted
 // in residentBytes) instead of freed, so previously returned spans stay
@@ -104,10 +105,10 @@ struct OracleStats {
   std::uint64_t rowQueries = 0;      ///< distancesFrom(v) calls
   std::uint64_t rowBuilds = 0;       ///< lazy Dijkstra row materializations
   std::uint64_t rowHits = 0;         ///< distancesFrom served from cache
-  std::uint64_t altQueries = 0;      ///< ALT A* point queries
+  std::uint64_t altQueries = 0;      ///< point queries answered by a search
   std::uint64_t rowsEvicted = 0;     ///< rows dropped under the budget
   std::uint64_t rowBuildNs = 0;      ///< wall ns spent building lazy rows
-  std::size_t rowsResident = 0;      ///< cached rows (landmarks incl.)
+  std::size_t rowsResident = 0;      ///< cached rows
   std::size_t residentBytes = 0;     ///< same value as residentBytes()
 };
 
@@ -160,9 +161,9 @@ class DistanceOracle {
   /// for tools and tests, never on the solve path.
   virtual const DistanceMatrix& materialize() const = 0;
 
-  /// Estimated bytes this oracle keeps resident (rows, landmark rows, a
-  /// materialized matrix, lease-parked evicted rows). Grows as lazy rows
-  /// are cached; shrinks again when budgeted rows are evicted and freed.
+  /// Estimated bytes this oracle keeps resident (rows, a materialized
+  /// matrix, lease-parked evicted rows). Grows as lazy rows are cached;
+  /// shrinks again when budgeted rows are evicted and freed.
   virtual std::size_t residentBytes() const noexcept = 0;
 
   /// Residency mode: "pair_centric" (rows on demand) for every oracle
@@ -182,28 +183,22 @@ class DistanceOracle {
   void checkNode(NodeId v) const;
 };
 
-/// The row cache: one cached Dijkstra row per requested source, plus ALT
-/// (A*, landmarks, triangle-inequality) point-to-point queries for
-/// sources that never earn a full row. Resident memory is
-/// O((|cached rows| + landmarks) * n) — bounded when Config::rowBudgetBytes
-/// caps the row cache (see the file comment).
+/// The row cache: one cached Dijkstra row per requested source; a point
+/// query whose row is not cached runs an early-exit Dijkstra instead.
+/// Resident memory is O(|cached rows| * n) — bounded when
+/// Config::rowBudgetBytes caps the row cache (see the file comment).
 class PairCentricOracle final : public DistanceOracle {
  public:
   struct Config {
-    /// Landmark count for ALT lower bounds. Clamped to [0, n]; 0 degrades
-    /// point queries to plain Dijkstra with early exit.
-    int landmarks = 8;
     /// Worker threads for materialize().
     int threads = 1;
-    /// Row-cache byte budget; 0 = unbounded. Landmark rows are pinned and
-    /// count against the budget but are never evicted.
+    /// Row-cache byte budget; 0 = unbounded.
     std::size_t rowBudgetBytes = 0;
   };
 
-  /// Keeps the graph alive; landmark rows are computed eagerly (that many
-  /// Dijkstra runs) so later point queries never race the selection. This
-  /// landmark sweep is the oracle's whole cold build: the `apsp.run` span,
-  /// one `apsp.build_seconds` sample and the request's APSP phase.
+  /// Keeps the graph alive; builds no rows. A bulk prefetch that builds
+  /// rows is a distance build (docs/ALGORITHMS.md §14): the `apsp.run`
+  /// span, one `apsp.build_seconds` sample and the request's APSP phase.
   PairCentricOracle(std::shared_ptr<const Graph> graph, Config config);
   explicit PairCentricOracle(std::shared_ptr<const Graph> graph);
 
@@ -230,11 +225,7 @@ class PairCentricOracle final : public DistanceOracle {
   OracleStats stats() const override;
   std::shared_ptr<void> acquireRowLease() const override;
 
-  /// Landmark nodes actually chosen (deterministic farthest-point sweep
-  /// from node 0; may be shorter than Config::landmarks on tiny graphs).
-  std::span<const NodeId> landmarks() const noexcept { return landmarkIds_; }
-
-  /// Number of rows currently cached (landmarks included).
+  /// Number of rows currently cached.
   std::size_t cachedRowCount() const;
 
   /// Configured row-cache budget (0 = unbounded).
@@ -245,15 +236,8 @@ class PairCentricOracle final : public DistanceOracle {
     std::shared_ptr<const std::vector<double>> data;
     double radius = kInfDist;    // exact within this radius (see file top)
     std::uint64_t touch = 0;     // logical LRU clock (higher = hotter)
-    bool pinned = false;         // landmark rows are never evicted
   };
 
-  /// A* from s to t with the max-landmark lower bound as potential; exact,
-  /// bit-identical to the corresponding full-row entry. No caching.
-  double altPointQuery(NodeId s, NodeId t) const;
-  double altSearch(NodeId s, NodeId t, std::size_t& settledOut,
-                   double& boundOut) const;
-  void selectLandmarks(int count);
   /// Builds the rows of `sources` at `radius`, `threads` at a time (one
   /// row runs inline), and records them: counters, the row-build
   /// histogram and the bound request's usage. Lock-free; call outside mu_.
@@ -269,18 +253,14 @@ class PairCentricOracle final : public DistanceOracle {
   /// may still be live: under a lease, or always on an unbounded oracle,
   /// whose spans live as long as the oracle. Caller holds mu_.
   void retireLocked(std::shared_ptr<const std::vector<double>>&& data) const;
-  /// Evicts LRU rows until the cache fits the budget; never evicts pinned
-  /// rows or `protect`. Caller holds mu_.
+  /// Evicts LRU rows until the cache fits the budget; never evicts
+  /// `protect`. Caller holds mu_.
   void enforceBudgetLocked(NodeId protect) const;
   void releaseRowLease() const;
 
   std::shared_ptr<const Graph> graph_;
   int threads_;
   std::size_t budget_ = 0;
-  std::vector<NodeId> landmarkIds_;
-  // Shared refs to the landmark rows give the point-query hot loop
-  // lock-free access (the rows are immutable and pinned in the cache).
-  std::vector<std::shared_ptr<const std::vector<double>>> landmarkRows_;
 
   mutable std::mutex mu_;
   mutable std::map<NodeId, Row> rows_;
@@ -305,11 +285,11 @@ class PairCentricOracle final : public DistanceOracle {
   mutable std::atomic<std::uint64_t> rowBuildNs_{0};
 };
 
-/// Oracle factory: a lazy PairCentricOracle with `landmarks` ALT
-/// landmarks, `threads` materialize workers and `rowBudgetBytes` capping
-/// its row cache (0 = unbounded; defaults to the MSC_ORACLE_ROWS_MB
-/// environment knob), whatever `mode` says — rows are always built on
-/// demand; `mode` is accepted for source compatibility.
+/// Oracle factory: a lazy PairCentricOracle with `threads` materialize
+/// workers and `rowBudgetBytes` capping its row cache (0 = unbounded;
+/// defaults to the MSC_ORACLE_ROWS_MB environment knob). `mode` and
+/// `landmarks` are ignored and accepted for source compatibility: rows are
+/// always built on demand, and point queries need no landmarks.
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
     std::shared_ptr<const Graph> graph, DistanceMode mode, int landmarks,
     int threads, std::size_t rowBudgetBytes = defaultOracleRowBudgetBytes());

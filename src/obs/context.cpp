@@ -64,51 +64,13 @@ std::string sanitizeId(const std::string& id, std::uint64_t fallbackSeq) {
 
 }  // namespace
 
-void RequestContext::OracleUsage::recordAltSettledRatio(double ratio) noexcept {
-  if (ratio < 0.0) ratio = 0.0;
-  if (ratio > 1.0) ratio = 1.0;
-  int bucket = static_cast<int>(ratio * kAltBuckets);
-  if (bucket >= kAltBuckets) bucket = kAltBuckets - 1;
-  altSettled[bucket].fetch_add(1, std::memory_order_relaxed);
-  altSettledCount.fetch_add(1, std::memory_order_relaxed);
-  const auto ppm = static_cast<std::uint64_t>(ratio * 1e6);
-  std::uint64_t seen = altSettledMaxPpm.load(std::memory_order_relaxed);
-  while (seen < ppm && !altSettledMaxPpm.compare_exchange_weak(
-                           seen, ppm, std::memory_order_relaxed)) {
-  }
-}
-
-double RequestContext::OracleUsage::altSettledQuantile(double q) const noexcept {
-  const std::uint64_t total =
-      altSettledCount.load(std::memory_order_relaxed);
-  if (total == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (int i = 0; i < kAltBuckets; ++i) {
-    cum += static_cast<double>(altSettled[i].load(std::memory_order_relaxed));
-    if (cum >= rank) {
-      return static_cast<double>(i + 1) / kAltBuckets;
-    }
-  }
-  return 1.0;
-}
-
-double RequestContext::OracleUsage::altSettledMax() const noexcept {
-  return static_cast<double>(
-             altSettledMaxPpm.load(std::memory_order_relaxed)) *
-         1e-6;
-}
-
 bool RequestContext::OracleUsage::any() const noexcept {
   return pointQueries.load(std::memory_order_relaxed) != 0 ||
          rowQueries.load(std::memory_order_relaxed) != 0 ||
          rowBuilds.load(std::memory_order_relaxed) != 0 ||
          altQueries.load(std::memory_order_relaxed) != 0 ||
          rowsEvolved.load(std::memory_order_relaxed) != 0 ||
-         rowsReplayed.load(std::memory_order_relaxed) != 0 ||
-         altSettledCount.load(std::memory_order_relaxed) != 0;
+         rowsReplayed.load(std::memory_order_relaxed) != 0;
 }
 
 const char* phaseName(Phase phase) {

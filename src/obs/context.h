@@ -61,7 +61,7 @@ class ProgressReporter;
 /// remainder).
 enum class Phase : int {
   QueueWait = 0,  // admission-queue time before execution started
-  Apsp,           // distance build: all-pairs rows or the landmark sweep
+  Apsp,           // distance build: all-pairs rows or a bulk row prefetch
   RoundScan,      // greedy/AEA candidate gain scans
   Other,          // execution time not covered by a finer phase
 };
@@ -79,31 +79,18 @@ class RequestContext {
   /// Distance-oracle work attributed to this request (the serve layer
   /// renders it as the response's `usage.oracle` block). The oracle layer
   /// charges the bound context on every query; all fields are additive
-  /// relaxed atomics. The ALT settled-ratio keeps a tiny fixed linear
-  /// histogram over [0, 1] so per-request quantiles cost 16 words, not an
-  /// allocation per query.
+  /// relaxed atomics.
   struct OracleUsage {
-    static constexpr int kAltBuckets = 16;
-
     std::atomic<std::uint64_t> pointQueries{0};
     std::atomic<std::uint64_t> rowQueries{0};
     std::atomic<std::uint64_t> rowBuilds{0};
     std::atomic<std::uint64_t> rowHits{0};
     std::atomic<std::uint64_t> rowsEvicted{0};
-    std::atomic<std::uint64_t> altQueries{0};
+    std::atomic<std::uint64_t> altQueries{0};    // point-query searches
     std::atomic<std::uint64_t> rowsEvolved{0};   // ShortcutRowStore updates
     std::atomic<std::uint64_t> rowsReplayed{0};  // late-terminal replays
     std::atomic<std::int64_t> rowBuildNs{0};
-    std::atomic<std::uint32_t> altSettled[kAltBuckets] = {};
-    std::atomic<std::uint64_t> altSettledCount{0};
-    std::atomic<std::uint64_t> altSettledMaxPpm{0};  // max ratio, parts/1e6
 
-    /// Records one A* settled-nodes/n sample (clamped to [0, 1]).
-    void recordAltSettledRatio(double ratio) noexcept;
-    /// Quantile of the recorded settled ratios from the bucket histogram
-    /// (upper bucket bounds, so a conservative estimate); 0 when empty.
-    double altSettledQuantile(double q) const noexcept;
-    double altSettledMax() const noexcept;
     /// True when any oracle work was charged (gates the usage block).
     bool any() const noexcept;
   };

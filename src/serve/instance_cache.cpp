@@ -185,12 +185,11 @@ bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
     return true;
   }
   ++counters_.apspComputes;
-  // The build charges the request's APSP phase itself (§14): the
-  // landmark sweep opens the apsp.run span.
+  // An empty row cache: the request's APSP phase (§14) is the pair-node
+  // row prefetch of the instance built on it.
   entry.oracle = std::make_shared<const msc::graph::PairCentricOracle>(
       entry.graph,
       msc::graph::PairCentricOracle::Config{
-          .landmarks = 8,
           .threads = threads,
           .rowBudgetBytes = oracleRowBudgetBytes_});
   refreshOracleBytes(entry);

@@ -10,11 +10,10 @@
 // compute client-side or share between clients.
 //
 // Memory is bounded: every entry is charged an estimated byte size (graph
-// adjacency + edge list, the distance oracle once memoized — its landmark
-// rows and the rows solves have cached since — the candidate list, the
-// pair list) against a budget (MSC_SERVE_CACHE_MB via
-// the server config), and least-recently-used entries are evicted when the
-// total exceeds it. Eviction invalidates the key — a later request using it
+// adjacency + edge list, the distance oracle once memoized — the rows
+// solves have cached in it — the candidate list, the pair list) against a
+// budget (MSC_SERVE_CACHE_MB via the server config), and least-recently-
+// used entries are evicted when the total exceeds it. Eviction invalidates the key — a later request using it
 // gets a structured "unknown key" error and must re-load — but never
 // invalidates in-flight requests: entries are handed out as shared_ptr, so
 // an evicted graph lives until its last request completes.
@@ -134,7 +133,7 @@ class InstanceCache {
   void touch(std::list<std::string>::iterator pos);
   GraphEntry* findGraphEntry(const std::string& key, bool countStats);
   PairsEntry* findPairsEntry(const std::string& key, bool countStats);
-  /// Memoizes the distance oracle for an entry (its landmark sweep runs
+  /// Memoizes the distance oracle for an entry (an empty row cache, built
   /// under the lock). Returns true when the oracle was already present.
   bool ensureOracle(GraphEntry& entry, int threads);
   /// Re-reads oracle->residentBytes() and folds the delta into the byte

@@ -69,7 +69,8 @@ constexpr OracleCounter kOracleCounters[] = {
      "row queries served from cache"},
     {"rows_evicted", &Usage::rowsEvicted, "serve.oracle.row_evictions", "",
      "rows evicted under MSC_ORACLE_ROWS_MB"},
-    {"alt_queries", &Usage::altQueries, "serve.oracle.alt_queries", "", ""},
+    {"alt_queries", &Usage::altQueries, "serve.oracle.alt_queries", "",
+     "point queries answered by a search"},
     {"rows_evolved", &Usage::rowsEvolved, nullptr, nullptr, nullptr},
     {"rows_replayed", &Usage::rowsReplayed, nullptr, nullptr, nullptr},
 };
@@ -437,14 +438,6 @@ class Engine::Lifecycle {
       oracleUsage["row_build_seconds"] =
           static_cast<double>(ou.rowBuildNs.load(std::memory_order_relaxed)) *
           1e-9;
-      if (ou.altSettledCount.load(std::memory_order_relaxed) > 0) {
-        json::Object alt;
-        alt["count"] = ou.altSettledCount.load(std::memory_order_relaxed);
-        alt["p50"] = ou.altSettledQuantile(0.5);
-        alt["p90"] = ou.altSettledQuantile(0.9);
-        alt["max"] = ou.altSettledMax();
-        oracleUsage["alt_settled_ratio"] = std::move(alt);
-      }
       usage["oracle"] = std::move(oracleUsage);
     }
     if (!traceFile_.empty()) usage["trace_file"] = traceFile_;

@@ -374,9 +374,8 @@ grep -q '"oracle":{' "$WORK/oracle_out.jsonl" \
   || { echo "FAIL: pair-centric solve reports no usage.oracle"; exit 1; }
 grep -q '"row_builds":[1-9]' "$WORK/oracle_out.jsonl" \
   || { echo "FAIL: usage.oracle reports no row builds"; exit 1; }
-# The row-based solve path never fires an ALT point query, so only the
-# always-present counter is asserted here (the alt_settled_ratio block is
-# conditional on ALT traffic; test_oracle_telemetry covers its quantiles).
+# The row-based solve path never runs a point-query search, so only the
+# always-present counter is asserted here.
 grep -q '"alt_queries":' "$WORK/oracle_out.jsonl" \
   || { echo "FAIL: usage.oracle lacks the ALT query counter"; exit 1; }
 grep -q 'msc_serve_oracle_rows [1-9]' "$WORK/oracle_out.jsonl" \

@@ -153,15 +153,14 @@ inline double medianThreshold(const msc::graph::DistanceOracle& oracle,
   return finite[finite.size() / 2];
 }
 
-/// Full-row reference oracle: an unbounded oracle without landmarks whose
-/// every full row materialize() has built and cached, so rows and point
-/// queries read resident full rows.
+/// Full-row reference oracle: an unbounded oracle whose every full row
+/// materialize() has built and cached, so rows and point queries read
+/// resident full rows.
 inline std::shared_ptr<const msc::graph::PairCentricOracle> allRowsOracle(
     std::shared_ptr<const msc::graph::Graph> graph, int threads = 1) {
   auto oracle = std::make_shared<const msc::graph::PairCentricOracle>(
       std::move(graph),
-      msc::graph::PairCentricOracle::Config{.landmarks = 0,
-                                            .threads = threads});
+      msc::graph::PairCentricOracle::Config{.threads = threads});
   (void)oracle->materialize();
   return oracle;
 }

@@ -19,9 +19,8 @@ TEST(Aea, PlacementAlwaysExactlyK) {
   const auto cands = CandidateSet::allPairs(20);
   AeaConfig cfg;
   cfg.iterations = 60;
-  cfg.seed = 2;
   for (const int k : {1, 3, 5}) {
-    const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = cfg.seed}, cfg);
+    const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = 2}, cfg);
     EXPECT_EQ(result.placement.size(), static_cast<std::size_t>(k));
     // No duplicate shortcuts inside the placement.
     auto canon = msc::core::sorted(result.placement);
@@ -35,9 +34,8 @@ TEST(Aea, Deterministic) {
   const auto cands = CandidateSet::allPairs(18);
   AeaConfig cfg;
   cfg.iterations = 50;
-  cfg.seed = 17;
-  const auto a = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
-  const auto b = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto a = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 17}, cfg);
+  const auto b = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 17}, cfg);
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_DOUBLE_EQ(a.value, b.value);
 }
@@ -48,8 +46,7 @@ TEST(Aea, BestByIterationNondecreasing) {
   const auto cands = CandidateSet::allPairs(20);
   AeaConfig cfg;
   cfg.iterations = 80;
-  cfg.seed = 5;
-  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 4, .seed = cfg.seed}, cfg);
+  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 4, .seed = 5}, cfg);
   ASSERT_EQ(result.bestByIteration.size(), 80u);
   for (std::size_t i = 1; i < result.bestByIteration.size(); ++i) {
     EXPECT_GE(result.bestByIteration[i], result.bestByIteration[i - 1]);
@@ -63,8 +60,7 @@ TEST(Aea, ReportedValueMatchesPlacement) {
   const auto cands = CandidateSet::allPairs(16);
   AeaConfig cfg;
   cfg.iterations = 40;
-  cfg.seed = 9;
-  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 9}, cfg);
   EXPECT_DOUBLE_EQ(sigma.value(result.placement), result.value);
 }
 
@@ -75,8 +71,7 @@ TEST(Aea, GreedySwapsFindTinyOptimum) {
   const auto cands = CandidateSet::allPairs(3);
   AeaConfig cfg;
   cfg.iterations = 50;
-  cfg.seed = 1;
-  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg);
+  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = 1}, cfg);
   EXPECT_DOUBLE_EQ(result.value, 3.0);
 }
 
@@ -86,7 +81,7 @@ TEST(Aea, ZeroBudget) {
   const auto cands = CandidateSet::allPairs(10);
   AeaConfig cfg;
   cfg.iterations = 20;
-  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 0, .seed = cfg.seed}, cfg);
+  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 0}, cfg);
   EXPECT_TRUE(result.placement.empty());
 }
 
@@ -96,17 +91,17 @@ TEST(Aea, Validation) {
   const auto cands = CandidateSet::allPairs(10);
   AeaConfig cfg;
   cfg.populationSize = 0;
-  EXPECT_THROW(adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg),
+  EXPECT_THROW(adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2}, cfg),
                std::invalid_argument);
   cfg.populationSize = 5;
   cfg.delta = 1.5;
-  EXPECT_THROW(adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg),
+  EXPECT_THROW(adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 2}, cfg),
                std::invalid_argument);
   cfg.delta = 0.05;
   EXPECT_THROW(
       adaptiveEvolutionaryAlgorithm(
           sigma, cands,
-          {.k = static_cast<int>(cands.size()) + 1, .seed = cfg.seed}, cfg),
+          {.k = static_cast<int>(cands.size()) + 1}, cfg),
       std::invalid_argument);
 }
 
@@ -117,8 +112,7 @@ TEST(Aea, PureRandomModeStillFeasible) {
   AeaConfig cfg;
   cfg.iterations = 60;
   cfg.delta = 1.0;  // always random swaps
-  cfg.seed = 13;
-  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto result = adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 13}, cfg);
   EXPECT_EQ(result.placement.size(), 3u);
 }
 

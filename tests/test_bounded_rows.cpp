@@ -229,9 +229,10 @@ void expectSolversAgree(const Instance& bounded, const Instance& full,
     SCOPED_TRACE("random");
     const SigmaEvaluator a(bounded);
     const SigmaEvaluator b(full);
-    const msc::core::RandomBaselineConfig config{.repeats = 40, .seed = 3};
-    expectSame(msc::core::randomBaseline(a, cands, options.k, config),
-               msc::core::randomBaseline(b, cands, options.k, config));
+    const msc::core::RandomBaselineConfig config{.repeats = 40};
+    const SolveOptions seeded{.k = options.k, .seed = 3};
+    expectSame(msc::core::randomBaseline(a, cands, seeded, config),
+               msc::core::randomBaseline(b, cands, seeded, config));
   }
   {
     SCOPED_TRACE("budgeted");
@@ -254,7 +255,6 @@ TEST_P(BoundedRowsGrid, SolversMatchFullRows) {
     const auto graph = std::make_shared<const Graph>(gc.graph);
     const int n = graph->nodeCount();
     const PairCentricOracle::Config config{
-        .landmarks = 4,
         .threads = threads,
         .rowBudgetBytes = budgetKind == Budget::Evicting
                               ? 3 * msc::graph::oracleRowBytes(

@@ -5,15 +5,17 @@
 // bit-identical distancesFrom rows and point queries across the three, at
 // 1 and 4 threads, and that sigma/mu/nu and greedy on d_t-bounded rows
 // agree exactly with full rows at any threshold. Plus the corner cases:
-// disconnected pairs (kInfDist), degenerate landmark counts, ALT
-// point-query vs row bit-identity, point queries independent of cache
-// state, row radii (bounded rows exact within their radius, point queries
-// beyond it, widening rebuilds, mixed radii across threads), and
-// ShortcutRowStore vs the full-matrix relaxation.
+// disconnected pairs (kInfDist), a fresh oracle holding no rows, point
+// queries bit-identical to a Dijkstra row whether or not their row is
+// cached (and independent of cache state), row radii (bounded rows exact
+// within their radius, point queries beyond it, widening rebuilds, mixed
+// radii across threads), and ShortcutRowStore vs the full-matrix
+// relaxation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -28,6 +30,7 @@
 #include "core/instance.h"
 #include "core/sigma.h"
 #include "graph/apsp.h"
+#include "graph/dijkstra.h"
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "helpers.h"
@@ -54,6 +57,15 @@ using msc::test::generatorSweep;
 using msc::test::medianThreshold;
 using msc::test::samplePairs;
 
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+// The entry every point query must reproduce bit for bit: the full
+// Dijkstra row of min(x, y), read at max(x, y).
+double rowEntry(const Graph& g, NodeId x, NodeId y) {
+  return msc::graph::dijkstra(g, std::min(x, y))
+      .dist[static_cast<std::size_t>(std::max(x, y))];
+}
+
 class OracleBackendEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
@@ -70,11 +82,11 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
         shared, DistanceMode::Dense, 8, threads);
     ASSERT_STREQ(eager->mode(), "pair_centric");
     (void)eager->materialize();
-    const PairCentricOracle lazy(shared, PairCentricOracle::Config{4, 1});
+    const PairCentricOracle lazy(shared);
     const PairCentricOracle budgeted(
-        shared,
-        PairCentricOracle::Config{
-            4, 1, 3 * msc::graph::oracleRowBytes(static_cast<std::size_t>(n))});
+        shared, PairCentricOracle::Config{
+                    .rowBudgetBytes = 3 * msc::graph::oracleRowBytes(
+                                              static_cast<std::size_t>(n))});
     for (NodeId v = 0; v < n; ++v) {
       const auto want = eager->distancesFrom(v);
       const auto got = lazy.distancesFrom(v);
@@ -151,64 +163,59 @@ TEST(OracleDisconnected, InfDistAgreesAndShortcutBridges) {
   }
 }
 
-TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
-  const auto g = msc::test::randomGraph(30, 0.12, 21);
-  const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = msc::test::allRowsOracle(shared);
-
-  for (const int landmarks : {0, g.nodeCount(), g.nodeCount() + 5}) {
-    SCOPED_TRACE(landmarks);
-    PairCentricOracle oracle(shared,
-                             PairCentricOracle::Config{landmarks, 1});
-    EXPECT_LE(static_cast<int>(oracle.landmarks().size()), g.nodeCount());
-    for (NodeId s = 0; s < g.nodeCount(); s += 5) {
-      for (NodeId t = 0; t < g.nodeCount(); t += 3) {
-        EXPECT_EQ(oracle.distance(s, t), eager->distance(s, t))
-            << "s=" << s << " t=" << t;
-      }
-    }
-  }
+// Construction builds no rows: the first rows an oracle holds are the
+// ones its callers ask for.
+TEST(OracleConstruction, FreshOracleHoldsNoRows) {
+  const auto shared =
+      std::make_shared<const Graph>(msc::test::randomGraph(40, 0.1, 33));
+  const PairCentricOracle oracle(shared);
+  EXPECT_EQ(oracle.cachedRowCount(), 0u);
+  EXPECT_EQ(oracle.stats().rowBuilds, 0u);
+  EXPECT_EQ(oracle.residentBytes(), 0u);
 }
 
+// The suite keeps its name from the altQueries counter: point queries
+// answered by a search rather than by a cached row.
 TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
   const auto g = msc::test::randomGraph(40, 0.1, 33);
-  const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
-
-  // Pick query endpoints that are not landmarks, so neither row is cached
-  // and distance() must take the ALT A* path.
-  const auto lms = oracle.landmarks();
-  const auto isLandmark = [&](NodeId v) {
-    return std::find(lms.begin(), lms.end(), v) != lms.end();
-  };
-  int checked = 0;
-  for (NodeId s = 0; s < g.nodeCount() && checked < 12; ++s) {
-    if (isLandmark(s)) continue;
-    for (NodeId t = s + 1; t < g.nodeCount() && checked < 12; t += 7) {
-      if (isLandmark(t)) continue;
-      PairCentricOracle fresh(shared, PairCentricOracle::Config{4, 1});
-      const double point = fresh.distance(s, t);
-      // distance() normalizes to the row of min(s, t); the ALT result
-      // must be bit-identical to that row's entry.
-      const double rowEntry = fresh.distancesFrom(s)[static_cast<std::size_t>(t)];
-      EXPECT_EQ(point, rowEntry) << "s=" << s << " t=" << t;
-      ++checked;
+  const PairCentricOracle oracle(std::make_shared<const Graph>(g));
+  int searched = 0;
+  for (NodeId s = 0; s < g.nodeCount(); s += 3) {
+    for (NodeId t = 0; t < g.nodeCount(); t += 7) {
+      // Both orientations read the row of min(s, t), which is not cached.
+      EXPECT_EQ(bits(oracle.distance(s, t)), bits(rowEntry(g, s, t)))
+          << "s=" << s << " t=" << t;
+      if (s != t) ++searched;
     }
   }
-  EXPECT_GE(checked, 4);
+  EXPECT_EQ(oracle.stats().altQueries, static_cast<std::uint64_t>(searched));
+  EXPECT_EQ(oracle.stats().rowBuilds, 0u);  // a point query caches nothing
+  EXPECT_EQ(oracle.cachedRowCount(), 0u);
+}
+
+// Across components there is no path: the search exhausts s's component
+// and answers kInfDist, as the row does.
+TEST(OracleAltQuery, DisconnectedPairMatchesRowEntry) {
+  Graph g(8);
+  for (int v : {0, 1, 2}) g.addEdge(v, v + 1, 1.0);
+  for (int v : {4, 5, 6}) g.addEdge(v, v + 1, 1.0);
+  const PairCentricOracle oracle(std::make_shared<const Graph>(g));
+  EXPECT_EQ(oracle.distance(7, 0), kInfDist);
+  EXPECT_EQ(bits(oracle.distance(0, 7)), bits(rowEntry(g, 0, 7)));
+  EXPECT_EQ(bits(oracle.distance(2, 5)), bits(rowEntry(g, 2, 5)));
+  EXPECT_EQ(oracle.stats().rowBuilds, 0u);
 }
 
 // The point-query bits never depend on which rows happen to be cached: on
 // the path 0-1-2-3 (lengths 0.1, 0.2, 0.3) the row of 0 sums to
 // 0.6000000000000001 while the row of 3 sums to 0.6. With only row 3
-// cached, distance(0, 3) must still be row 0's entry (computed by ALT).
+// cached, distance(0, 3) must still be row 0's entry (found by a search).
 TEST(OracleAltQuery, PointQueryIgnoresCachedRowOfLargerEndpoint) {
   Graph g(4);
   g.addEdge(0, 1, 0.1);
   g.addEdge(1, 2, 0.2);
   g.addEdge(2, 3, 0.3);
-  const PairCentricOracle oracle(std::make_shared<const Graph>(g),
-                                 PairCentricOracle::Config{0, 1});
+  const PairCentricOracle oracle(std::make_shared<const Graph>(g));
   const std::vector<NodeId> onlyRow3 = {3};
   oracle.prefetchRows(onlyRow3, 1);
   ASSERT_EQ(oracle.distancesFrom(3)[0], 0.6);
@@ -218,44 +225,39 @@ TEST(OracleAltQuery, PointQueryIgnoresCachedRowOfLargerEndpoint) {
   EXPECT_EQ(point, 0.6000000000000001);
 }
 
-// A point query whose cached row of min(s, t) is bounded: an entry within
-// the row's radius is served from it, an entry beyond it is not the
-// distance, so ALT computes it — bit-identical to the full row's entry.
-TEST(OracleAltQuery, PointQueryBeyondBoundedRowRadiusFallsBackToAlt) {
+// A point query whose cached row of min(s, t) is bounded at d_t: an entry
+// within d_t is served from it, an entry beyond it is not the distance, so
+// a search finds it — bit-identical to the full row's entry, and without
+// building a row.
+TEST(OracleAltQuery, PointQueryBeyondBoundedRowRadiusIsSearched) {
   const auto g = msc::test::randomGraph(40, 0.1, 33);
-  const auto shared = std::make_shared<const Graph>(g);
-  const auto eager = msc::test::allRowsOracle(shared);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
-  // The lowest non-landmark node: its row is not cached up front, and it
-  // is min(s, t) for every t above it.
-  const auto lms = oracle.landmarks();
-  NodeId s = 0;
-  while (std::find(lms.begin(), lms.end(), s) != lms.end()) ++s;
-  const auto full = eager->distancesFrom(s);
+  const PairCentricOracle oracle(std::make_shared<const Graph>(g));
+  const NodeId s = 0;  // min(s, t) for every t above it
+  const auto full = msc::graph::dijkstra(g, s).dist;
   std::vector<double> finite;
   for (const double d : full) {
     if (d > 0.0 && d != kInfDist) finite.push_back(d);
   }
   ASSERT_GE(finite.size(), 4u);
   std::sort(finite.begin(), finite.end());
-  const double radius = finite[finite.size() / 2];
+  const double dt = finite[finite.size() / 2];
 
   const std::vector<NodeId> only = {s};
-  oracle.prefetchRowsWithin(only, radius, 1);
+  oracle.prefetchRowsWithin(only, dt, 1);
+  ASSERT_EQ(oracle.stats().rowBuilds, 1u);
   int inside = 0;
   int beyond = 0;
   for (NodeId t = s + 1; t < g.nodeCount(); ++t) {
-    const std::uint64_t altBefore = oracle.stats().altQueries;
+    const std::uint64_t searchesBefore = oracle.stats().altQueries;
     const double d = oracle.distance(s, t);
-    EXPECT_EQ(d, full[static_cast<std::size_t>(t)]) << "t=" << t;
-    const bool tookAlt = oracle.stats().altQueries > altBefore;
-    EXPECT_EQ(tookAlt, full[static_cast<std::size_t>(t)] > radius)
-        << "t=" << t;
-    ++(tookAlt ? beyond : inside);
+    EXPECT_EQ(bits(d), bits(full[static_cast<std::size_t>(t)])) << "t=" << t;
+    const bool searched = oracle.stats().altQueries > searchesBefore;
+    EXPECT_EQ(searched, full[static_cast<std::size_t>(t)] > dt) << "t=" << t;
+    ++(searched ? beyond : inside);
   }
   EXPECT_GT(inside, 0);
   EXPECT_GT(beyond, 0);
-  EXPECT_EQ(oracle.stats().rowBuilds, 1u);  // ALT never caches a row
+  EXPECT_EQ(oracle.stats().rowBuilds, 1u);  // searches never cache a row
 }
 
 // Every entry of a bounded row within its radius is the full row's entry
@@ -270,7 +272,7 @@ TEST(OracleRowRadius, BoundedRowsMatchFullRowsWithinTheirRadius) {
         medianThreshold(*eager, samplePairs(gc.graph, 8, 13));
     for (const double radius : {0.0, median, kInfDist}) {
       SCOPED_TRACE(radius);
-      const PairCentricOracle lazy(shared, PairCentricOracle::Config{0, 1});
+      const PairCentricOracle lazy(shared);
       for (NodeId v = 0; v < gc.graph.nodeCount(); ++v) {
         const auto want = eager->distancesFrom(v);
         const auto got = lazy.distancesWithin(v, radius);
@@ -297,7 +299,7 @@ TEST(OracleRowRadius, WideningRebuildKeepsEarlierSpansReadable) {
        {std::size_t{0}, 2 * msc::graph::oracleRowBytes(n)}) {
     SCOPED_TRACE(budget);
     const PairCentricOracle oracle(
-        shared, PairCentricOracle::Config{0, 1, budget});
+        shared, PairCentricOracle::Config{.rowBudgetBytes = budget});
     const auto lease = oracle.acquireRowLease();
     const NodeId v = 3;
     const auto narrow = oracle.distancesWithin(v, radius);
@@ -335,7 +337,8 @@ TEST(OracleRowRadius, ConcurrentMixedRadiiUnderBudget) {
   const auto n = static_cast<std::size_t>(g.nodeCount());
   const double median = medianThreshold(*eager, samplePairs(g, 8, 19));
   const PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{4, 1, 4 * msc::graph::oracleRowBytes(n)});
+      shared, PairCentricOracle::Config{
+                  .rowBudgetBytes = 4 * msc::graph::oracleRowBytes(n)});
   const auto lease = oracle.acquireRowLease();
   const std::vector<double> radii = {0.0, median / 2, median, kInfDist};
   std::atomic<int> mismatches{0};
@@ -376,7 +379,7 @@ TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
   }
   const auto shared = std::make_shared<const Graph>(g);
   const auto eager = msc::test::allRowsOracle(shared);
-  const PairCentricOracle lazy(shared, PairCentricOracle::Config{2, 1});
+  const PairCentricOracle lazy(shared);
   const auto& base = eager->materialize();
   ASSERT_EQ(base, msc::graph::allPairsDistances(g));
 

@@ -98,17 +98,15 @@ TEST(Dynamic, EvolutionaryAlgorithmsRunOnDynamicObjective) {
 
   msc::core::EaConfig eaCfg;
   eaCfg.iterations = 100;
-  eaCfg.seed = 3;
   const auto ea = msc::core::evolutionaryAlgorithm(
-      problem.sigmaFn(), cands, {.k = 3, .seed = eaCfg.seed}, eaCfg);
+      problem.sigmaFn(), cands, {.k = 3, .seed = 3}, eaCfg);
   EXPECT_LE(ea.placement.size(), 3u);
   EXPECT_DOUBLE_EQ(problem.sigmaFn().value(ea.placement), ea.value);
 
   msc::core::AeaConfig aeaCfg;
   aeaCfg.iterations = 30;
-  aeaCfg.seed = 3;
   const auto aea = msc::core::adaptiveEvolutionaryAlgorithm(
-      problem.sigma(), cands, {.k = 3, .seed = aeaCfg.seed}, aeaCfg);
+      problem.sigma(), cands, {.k = 3, .seed = 3}, aeaCfg);
   EXPECT_EQ(aea.placement.size(), 3u);
   EXPECT_DOUBLE_EQ(problem.sigmaFn().value(aea.placement), aea.value);
 }

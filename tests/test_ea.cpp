@@ -20,9 +20,8 @@ TEST(Ea, FeasibleAndDeterministic) {
   const auto cands = CandidateSet::allPairs(20);
   EaConfig cfg;
   cfg.iterations = 200;
-  cfg.seed = 42;
-  const auto a = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
-  const auto b = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto a = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 42}, cfg);
+  const auto b = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 42}, cfg);
   EXPECT_LE(a.placement.size(), 3u);
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_DOUBLE_EQ(a.value, b.value);
@@ -35,11 +34,9 @@ TEST(Ea, DifferentSeedsCanDiffer) {
   const auto cands = CandidateSet::allPairs(20);
   EaConfig cfgA;
   cfgA.iterations = 100;
-  cfgA.seed = 1;
   EaConfig cfgB = cfgA;
-  cfgB.seed = 999;
-  const auto a = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfgA.seed}, cfgA);
-  const auto b = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfgB.seed}, cfgB);
+  const auto a = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 1}, cfgA);
+  const auto b = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 999}, cfgB);
   // Values may coincide, but runs must at least be independent objects.
   EXPECT_LE(a.placement.size(), 3u);
   EXPECT_LE(b.placement.size(), 3u);
@@ -51,8 +48,7 @@ TEST(Ea, BestByIterationIsNondecreasing) {
   const auto cands = CandidateSet::allPairs(18);
   EaConfig cfg;
   cfg.iterations = 300;
-  cfg.seed = 7;
-  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 7}, cfg);
   for (std::size_t i = 1; i < result.bestByIteration.size(); ++i) {
     EXPECT_GE(result.bestByIteration[i], result.bestByIteration[i - 1]);
   }
@@ -65,8 +61,7 @@ TEST(Ea, ReportedValueMatchesPlacement) {
   const auto cands = CandidateSet::allPairs(16);
   EaConfig cfg;
   cfg.iterations = 150;
-  cfg.seed = 11;
-  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 11}, cfg);
   EXPECT_DOUBLE_EQ(sigma.value(result.placement), result.value);
 }
 
@@ -78,8 +73,7 @@ TEST(Ea, ReachesOptimumOnTinyInstanceWithEnoughIterations) {
   const auto cands = CandidateSet::allPairs(3);
   EaConfig cfg;
   cfg.iterations = 2000;
-  cfg.seed = 5;
-  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg);
+  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = 5}, cfg);
   EXPECT_DOUBLE_EQ(result.value, 3.0);
 }
 
@@ -89,7 +83,7 @@ TEST(Ea, ZeroIterationsReturnsEmpty) {
   const auto cands = CandidateSet::allPairs(10);
   EaConfig cfg;
   cfg.iterations = 0;
-  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg);
+  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 2}, cfg);
   EXPECT_TRUE(result.placement.empty());
   EXPECT_DOUBLE_EQ(result.value, sigma.value({}));
 }
@@ -100,14 +94,14 @@ TEST(Ea, Validation) {
   const auto cands = CandidateSet::allPairs(10);
   EaConfig cfg;
   cfg.iterations = -1;
-  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg),
+  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = 2}, cfg),
                std::invalid_argument);
   cfg.iterations = 10;
   cfg.flipProbability = 1.5;
-  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = 2, .seed = cfg.seed}, cfg),
+  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = 2}, cfg),
                std::invalid_argument);
   cfg.flipProbability.reset();
-  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = -2, .seed = cfg.seed}, cfg),
+  EXPECT_THROW(evolutionaryAlgorithm(sigma, cands, {.k = -2}, cfg),
                std::invalid_argument);
 }
 
@@ -118,8 +112,7 @@ TEST(Ea, CustomFlipProbability) {
   EaConfig cfg;
   cfg.iterations = 100;
   cfg.flipProbability = 0.05;
-  cfg.seed = 3;
-  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = cfg.seed}, cfg);
+  const auto result = evolutionaryAlgorithm(sigma, cands, {.k = 3, .seed = 3}, cfg);
   EXPECT_LE(result.placement.size(), 3u);
 }
 

@@ -41,19 +41,16 @@ TEST(Integration, RgPipelineAllAlgorithms) {
 
   msc::core::EaConfig eaCfg;
   eaCfg.iterations = 150;
-  eaCfg.seed = 1;
-  const auto ea = msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = eaCfg.seed}, eaCfg);
+  const auto ea = msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = 1}, eaCfg);
 
   msc::core::AeaConfig aeaCfg;
   aeaCfg.iterations = 60;
-  aeaCfg.seed = 1;
   const auto aea =
-      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg);
+      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = 1}, aeaCfg);
 
   msc::core::RandomBaselineConfig rndCfg;
   rndCfg.repeats = 100;
-  rndCfg.seed = 1;
-  const auto rnd = msc::core::randomBaseline(sigma, cands, k, rndCfg);
+  const auto rnd = msc::core::randomBaseline(sigma, cands, {.k = k, .seed = 1}, rndCfg);
 
   // All produce feasible placements with self-consistent values.
   EXPECT_LE(aa.placement.size(), static_cast<std::size_t>(k));

@@ -111,12 +111,12 @@ INSTANTIATE_TEST_SUITE_P(Threads, TelemetryBitIdentity,
 TEST(OracleUsageCharging, BoundContextSeesQueryMix) {
   const auto g = msc::test::randomGraph(50, 0.1, 23);
   const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
+  const PairCentricOracle oracle(shared);
 
   msc::obs::RequestContext ctx("\"charge-test\"");
   {
     msc::obs::ScopedRequestBind bind(&ctx);
-    (void)oracle.distance(1, 47);          // point query (ALT path)
+    (void)oracle.distance(1, 47);          // point query (a search)
     (void)oracle.distancesFrom(3);         // row build
     (void)oracle.distancesFrom(3);         // row hit
   }
@@ -135,27 +135,10 @@ TEST(OracleUsageCharging, BoundContextSeesQueryMix) {
   EXPECT_GE(s.rowHits, 1u);
 }
 
-// The ALT settled-ratio mini-histogram: quantiles are conservative (upper
-// bucket bounds), monotone in q, and the max tracks the largest sample.
-TEST(OracleUsageCharging, AltSettledQuantilesAreMonotone) {
-  msc::obs::RequestContext ctx("\"alt-hist\"");
-  auto& u = ctx.oracle();
-  for (int i = 0; i < 9; ++i) u.recordAltSettledRatio(0.1);
-  u.recordAltSettledRatio(1.0);
-  EXPECT_EQ(u.altSettledCount.load(), 10u);
-  const double p50 = u.altSettledQuantile(0.5);
-  const double p90 = u.altSettledQuantile(0.9);
-  EXPECT_GT(p50, 0.0);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, 1.0);
-  EXPECT_NEAR(u.altSettledMax(), 1.0, 1e-6);
-  EXPECT_TRUE(u.any());
-}
-
 // ---- eviction under a row budget ----------------------------------------
 
 // Small budget, many distinct row queries: resident bytes stay bounded
-// (pinned landmarks + budgeted rows + the one protected just-built row),
+// (budgeted rows + the one protected just-built row),
 // evictions actually happen, and every row equals the unbounded oracle's
 // row bit for bit.
 TEST(OracleEviction, BoundedResidencyAndBitIdenticalRows) {
@@ -165,9 +148,9 @@ TEST(OracleEviction, BoundedResidencyAndBitIdenticalRows) {
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   const std::size_t budget = 8 * rowBytes;
 
-  PairCentricOracle unbounded(shared, PairCentricOracle::Config{4, 1});
-  PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{4, 1, budget});
+  const PairCentricOracle unbounded(shared);
+  const PairCentricOracle budgeted(
+      shared, PairCentricOracle::Config{.rowBudgetBytes = budget});
   ASSERT_EQ(budgeted.rowBudgetBytes(), budget);
 
   std::size_t maxResident = 0;
@@ -187,12 +170,10 @@ TEST(OracleEviction, BoundedResidencyAndBitIdenticalRows) {
   const OracleStats s = budgeted.stats();
   EXPECT_GT(s.rowsEvicted, 0u);
   EXPECT_GT(s.rowBuilds, s.rowHits);  // re-materialization dominated
-  // No lease held, so nothing is parked: pinned landmark rows + the
-  // budgeted cache + one protected just-inserted row bound the footprint.
-  const std::size_t pinned = budgeted.landmarks().size() * rowBytes;
-  EXPECT_LE(maxResident, pinned + budget + rowBytes);
-  EXPECT_LE(budgeted.cachedRowCount(),
-            budgeted.landmarks().size() + budget / rowBytes + 1);
+  // No lease held, so nothing is parked: the budgeted cache + one
+  // protected just-inserted row bound the footprint.
+  EXPECT_LE(maxResident, budget + rowBytes);
+  EXPECT_LE(budgeted.cachedRowCount(), budget / rowBytes + 1);
 }
 
 // An evicted row re-materializes to the same bits, and the rebuild is
@@ -202,8 +183,8 @@ TEST(OracleEviction, RematerializedRowBitIdentical) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 1, 4 * rowBytes});
+  const PairCentricOracle oracle(
+      shared, PairCentricOracle::Config{.rowBudgetBytes = 4 * rowBytes});
 
   const NodeId v = 55;
   const auto first = oracle.distancesFrom(v);
@@ -230,8 +211,8 @@ TEST(OracleEviction, LeaseParksEvictedRowsUntilReleased) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 1, 3 * rowBytes});
+  const PairCentricOracle oracle(
+      shared, PairCentricOracle::Config{.rowBudgetBytes = 3 * rowBytes});
 
   auto lease = oracle.acquireRowLease();
   ASSERT_NE(lease, nullptr);
@@ -300,8 +281,8 @@ TEST(OracleEviction, GreedyPlacementMatchesUnboundedUnderPressure) {
   };
 
   const auto [unbounded, statsUnbounded] = solveWithBudget(0);
-  // Budget below the pair-endpoint working set (24 endpoint rows + 8
-  // pinned landmarks) so the solve must evict.
+  // Budget below the pair-endpoint working set (24 endpoint rows) so the
+  // solve must evict.
   const auto [budgeted, statsBudgeted] = solveWithBudget(10 * rowBytes);
 
   EXPECT_EQ(unbounded.placement, budgeted.placement);
@@ -318,9 +299,9 @@ TEST(OracleEviction, ConcurrentQueriesUnderBudgetStayCorrect) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{2, 1, 4 * rowBytes});
-  PairCentricOracle reference(shared, PairCentricOracle::Config{2, 1});
+  const PairCentricOracle budgeted(
+      shared, PairCentricOracle::Config{.rowBudgetBytes = 4 * rowBytes});
+  const PairCentricOracle reference(shared);
   for (NodeId v = 0; v < g.nodeCount(); ++v) (void)reference.distancesFrom(v);
 
   std::atomic<int> mismatches{0};
@@ -340,7 +321,7 @@ TEST(OracleEviction, ConcurrentQueriesUnderBudgetStayCorrect) {
         const auto u = static_cast<NodeId>((t * 17 + iter * 3) %
                                            g.nodeCount());
         // Point queries are bit-exact too, whatever is cached: both
-        // oracles answer from the row of min(s, u) or its ALT recompute.
+        // oracles answer from the row of min(s, u) or a search for it.
         if (budgeted.distance(s, u) != reference.distance(s, u)) {
           mismatches.fetch_add(1);
         }

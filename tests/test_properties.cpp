@@ -44,15 +44,13 @@ TEST_P(AlgorithmsVsOptimum, NoAlgorithmExceedsExactOptimum) {
 
   msc::core::EaConfig eaCfg;
   eaCfg.iterations = 300;
-  eaCfg.seed = seed;
-  EXPECT_LE(msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = eaCfg.seed}, eaCfg).value,
+  EXPECT_LE(msc::core::evolutionaryAlgorithm(sigma, cands, {.k = k, .seed = seed}, eaCfg).value,
             opt + 1e-9);
 
   msc::core::AeaConfig aeaCfg;
   aeaCfg.iterations = 50;
-  aeaCfg.seed = seed;
   EXPECT_LE(
-      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = aeaCfg.seed}, aeaCfg).value,
+      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = seed}, aeaCfg).value,
       opt + 1e-9);
 }
 
@@ -65,9 +63,8 @@ TEST_P(AlgorithmsVsOptimum, AeaWithEnoughIterationsMatchesOptimumOnTiny) {
   const double opt = msc::core::exactOptimum(sigma, cands, k).value;
   msc::core::AeaConfig cfg;
   cfg.iterations = 400;
-  cfg.seed = seed;
   const double aea =
-      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = cfg.seed}, cfg).value;
+      msc::core::adaptiveEvolutionaryAlgorithm(sigma, cands, {.k = k, .seed = seed}, cfg).value;
   // AEA is a heuristic (greedy swaps can settle in a 1-swap-optimal
   // plateau), but on a 28-candidate space with 400 iterations it must land
   // within one pair of the optimum.

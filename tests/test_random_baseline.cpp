@@ -18,9 +18,8 @@ TEST(RandomBaseline, Deterministic) {
   const auto cands = CandidateSet::allPairs(20);
   RandomBaselineConfig cfg;
   cfg.repeats = 50;
-  cfg.seed = 4;
-  const auto a = randomBaseline(sigma, cands, 3, cfg);
-  const auto b = randomBaseline(sigma, cands, 3, cfg);
+  const auto a = randomBaseline(sigma, cands, {.k = 3, .seed = 4}, cfg);
+  const auto b = randomBaseline(sigma, cands, {.k = 3, .seed = 4}, cfg);
   EXPECT_EQ(a.placement, b.placement);
   EXPECT_DOUBLE_EQ(a.value, b.value);
 }
@@ -31,8 +30,7 @@ TEST(RandomBaseline, ValueMatchesPlacementAndBoundsMean) {
   const auto cands = CandidateSet::allPairs(20);
   RandomBaselineConfig cfg;
   cfg.repeats = 100;
-  cfg.seed = 5;
-  const auto result = randomBaseline(sigma, cands, 3, cfg);
+  const auto result = randomBaseline(sigma, cands, {.k = 3, .seed = 5}, cfg);
   EXPECT_DOUBLE_EQ(sigma.value(result.placement), result.value);
   EXPECT_LE(result.meanValue, result.value);
   EXPECT_EQ(result.placement.size(), 3u);
@@ -44,12 +42,11 @@ TEST(RandomBaseline, MoreRepeatsNeverHurt) {
   const auto cands = CandidateSet::allPairs(22);
   RandomBaselineConfig few;
   few.repeats = 10;
-  few.seed = 9;
   RandomBaselineConfig many;
   many.repeats = 200;
-  many.seed = 9;  // same stream prefix
-  const auto a = randomBaseline(sigma, cands, 3, few);
-  const auto b = randomBaseline(sigma, cands, 3, many);
+  // Same seed: the 10 repeats are a prefix of the 200.
+  const auto a = randomBaseline(sigma, cands, {.k = 3, .seed = 9}, few);
+  const auto b = randomBaseline(sigma, cands, {.k = 3, .seed = 9}, many);
   EXPECT_GE(b.value, a.value);
 }
 
@@ -59,7 +56,7 @@ TEST(RandomBaseline, BudgetLargerThanUniverse) {
   const auto cands = CandidateSet::allPairs(6);  // 15 candidates
   RandomBaselineConfig cfg;
   cfg.repeats = 5;
-  const auto result = randomBaseline(sigma, cands, 100, cfg);
+  const auto result = randomBaseline(sigma, cands, {.k = 100}, cfg);
   EXPECT_EQ(result.placement.size(), cands.size());
 }
 
@@ -69,9 +66,11 @@ TEST(RandomBaseline, Validation) {
   const auto cands = CandidateSet::allPairs(8);
   RandomBaselineConfig cfg;
   cfg.repeats = 0;
-  EXPECT_THROW(randomBaseline(sigma, cands, 2, cfg), std::invalid_argument);
+  EXPECT_THROW(randomBaseline(sigma, cands, {.k = 2}, cfg),
+               std::invalid_argument);
   cfg.repeats = 5;
-  EXPECT_THROW(randomBaseline(sigma, cands, -1, cfg), std::invalid_argument);
+  EXPECT_THROW(randomBaseline(sigma, cands, {.k = -1}, cfg),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -72,9 +72,8 @@ TEST(Robust, GreedyAndAeaRunOnRobustObjective) {
 
   msc::core::AeaConfig cfg;
   cfg.iterations = 40;
-  cfg.seed = 3;
   const auto aea =
-      msc::core::adaptiveEvolutionaryAlgorithm(*s.robust, cands, {.k = 3, .seed = cfg.seed}, cfg);
+      msc::core::adaptiveEvolutionaryAlgorithm(*s.robust, cands, {.k = 3, .seed = 3}, cfg);
   EXPECT_EQ(aea.placement.size(), 3u);
   EXPECT_DOUBLE_EQ(s.robust->value(aea.placement), aea.value);
 }

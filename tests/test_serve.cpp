@@ -171,7 +171,9 @@ TEST(ServeCache, UnknownKeyThrows) {
 }
 
 TEST(ServeCache, EvictsLruUnderByteBudgetAndReloadRecovers) {
-  InstanceCache cache(4096);  // fits roughly one graph + oracle
+  // Fits roughly one graph + oracle: a cold oracle holds no rows, so the
+  // graphs (about 0.9 and 1.0 KB charged) decide the evictions.
+  InstanceCache cache(1536);
   const auto gA = cache.putGraph(msc::test::lineGraph(12));
   const auto p = cache.putPairs({{0, 11}});
   (void)cache.instance(gA, p, 100.0, 1);  // memoize the oracle for A
@@ -184,7 +186,7 @@ TEST(ServeCache, EvictsLruUnderByteBudgetAndReloadRecovers) {
   bool hit = true;
   (void)cache.instance(gA, p, 100.0, 1, &hit);
   EXPECT_FALSE(hit);  // the oracle was evicted with the entry
-  EXPECT_LE(cache.stats().bytesUsed, 2 * 4096u);  // keep-entry slack only
+  EXPECT_LE(cache.stats().bytesUsed, 2 * 1536u);  // keep-entry slack only
 }
 
 TEST(ServeCache, OverBudgetEntryJustTouchedIsNotEvicted) {
@@ -454,8 +456,8 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
     loadFixture(engine, msc::test::randomGraph(40, 0.1, 7),
                 "0 39\n3 31\n5 22\n", mode);
 
-    // Cold eval: the distance build (the landmark sweep, whatever the
-    // mode) is the request's whole APSP phase.
+    // Cold eval: the distance build (the pair-node row prefetch, whatever
+    // the mode) is the request's whole APSP phase.
     msc::obs::resetAll();
     const auto eval = json::parse(engine.handleLine(
         "{\"cmd\":\"eval\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
@@ -929,8 +931,8 @@ TEST(ServeEngine, DistanceModeKnobSelectsBackendAndSurfacesInStatsMetrics) {
 }
 
 // Pair-centric rows are exact only within d_t, and every solver reads
-// them, not point queries: no served solve or eval ever falls back to an
-// ALT query, whatever the algorithm.
+// them, not point queries: no served solve or eval ever falls back to a
+// point-query search (alt_queries), whatever the algorithm.
 TEST(ServeEngine, PairCentricSolvesNeverRunAltQueries) {
   Engine engine;
   const auto g = msc::test::randomGraph(60, 0.08, 9);

@@ -175,12 +175,11 @@ TEST_P(SigmaStrategies, PairCentricUnderEvictionAgrees) {
   const std::uint64_t seed = GetParam();
   const auto unbounded = msc::test::randomInstance(40, 8, 1.2, seed);
   const int n = unbounded.graph().nodeCount();
-  // Four rows of budget (two pinned landmarks) against up to 16 pair-node
-  // rows plus the shortcut endpoints: rows churn on every evaluation.
+  // Four rows of budget against up to 16 pair-node rows plus the shortcut
+  // endpoints: rows churn on every evaluation.
   const Instance inst(
       unbounded.graph(), unbounded.pairs(), unbounded.distanceThreshold(),
       msc::core::InstanceOptions{
-          .landmarkCount = 2,
           .oracleRowBudgetBytes =
               4 * msc::graph::oracleRowBytes(static_cast<std::size_t>(n))});
   std::vector<msc::graph::NodeId> outside;
