@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
 // whole-placement sigma (the terminal overlay), the zero-edge relaxation,
-// bulk gain scans, APSP, a cold Instance, one greedy round, a dense
-// sandwich, and the Monte-Carlo evaluator's gain probe and reset.
+// bulk gain scans, APSP, the oracle's row build and point query, a cold
+// Instance, one greedy round, a dense sandwich, and the Monte-Carlo
+// evaluator's gain probe and reset.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,7 +16,9 @@
 #include "core/sigma.h"
 #include "eval/experiment.h"
 #include "gen/gowalla.h"
+#include "gen/random_geometric.h"
 #include "graph/apsp.h"
+#include "graph/dijkstra.h"
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "mc/reliability.h"
@@ -131,6 +134,77 @@ void BM_OracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleQuery)->Arg(100)->Arg(150);
+
+// One oracle row build: the d_t-bounded Dijkstra that
+// PairCentricOracle::buildRows runs per pair node, on the perfbench
+// pair_churn shape (RG n = 10^4, r = 0.0226, p_t = 0.14, 100 violating
+// pairs). Iterations cycle through the 200 pair nodes; the time is per
+// row and `arc` the time per relaxed arc (every arc of every node the
+// row settles).
+struct RowBuildSetup {
+  msc::graph::Graph graph;
+  double radius = 0.0;
+  std::vector<msc::graph::NodeId> sources;
+  std::vector<double> arcs;  // relaxed arcs of each source's row
+};
+
+const RowBuildSetup& rowBuildSetup() {
+  static const RowBuildSetup setup = [] {
+    msc::gen::RandomGeometricConfig cfg;
+    cfg.nodes = 10000;
+    cfg.radius = 0.0226;
+    cfg.seed = 1;
+    const msc::gen::SpatialNetwork net = msc::gen::randomGeometric(cfg);
+    RowBuildSetup s;
+    s.graph = net.graph;
+    s.radius = msc::wireless::failureThresholdToDistance(0.14);
+    // Violating pairs without shortest-path work: every link is at least
+    // 0.35 x its Euclidean length long, so endpoints farther apart than
+    // d_t / 0.35 can never meet d_t.
+    msc::util::Rng rng(7);
+    const auto n = static_cast<std::uint64_t>(cfg.nodes);
+    while (s.sources.size() < 200) {
+      const auto u = static_cast<msc::graph::NodeId>(rng.below(n));
+      const auto w = static_cast<msc::graph::NodeId>(rng.below(n));
+      if (u == w || msc::gen::euclidean(
+                        net.positions[static_cast<std::size_t>(u)],
+                        net.positions[static_cast<std::size_t>(w)]) <=
+                        s.radius / 0.35) {
+        continue;
+      }
+      s.sources.push_back(u);
+      s.sources.push_back(w);
+    }
+    for (const msc::graph::NodeId v : s.sources) {
+      const auto row =
+          msc::graph::dijkstraBoundedDistances(s.graph, v, s.radius);
+      double arcs = 0.0;
+      for (std::size_t x = 0; x < row.size(); ++x) {
+        if (row[x] <= s.radius) {
+          arcs += s.graph.degree(static_cast<msc::graph::NodeId>(x));
+        }
+      }
+      s.arcs.push_back(arcs);
+    }
+    return s;
+  }();
+  return setup;
+}
+
+void BM_RowBuild(benchmark::State& state) {
+  const RowBuildSetup& s = rowBuildSetup();
+  std::size_t i = 0;
+  double arcs = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        msc::graph::dijkstraBoundedDistances(s.graph, s.sources[i], s.radius));
+    arcs += s.arcs[i];
+    i = (i + 1) % s.sources.size();
+  }
+  state.counters["arc"] = benchmark::Counter(
+      arcs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RowBuild)->Unit(benchmark::kMicrosecond);
 
 // Whole-placement sigma(F) at (n, pairs, |F|); (512, 100, 5) is the
 // perfbench dense_solve shape.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/metrics.h"
 
@@ -12,67 +10,150 @@ namespace msc::graph {
 
 namespace {
 
-// (distance, node) min-heap entry; stale entries are skipped on pop.
-using HeapEntry = std::pair<double, NodeId>;
-using MinHeap =
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+// Indexed 4-ary min-heap of node ids keyed by (dist, id), with decrease-key
+// (see dijkstra.h for why this order keeps the bits). Each entry carries its
+// key, so sifting reads only the heap array.
+class NodeHeap {
+ public:
+  struct Entry {
+    double key;
+    NodeId node;
+  };
 
-ShortestPathTree run(const Graph& g, NodeId source, double limit,
-                     NodeId target) {
+  explicit NodeHeap(std::size_t n) : pos_(n, kAbsent) {}
+
+  bool empty() const noexcept { return heap_.empty(); }
+
+  /// Inserts `node` at `key`, or lowers its key to `key` if it is queued.
+  void push(NodeId node, double key) {
+    NodeId& at = pos_[static_cast<std::size_t>(node)];
+    std::size_t i = static_cast<std::size_t>(at);
+    if (at == kAbsent) {
+      i = heap_.size();
+      heap_.emplace_back();
+    }
+    siftUp(i, {key, node});
+  }
+
+  /// Removes and returns the least entry.
+  Entry pop() {
+    const Entry top = heap_.front();
+    pos_[static_cast<std::size_t>(top.node)] = kAbsent;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) siftDown(0, last);
+    return top;
+  }
+
+ private:
+  static constexpr NodeId kAbsent = -1;
+
+  static bool less(const Entry& a, const Entry& b) noexcept {
+    return a.key < b.key || (a.key == b.key && a.node < b.node);
+  }
+
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    pos_[static_cast<std::size_t>(e.node)] = static_cast<NodeId>(i);
+  }
+
+  void siftUp(std::size_t i, const Entry& e) {
+    while (i > 0) {
+      const std::size_t up = (i - 1) / 4;
+      if (!less(e, heap_[up])) break;
+      place(i, heap_[up]);
+      i = up;
+    }
+    place(i, e);
+  }
+
+  void siftDown(std::size_t i, const Entry& e) {
+    const std::size_t size = heap_.size();
+    for (;;) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= size) break;
+      const std::size_t end = std::min(first + 4, size);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (less(heap_[c], heap_[best])) best = c;
+      }
+      if (!less(heap_[best], e)) break;
+      place(i, heap_[best]);
+      i = best;
+    }
+    place(i, e);
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<NodeId> pos_;  // heap index of each queued node, else kAbsent
+};
+
+// The one search loop. Returns dist; fills `parent` when it is non-null.
+// `target` -1 searches the whole ball of radius `limit`.
+std::vector<double> run(const Graph& g, NodeId source, double limit,
+                        NodeId target, std::vector<NodeId>* parent) {
   g.checkNode(source);
   const auto n = static_cast<std::size_t>(g.nodeCount());
-  ShortestPathTree tree;
-  tree.dist.assign(n, kInfDist);
-  tree.parent.assign(n, -1);
-  tree.dist[static_cast<std::size_t>(source)] = 0.0;
+  std::vector<double> dist(n, kInfDist);
+  if (parent) parent->assign(n, -1);
+  dist[static_cast<std::size_t>(source)] = 0.0;
 
-  MinHeap heap;
-  heap.push({0.0, source});
-  std::uint64_t pops = 0;
+  NodeHeap heap(n);
+  heap.push(source, 0.0);
   std::uint64_t settled = 0;
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    ++pops;
-    if (d > tree.dist[static_cast<std::size_t>(u)]) continue;  // stale
+    const auto [d, u] = heap.pop();
     ++settled;
-    if (target >= 0 && u == target) break;
+    if (u == target) break;
     for (const Arc& arc : g.neighbors(u)) {
       const double nd = d + arc.length;
       if (nd > limit) continue;
-      if (nd < tree.dist[static_cast<std::size_t>(arc.to)]) {
-        tree.dist[static_cast<std::size_t>(arc.to)] = nd;
-        tree.parent[static_cast<std::size_t>(arc.to)] = u;
-        heap.push({nd, arc.to});
+      double& dv = dist[static_cast<std::size_t>(arc.to)];
+      if (nd < dv) {
+        dv = nd;
+        if (parent) (*parent)[static_cast<std::size_t>(arc.to)] = u;
+        heap.push(arc.to, nd);
       }
     }
   }
   if (msc::obs::enabled()) {
     static auto& cRuns = msc::obs::counter("dijkstra.runs");
-    static auto& cPops = msc::obs::counter("dijkstra.heap_pops");
     static auto& cSettled = msc::obs::counter("dijkstra.settled");
     cRuns.add(1);
-    cPops.add(pops);
     cSettled.add(settled);
   }
-  return tree;
+  return dist;
+}
+
+void checkLimit(double limit) {
+  if (limit < 0.0) throw std::invalid_argument("dijkstraBounded: limit < 0");
 }
 
 }  // namespace
 
 ShortestPathTree dijkstra(const Graph& g, NodeId source) {
-  return run(g, source, kInfDist, -1);
+  ShortestPathTree tree;
+  tree.dist = run(g, source, kInfDist, -1, &tree.parent);
+  return tree;
 }
 
 ShortestPathTree dijkstraBounded(const Graph& g, NodeId source, double limit) {
-  if (limit < 0.0) throw std::invalid_argument("dijkstraBounded: limit < 0");
-  return run(g, source, limit, -1);
+  checkLimit(limit);
+  ShortestPathTree tree;
+  tree.dist = run(g, source, limit, -1, &tree.parent);
+  return tree;
+}
+
+std::vector<double> dijkstraBoundedDistances(const Graph& g, NodeId source,
+                                             double limit) {
+  checkLimit(limit);
+  return run(g, source, limit, -1, nullptr);
 }
 
 double dijkstraDistance(const Graph& g, NodeId source, NodeId target) {
   g.checkNode(target);
-  const auto tree = run(g, source, kInfDist, target);
-  return tree.dist[static_cast<std::size_t>(target)];
+  return run(g, source, kInfDist, target,
+             nullptr)[static_cast<std::size_t>(target)];
 }
 
 std::optional<std::vector<NodeId>> extractPath(const ShortestPathTree& tree,

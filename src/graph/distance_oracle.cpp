@@ -132,7 +132,7 @@ std::vector<std::vector<double>> PairCentricOracle::buildRows(
   std::vector<std::int64_t> buildNs(sources.size(), 0);
   const auto build = [&](std::size_t i) {
     const std::int64_t t0 = steadyNowNs();
-    rows[i] = dijkstraBounded(*graph_, sources[i], radius).dist;
+    rows[i] = dijkstraBoundedDistances(*graph_, sources[i], radius);
     buildNs[i] = steadyNowNs() - t0;
   };
   // A single row runs inline: distancesWithin may be called from inside a

@@ -10,14 +10,15 @@ namespace msc::serve {
 namespace {
 
 // Estimated resident bytes of each cacheable object. These are charges
-// against the budget, not exact allocator numbers: adjacency vectors and
-// map nodes carry allocator overhead the estimate ignores, so the real
+// against the budget, not exact allocator numbers: map nodes and vector
+// slack carry allocator overhead the estimate ignores, so the real
 // footprint is a small constant factor above — the budget still bounds it.
+// A graph is its edge list plus the CSR adjacency (n + 1 offsets, 2e arcs).
 std::size_t graphBytes(const msc::graph::Graph& g) {
   const auto n = static_cast<std::size_t>(g.nodeCount());
   const std::size_t e = g.edgeCount();
   return e * sizeof(msc::graph::Edge) + 2 * e * sizeof(msc::graph::Arc) +
-         n * sizeof(std::vector<msc::graph::Arc>) + 64;
+         (n + 1) * sizeof(std::size_t) + 64;
 }
 
 std::size_t candidatesBytes(const core::CandidateSet& c) {
@@ -234,10 +235,20 @@ core::Instance InstanceCache::instance(const std::string& graphKey,
     pairs = pEntry->pairs;
     evictOverBudget(graphKey);
   }
-  // The pair-node row prefetch runs outside the cache lock; its byte
-  // growth is picked up on the entry's next touch.
-  return core::Instance(std::move(graph), std::move(oracle), *pairs,
-                        distanceThreshold, threads);
+  // The pair-node row prefetch runs outside the cache lock; the rows it
+  // built are charged right after.
+  core::Instance built(std::move(graph), std::move(oracle), *pairs,
+                       distanceThreshold, threads);
+  recharge(graphKey);
+  return built;
+}
+
+void InstanceCache::recharge(const std::string& graphKey) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = graphs_.find(graphKey);
+  if (it == graphs_.end()) return;  // evicted meanwhile
+  refreshOracleBytes(it->second);
+  evictOverBudget(graphKey);
 }
 
 std::shared_ptr<const core::CandidateSet> InstanceCache::candidates(

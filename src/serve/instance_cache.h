@@ -11,7 +11,8 @@
 //
 // Memory is bounded: every entry is charged an estimated byte size (graph
 // adjacency + edge list, the distance oracle once memoized — the rows
-// solves have cached in it — the candidate list, the pair list) against a
+// solves have cached in it, charged when an instance is built and when
+// its request ends — the candidate list, the pair list) against a
 // budget (MSC_SERVE_CACHE_MB via the server config), and least-recently-
 // used entries are evicted when the total exceeds it. Eviction invalidates the key — a later request using it
 // gets a structured "unknown key" error and must re-load — but never
@@ -103,6 +104,12 @@ class InstanceCache {
                           double distanceThreshold, int threads,
                           bool* apspWasCached = nullptr,
                           bool* allPairs = nullptr);
+
+  /// Charges the rows a graph's oracle has cached since its last charge
+  /// and evicts over budget (never that graph). Touches nothing: call it
+  /// when a request that used the graph ends, so the rows its solve built
+  /// count against the budget at once. A no-op for an unknown key.
+  void recharge(const std::string& graphKey);
 
   /// The graph's all-pairs candidate set, memoized per graph entry.
   std::shared_ptr<const core::CandidateSet> candidates(

@@ -722,6 +722,7 @@ json::Object Engine::cmdSolve(const Request& request,
   // many candidate shortcuts the search ranged over.
   fields["distance_mode"] = resolvedModeName(allPairs);
   fields["candidates"] = cands->size();
+  cache_.recharge(graphKey);  // the rows this solve built
   return fields;
 }
 
@@ -750,6 +751,7 @@ json::Object Engine::cmdEval(const Request& request,
   fields["apsp_cache"] = apspHit ? "hit" : "miss";
   ctx.noteApspCache(apspHit);
   fields["distance_mode"] = resolvedModeName(allPairs);
+  cache_.recharge(graphKey);  // the rows this evaluation built
   return fields;
 }
 

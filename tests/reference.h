@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,6 +24,50 @@
 #include "util/bitset.h"
 
 namespace msc::test {
+
+/// The textbook Dijkstra loop the library's kernel replaced, kept verbatim:
+/// a lazy binary heap of (distance, node) pairs that skips stale entries
+/// on pop, writing dist and parent. `target` -1 searches the whole ball of
+/// radius `limit`; otherwise the loop stops once `target` is settled. The
+/// kernel in graph/dijkstra.cpp must match it bit for bit.
+inline msc::graph::ShortestPathTree lazyHeapDijkstra(
+    const msc::graph::Graph& g, msc::graph::NodeId source, double limit,
+    msc::graph::NodeId target) {
+  using msc::graph::Arc;
+  using msc::graph::kInfDist;
+  using msc::graph::NodeId;
+  using msc::graph::ShortestPathTree;
+  // (distance, node) min-heap entry; stale entries are skipped on pop.
+  using HeapEntry = std::pair<double, NodeId>;
+  using MinHeap =
+      std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
+
+  g.checkNode(source);
+  const auto n = static_cast<std::size_t>(g.nodeCount());
+  ShortestPathTree tree;
+  tree.dist.assign(n, kInfDist);
+  tree.parent.assign(n, -1);
+  tree.dist[static_cast<std::size_t>(source)] = 0.0;
+
+  MinHeap heap;
+  heap.push({0.0, source});
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > tree.dist[static_cast<std::size_t>(u)]) continue;  // stale
+    if (target >= 0 && u == target) break;
+    for (const Arc& arc : g.neighbors(u)) {
+      const double nd = d + arc.length;
+      if (nd > limit) continue;
+      if (nd < tree.dist[static_cast<std::size_t>(arc.to)]) {
+        tree.dist[static_cast<std::size_t>(arc.to)] = nd;
+        tree.parent[static_cast<std::size_t>(arc.to)] = u;
+        heap.push({nd, arc.to});
+      }
+    }
+  }
+  return tree;
+}
 
 /// Distance between x and y if the single length-0 edge (a, b) were added to
 /// the metric in `dist` (does not modify `dist`). O(1).

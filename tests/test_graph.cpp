@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "graph/components.h"
 #include "helpers.h"
 
@@ -76,6 +80,91 @@ TEST(Graph, EdgesKeepInsertionOrder) {
   ASSERT_EQ(edges.size(), 2u);
   EXPECT_EQ(edges[0].u, 2);
   EXPECT_EQ(edges[1].u, 0);
+}
+
+// ---------------------------------------------------------------- CSR ----
+
+/// Each node's (to, length) arcs, in neighbors() order.
+std::vector<std::vector<std::pair<int, double>>> adjacencyOf(const Graph& g) {
+  std::vector<std::vector<std::pair<int, double>>> out(
+      static_cast<std::size_t>(g.nodeCount()));
+  for (int u = 0; u < g.nodeCount(); ++u) {
+    for (const auto& arc : g.neighbors(u)) {
+      out[static_cast<std::size_t>(u)].emplace_back(arc.to, arc.length);
+    }
+  }
+  return out;
+}
+
+TEST(GraphCsr, NeighborOrderIsInsertionOrderWithInterleavedReads) {
+  // Reads between the addEdge calls rebuild a stale CSR each time; every
+  // node's arcs must still come out in the order their edges were added.
+  Graph g(6);
+  std::vector<std::vector<std::pair<int, double>>> expected(6);
+  const std::vector<msc::graph::Edge> edges = {
+      {3, 1, 0.5}, {0, 3, 1.0}, {1, 0, 0.25}, {3, 5, 2.0}, {1, 3, 0.75},
+      {4, 3, 0.0}, {0, 5, 1.5}, {3, 1, 0.5}, {2, 4, 3.0}};
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto& e = edges[i];
+    g.addEdge(e.u, e.v, e.length);
+    expected[static_cast<std::size_t>(e.u)].emplace_back(e.v, e.length);
+    expected[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.length);
+    if (i % 2 == 0) {
+      ASSERT_EQ(adjacencyOf(g), expected) << "after edge " << i;
+    }
+    EXPECT_EQ(g.degree(e.u),
+              static_cast<int>(expected[static_cast<std::size_t>(e.u)].size()));
+  }
+  EXPECT_EQ(adjacencyOf(g), expected);
+  EXPECT_TRUE(g.hasEdge(5, 3));
+  EXPECT_FALSE(g.hasEdge(2, 5));
+}
+
+TEST(GraphCsr, CopiesAndMovesKeepTheAdjacency) {
+  const Graph g = msc::test::randomGraph(40, 0.1, 3);
+  const auto want = adjacencyOf(g);  // g's CSR is fresh from here on
+
+  Graph stale(40);  // a copy of a graph whose CSR was never built
+  for (const auto& e : g.edges()) stale.addEdge(e.u, e.v, e.length);
+  const Graph fromStale(stale);
+  EXPECT_EQ(adjacencyOf(fromStale), want);
+
+  Graph copy(g);
+  EXPECT_EQ(adjacencyOf(copy), want);
+  Graph assigned;
+  assigned = copy;
+  EXPECT_EQ(adjacencyOf(assigned), want);
+
+  Graph moved(std::move(copy));
+  EXPECT_EQ(adjacencyOf(moved), want);
+  Graph moveAssigned(2);
+  moveAssigned = std::move(moved);
+  EXPECT_EQ(adjacencyOf(moveAssigned), want);
+  EXPECT_EQ(moveAssigned.edgeCount(), g.edgeCount());
+
+  // A copy is independent: growing it leaves the original alone.
+  assigned.addEdge(0, 39, 0.5);
+  EXPECT_EQ(adjacencyOf(g), want);
+  EXPECT_EQ(assigned.degree(0), g.degree(0) + 1);
+}
+
+TEST(GraphCsr, ConcurrentFirstReadsOfASharedConstGraph) {
+  // Labelled tsan: every thread's first read may find the CSR stale, so
+  // they race to the guarded rebuild; all must see the same adjacency.
+  const Graph reference = msc::test::randomGraph(300, 0.03, 9);
+  const auto want = adjacencyOf(reference);
+  for (int round = 0; round < 4; ++round) {
+    Graph fresh(300);
+    for (const auto& e : reference.edges()) fresh.addEdge(e.u, e.v, e.length);
+    const Graph& shared = fresh;
+    std::vector<std::vector<std::vector<std::pair<int, double>>>> seen(4);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      readers.emplace_back([&shared, &seen, t] { seen[t] = adjacencyOf(shared); });
+    }
+    for (auto& r : readers) r.join();
+    for (const auto& s : seen) EXPECT_EQ(s, want);
+  }
 }
 
 // --------------------------------------------------------- Components ----

@@ -171,9 +171,11 @@ TEST(ServeCache, UnknownKeyThrows) {
 }
 
 TEST(ServeCache, EvictsLruUnderByteBudgetAndReloadRecovers) {
-  // Fits roughly one graph + oracle: a cold oracle holds no rows, so the
-  // graphs (about 0.9 and 1.0 KB charged) decide the evictions.
-  InstanceCache cache(1536);
+  // Charges: A 696, the pairs 72, A's two rows 320, B 800, B's two rows
+  // 336 bytes. Rows are charged as soon as an instance has built them, so
+  // A + pairs + A's rows + B (1888) fit and B's rows on top (2224) do not:
+  // B's oracle pushes A out.
+  InstanceCache cache(2048);
   const auto gA = cache.putGraph(msc::test::lineGraph(12));
   const auto p = cache.putPairs({{0, 11}});
   (void)cache.instance(gA, p, 100.0, 1);  // memoize the oracle for A
@@ -186,7 +188,7 @@ TEST(ServeCache, EvictsLruUnderByteBudgetAndReloadRecovers) {
   bool hit = true;
   (void)cache.instance(gA, p, 100.0, 1, &hit);
   EXPECT_FALSE(hit);  // the oracle was evicted with the entry
-  EXPECT_LE(cache.stats().bytesUsed, 2 * 1536u);  // keep-entry slack only
+  EXPECT_LE(cache.stats().bytesUsed, 2 * 2048u);  // keep-entry slack only
 }
 
 TEST(ServeCache, OverBudgetEntryJustTouchedIsNotEvicted) {
@@ -1017,6 +1019,42 @@ TEST(ServeEngine, AutoModeSolveIndependentOfEarlierRequests) {
     EXPECT_EQ(first.find(field)->asString(), second.find(field)->asString())
         << field;
   }
+}
+
+TEST(ServeCache, RowsASolveBuildsAreChargedWhenItEnds) {
+  // Two graphs, one solve each, no request touches either graph again:
+  // bytes_used must already hold every row both solves built.
+  Engine engine;
+  const auto ok = [&engine](const std::string& line) {
+    const auto resp = json::parse(engine.handleLine(line));
+    EXPECT_EQ(resp.find("status")->asString(), "ok") << line;
+    return resp;
+  };
+  for (const auto& [name, seed] : {std::pair{"a", 3}, std::pair{"b", 4}}) {
+    ok(std::string("{\"cmd\":\"load_graph\",\"as\":\"g") + name +
+       "\",\"distance_mode\":\"pair_centric\",\"text\":\"" +
+       jsonEscape(graphText(msc::test::randomGraph(60, 0.08, seed))) + "\"}");
+    ok(std::string("{\"cmd\":\"load_pairs\",\"as\":\"p") + name +
+       "\",\"text\":\"0 59\\n3 41\\n7 30\\n\"}");
+  }
+  const auto before = ok("{\"cmd\":\"stats\"}");
+  const double loaded = before.find("cache")->find("bytes_used")->asNumber();
+  EXPECT_EQ(before.find("cache")->find("oracles")->find("bytes")->asNumber(),
+            0.0);
+  for (const char* name : {"a", "b"}) {
+    ok(std::string("{\"cmd\":\"solve\",\"graph\":\"g") + name +
+       "\",\"pairs\":\"p" + name +
+       "\",\"p_t\":0.14,\"algo\":\"greedy\",\"k\":2,\"threads\":1}");
+  }
+  const auto after = ok("{\"cmd\":\"stats\"}");
+  const auto* cache = after.find("cache");
+  const auto* oracles = cache->find("oracles");
+  EXPECT_EQ(oracles->find("count")->asNumber(), 2.0);
+  EXPECT_GE(oracles->find("rows_resident")->asNumber(), 2.0 * 6.0);
+  const double rowBytes = oracles->find("bytes")->asNumber();
+  EXPECT_GT(rowBytes, 0.0);
+  EXPECT_EQ(cache->find("bytes_used")->asNumber(), loaded + rowBytes);
+  EXPECT_EQ(cache->find("evictions")->asNumber(), 0.0);
 }
 
 TEST(ServeTelemetry, StatsIncludesObsSnapshotAndCacheBytes) {
