@@ -312,26 +312,24 @@ void BM_GreedyFullRun(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyFullRun)->Arg(4)->Arg(10);
 
-// Instrumentation overhead check: the same greedy run with the metrics
-// registry force-enabled (range(1) == 1) vs force-disabled (range(1) == 0).
-// The acceptance bar is: disabled instrumentation stays within 2% of the
-// pre-instrumentation baseline, i.e. BM_GreedyInstrumented/4/0 tracks
-// BM_GreedyFullRun/4.
+// Instrumentation overhead check: the same greedy run with a RequestContext
+// bound around it, as serve binds one around each request, so the request
+// phases and oracle usage are charged too. Library telemetry records in
+// both cases; the acceptance bar is that BM_GreedyInstrumented/4 stays
+// within noise of BM_GreedyFullRun/4.
 void BM_GreedyInstrumented(benchmark::State& state) {
   const auto spatial = makeRg(100, 80);
   const auto cands = CandidateSet::allPairs(100);
-  const bool wasEnabled = msc::obs::enabled();
-  msc::obs::setEnabled(state.range(1) != 0);
   for (auto _ : state) {
+    msc::obs::RequestContext ctx("bench");
+    const msc::obs::ScopedRequestBind bind(&ctx);
     SigmaEvaluator eval(spatial.instance);
     benchmark::DoNotOptimize(msc::core::greedyMaximize(
         eval, cands,
         msc::core::SolveOptions{.k = static_cast<int>(state.range(0))}));
   }
-  msc::obs::setEnabled(wasEnabled);
-  msc::obs::resetAll();
 }
-BENCHMARK(BM_GreedyInstrumented)->Args({4, 0})->Args({4, 1});
+BENCHMARK(BM_GreedyInstrumented)->Arg(4);
 
 // ------------------------------------------------------- Monte-Carlo ----
 // The perfbench mc_solve shape: the fixed 60-user Gowalla-like network,

@@ -99,9 +99,9 @@ int usage() {
       "--metrics-prom FILE (metrics as Prometheus text exposition), and\n"
       "--trace-out FILE (solver timeline as Chrome trace-event JSON for\n"
       "Perfetto/chrome://tracing; a .jsonl extension selects flat JSONL),\n"
-      "and honours MSC_METRICS=1 (text metrics footer on stdout, on stderr\n"
-      "for serve), MSC_METRICS_PROM=FILE (Prometheus export at exit),\n"
-      "MSC_LOG=info (structured JSONL logs; MSC_LOG_FILE=PATH), and\n"
+      "and honours MSC_METRICS=1 (prints the always-recorded metrics as a\n"
+      "text footer on stdout, on stderr for serve), MSC_METRICS_PROM=FILE\n"
+      "(Prometheus export at exit), MSC_LOG=info (structured JSONL logs; MSC_LOG_FILE=PATH), and\n"
       "MSC_TRACE=1 (trace summary footer; MSC_TRACE_OUT=FILE to export)\n";
   return 2;
 }
@@ -563,11 +563,6 @@ int main(int argc, char** argv) {
   }
   try {
     const Args args(argc - 2, argv + 2);
-    // Force-enable collection before any work (instance loading already
-    // runs Dijkstra/APSP) so the exports see the whole command.
-    if (args.has("metrics-out") || args.has("metrics-prom")) {
-      msc::obs::setEnabled(true);
-    }
     if (args.has("trace-out")) msc::obs::trace::setEnabled(true);
     msc::obs::trace::setCurrentThreadName("main");
 

@@ -171,10 +171,8 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
       }
     }
     result.bestByIteration.push_back(bestMember().value);
-    if (msc::obs::enabled()) {
-      static auto& sPop = msc::obs::stat("aea.population_size");
-      sPop.record(static_cast<double>(population.size()));
-    }
+    static auto& sPop = msc::obs::stat("aea.population_size");
+    sPop.record(static_cast<double>(population.size()));
     if (msc::obs::trace::enabled()) {
       // Per-generation timeline (Theorem 7 / Fig. 4 iteration trajectory).
       const double best = result.bestByIteration.back();
@@ -209,13 +207,14 @@ AeaResult adaptiveEvolutionaryAlgorithm(IncrementalEvaluator& eval,
   result.value = best.value;
   finishResult(result);
 
-  if (msc::obs::enabled()) {
-    msc::obs::counter("aea.generations")
-        .add(static_cast<std::uint64_t>(iterationsRun));
-    msc::obs::counter("aea.greedy_swaps").add(greedySwaps);
-    msc::obs::counter("aea.random_swaps").add(randomSwaps);
-    msc::obs::counter("aea.evaluations").add(evaluations);
-  }
+  static auto& cGenerations = msc::obs::counter("aea.generations");
+  static auto& cGreedySwaps = msc::obs::counter("aea.greedy_swaps");
+  static auto& cRandomSwaps = msc::obs::counter("aea.random_swaps");
+  static auto& cEvaluations = msc::obs::counter("aea.evaluations");
+  cGenerations.add(static_cast<std::uint64_t>(iterationsRun));
+  cGreedySwaps.add(greedySwaps);
+  cRandomSwaps.add(randomSwaps);
+  cEvaluations.add(evaluations);
   return result;
 }
 

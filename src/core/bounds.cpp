@@ -152,10 +152,8 @@ double MuEvaluator::currentValue() const {
 }
 
 double MuEvaluator::gainIfAdd(const Shortcut& f) const {
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("mu.gain_calls");
-    cGain.add(1);
-  }
+  static auto& cGain = msc::obs::counter("mu.gain_calls");
+  cGain.add(1);
   // covered_ holds baseSatisfied_, so of the shared pairs only extra_ can
   // be missing from it.
   const long idx = candidates_->indexOf(f);
@@ -174,10 +172,8 @@ void MuEvaluator::scanGains(const CandidateSet& candidates,
     return;
   }
   detail::checkScanSize(candidates, gains, skip);
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("mu.gain_calls");
-    cGain.add(candidates.size());
-  }
+  static auto& cGain = msc::obs::counter("mu.gain_calls");
+  cGain.add(candidates.size());
   const double none = uncoveredWeight({});  // a candidate without hits
   detail::forEachCandidateRange(
       candidates.size(), threads, 4, [&](std::size_t begin, std::size_t end) {
@@ -196,10 +192,8 @@ void MuEvaluator::scanGains(const CandidateSet& candidates,
 }
 
 void MuEvaluator::add(const Shortcut& f) {
-  if (msc::obs::enabled()) {
-    static auto& cAdd = msc::obs::counter("mu.adds");
-    cAdd.add(1);
-  }
+  static auto& cAdd = msc::obs::counter("mu.adds");
+  cAdd.add(1);
   orInto(covered_, f);
 }
 
@@ -281,10 +275,8 @@ double NuEvaluator::gainOfEndpoint(NodeId v,
 }
 
 double NuEvaluator::gainIfAdd(const Shortcut& f) const {
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("nu.gain_calls");
-    cGain.add(1);
-  }
+  static auto& cGain = msc::obs::counter("nu.gain_calls");
+  cGain.add(1);
   if (f.a == f.b) return 0.0;
   double gain = gainOfEndpoint(f.a, covered_);
   // Second endpoint's gain must not double-count pair-nodes the first
@@ -300,10 +292,8 @@ void NuEvaluator::scanGains(const CandidateSet& candidates,
                             std::span<double> gains, int threads,
                             std::span<const std::uint8_t> skip) {
   detail::checkScanSize(candidates, gains, skip);
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("nu.gain_calls");
-    cGain.add(candidates.size());
-  }
+  static auto& cGain = msc::obs::counter("nu.gain_calls");
+  cGain.add(candidates.size());
   // gainIfAdd(a, b) starts from gainOfEndpoint(a): compute it once per
   // endpoint instead of once per candidate.
   std::vector<double> first(coverage_.size(), 0.0);
@@ -345,10 +335,8 @@ void NuEvaluator::scanGains(const CandidateSet& candidates,
 }
 
 void NuEvaluator::add(const Shortcut& f) {
-  if (msc::obs::enabled()) {
-    static auto& cAdd = msc::obs::counter("nu.adds");
-    cAdd.add(1);
-  }
+  static auto& cAdd = msc::obs::counter("nu.adds");
+  cAdd.add(1);
   current_ += gainIfAdd(f);
   covered_ |= coverage_[static_cast<std::size_t>(f.a)];
   covered_ |= coverage_[static_cast<std::size_t>(f.b)];

@@ -157,12 +157,10 @@ EaResult evolutionaryAlgorithm(const SetFunction& objective,
       archive.push_back(std::move(offspring));
     }
     result.bestByIteration.push_back(bestFeasible().value);
-    if (msc::obs::enabled()) {
-      // Pareto-front (archive) size over time; the exporter reports its
-      // min/mean/max trajectory.
-      static auto& sArchive = msc::obs::stat("ea.archive_size");
-      sArchive.record(static_cast<double>(archive.size()));
-    }
+    // Pareto-front (archive) size over time; the exporter reports its
+    // min/mean/max trajectory.
+    static auto& sArchive = msc::obs::stat("ea.archive_size");
+    sArchive.record(static_cast<double>(archive.size()));
     if (msc::obs::trace::enabled()) {
       // Timeline of the run (validates the paper's Theorem 6 iteration
       // claims): one instant per generation plus a best-σ counter track.
@@ -183,12 +181,12 @@ EaResult evolutionaryAlgorithm(const SetFunction& objective,
   result.gainEvaluations = offspringEvals + 1;  // + the initial archive seed
   result.iterations = iterationsRun;
 
-  if (msc::obs::enabled()) {
-    msc::obs::counter("ea.generations")
-        .add(static_cast<std::uint64_t>(iterationsRun));
-    msc::obs::counter("ea.mutation_flips").add(mutationFlips);
-    msc::obs::counter("ea.offspring_evals").add(offspringEvals);
-  }
+  static auto& cGenerations = msc::obs::counter("ea.generations");
+  static auto& cFlips = msc::obs::counter("ea.mutation_flips");
+  static auto& cOffspring = msc::obs::counter("ea.offspring_evals");
+  cGenerations.add(static_cast<std::uint64_t>(iterationsRun));
+  cFlips.add(mutationFlips);
+  cOffspring.add(offspringEvals);
   return result;
 }
 

@@ -28,16 +28,19 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
   msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
   const char* const stage = msc::obs::currentProgressStage();
   // One sample per round (each round is a full candidate scan, so the two
-  // clock reads are noise); recorded even with metrics disabled so the
-  // serve layer's Prometheus export always has gain-scan tail latency.
+  // clock reads are noise): the gain-scan tail latency of the Prometheus
+  // export.
   static auto& scanHist = msc::obs::histogram("greedy.round_scan_seconds");
+  static auto& cRounds = msc::obs::counter("greedy.rounds");
+  static auto& cGainEvals = msc::obs::counter("greedy.gain_evals");
   for (int round = 0; round < options.k; ++round) {
     if (cancel != nullptr && cancel->cancelled()) {
       result.interrupted = cancel->reason();
       break;
     }
     const detail::ScanBest best = [&] {
-      MSC_OBS_SPAN("greedy.round_scan", scanHist, msc::obs::Phase::RoundScan);
+      const msc::obs::ScopedSpan scan("greedy.round_scan", scanHist,
+                                      msc::obs::Phase::RoundScan);
       return detail::gainScan(
           eval, candidates, threads, /*requirePositiveGain=*/true,
           [&](std::size_t c) { return chosen[c] != 0; },
@@ -81,11 +84,8 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
     }
   }
   result.value = eval.currentValue();
-  if (msc::obs::enabled()) {
-    msc::obs::counter("greedy.rounds")
-        .add(static_cast<std::uint64_t>(result.rounds));
-    msc::obs::counter("greedy.gain_evals").add(result.gainEvaluations);
-  }
+  cRounds.add(static_cast<std::uint64_t>(result.rounds));
+  cGainEvals.add(result.gainEvaluations);
   return result;
 }
 

@@ -35,11 +35,16 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
   // One greedy pass per bound, run in order on this thread at every thread
   // count; each round's gain scan is what uses the pool. nu runs first, so
   // a run cancelled after it finished still certifies its bound. `span`
-  // must be a literal (spans keep the pointer).
+  // must be a literal (spans keep the pointer) and `spanStat` its
+  // "span.<span>" stat.
+  static auto& sPassNu = msc::obs::stat("span.sandwich.pass.nu");
+  static auto& sPassMu = msc::obs::stat("span.sandwich.pass.mu");
+  static auto& sPassSigma = msc::obs::stat("span.sandwich.pass.sigma");
   int passesDone = 0;
   const auto runPass = [&](const char* name, const char* span,
+                           msc::obs::Stat& spanStat,
                            IncrementalEvaluator& eval) {
-    MSC_OBS_SPAN(span);
+    const msc::obs::ScopedSpan timer(span, spanStat);
     const msc::obs::ScopedProgressStage stage(name);
     GreedyResult pass = greedyMaximize(eval, candidates, options);
     // Per-bound pass progress: each completed pass is one of three
@@ -59,9 +64,10 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
     }
     return pass;
   };
-  const GreedyResult nu = runPass("nu", "sandwich.pass.nu", nuEval);
-  const GreedyResult mu = runPass("mu", "sandwich.pass.mu", muEval);
-  const GreedyResult sg = runPass("sigma", "sandwich.pass.sigma", sigmaEval);
+  const GreedyResult nu = runPass("nu", "sandwich.pass.nu", sPassNu, nuEval);
+  const GreedyResult mu = runPass("mu", "sandwich.pass.mu", sPassMu, muEval);
+  const GreedyResult sg =
+      runPass("sigma", "sandwich.pass.sigma", sPassSigma, sigmaEval);
 
   result.placementMu = mu.placement;
   result.placementSigma = sg.placement;
@@ -126,22 +132,26 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
     progress->report(snap, /*force=*/true);
   }
 
+  static auto& cEvalsMu = msc::obs::counter("sandwich.gain_evals.mu");
+  static auto& cEvalsSigma = msc::obs::counter("sandwich.gain_evals.sigma");
+  static auto& cEvalsNu = msc::obs::counter("sandwich.gain_evals.nu");
+  static auto& cWinMu = msc::obs::counter("sandwich.winner.mu");
+  static auto& cWinSigma = msc::obs::counter("sandwich.winner.sigma");
+  static auto& cWinNu = msc::obs::counter("sandwich.winner.nu");
+  cEvalsMu.add(mu.gainEvaluations);
+  cEvalsSigma.add(sg.gainEvaluations);
+  cEvalsNu.add(nu.gainEvaluations);
+  const bool muWon = result.winner == "mu";
+  const bool sigmaWon = result.winner == "sigma";
+  (muWon ? cWinMu : sigmaWon ? cWinSigma : cWinNu).add(1);
   if (msc::obs::trace::enabled()) {
-    const char* winner = result.winner == "mu"      ? "mu"
-                         : result.winner == "sigma" ? "sigma"
-                                                    : "nu";
+    const char* winner = muWon ? "mu" : sigmaWon ? "sigma" : "nu";
     msc::obs::trace::instant("sandwich.winner",
                              {{"winner", winner},
                               {"sigma", result.sigma},
                               {"sigma_of_mu", result.sigmaOfMu},
                               {"sigma_of_sigma", result.sigmaOfSigma},
                               {"sigma_of_nu", result.sigmaOfNu}});
-  }
-  if (msc::obs::enabled()) {
-    msc::obs::counter("sandwich.gain_evals.mu").add(mu.gainEvaluations);
-    msc::obs::counter("sandwich.gain_evals.sigma").add(sg.gainEvaluations);
-    msc::obs::counter("sandwich.gain_evals.nu").add(nu.gainEvaluations);
-    msc::obs::counter("sandwich.winner." + result.winner).add(1);
   }
   return result;
 }

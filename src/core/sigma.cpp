@@ -36,10 +36,8 @@ double weightIf(bool keep, double w) {
 double sigmaOver(const msc::graph::OverlayEvaluator& overlay,
                  const Instance& instance, const std::vector<double>& weights,
                  const ShortcutList& placement) {
-  if (msc::obs::enabled()) {
-    static auto& cCalls = msc::obs::counter("sigma.calls");
-    cCalls.add(1);
-  }
+  static auto& cCalls = msc::obs::counter("sigma.calls");
+  cCalls.add(1);
   const auto dists = pairDistancesUnder(overlay, instance, placement);
   const double dt = instance.distanceThreshold();
   double total = 0.0;
@@ -155,11 +153,9 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
     const double viaBA = ru[b] + rw[a];
     gain += weightIf(std::min(viaAB, viaBA) <= dt, weights_[i]);
   }
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("sigma.gain_calls");
-    cGain.add(1);
-    publishPairChecks(checks);
-  }
+  static auto& cGain = msc::obs::counter("sigma.gain_calls");
+  cGain.add(1);
+  publishPairChecks(checks);
   return gain;
 }
 
@@ -190,20 +186,16 @@ void SigmaEvaluator::scanGains(const CandidateSet& candidates,
                               }),
             std::memory_order_relaxed);
       });
-  if (msc::obs::enabled()) {
-    static auto& cGain = msc::obs::counter("sigma.gain_calls");
-    cGain.add(candidates.size());
-    publishPairChecks(visits.load(std::memory_order_relaxed));
-  }
+  static auto& cGain = msc::obs::counter("sigma.gain_calls");
+  cGain.add(candidates.size());
+  publishPairChecks(visits.load(std::memory_order_relaxed));
 }
 
 void SigmaEvaluator::add(const Shortcut& f) {
-  if (msc::obs::enabled()) {
-    static auto& cAdd = msc::obs::counter("sigma.adds");
-    cAdd.add(1);
-    publishPairChecks(instance_->pairs().size() -
-                      static_cast<std::size_t>(satisfied_));
-  }
+  static auto& cAdd = msc::obs::counter("sigma.adds");
+  cAdd.add(1);
+  publishPairChecks(instance_->pairs().size() -
+                    static_cast<std::size_t>(satisfied_));
   rows_.applyZeroEdge(f.a, f.b);
   placement_.push_back(f);
   markSatisfied();

@@ -22,7 +22,7 @@ void printHeader(std::ostream& os, const std::string& title,
   os << title << '\n';
   os << "reproduces: " << artifact << '\n';
   os << msc::util::benchScaleBanner() << '\n';
-  if (msc::obs::enabled()) {
+  if (msc::util::envBool("MSC_METRICS", false)) {
     os << "metrics: enabled (MSC_METRICS) — footer follows the run\n";
   }
   if (msc::obs::trace::enabled()) {
@@ -42,9 +42,9 @@ std::string describeInstance(const msc::core::Instance& instance) {
 
 void printMetricsFooter(std::ostream& os) {
   const auto& reg = msc::obs::Registry::global();
-  // MSC_METRICS_PROM=FILE exports the registry as Prometheus text even when
-  // the human footer is off (histograms record unconditionally, so there is
-  // something to scrape without MSC_METRICS=1). Atexit context: never throw.
+  // MSC_METRICS_PROM=FILE exports the registry as Prometheus text whether
+  // or not MSC_METRICS=1 asks for the human footer. Atexit context: never
+  // throw.
   const char* prom = std::getenv("MSC_METRICS_PROM");
   if (prom != nullptr && *prom != '\0') {
     try {
@@ -54,7 +54,7 @@ void printMetricsFooter(std::ostream& os) {
       os << "prometheus metrics export failed: " << e.what() << '\n';
     }
   }
-  if (!reg.enabled()) return;
+  if (!msc::util::envBool("MSC_METRICS", false)) return;
   const msc::obs::Snapshot snap = reg.snapshot();
   if (snap.samples.empty() && snap.stats.empty()) return;
   os << "\n---- metrics (MSC_METRICS=1) ----\n";

@@ -19,7 +19,7 @@ void printHeader(std::ostream& os, const std::string& title,
 /// One-line instance summary (n, |E|, m, d_t).
 std::string describeInstance(const msc::core::Instance& instance);
 
-/// When the metrics registry is enabled and non-empty, prints a
+/// When MSC_METRICS=1 and the metrics registry is non-empty, prints a
 /// "---- metrics ----" banner followed by the text export. No-op otherwise.
 void printMetricsFooter(std::ostream& os);
 

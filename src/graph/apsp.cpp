@@ -9,10 +9,10 @@
 namespace msc::graph {
 
 DistanceMatrix allPairsDistances(const Graph& g, int threads) {
-  // Histograms record even with metrics disabled (one sample per build):
-  // the serve layer needs APSP tail latency without turning on MSC_METRICS.
+  // One histogram sample per build: the serve layer's APSP tail latency.
   static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
-  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
+  const msc::obs::ScopedSpan span("apsp.run", buildHist,
+                                  msc::obs::Phase::Apsp);
   const auto n = static_cast<std::size_t>(g.nodeCount());
   DistanceMatrix d(n, n, kInfDist);
   // One Dijkstra per source; each writes only its own row.

@@ -124,10 +124,6 @@ void PairCentricOracle::retireLocked(
 
 std::vector<std::vector<double>> PairCentricOracle::buildRows(
     std::span<const NodeId> sources, double radius, int threads) const {
-  if (msc::obs::enabled()) {
-    static auto& cRows = msc::obs::counter("oracle.row_builds");
-    cRows.add(sources.size());
-  }
   std::vector<std::vector<double>> rows(sources.size());
   std::vector<std::int64_t> buildNs(sources.size(), 0);
   const auto build = [&](std::size_t i) {
@@ -189,10 +185,8 @@ void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
   if (auto* ctx = obs::currentRequest()) {
     ctx->oracle().rowsEvicted.fetch_add(evicted, std::memory_order_relaxed);
   }
-  if (msc::obs::enabled()) {
-    static auto& cEvict = msc::obs::counter("oracle.row_evictions");
-    cEvict.add(evicted);
-  }
+  static auto& cEvict = msc::obs::counter("oracle.row_evictions");
+  cEvict.add(evicted);
   if (obs::trace::enabled()) {
     obs::trace::counter("oracle.rows_resident",
                         static_cast<double>(rows_.size()));
@@ -251,10 +245,8 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
   if (auto* ctx = obs::currentRequest()) {
     ctx->oracle().altQueries.fetch_add(1, std::memory_order_relaxed);
   }
-  if (msc::obs::enabled()) {
-    static auto& cAlt = msc::obs::counter("oracle.alt_queries");
-    cAlt.add(1);
-  }
+  static auto& cAlt = msc::obs::counter("oracle.alt_queries");
+  cAlt.add(1);
   // The row's own Dijkstra loop, stopped when t settles: bit-identical to
   // the full row's entry.
   return dijkstraDistance(*graph_, s, t);
@@ -306,7 +298,8 @@ void PairCentricOracle::prefetchRowsWithin(std::span<const NodeId> sources,
   // instance's pair-node prefetch: the request's APSP phase, with one APSP
   // histogram sample per build. A prefetch of cached rows records nothing.
   static auto& buildHist = msc::obs::histogram("apsp.build_seconds");
-  MSC_OBS_SPAN("apsp.run", buildHist, msc::obs::Phase::Apsp);
+  const msc::obs::ScopedSpan span("apsp.run", buildHist,
+                                  msc::obs::Phase::Apsp);
   auto built = buildRows(need, radius, threads);
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < need.size(); ++i) {
@@ -318,10 +311,8 @@ void PairCentricOracle::prefetchRowsWithin(std::span<const NodeId> sources,
 const DistanceMatrix& PairCentricOracle::materialize() const {
   const std::lock_guard<std::mutex> lock(fullMu_);
   if (!full_) {
-    if (msc::obs::enabled()) {
-      static auto& cMat = msc::obs::counter("oracle.materializations");
-      cMat.add(1);
-    }
+    static auto& cMat = msc::obs::counter("oracle.materializations");
+    cMat.add(1);
     const auto n = static_cast<std::size_t>(graph_->nodeCount());
     auto built = std::make_unique<DistanceMatrix>(n, n);
     // Row v is the oracle's own row of v. Under a budget the lease keeps

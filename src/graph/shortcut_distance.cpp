@@ -76,11 +76,8 @@ void ShortcutRowStore::reset() {
     rows_[i].assign(row.begin(), row.end());
     slot_[static_cast<std::size_t>(owners_[i])] = static_cast<int>(i);
   }
-  rowsMaterialized_.fetch_add(owners_.size(), std::memory_order_relaxed);
-  if (msc::obs::enabled() && !owners_.empty()) {
-    static auto& c = msc::obs::counter("rowstore.rows_materialized");
-    c.add(owners_.size());
-  }
+  static auto& c = msc::obs::counter("rowstore.rows_materialized");
+  c.add(owners_.size());
 }
 
 bool ShortcutRowStore::hasRow(NodeId v) const {
@@ -122,14 +119,11 @@ std::size_t ShortcutRowStore::ensureRowSlot(NodeId v) {
   slot_[static_cast<std::size_t>(v)] = static_cast<int>(idx);
   owners_.push_back(v);
   rows_.push_back(std::move(row));
-  rowsReplayed_.fetch_add(1, std::memory_order_relaxed);
   if (auto* ctx = msc::obs::currentRequest()) {
     ctx->oracle().rowsReplayed.fetch_add(1, std::memory_order_relaxed);
   }
-  if (msc::obs::enabled()) {
-    static auto& c = msc::obs::counter("rowstore.rows_replayed");
-    c.add(1);
-  }
+  static auto& c = msc::obs::counter("rowstore.rows_replayed");
+  c.add(1);
   return idx;
 }
 
@@ -182,15 +176,12 @@ void ShortcutRowStore::applyZeroEdge(NodeId a, NodeId b) {
     }
   }
   applied_.push_back(AppliedShortcut{a, b, std::move(merged)});
-  rowsEvolved_.fetch_add(rows_.size(), std::memory_order_relaxed);
   if (auto* ctx = msc::obs::currentRequest()) {
     ctx->oracle().rowsEvolved.fetch_add(rows_.size(),
                                         std::memory_order_relaxed);
   }
-  if (msc::obs::enabled()) {
-    static auto& c = msc::obs::counter("rowstore.rows_evolved");
-    c.add(rows_.size());
-  }
+  static auto& c = msc::obs::counter("rowstore.rows_evolved");
+  c.add(rows_.size());
 }
 
 }  // namespace msc::graph

@@ -20,8 +20,6 @@
 //     full matrix.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -93,22 +91,6 @@ class ShortcutRowStore {
   /// added later and all applied shortcuts are dropped.
   void reset();
 
-  // ---- row-lifecycle telemetry (docs/ALGORITHMS.md §16) ------------------
-  // Monotonic since construction; relaxed atomics so concurrent readers
-  // (stats scrapes) never race the evaluator thread mutating the store.
-
-  /// Rows seeded from the oracle (initial terminal sets; reset() re-counts).
-  std::uint64_t rowsMaterialized() const noexcept {
-    return rowsMaterialized_.load(std::memory_order_relaxed);
-  }
-  /// Row relaxations performed by applyZeroEdge (rows x shortcuts).
-  std::uint64_t rowsEvolved() const noexcept {
-    return rowsEvolved_.load(std::memory_order_relaxed);
-  }
-  /// Late-terminal rows rebuilt by replaying applied shortcuts.
-  std::uint64_t rowsReplayed() const noexcept {
-    return rowsReplayed_.load(std::memory_order_relaxed);
-  }
   /// Resident bytes of the stored rows + merged snapshots.
   std::size_t residentBytes() const noexcept {
     return (rows_.size() + applied_.size()) *
@@ -133,10 +115,6 @@ class ShortcutRowStore {
   std::vector<NodeId> owners_;         // row index -> node
   std::vector<std::vector<double>> rows_;
   std::vector<AppliedShortcut> applied_;
-
-  std::atomic<std::uint64_t> rowsMaterialized_{0};
-  std::atomic<std::uint64_t> rowsEvolved_{0};
-  std::atomic<std::uint64_t> rowsReplayed_{0};
 };
 
 }  // namespace msc::graph

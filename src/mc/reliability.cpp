@@ -33,8 +33,7 @@ bool relaxInto(const Bitset& rx, const Bitset* plane, Bitset& ry) {
   return changed;
 }
 
-/// Committed-propagation latency, one sample per reset or rebuild; recorded
-/// even with metrics disabled so tail latency is always visible. gainIfAdd
+/// Committed-propagation latency, one sample per reset or rebuild. gainIfAdd
 /// deliberately records nothing: it is the parallel-scan hot loop.
 msc::obs::Histogram& frontierHistogram() {
   static auto& hist = msc::obs::histogram("mc.frontier_seconds");
@@ -112,7 +111,7 @@ void ReliabilityEvaluator::reset() {
   placement_.clear();
 
   {
-    MSC_OBS_SPAN("mc.frontier", frontierHistogram());
+    const msc::obs::ScopedSpan span("mc.frontier", frontierHistogram());
     for (auto& sr : sources_) {
       for (auto& plane : sr.planes) plane.clear();
       sr.planes[static_cast<std::size_t>(sr.source)].setAll();
@@ -149,7 +148,7 @@ void ReliabilityEvaluator::propagate(SourceReach& sr,
 }
 
 void ReliabilityEvaluator::rebuildFrom(const std::vector<NodeId>& seeds) {
-  MSC_OBS_SPAN("mc.frontier", frontierHistogram());
+  const msc::obs::ScopedSpan span("mc.frontier", frontierHistogram());
   for (auto& sr : sources_) propagate(sr, seeds);
 }
 

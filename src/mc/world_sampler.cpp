@@ -46,10 +46,8 @@ WorldSet::WorldSet(const msc::graph::Graph& graph, const WorldConfig& config)
     }
     planes_.push_back(std::move(plane));
   }
-  if (msc::obs::enabled()) {
-    static auto& sampled = msc::obs::counter("mc.worlds");
-    sampled.add(static_cast<std::uint64_t>(worlds_));
-  }
+  static auto& sampled = msc::obs::counter("mc.worlds");
+  sampled.add(static_cast<std::uint64_t>(worlds_));
 }
 
 std::vector<std::uint8_t> WorldSet::upFlags(int world) const {

@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "obs/trace.h"
-#include "util/env.h"
 
 namespace msc::obs {
 
@@ -22,8 +21,6 @@ typename Map::mapped_type& entry(Map& map, std::string_view key) {
 }
 
 }  // namespace
-
-Registry::Registry() { enabled_.store(util::envBool("MSC_METRICS", false)); }
 
 Registry& Registry::global() {
   // Leaked on purpose: instrumentation sites cache Counter&/Stat& handles
@@ -114,36 +111,28 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-ScopedSpan::ScopedSpan(const char* name)
-    : ScopedSpan(name, nullptr, nullptr, Phase{}) {}
+ScopedSpan::ScopedSpan(const char* name, Stat& stat)
+    : ScopedSpan(name, &stat, nullptr, nullptr, Phase{}) {}
+
+ScopedSpan::ScopedSpan(const char* name, Stat& stat, Phase phase)
+    : ScopedSpan(name, &stat, nullptr, currentRequest(), phase) {}
 
 ScopedSpan::ScopedSpan(const char* name, Histogram& histogram)
-    : ScopedSpan(name, &histogram, nullptr, Phase{}) {}
-
-ScopedSpan::ScopedSpan(const char* name, Phase phase)
-    : ScopedSpan(name, nullptr, currentRequest(), phase) {}
+    : ScopedSpan(name, nullptr, &histogram, nullptr, Phase{}) {}
 
 ScopedSpan::ScopedSpan(const char* name, Histogram& histogram, Phase phase)
-    : ScopedSpan(name, &histogram, currentRequest(), phase) {}
+    : ScopedSpan(name, nullptr, &histogram, currentRequest(), phase) {}
 
-ScopedSpan::ScopedSpan(const char* name, Histogram* histogram,
+ScopedSpan::ScopedSpan(const char* name, Stat* stat, Histogram* histogram,
                        RequestContext* request, Phase phase)
-    : histogram_(histogram), request_(request), phase_(phase) {
-  Registry& reg = Registry::global();
-  if (reg.enabled()) {
-    std::string key("span.");
-    key.append(name);
-    stat_ = &reg.stat(key);
-  }
+    : stat_(stat), histogram_(histogram), request_(request), phase_(phase) {
   if (trace::enabled()) traceName_ = name;
-  if (!timed()) return;
   startNs_ = trace::nowNs();
   if (traceName_ != nullptr) trace::beginAt(traceName_, startNs_);
-  if (stat_ != nullptr || traceName_ != nullptr) ++gSpanDepth;
+  ++gSpanDepth;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!timed()) return;
   const std::int64_t endNs = trace::nowNs();
   const std::int64_t ns = endNs - startNs_;
   const double seconds = static_cast<double>(ns) * 1e-9;
@@ -151,7 +140,7 @@ ScopedSpan::~ScopedSpan() {
   if (stat_ != nullptr) stat_->record(seconds);
   if (histogram_ != nullptr) histogram_->record(seconds);
   if (request_ != nullptr) request_->addPhaseNs(phase_, ns);
-  if (stat_ != nullptr || traceName_ != nullptr) --gSpanDepth;
+  --gSpanDepth;
 }
 
 int ScopedSpan::depth() noexcept { return gSpanDepth; }

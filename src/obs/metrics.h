@@ -4,22 +4,22 @@
 // Every algorithm hot path (sigma evaluation, Dijkstra, the greedy passes,
 // the evolutionary loops) publishes operation counts here so that bench
 // runs and the CLI can report *what the solver actually did* — not just
-// wall clock. The registry is disabled by default and costs one relaxed
-// atomic load per guarded call site; enable it programmatically via
-// `setEnabled(true)` or by exporting `MSC_METRICS=1`.
+// wall clock. Every series always records: a counter add is one relaxed
+// atomic on a handle the call site looked up once. MSC_METRICS=1 only asks
+// the bench binaries and msc_cli to print the registry as a text footer at
+// exit (eval/report.h).
 //
 // Usage at an instrumentation site:
 //
-//   if (msc::obs::enabled()) {
-//     static auto& runs = msc::obs::counter("dijkstra.runs");
-//     runs.add(1);
-//   }
+//   static auto& runs = msc::obs::counter("dijkstra.runs");
+//   runs.add(1);
 //   ...
 //   MSC_OBS_SPAN("greedy.pass");   // records span.greedy.pass
 //   static auto& scanHist = msc::obs::histogram("greedy.round_scan_seconds");
-//   MSC_OBS_SPAN("greedy.round_scan", scanHist, msc::obs::Phase::RoundScan);
-//                 // one reading feeds span.greedy.round_scan, the
-//                 // histogram and the bound request's round_scan phase
+//   const msc::obs::ScopedSpan scan("greedy.round_scan", scanHist,
+//                                   msc::obs::Phase::RoundScan);
+//                 // one reading feeds the histogram and the bound
+//                 // request's round_scan phase; no span.* stat
 //
 // Counter/stat references are stable for the lifetime of the process: the
 // registry is intentionally leaked and entries are never erased (reset()
@@ -74,8 +74,8 @@ class Gauge {
 };
 
 /// Welford accumulator over recorded samples (span durations in seconds,
-/// archive sizes, ...). Thread-safe via a per-stat mutex; record() is only
-/// called on enabled paths, never in disabled-mode hot loops.
+/// archive sizes, ...). Thread-safe via a per-stat mutex, so record() sits
+/// at most once per pass, run or job, never inside a gain-scan loop.
 class Stat {
  public:
   void record(double x) {
@@ -141,19 +141,9 @@ struct Snapshot {
 /// mutex-guarded; hot call sites cache the returned reference.
 class Registry {
  public:
-  /// The global registry. Constructed on first use with `enabled` seeded
-  /// from the MSC_METRICS environment variable; intentionally leaked so
-  /// handles stay valid during static destruction.
+  /// The global registry. Constructed on first use; intentionally leaked
+  /// so handles stay valid during static destruction.
   static Registry& global();
-
-  Registry();
-
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  void setEnabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
 
   /// The series `name{labels}`, registered at zero on first use. `labels`
   /// is a fixed Prometheus label body (`kind="row"`); register every value
@@ -168,10 +158,8 @@ class Registry {
     return series(name, labels, help, MetricType::Gauge).gauge;
   }
   Stat& stat(std::string_view name);
-  /// Log-linear latency histogram (obs/histogram.h). Unlike counters and
-  /// stats, histogram record() sites are NOT gated on enabled(): recording
-  /// is a few relaxed atomic ops into bounded storage, cheap enough for
-  /// service hot paths that need tail latency visible at all times.
+  /// Log-linear latency histogram (obs/histogram.h): recording is a few
+  /// relaxed atomic ops into bounded storage.
   Histogram& histogram(std::string_view name);
 
   /// Zeroes every series but keeps all registrations (and thus all
@@ -195,12 +183,9 @@ class Registry {
   std::map<std::string, std::string, std::less<>> help_;  // by name
   std::map<std::string, Stat, std::less<>> stats_;
   std::map<std::string, Histogram, std::less<>> histograms_;
-  std::atomic<bool> enabled_{false};
 };
 
 /// Shorthands against the global registry.
-inline bool enabled() noexcept { return Registry::global().enabled(); }
-inline void setEnabled(bool on) noexcept { Registry::global().setEnabled(on); }
 inline Counter& counter(std::string_view name, std::string_view labels = {},
                         std::string_view help = {}) {
   return Registry::global().counter(name, labels, help);
@@ -218,44 +203,36 @@ inline Histogram& histogram(std::string_view name) {
 inline void resetAll() { Registry::global().reset(); }
 
 /// RAII span, the one scoped timer: every consumer of a timed interval
-/// reads the same clock pair. When metrics are enabled at construction it
-/// records the scope's wall duration (seconds) into stat "span.<name>";
-/// when tracing (obs/trace.h) is enabled it emits a begin/end slice on the
-/// current thread's timeline lane. The second forms also name an always-on
-/// histogram (so the clock is always read) and/or a request phase, charged
-/// to the RequestContext bound at construction (obs/context.h). Tracks
-/// nesting depth for the current thread while metrics or tracing is on. A
-/// span with no consumer is a few relaxed/thread-local loads and no clock
-/// reads.
+/// reads the same clock pair. It records the scope's wall duration
+/// (seconds) into one sink, a value stat or a histogram; when tracing
+/// (obs/trace.h) is enabled it also emits a begin/end slice on the current
+/// thread's timeline lane. A span that names a phase also charges it to the
+/// RequestContext bound at construction (obs/context.h). MSC_OBS_SPAN is
+/// the stat form; a span with a histogram is declared directly, and then
+/// registers no "span.<name>" stat.
 ///
 /// `name` must have static storage duration (pass a string literal) — the
 /// trace backend stores the pointer, not a copy.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
+  ScopedSpan(const char* name, Stat& stat);
+  ScopedSpan(const char* name, Stat& stat, Phase phase);
   ScopedSpan(const char* name, Histogram& histogram);
-  ScopedSpan(const char* name, Phase phase);
   ScopedSpan(const char* name, Histogram& histogram, Phase phase);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Nesting depth of currently-open metrics- or trace-enabled spans on
-  /// this thread.
+  /// Nesting depth of currently-open spans on this thread.
   static int depth() noexcept;
 
  private:
-  ScopedSpan(const char* name, Histogram* histogram, RequestContext* request,
-             Phase phase);
-  /// True when some consumer wants this span's clock pair.
-  bool timed() const noexcept {
-    return stat_ != nullptr || traceName_ != nullptr ||
-           histogram_ != nullptr || request_ != nullptr;
-  }
+  ScopedSpan(const char* name, Stat* stat, Histogram* histogram,
+             RequestContext* request, Phase phase);
 
-  Stat* stat_ = nullptr;               // null when metrics are off
+  Stat* stat_ = nullptr;               // exactly one of stat_ and
+  Histogram* histogram_ = nullptr;     // histogram_ is set
   const char* traceName_ = nullptr;    // null when tracing is off
-  Histogram* histogram_ = nullptr;     // null when none was named
   RequestContext* request_ = nullptr;  // null without a phase or a binding
   Phase phase_;
   std::int64_t startNs_ = 0;  // trace::nowNs() at construction
@@ -263,9 +240,14 @@ class ScopedSpan {
 
 #define MSC_OBS_CONCAT_INNER(a, b) a##b
 #define MSC_OBS_CONCAT(a, b) MSC_OBS_CONCAT_INNER(a, b)
-/// Opens a ScopedSpan for the rest of the enclosing scope; the arguments
-/// are any ScopedSpan constructor's: (name[, histogram][, phase]).
-#define MSC_OBS_SPAN(...) \
-  ::msc::obs::ScopedSpan MSC_OBS_CONCAT(mscObsSpan_, __LINE__)(__VA_ARGS__)
+/// Opens a ScopedSpan for the rest of the enclosing scope that records into
+/// stat "span.<name>", looked up once per call site. `name` is a string
+/// literal; an optional second argument names a request phase.
+#define MSC_OBS_SPAN(name, ...)                                          \
+  static ::msc::obs::Stat& MSC_OBS_CONCAT(mscObsSpanStat_, __LINE__) =   \
+      ::msc::obs::stat("span." name);                                    \
+  const ::msc::obs::ScopedSpan MSC_OBS_CONCAT(mscObsSpan_, __LINE__)(    \
+      name, MSC_OBS_CONCAT(mscObsSpanStat_, __LINE__)                    \
+                __VA_OPT__(, ) __VA_ARGS__)
 
 }  // namespace msc::obs

@@ -130,10 +130,9 @@ class ScopedProgressStage {
 /// Current thread's stage label ("" outside any ScopedProgressStage).
 const char* currentProgressStage() noexcept;
 
-/// Process-wide progress series in the global registry, always on
-/// (independent of obs::enabled()), behind the `stats` progress fields and
-/// the msc_progress_* / msc_solver_rounds_per_second Prometheus series.
-/// The first call registers them at zero.
+/// Process-wide progress series in the global registry, behind the `stats`
+/// progress fields and the msc_progress_* / msc_solver_rounds_per_second
+/// Prometheus series. The first call registers them at zero.
 struct ProgressMetrics {
   Counter& snapshots;      // "progress.snapshots": offered to reporters
   Counter& events;         // "progress.events": delivered to sinks

@@ -75,10 +75,8 @@ constexpr OracleCounter kOracleCounters[] = {
     {"rows_replayed", &Usage::rowsReplayed, nullptr, nullptr, nullptr},
 };
 
-/// The always-on latency histograms: a few relaxed atomics per request,
-/// cheap enough that tail latency stays visible without MSC_METRICS. Every
-/// Engine registers them on construction, so they show from the first
-/// scrape.
+/// The latency histograms: a few relaxed atomics per request. Every Engine
+/// registers them on construction, so they show from the first scrape.
 struct LatencyHistograms {
   obs::Histogram& request = obs::histogram("serve.request_seconds");
   obs::Histogram& queueWait = obs::histogram("serve.queue_wait_seconds");
@@ -90,6 +88,25 @@ struct LatencyHistograms {
 LatencyHistograms& latency() {
   static LatencyHistograms histograms;
   return histograms;
+}
+
+/// The "span.<span>" stat of each command's span and of span.serve.request,
+/// looked up once.
+struct SpanStats {
+  obs::Stat& request = obs::stat("span.serve.request");
+  std::array<obs::Stat*, kCommandCount> command = [] {
+    std::array<obs::Stat*, kCommandCount> stats{};
+    for (std::size_t i = 0; i < kCommandCount; ++i) {
+      stats[i] = &obs::stat(std::string("span.") +
+                            commandSpec(static_cast<Command>(i)).span);
+    }
+    return stats;
+  }();
+};
+
+SpanStats& spanStats() {
+  static SpanStats stats;
+  return stats;
 }
 
 /// The "distance_mode" solve and eval replies report for a graph's
@@ -238,7 +255,8 @@ class Engine::Lifecycle {
       : engine_(engine),
         request_(request),
         queueWait_(queueWaitSeconds),
-        cmdSpan_(commandSpec(request.cmd).span),
+        cmdSpan_(commandSpec(request.cmd).span,
+                 *spanStats().command[static_cast<std::size_t>(request.cmd)]),
         // "profile" is validated in arm(), so a malformed value takes the
         // normal error reply.
         rctx_(json::dump(request.id), readProfile(request, profileError_)),
@@ -457,7 +475,7 @@ class Engine::Lifecycle {
   Engine& engine_;
   const Request& request_;
   const double queueWait_;
-  obs::ScopedSpan requestSpan_{"serve.request"};
+  obs::ScopedSpan requestSpan_{"serve.request", spanStats().request};
   obs::ScopedSpan cmdSpan_;
   const std::chrono::steady_clock::time_point begin_ =
       std::chrono::steady_clock::now();
@@ -794,10 +812,9 @@ json::Object Engine::cmdStats(const Request&, obs::RequestContext&) {
     fields["queue_depth"] = v("serve.requests_inflight", "phase=\"queued\"");
     fields["overloaded"] = v("serve.overloaded");
   }
-  // Every counter series, keyed as in msc.metrics.v1 (library counters
-  // only move when MSC_METRICS is on), plus the always-on request-latency
-  // histogram, so one stats request answers "what has this server been
-  // doing".
+  // Every counter series, keyed as in msc.metrics.v1, plus the
+  // request-latency histogram, so one stats request answers "what has this
+  // server been doing".
   json::Object counters;
   for (const obs::Sample& s : snap.samples) {
     if (s.type == obs::MetricType::Counter) counters[s.key()] = s.value;

@@ -42,7 +42,7 @@
 // slow requests, cancellations, overload rejections, oracle work) and the
 // queue depth is a "serve.queue_depth" trace counter track. `stats`,
 // `metrics` and GET /metrics all render one Engine::snapshot(). On top of
-// that (docs/ALGORITHMS.md §13): always-on latency histograms
+// that (docs/ALGORITHMS.md §13): latency histograms
 // ("serve.request_seconds", "serve.queue_wait_seconds"), Prometheus text
 // via `metrics` or a plain-HTTP listener (startMetricsHttp,
 // `msc_cli serve --metrics-listen PORT`), one JSONL log line per request

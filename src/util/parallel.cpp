@@ -39,16 +39,18 @@ struct ChunkGuard {
 
 void publishJob(std::size_t chunkCount, int participants,
                 std::size_t minChunks, std::size_t maxChunks, bool pooled) {
-  if (!msc::obs::enabled()) return;
-  msc::obs::counter(pooled ? "pool.jobs" : "pool.jobs.serial").add(1);
-  msc::obs::counter("pool.chunks").add(chunkCount);
+  static auto& cJobs = msc::obs::counter("pool.jobs");
+  static auto& cSerialJobs = msc::obs::counter("pool.jobs.serial");
+  static auto& cChunks = msc::obs::counter("pool.chunks");
+  static auto& cParticipants = msc::obs::counter("pool.participants");
+  static auto& sImbalance = msc::obs::stat("pool.chunk_imbalance");
+  (pooled ? cJobs : cSerialJobs).add(1);
+  cChunks.add(chunkCount);
   if (pooled) {
-    msc::obs::counter("pool.participants")
-        .add(static_cast<std::uint64_t>(participants));
+    cParticipants.add(static_cast<std::uint64_t>(participants));
     // Spread between the busiest and laziest participant, in chunks: 0 is
     // a perfectly balanced job, chunkCount-ish means one thread did it all.
-    msc::obs::stat("pool.chunk_imbalance")
-        .record(static_cast<double>(maxChunks - minChunks));
+    sImbalance.record(static_cast<double>(maxChunks - minChunks));
   }
 }
 

@@ -169,15 +169,6 @@ TEST(HistogramTest, RegistryReturnsSameInstanceAndResetAllClears) {
   EXPECT_EQ(b.snapshot().count, 1u);
   msc::obs::resetAll();
   EXPECT_EQ(a.snapshot().count, 0u);
-  // Histograms record even while the registry is disabled (always-on).
-  // The test disables it itself: MSC_METRICS=1 may have enabled it.
-  const bool wasEnabled = msc::obs::enabled();
-  msc::obs::setEnabled(false);
-  EXPECT_FALSE(msc::obs::enabled());
-  a.record(0.25);
-  EXPECT_EQ(a.snapshot().count, 1u);
-  msc::obs::setEnabled(wasEnabled);
-  msc::obs::resetAll();
 }
 
 TEST(HistogramTest, RegistryRowsAreSortedByName) {

@@ -17,18 +17,12 @@ namespace {
 using msc::obs::Registry;
 using msc::obs::ScopedSpan;
 
-// The registry is process-global; every test starts from a clean, enabled
-// slate and restores the disabled default on exit.
+// The registry is process-global; every test starts and ends on a zeroed
+// registry.
 class ObsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    msc::obs::resetAll();
-    msc::obs::setEnabled(true);
-  }
-  void TearDown() override {
-    msc::obs::setEnabled(false);
-    msc::obs::resetAll();
-  }
+  void SetUp() override { msc::obs::resetAll(); }
+  void TearDown() override { msc::obs::resetAll(); }
 };
 
 TEST_F(ObsTest, CounterRegistrationAndAccumulation) {
@@ -94,26 +88,6 @@ TEST_F(ObsTest, SpanNestingTracksDepthAndRecordsBothLevels) {
   EXPECT_EQ(ScopedSpan::depth(), 0);
   EXPECT_EQ(msc::obs::stat("span.test.outer").snapshot().count(), 1u);
   EXPECT_EQ(msc::obs::stat("span.test.inner").snapshot().count(), 1u);
-}
-
-TEST_F(ObsTest, DisabledModeIsANoOpForSpans) {
-  msc::obs::setEnabled(false);
-  {
-    MSC_OBS_SPAN("test.disabled");
-    // Disabled spans do not join the nesting chain.
-    EXPECT_EQ(ScopedSpan::depth(), 0);
-  }
-  msc::obs::setEnabled(true);
-  // The span stat was never created, so it reads back empty.
-  EXPECT_EQ(msc::obs::stat("span.test.disabled").snapshot().count(), 0u);
-}
-
-TEST_F(ObsTest, EnabledFlagFlipsAtRuntime) {
-  EXPECT_TRUE(msc::obs::enabled());
-  msc::obs::setEnabled(false);
-  EXPECT_FALSE(msc::obs::enabled());
-  msc::obs::setEnabled(true);
-  EXPECT_TRUE(msc::obs::enabled());
 }
 
 TEST_F(ObsTest, JsonExportShape) {

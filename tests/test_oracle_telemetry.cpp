@@ -73,27 +73,24 @@ SolveResult solveOnce(const Graph& g, const std::vector<SocialPair>& pairs,
 
 class TelemetryBitIdentity : public ::testing::TestWithParam<int> {};
 
-// Metrics on vs off, request context bound vs not: same bits everywhere
-// the solvers look. The telemetry layer must never perturb a result.
+// Request metrics on vs off, i.e. a request context bound vs not: same bits
+// everywhere the solvers look. The telemetry layer must never perturb a
+// result.
 TEST_P(TelemetryBitIdentity, SolverResultsIdenticalWithMetricsOnAndOff) {
   const int threads = GetParam();
   const auto g = msc::test::randomGraph(60, 0.08, 17);
   const auto pairs = spreadPairs(g.nodeCount(), 8);
-  const bool wasEnabled = msc::obs::enabled();
 
   for (const bool fullRows : {true, false}) {
     SCOPED_TRACE(fullRows ? "full rows" : "bounded rows");
-    msc::obs::setEnabled(false);
     const SolveResult off = solveOnce(g, pairs, fullRows, threads);
 
-    msc::obs::setEnabled(true);
     msc::obs::RequestContext ctx("\"telemetry-test\"");
     SolveResult on;
     {
       msc::obs::ScopedRequestBind bind(&ctx);
       on = solveOnce(g, pairs, fullRows, threads);
     }
-    msc::obs::setEnabled(wasEnabled);
 
     EXPECT_EQ(off.placement, on.placement);
     EXPECT_EQ(off.value, on.value);

@@ -19,14 +19,8 @@ using msc::obs::Registry;
 
 class PromExportTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    msc::obs::resetAll();
-    msc::obs::setEnabled(true);
-  }
-  void TearDown() override {
-    msc::obs::setEnabled(false);
-    msc::obs::resetAll();
-  }
+  void SetUp() override { msc::obs::resetAll(); }
+  void TearDown() override { msc::obs::resetAll(); }
 };
 
 // Splits exposition output into non-comment sample lines.

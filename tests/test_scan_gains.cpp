@@ -704,14 +704,8 @@ TEST(PairBall, NonCandidateProbesFallBackOrStayExact) {
 }
 
 struct MetricsScope {
-  MetricsScope() {
-    msc::obs::resetAll();
-    msc::obs::setEnabled(true);
-  }
-  ~MetricsScope() {
-    msc::obs::setEnabled(false);
-    msc::obs::resetAll();
-  }
+  MetricsScope() { msc::obs::resetAll(); }
+  ~MetricsScope() { msc::obs::resetAll(); }
 };
 
 TEST(PairBall, FarCandidateMakesNoPairChecksAndStaleIndexIsDropped) {

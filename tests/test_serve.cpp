@@ -432,23 +432,10 @@ double singleHistogramSample(const std::string& name) {
   return -1.0;
 }
 
-/// The one sample stat "span.<name>" holds since the last resetAll().
-double singleSpanSample(const std::string& name) {
-  for (const auto& row : msc::obs::Registry::global().snapshot().stats) {
-    if (row.name != "span." + name) continue;
-    EXPECT_EQ(row.stats.count(), 1u) << name;
-    return row.stats.mean();
-  }
-  ADD_FAILURE() << "no span " << name;
-  return -1.0;
-}
-
-// One timer per interval: a timed scope's span stat, its always-on
-// histogram and the request phase it charges all carry the same single
-// clock reading, so they agree exactly, not just approximately.
+// One timer per interval: a timed scope's histogram and the request phase
+// it charges carry the same single clock reading, so they agree exactly,
+// not just approximately.
 TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
-  const bool wasEnabled = msc::obs::enabled();
-  msc::obs::setEnabled(true);
   const auto phase = [](const json::Value& reply, const char* name) {
     return reply.find("usage")->find("phases")->find(name)->asNumber();
   };
@@ -468,7 +455,6 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
     const double apsp = phase(eval, "apsp");
     EXPECT_GT(apsp, 0.0);
     EXPECT_EQ(apsp, singleHistogramSample("apsp.build_seconds"));
-    EXPECT_EQ(apsp, singleSpanSample("apsp.run"));
 
     // One greedy round: one round-scan reading.
     msc::obs::resetAll();
@@ -479,10 +465,8 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
     EXPECT_EQ(phase(solve, "apsp"), 0.0);  // warm oracle
     const double roundScan = phase(solve, "round_scan");
     EXPECT_EQ(roundScan, singleHistogramSample("greedy.round_scan_seconds"));
-    EXPECT_EQ(roundScan, singleSpanSample("greedy.round_scan"));
   }
   msc::obs::resetAll();
-  msc::obs::setEnabled(wasEnabled);
 }
 
 TEST(ServeEngineObservability2, SlowRequestBreachDumpsFlightRecord) {
@@ -1829,6 +1813,40 @@ TEST(ServeTelemetry, StatsMetricsAndRepliesAgreeOverOneSession) {
     EXPECT_EQ(counters.at(key).asNumber(), value.asNumber()) << key;
   }
   EXPECT_EQ(counters.count("progress.snapshots"), 1u);
+}
+
+// Library telemetry records with no switch: one greedy solve moves the
+// solver and Dijkstra counters in `stats` and on the metrics page, and a
+// span that names a histogram feeds that histogram only, with no
+// "span.<name>" stat repeating its reading.
+TEST(ServeTelemetry, LibraryCountersRecordWithoutASwitch) {
+  msc::obs::resetAll();
+  Engine engine;
+  loadFixture(engine, msc::test::randomGraph(40, 0.1, 7), "0 39\n3 31\n");
+  const auto solve = json::parse(engine.handleLine(
+      "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+      "\"algo\":\"greedy\",\"k\":2,\"threads\":1,\"seed\":1}"));
+  ASSERT_EQ(solve.find("status")->asString(), "ok");
+
+  const auto stats = json::parse(engine.handleLine("{\"cmd\":\"stats\"}"));
+  const auto& counters = stats.find("obs_counters")->asObject();
+  const auto page = promSamples(engine.metricsText());
+  for (const char* key : {"greedy.rounds", "dijkstra.runs"}) {
+    ASSERT_EQ(counters.count(key), 1u) << key;
+    EXPECT_GT(counters.at(key).asNumber(), 0.0) << key;
+    ASSERT_EQ(page.count(promCounterSeries(key)), 1u) << key;
+    EXPECT_EQ(page.at(promCounterSeries(key)), counters.at(key).asNumber())
+        << key;
+  }
+  EXPECT_GT(msc::obs::histogram("apsp.build_seconds").snapshot().count, 0u);
+  EXPECT_GT(
+      msc::obs::histogram("greedy.round_scan_seconds").snapshot().count, 0u);
+  for (const auto& row : msc::obs::Registry::global().snapshot().stats) {
+    for (const char* span : {"apsp.run", "greedy.round_scan", "mc.frontier"}) {
+      EXPECT_NE(row.name, std::string("span.") + span);
+    }
+  }
+  msc::obs::resetAll();
 }
 
 }  // namespace

@@ -251,16 +251,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SigmaStrategies,
 
 // --- metrics instrumentation -------------------------------------------
 
-// Guard that enables metrics for one test and restores the default after.
+// Guard that zeroes the registry when one test's counting starts and again
+// when it ends.
 struct MetricsScope {
-  MetricsScope() {
-    msc::obs::resetAll();
-    msc::obs::setEnabled(true);
-  }
-  ~MetricsScope() {
-    msc::obs::setEnabled(false);
-    msc::obs::resetAll();
-  }
+  MetricsScope() { msc::obs::resetAll(); }
+  ~MetricsScope() { msc::obs::resetAll(); }
 };
 
 TEST(SigmaMetrics, ValueDispatchCountsOnceAndPicksOneStrategy) {
@@ -310,18 +305,6 @@ TEST(SigmaMetrics, IncrementalPathCountsGainsAndAdds) {
   // Both pairs were unsatisfied at every probe and at the add: 2 + 2 + 2
   // pair checks, plus the scan's 17 visits.
   EXPECT_EQ(msc::obs::counter("sigma.relaxations").value(), 23u);
-}
-
-TEST(SigmaMetrics, DisabledRegistryRecordsNothing) {
-  msc::obs::resetAll();
-  msc::obs::setEnabled(false);
-  Instance inst(msc::test::lineGraph(6), {{0, 5}}, 2.0);
-  SigmaEvaluator eval(inst);
-  eval.value({Shortcut::make(0, 5)});
-  eval.gainIfAdd(Shortcut::make(0, 5));
-  EXPECT_EQ(msc::obs::counter("sigma.calls").value(), 0u);
-  EXPECT_EQ(msc::obs::counter("sigma.gain_calls").value(), 0u);
-  msc::obs::resetAll();
 }
 
 }  // namespace
