@@ -259,6 +259,20 @@ void BM_NuGainScan(benchmark::State& state) {
 }
 BENCHMARK(BM_NuGainScan)->Args({512, 100});
 
+// The sandwich's ν pass: k = 5 greedy rounds over all pairs, each one ν
+// argmax (a bounded walk over endpoint pairs, not a full scan).
+void BM_NuGreedyPass(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto spatial = makeScanRg(n, static_cast<int>(state.range(1)));
+  msc::core::NuEvaluator eval(spatial.instance);
+  const auto cands = CandidateSet::allPairs(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        msc::core::greedyMaximize(eval, cands, msc::core::SolveOptions{.k = 5}));
+  }
+}
+BENCHMARK(BM_NuGreedyPass)->Args({512, 100})->Unit(benchmark::kMicrosecond);
+
 // One whole sandwich (μ construction, the three greedy passes, scoring)
 // at k = 5 on one thread: the served dense_solve sandwich request.
 void BM_SandwichDense(benchmark::State& state) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -317,21 +319,104 @@ void NuEvaluator::scanGains(const CandidateSet& candidates,
               open[w] = ~coveredWords[w] & ~cov[w];
             }
           }
-          // The same bits gainIfAdd's forEachMissingFrom visits, in the
-          // same ascending order, added onto the same first-endpoint sum.
-          double gain = first[static_cast<std::size_t>(a)];
-          const auto& covB = coverage_[static_cast<std::size_t>(f.b)].words();
-          for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t bits = covB[w] & open[w];
-            while (bits != 0) {
-              gain += nodeWeights_[w * 64 + static_cast<std::size_t>(
-                                                std::countr_zero(bits))];
-              bits &= bits - 1;
-            }
-          }
-          gains[c] = gain;
+          gains[c] =
+              pairGain(first[static_cast<std::size_t>(a)], f.b, open.data());
         }
       });
+}
+
+double NuEvaluator::pairGain(double first, NodeId b,
+                             const std::uint64_t* open) const {
+  // The same bits gainIfAdd's forEachMissingFrom visits, in the same
+  // ascending order, added onto the same first-endpoint sum.
+  double gain = first;
+  const auto& covB = coverage_[static_cast<std::size_t>(b)].words();
+  for (std::size_t w = 0; w < covB.size(); ++w) {
+    std::uint64_t bits = covB[w] & open[w];
+    while (bits != 0) {
+      gain += nodeWeights_[w * 64 +
+                           static_cast<std::size_t>(std::countr_zero(bits))];
+      bits &= bits - 1;
+    }
+  }
+  return gain;
+}
+
+GainPick NuEvaluator::argmaxGain(const CandidateSet& candidates, int threads,
+                                 std::span<const std::uint8_t> skip,
+                                 std::vector<double>& scratch) {
+  if (!candidates.holdsAllEndpointPairs()) {
+    return IncrementalEvaluator::argmaxGain(candidates, threads, skip,
+                                            scratch);
+  }
+  if (!skip.empty() && skip.size() != candidates.size()) {
+    throw std::invalid_argument("argmaxGain: one flag per candidate");
+  }
+  GainPick best;
+  best.evaluations =
+      skip.empty() ? candidates.size()
+                   : static_cast<std::size_t>(
+                         std::count(skip.begin(), skip.end(), 0));
+  const std::vector<NodeId>& ends = candidates.endpoints();
+  if (ends.size() < 2) return best;
+  // g[p]: endpoint p's gain alone, the first term of every exact gain it
+  // starts (scanGains' first[]). The gain of (a, b) is g(a) plus b's gain
+  // given a, so in exact arithmetic it is at most g(a) + g(b).
+  std::vector<double> g(ends.size());
+  for (std::size_t p = 0; p < ends.size(); ++p) {
+    g[p] = gainOfEndpoint(ends[p], covered_);
+  }
+  std::vector<std::uint32_t> order(ends.size());  // positions, by g desc
+  std::iota(order.begin(), order.end(), 0U);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t l, std::uint32_t r) { return g[l] > g[r]; });
+  // open[p]: the words of ~covered & ~coverage(endpoint p), scanGains' mask
+  // for the candidates that p starts.
+  const std::size_t words = covered_.wordCount();
+  const auto& coveredWords = covered_.words();
+  std::vector<std::uint64_t> open(ends.size() * words);
+  for (std::size_t p = 0; p < ends.size(); ++p) {
+    const auto& cov = coverage_[static_cast<std::size_t>(ends[p])].words();
+    for (std::size_t w = 0; w < words; ++w) {
+      open[p * words + w] = ~coveredWords[w] & ~cov[w];
+    }
+  }
+  // Every sum above adds at most one term per pair-node, so 2(P + 2) ulps
+  // cover the rounding of the exact gain and of the bound's three
+  // operations (§2 derives it). Rounding is monotone, so a bound never
+  // rises along a row of ranks (i, i + 1), (i, i + 2), ..., nor from one
+  // row's first pair to the next row's; overflow keeps a bound +inf.
+  const double slack =
+      1.0 + 2.0 * static_cast<double>(covered_.size() + 2) *
+                std::numeric_limits<double>::epsilon();
+  // A pair whose bound is below the best gain found (or not positive) is
+  // no pick, and neither is any later pair of its row; when that pair is
+  // its row's first, no later row holds a pick.
+  const auto hopeless = [&](std::size_t i, std::size_t j) {
+    const double bound = (g[order[i]] + g[order[j]]) * slack;
+    return !(bound > 0.0) || bound < best.gain;
+  };
+  std::uint64_t rescored = 0;
+  for (std::size_t i = 0; i + 1 < ends.size() && !hopeless(i, i + 1); ++i) {
+    for (std::size_t j = i + 1; j < ends.size() && !hopeless(i, j); ++j) {
+      const std::uint32_t pa = std::min(order[i], order[j]);
+      const std::uint32_t pb = std::max(order[i], order[j]);
+      const auto c = static_cast<std::size_t>(
+          candidates.indexOf(Shortcut{ends[pa], ends[pb]}));
+      if (!skip.empty() && skip[c] != 0) continue;
+      ++rescored;
+      const double gain = pairGain(g[pa], ends[pb], &open[pa * words]);
+      if (gain > 0.0 &&
+          (gain > best.gain ||
+           (gain == best.gain && static_cast<long>(c) < best.index))) {
+        best.index = static_cast<long>(c);
+        best.gain = gain;
+      }
+    }
+  }
+  static auto& cGain = msc::obs::counter("nu.gain_calls");
+  cGain.add(rescored);
+  return best;
 }
 
 void NuEvaluator::add(const Shortcut& f) {

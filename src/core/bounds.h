@@ -123,6 +123,16 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
   /// candidate over coverage(b) minus the covered and coverage(a) nodes.
   void scanGains(const CandidateSet& candidates, std::span<double> gains,
                  int threads, std::span<const std::uint8_t> skip) override;
+  /// When `candidates` holds every pair of its endpoints: scores each
+  /// endpoint alone, ranks the endpoints by score and walks the rank pairs
+  /// row by row while the sum of their two scores (an upper bound on the
+  /// pair's gain, widened for rounding) reaches the best gain found,
+  /// computing scanGains' exact gain for each pair walked
+  /// (docs/ALGORITHMS.md §2). Runs on the calling thread and leaves
+  /// `scratch` alone. Any other set takes the default scan.
+  GainPick argmaxGain(const CandidateSet& candidates, int threads,
+                      std::span<const std::uint8_t> skip,
+                      std::vector<double>& scratch) override;
 
   /// Weight of pair-node index i: half the summed weights of the
   /// initially-unsatisfied pairs it belongs to (with unit weights, its
@@ -133,6 +143,10 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
  private:
   double gainOfEndpoint(NodeId v, const util::Bitset& covered) const;
+  // gainIfAdd(a, b) from gainOfEndpoint(a) = `first` and the words of
+  // ~covered & ~coverage(a) = `open`: adds the weights of coverage(b) &
+  // open in ascending bit order.
+  double pairGain(double first, NodeId b, const std::uint64_t* open) const;
 
   const Instance* instance_;
   std::vector<util::Bitset> coverage_;  // [graph node] -> pair-node bits

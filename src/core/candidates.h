@@ -36,6 +36,15 @@ class CandidateSet {
   /// gain scan over this set can probe.
   const std::vector<NodeId>& endpoints() const noexcept { return endpoints_; }
 
+  /// True when every pair of endpoints() is a candidate (allPairs, the
+  /// serve pair-node universe; an empty set too).
+  bool holdsAllEndpointPairs() const noexcept {
+    // The candidates are distinct pairs a < b of endpoints: at most e(e-1)/2
+    // of them, and that many only when all are there.
+    const std::size_t e = endpoints_.size();
+    return e < 2 || 2 * candidates_.size() == e * (e - 1);
+  }
+
   /// Index of a shortcut, or -1 if not a candidate. O(1) when the
   /// candidates starting at f.a are every later endpoint (allPairs, the
   /// serve pair-node universe), O(log size) otherwise.

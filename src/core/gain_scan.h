@@ -3,7 +3,9 @@
 //
 // Every per-round selection loop in the library has the same shape — score
 // every candidate's marginal gain, keep the first candidate attaining the
-// strict running maximum of some score. gainScan gets all the gains from
+// strict running maximum of some score. (Plain greedy asks the evaluator
+// for that pick directly, IncrementalEvaluator::argmaxGain, whose default
+// is this scan with the gain as score.) gainScan gets all the gains from
 // one IncrementalEvaluator::scanGains call (sharded by candidate range,
 // each gain bit-identical to gainIfAdd) and then folds over them in index
 // order, so the pick is the same for any thread count: no floating-point
@@ -46,13 +48,37 @@ struct ScanBest {
   std::size_t evaluations = 0;  // unskipped candidates the fold scored
 };
 
+/// The fold of one selection scan: over `gains` in index order, skipping
+/// the candidates flagged in `skip` (empty = none), keep the first
+/// candidate attaining the strict running maximum of score(gain, i).
+/// When requirePositiveGain, candidates with gain <= 0 are ineligible
+/// (plain greedy's stop condition); otherwise the first unskipped
+/// candidate is always a valid fallback (AEA's "always swap something"
+/// rule).
+template <typename ScoreFn>
+ScanBest foldGains(std::span<const double> gains,
+                   std::span<const std::uint8_t> skip,
+                   bool requirePositiveGain, ScoreFn score) {
+  ScanBest best;
+  for (std::size_t c = 0; c < gains.size(); ++c) {
+    if (!skip.empty() && skip[c] != 0) continue;
+    ++best.evaluations;
+    const double gain = gains[c];
+    if (requirePositiveGain && gain <= 0.0) continue;
+    const double s = score(gain, c);
+    if (best.index < 0 || s > best.score) {
+      best.score = s;
+      best.gain = gain;
+      best.index = static_cast<long>(c);
+    }
+  }
+  return best;
+}
+
 /// One selection scan over `candidates` with `threads` workers (resolved via
-/// util::resolveThreadCount). skip(i) -> bool excludes candidates from the
-/// scan and the fold (each is asked once); score(gain, i) -> double ranks
-/// the rest. When
-/// requirePositiveGain, candidates with gain <= 0 are ineligible (plain
-/// greedy's stop condition); otherwise the first unskipped candidate is
-/// always a valid fallback (AEA's "always swap something" rule). When the
+/// util::resolveThreadCount): one scanGains call, then foldGains.
+/// skip(i) -> bool excludes candidates from the scan and the fold (each is
+/// asked once); score(gain, i) -> double ranks the rest. When the
 /// request's cancel token fires during the scan, some gains may be unset,
 /// so the result is empty (index -1, no evaluations).
 template <typename SkipFn, typename ScoreFn>
@@ -70,21 +96,8 @@ ScanBest gainScan(IncrementalEvaluator& eval, const CandidateSet& candidates,
     const util::ScopedChunkCancel chunkCancel(cancel);
     eval.scanGains(candidates, gains, threads, skipped);
   }
-  ScanBest best;
-  if (cancel != nullptr && cancel->cancelled()) return best;
-  for (std::size_t c = 0; c < gains.size(); ++c) {
-    if (skipped[c] != 0) continue;
-    ++best.evaluations;
-    const double gain = gains[c];
-    if (requirePositiveGain && gain <= 0.0) continue;
-    const double s = score(gain, c);
-    if (best.index < 0 || s > best.score) {
-      best.score = s;
-      best.gain = gain;
-      best.index = static_cast<long>(c);
-    }
-  }
-  return best;
+  if (cancel != nullptr && cancel->cancelled()) return {};
+  return foldGains(gains, skipped, requirePositiveGain, score);
 }
 
 }  // namespace msc::core::detail

@@ -1,9 +1,9 @@
 #include "core/greedy.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "core/gain_scan.h"
 #include "obs/context.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -21,15 +21,17 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
   MSC_OBS_SPAN("greedy.pass");
   eval.reset();
   GreedyResult result;
-  std::vector<char> chosen(candidates.size(), 0);
+  // The skip flags of every round's argmax, and the default argmax's gains
+  // buffer, kept across rounds.
+  std::vector<std::uint8_t> chosen(candidates.size(), 0);
+  std::vector<double> gains;
   // Request-scoped introspection hooks: one thread-local load each at pass
   // entry, pointer checks per round when unbound (§18 zero-overhead rule).
   util::CancelToken* const cancel = msc::obs::currentCancelToken();
   msc::obs::ProgressReporter* const progress = msc::obs::currentProgress();
   const char* const stage = msc::obs::currentProgressStage();
-  // One sample per round (each round is a full candidate scan, so the two
-  // clock reads are noise): the gain-scan tail latency of the Prometheus
-  // export.
+  // One sample per round (each round's argmax dwarfs the two clock reads):
+  // the gain-scan tail latency of the Prometheus export.
   static auto& scanHist = msc::obs::histogram("greedy.round_scan_seconds");
   static auto& cRounds = msc::obs::counter("greedy.rounds");
   static auto& cGainEvals = msc::obs::counter("greedy.gain_evals");
@@ -38,21 +40,22 @@ GreedyResult greedyMaximize(IncrementalEvaluator& eval,
       result.interrupted = cancel->reason();
       break;
     }
-    const detail::ScanBest best = [&] {
+    const GainPick best = [&] {
       const msc::obs::ScopedSpan scan("greedy.round_scan", scanHist,
                                       msc::obs::Phase::RoundScan);
-      return detail::gainScan(
-          eval, candidates, threads, /*requirePositiveGain=*/true,
-          [&](std::size_t c) { return chosen[c] != 0; },
-          [](double gain, std::size_t) { return gain; });
+      // The token is re-checked below and the round dropped, so the pool
+      // may skip the remaining chunks once it fires: the "between
+      // thread-pool chunks" check of the §18 cancellation contract.
+      const util::ScopedChunkCancel chunkCancel(cancel);
+      return eval.argmaxGain(candidates, threads, chosen, gains);
     }();
-    result.gainEvaluations += best.evaluations;
     if (cancel != nullptr && cancel->cancelled()) {
       // The token fired mid-scan, so the scan may have skipped chunks:
       // discard the (possibly partial) pick and keep the committed prefix.
       result.interrupted = cancel->reason();
       break;
     }
+    result.gainEvaluations += best.evaluations;
     if (best.index < 0) break;  // nothing improves the objective
     const auto idx = static_cast<std::size_t>(best.index);
     chosen[idx] = 1;

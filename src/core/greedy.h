@@ -3,9 +3,10 @@
 // The paper runs the same multi-round selection against three different set
 // functions (sigma, mu, nu — §IV-B, §V-B) and against dynamic-network sums
 // (§VI); this module implements it once over the IncrementalEvaluator
-// interface. Each round scores every candidate in one bulk scanGains call
-// and keeps the best; the sandwich algorithm runs this same loop for all
-// three of its passes.
+// interface. Each round takes the evaluator's argmaxGain — by default one
+// bulk scanGains call and an index-order fold, for ν a bounded walk over
+// endpoint pairs — and the sandwich algorithm runs this same loop for
+// all three of its passes.
 //
 // With options.threads > 1 the per-round candidate gain scan is sharded
 // across the global thread pool against read-only evaluator state; the
@@ -29,7 +30,8 @@ struct GreedyResult {
   std::vector<double> trajectory;
 
   // --- observability (always filled, independent of msc::obs state) ---
-  /// Gains this pass scored: the unskipped candidates of every scan.
+  /// The unskipped candidates of every round (the gains a full scan
+  /// scores, also when the evaluator's argmax computes fewer).
   std::size_t gainEvaluations = 0;
   /// Accepted picks (== placement.size(), kept separate for reporting).
   int rounds = 0;

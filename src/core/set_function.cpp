@@ -48,4 +48,16 @@ void IncrementalEvaluator::scanGains(const CandidateSet& candidates,
                                 });
 }
 
+GainPick IncrementalEvaluator::argmaxGain(const CandidateSet& candidates,
+                                          int threads,
+                                          std::span<const std::uint8_t> skip,
+                                          std::vector<double>& scratch) {
+  scratch.resize(candidates.size());
+  scanGains(candidates, scratch, threads, skip);
+  const detail::ScanBest best = detail::foldGains(
+      scratch, skip, /*requirePositiveGain=*/true,
+      [](double gain, std::size_t) { return gain; });
+  return {best.index, best.gain, best.evaluations};
+}
+
 }  // namespace msc::core

@@ -8,15 +8,24 @@
 // (cheap marginal gains against mutable internal state).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/types.h"
 
 namespace msc::core {
 
 class CandidateSet;
+
+/// One greedy round's pick (IncrementalEvaluator::argmaxGain).
+struct GainPick {
+  long index = -1;              // candidate index, -1 when no gain is > 0
+  double gain = 0.0;            // its marginal gain
+  std::size_t evaluations = 0;  // unskipped candidates of the round
+};
 
 /// Read-only whole-set evaluation: value(F) for arbitrary placements.
 class SetFunction {
@@ -61,6 +70,21 @@ class IncrementalEvaluator {
   virtual void scanGains(const CandidateSet& candidates,
                          std::span<double> gains, int threads,
                          std::span<const std::uint8_t> skip);
+
+  /// Greedy's pick under the current state: the lowest-index candidate not
+  /// flagged in `skip` (as in scanGains) whose gain is the largest and
+  /// positive (index -1 when no gain is), that gain bit for bit as
+  /// gainIfAdd returns it, and the number of unskipped candidates. The
+  /// result is the same at any `threads`. Does not change the state.
+  /// `scratch` is a gains buffer the default resizes to candidates.size()
+  /// and fills through scanGains before folding over it in index order;
+  /// a caller keeps it across rounds so it is allocated once. Evaluators
+  /// that can find the maximum without scoring every candidate override
+  /// it (NuEvaluator). Callers may run it under a util::ScopedChunkCancel
+  /// and must then discard the pick once the token fired.
+  virtual GainPick argmaxGain(const CandidateSet& candidates, int threads,
+                              std::span<const std::uint8_t> skip,
+                              std::vector<double>& scratch);
 
   /// Sets the state to exactly `placement` and returns its value.
   double evaluate(const ShortcutList& placement) {

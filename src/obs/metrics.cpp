@@ -132,15 +132,20 @@ ScopedSpan::ScopedSpan(const char* name, Stat* stat, Histogram* histogram,
   ++gSpanDepth;
 }
 
-ScopedSpan::~ScopedSpan() {
-  const std::int64_t endNs = trace::nowNs();
-  const std::int64_t ns = endNs - startNs_;
-  const double seconds = static_cast<double>(ns) * 1e-9;
-  if (traceName_ != nullptr) trace::endAt(traceName_, endNs);
-  if (stat_ != nullptr) stat_->record(seconds);
-  if (histogram_ != nullptr) histogram_->record(seconds);
-  if (request_ != nullptr) request_->addPhaseNs(phase_, ns);
-  --gSpanDepth;
+ScopedSpan::~ScopedSpan() { close(); }
+
+double ScopedSpan::close() noexcept {
+  if (ns_ < 0) {
+    const std::int64_t endNs = trace::nowNs();
+    ns_ = endNs - startNs_;
+    const double seconds = static_cast<double>(ns_) * 1e-9;
+    if (traceName_ != nullptr) trace::endAt(traceName_, endNs);
+    if (stat_ != nullptr) stat_->record(seconds);
+    if (histogram_ != nullptr) histogram_->record(seconds);
+    if (request_ != nullptr) request_->addPhaseNs(phase_, ns_);
+    --gSpanDepth;
+  }
+  return static_cast<double>(ns_) * 1e-9;
 }
 
 int ScopedSpan::depth() noexcept { return gSpanDepth; }

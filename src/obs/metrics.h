@@ -223,6 +223,11 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  /// Ends the span now, before its scope does, and returns the seconds its
+  /// sink, slice and phase got; the destructor then records nothing.
+  /// Idempotent: a later call returns the same reading.
+  double close() noexcept;
+
   /// Nesting depth of currently-open spans on this thread.
   static int depth() noexcept;
 
@@ -236,6 +241,7 @@ class ScopedSpan {
   RequestContext* request_ = nullptr;  // null without a phase or a binding
   Phase phase_;
   std::int64_t startNs_ = 0;  // trace::nowNs() at construction
+  std::int64_t ns_ = -1;      // the duration once closed, -1 while open
 };
 
 #define MSC_OBS_CONCAT_INNER(a, b) a##b

@@ -90,10 +90,8 @@ LatencyHistograms& latency() {
   return histograms;
 }
 
-/// The "span.<span>" stat of each command's span and of span.serve.request,
-/// looked up once.
+/// The "span.<span>" stat of each command's span, looked up once.
 struct SpanStats {
-  obs::Stat& request = obs::stat("span.serve.request");
   std::array<obs::Stat*, kCommandCount> command = [] {
     std::array<obs::Stat*, kCommandCount> stats{};
     for (std::size_t i = 0; i < kCommandCount; ++i) {
@@ -246,8 +244,11 @@ class Engine::CancelTicket {
 
 /// One request inside the engine (docs/ALGORITHMS.md §12). The constructor
 /// opens its spans, counts it and binds its context and cancel token;
-/// reply() or fail() renders the answer after the same finish(); the
-/// destructor records the histograms, the oracle totals and the log line.
+/// reply() or fail() renders the answer after the same finish(), which
+/// closes the spans: the request span's one reading is the reply's
+/// wall_seconds, its serve.request_seconds sample and its trace slice. The
+/// destructor records the phase histograms, the oracle totals and the log
+/// line.
 class Engine::Lifecycle {
  public:
   Lifecycle(Engine& engine, const Request& request, double queueWaitSeconds,
@@ -277,8 +278,6 @@ class Engine::Lifecycle {
   Lifecycle& operator=(const Lifecycle&) = delete;
 
   ~Lifecycle() {
-    const double wall = wallSince();
-    latency().request.record(wall);
     // Oracle totals: every request's usage.oracle, so they never go down
     // when the cache drops or rebuilds an oracle.
     if (const Usage& ou = rctx_.oracle(); ou.any()) {
@@ -303,7 +302,7 @@ class Engine::Lifecycle {
           {"cmd", commandSpec(request_.cmd).name},
           {"status", status_},
           {"queue_wait_seconds", queueWait_},
-          {"wall_seconds", wall},
+          {"wall_seconds", wall_.value_or(0.0)},
           {"cpu_seconds", rctx_.cpuSeconds()},
           {"apsp_seconds", rctx_.phaseSeconds(obs::Phase::Apsp)},
           {"round_scan_seconds", rctx_.phaseSeconds(obs::Phase::RoundScan)},
@@ -397,13 +396,8 @@ class Engine::Lifecycle {
     }
   }
 
-  double wallSince() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         begin_)
-        .count();
-  }
-
-  /// Freezes the execution wall time and finalizes the context, then runs
+  /// Closes the command and request spans (in nesting order), which
+  /// freezes the execution wall time, and finalizes the context; then runs
   /// the tail-sampling flight recorder (docs/ALGORITHMS.md §14): a request
   /// that breached the latency threshold or asked for a profile gets its
   /// trace events dumped. The wall time is frozen before the (possibly
@@ -411,9 +405,13 @@ class Engine::Lifecycle {
   /// A dump failure (unwritable dir) is logged, never reported to the
   /// client: diagnostics must not fail the request they diagnose. Failing
   /// requests get a dump too; the error schema has no usage block, so
-  /// their path is log-only. Returns the execution wall seconds.
+  /// their path is log-only. Returns the execution wall seconds; a second
+  /// call returns them again and does nothing else.
   double finish() {
-    const double wallExec = wallSince();
+    if (wall_) return *wall_;
+    cmdSpan_.close();
+    const double wallExec = requestSpan_.close();
+    wall_ = wallExec;
     rctx_.finalize(wallExec);
     const double thresholdMs = obs::slowRequestThresholdMs();
     const bool slow =
@@ -475,10 +473,9 @@ class Engine::Lifecycle {
   Engine& engine_;
   const Request& request_;
   const double queueWait_;
-  obs::ScopedSpan requestSpan_{"serve.request", spanStats().request};
+  obs::ScopedSpan requestSpan_{"serve.request", latency().request};
   obs::ScopedSpan cmdSpan_;
-  const std::chrono::steady_clock::time_point begin_ =
-      std::chrono::steady_clock::now();
+  std::optional<double> wall_;  // execution wall seconds, once finished
   std::string profileError_;
   obs::RequestContext rctx_;
   std::optional<CancelTicket> ownTicket_;

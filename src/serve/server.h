@@ -37,10 +37,12 @@
 // Requests that arrive after a shutdown request are answered with a
 // structured "server is shutting down" error, never silently dropped.
 //
-// Observability: each request runs under span.serve.request plus its
-// command's span, counts into the engine's own registry (requests, errors,
-// slow requests, cancellations, overload rejections, oracle work) and the
-// queue depth is a "serve.queue_depth" trace counter track. `stats`,
+// Observability: each request runs under a serve.request span, whose one
+// clock reading is the reply's wall_seconds, its "serve.request_seconds"
+// sample and its trace slice, plus its command's span. It counts into the
+// engine's own registry (requests, errors, slow requests, cancellations,
+// overload rejections, oracle work), and the queue depth is a
+// "serve.queue_depth" trace counter track. `stats`,
 // `metrics` and GET /metrics all render one Engine::snapshot(). On top of
 // that (docs/ALGORITHMS.md §13): latency histograms
 // ("serve.request_seconds", "serve.queue_wait_seconds"), Prometheus text

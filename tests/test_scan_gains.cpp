@@ -6,7 +6,8 @@
 // across generators, full and d_t-bounded rows, thresholds, thread counts
 // and committed prefixes. σ and μ are also checked against independent
 // full-pair loops, and whole greedy, budgeted and sandwich passes against
-// a loop-only reference evaluator. The PairBall* cases pin the
+// a loop-only reference evaluator; ν's argmax against the full scan's
+// fold at every greedy round. The PairBall* cases pin the
 // d_t-ball edge cases: zero and infinite thresholds, zero-length edges,
 // infinite rows across components, non-candidate probes and composites.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -851,6 +853,284 @@ TEST(ScanSkip, ReportedGainEvaluationsEqualProbesOnTheDefaultPath) {
     const auto b = msc::core::budgetedGreedy(budgeted, cands,
                                              msc::core::unitCost(), 4.0, options);
     EXPECT_EQ(b.gainEvaluations, budgeted.probes());
+  }
+}
+
+// ------------------------------------------------------------ ν argmax ---
+
+// Greedy's pick from a full scan: every unskipped gain from scanGains, then
+// the first strict maximum among the positive ones.
+msc::core::GainPick fullScanPick(NuEvaluator& nu, const CandidateSet& cands,
+                                 int threads,
+                                 std::span<const std::uint8_t> skip) {
+  std::vector<double> gains(cands.size());
+  nu.scanGains(cands, gains, threads, skip);
+  msc::core::GainPick pick;
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    if (skip[c] != 0) continue;
+    ++pick.evaluations;
+    if (gains[c] > 0.0 && (pick.index < 0 || gains[c] > pick.gain)) {
+      pick.index = static_cast<long>(c);
+      pick.gain = gains[c];
+    }
+  }
+  return pick;
+}
+
+enum class WeightKind { Unit, Random, ZeroHolding, Huge };
+
+const char* weightKindName(WeightKind k) {
+  switch (k) {
+    case WeightKind::Unit: return "unit";
+    case WeightKind::Random: return "random";
+    case WeightKind::ZeroHolding: return "zero_holding";
+    case WeightKind::Huge: return "huge";
+  }
+  return "?";
+}
+
+std::vector<double> makeWeights(WeightKind kind, std::size_t m) {
+  switch (kind) {
+    case WeightKind::Unit: return {};
+    case WeightKind::Random: return sampleWeights(m, 43);
+    case WeightKind::ZeroHolding: return zeroHoldingWeights(m);
+    case WeightKind::Huge: {
+      // Pair-node weights of DBL_MAX/16..DBL_MAX/4: a node covering a few
+      // pair-nodes stays finite, and two such nodes' sum overflows.
+      std::vector<double> w(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        w[i] = std::numeric_limits<double>::max() /
+               static_cast<double>(2 + i % 7);
+      }
+      return w;
+    }
+  }
+  return {};
+}
+
+// Every third pair of nodes: a sparse explicit list, which takes the
+// default argmax.
+CandidateSet sparseCandidates(int n) {
+  ShortcutList list;
+  const auto all = CandidateSet::allPairs(n);
+  for (std::size_t c = 0; c < all.size(); c += 3) list.push_back(all[c]);
+  return CandidateSet(std::move(list));
+}
+
+// Endpoint v's ν score in the initial state, with the evaluator's rounding:
+// the weights of the pair-nodes v covers, summed in index order.
+double initialEndpointScore(const Instance& inst, const NuEvaluator& nu,
+                            NodeId v) {
+  const auto& nodes = inst.pairNodes();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (inst.baseRow(nodes[i])[static_cast<std::size_t>(v)] <=
+        inst.distanceThreshold()) {
+      sum += nu.nodeWeight(i);
+    }
+  }
+  return sum;
+}
+
+// True when some endpoint pair's scores are finite but add up to +inf, in
+// the initial state.
+bool endpointSumsOverflow(const Instance& inst, const NuEvaluator& nu,
+                          const CandidateSet& cands) {
+  std::vector<double> g;
+  for (const NodeId v : cands.endpoints()) {
+    const double sum = initialEndpointScore(inst, nu, v);
+    if (sum != kInf) g.push_back(sum);
+  }
+  for (const double x : g) {
+    for (const double y : g) {
+      if (x + y == kInf) return true;
+    }
+  }
+  return false;
+}
+
+class NuArgmaxThreads : public ::testing::TestWithParam<int> {};
+
+// The ν argmax (a best-first search over endpoint pairs on complete sets,
+// the default scan otherwise) returns the full scan's pick, gain bits and
+// unskipped count at every greedy round: across generators with tied
+// distances and components, weights whose rounding matters or overflows,
+// thresholds 0, median and +inf (where rounds with every gain 0 occur),
+// complete and incomplete candidate sets.
+TEST_P(NuArgmaxThreads, MatchesTheFullScanFoldAtEveryRound) {
+  const int threads = GetParam();
+  std::vector<GenCase> graphs = generators();
+  {
+    // Two lines 0-1-2-3 and 4-5-6-7: every cross pair stays open.
+    Graph g(8);
+    for (int v : {0, 1, 2}) g.addEdge(v, v + 1, 1.0);
+    for (int v : {4, 5, 6}) g.addEdge(v, v + 1, 1.0);
+    graphs.push_back({"disconnected", std::move(g)});
+  }
+  bool sawOverflow = false;
+  int zeroRounds = 0;
+  for (const GenCase& gc : graphs) {
+    SCOPED_TRACE(gc.name);
+    const auto pairs = samplePairs(gc.graph, 12, 29);
+    const Instance probe(gc.graph, pairs, 0.0);
+    const double median =
+        msc::test::medianThreshold(probe.distanceOracle(), pairs);
+    for (const double dt : {0.0, median, kInf}) {
+      SCOPED_TRACE("dt " + std::to_string(dt));
+      const Instance inst(gc.graph, pairs, dt, threads);
+      std::vector<std::pair<const char*, CandidateSet>> sets;
+      sets.emplace_back("all_pairs", makeCandidates(CandKind::AllPairs, inst));
+      sets.emplace_back("pair_nodes",
+                        makeCandidates(CandKind::PairNodes, inst));
+      sets.emplace_back("incident", makeCandidates(CandKind::Incident, inst));
+      sets.emplace_back("sparse", sparseCandidates(inst.graph().nodeCount()));
+      for (const auto& [setName, cands] : sets) {
+        SCOPED_TRACE(setName);
+        const bool complete = std::string(setName) == "all_pairs" ||
+                              std::string(setName) == "pair_nodes";
+        ASSERT_EQ(cands.holdsAllEndpointPairs(), complete);
+        for (const WeightKind wk : {WeightKind::Unit, WeightKind::Random,
+                                    WeightKind::ZeroHolding, WeightKind::Huge}) {
+          SCOPED_TRACE(weightKindName(wk));
+          NuEvaluator nu(inst, makeWeights(wk, pairs.size()));
+          if (wk == WeightKind::Huge && endpointSumsOverflow(inst, nu, cands)) {
+            sawOverflow = true;
+          }
+          std::vector<std::uint8_t> chosen(cands.size(), 0);
+          std::vector<double> scratch;
+          msc::util::Rng rng(11);
+          for (int round = 0; round < 5; ++round) {
+            SCOPED_TRACE("round " + std::to_string(round));
+            const auto want = fullScanPick(nu, cands, threads, chosen);
+            const auto got = nu.argmaxGain(cands, threads, chosen, scratch);
+            ASSERT_EQ(got.index, want.index);
+            ASSERT_TRUE(sameBits(got.gain, want.gain));
+            ASSERT_EQ(got.evaluations, want.evaluations);
+            if (want.index < 0) ++zeroRounds;
+            // Commit the pick, or any unchosen candidate when none helps.
+            std::size_t c = static_cast<std::size_t>(want.index);
+            if (want.index < 0) {
+              do {
+                c = rng.below(cands.size());
+              } while (chosen[c] != 0);
+            }
+            chosen[c] = 1;
+            nu.add(cands[c]);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(sawOverflow);
+  EXPECT_GT(zeroRounds, 0);
+}
+
+// Hubs on a path of long edges, each with 2–3 pair-node leaves, d_t = 1,
+// pair weights in tenths: endpoints cover disjoint leaf sets, so many pairs
+// have equal gains in real arithmetic whose computed sums differ by an ulp,
+// and a pick's gain can exceed fl(g(a) + g(b)). Without the bound's
+// rounding slack the walk then prunes the true pick in a few instances per
+// thousand; with it, every round matches the full scan.
+TEST_P(NuArgmaxThreads, NearTiesWithinAnUlpKeepTheFullScanPick) {
+  const int threads = GetParam();
+  int exceedsPlainBound = 0;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    msc::util::Rng rng(seed);
+    const int hubs = 4 + static_cast<int>(rng.below(4));
+    const int leaves = 2 + static_cast<int>(rng.below(2));
+    Graph g(hubs * (leaves + 1));
+    for (int h = 0; h + 1 < hubs; ++h) g.addEdge(h, h + 1, 10.0);
+    for (int h = 0; h < hubs; ++h) {
+      for (int l = 0; l < leaves; ++l) g.addEdge(h, hubs + h * leaves + l, 1.0);
+    }
+    std::vector<SocialPair> pairs;
+    std::vector<double> weights;
+    const int tries = 3 + static_cast<int>(rng.below(6));
+    for (int i = 0; i < tries; ++i) {
+      const int a = static_cast<int>(rng.below(hubs * leaves));
+      const int b = static_cast<int>(rng.below(hubs * leaves));
+      if (a / leaves == b / leaves) continue;  // same hub: within d_t
+      pairs.push_back({hubs + a, hubs + b});
+      weights.push_back(0.1 * static_cast<double>(1 + rng.below(9)));
+    }
+    if (pairs.size() < 2) continue;
+    const Instance inst(std::move(g), pairs, 1.0, threads);
+    NuEvaluator nu(inst, weights);
+    const auto cands = CandidateSet::allPairs(inst.graph().nodeCount());
+    std::vector<std::uint8_t> chosen(cands.size(), 0);
+    std::vector<double> scratch;
+    for (int round = 0; round < 4; ++round) {
+      const auto want = fullScanPick(nu, cands, threads, chosen);
+      const auto got = nu.argmaxGain(cands, threads, chosen, scratch);
+      ASSERT_EQ(got.index, want.index) << "round " << round;
+      ASSERT_TRUE(sameBits(got.gain, want.gain)) << "round " << round;
+      if (want.index < 0) break;
+      const Shortcut f = cands[static_cast<std::size_t>(want.index)];
+      if (round == 0 && want.gain > initialEndpointScore(inst, nu, f.a) +
+                                        initialEndpointScore(inst, nu, f.b)) {
+        ++exceedsPlainBound;
+      }
+      chosen[static_cast<std::size_t>(want.index)] = 1;
+      nu.add(f);
+    }
+  }
+  EXPECT_GT(exceedsPlainBound, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, NuArgmaxThreads, ::testing::Values(1, 4));
+
+// greedy.gain_evals, the sandwich's ν count and the pass's gainEvaluations
+// count every unskipped candidate of every round, as a full scan scores
+// them; nu.gain_calls counts the exact ν gains computed, which the argmax
+// prunes on a complete set and the default scan does not.
+TEST(NuArgmax, CountersReportUnskippedCandidatesAndComputedGains) {
+  const auto inst = msc::test::randomInstance(60, 15, 1.2, 7);
+  const SolveOptions options{.k = 4};
+  // A pass of `rounds` picks scans once more when it stops early.
+  const auto scans = [&](int rounds) {
+    return rounds < options.k ? rounds + 1 : rounds;
+  };
+  const auto unskipped = [&](std::size_t size, int rounds) {
+    std::size_t total = 0;
+    for (int r = 0; r < scans(rounds); ++r) {
+      total += size - static_cast<std::size_t>(r);
+    }
+    return total;
+  };
+  auto& greedyEvals = msc::obs::counter("greedy.gain_evals");
+  auto& nuGains = msc::obs::counter("nu.gain_calls");
+
+  const auto all = CandidateSet::allPairs(60);
+  {
+    const MetricsScope metrics;
+    NuEvaluator nu(inst);
+    const auto pass = msc::core::greedyMaximize(nu, all, options);
+    ASSERT_EQ(pass.rounds, 4);
+    const std::size_t evals = unskipped(all.size(), pass.rounds);
+    EXPECT_EQ(pass.gainEvaluations, evals);
+    EXPECT_EQ(greedyEvals.value(), evals);
+    // Each add() computes its gain once; the rest are the argmax's.
+    const std::uint64_t computed = nuGains.value() - 4;
+    EXPECT_GT(computed, 0u);
+    EXPECT_LT(computed * 20, evals);
+  }
+  {
+    const MetricsScope metrics;
+    const auto aa = msc::core::sandwichApproximation(inst, all, options);
+    EXPECT_EQ(msc::obs::counter("sandwich.gain_evals.nu").value(),
+              unskipped(all.size(), static_cast<int>(aa.placementNu.size())));
+  }
+  {
+    // A sparse set scans in full: every candidate's gain, every round.
+    const auto sparse = sparseCandidates(60);
+    const MetricsScope metrics;
+    NuEvaluator nu(inst);
+    const auto pass = msc::core::greedyMaximize(nu, sparse, options);
+    EXPECT_EQ(pass.gainEvaluations, unskipped(sparse.size(), pass.rounds));
+    EXPECT_EQ(nuGains.value(),
+              sparse.size() * static_cast<std::size_t>(scans(pass.rounds)) +
+                  static_cast<std::size_t>(pass.rounds));
   }
 }
 

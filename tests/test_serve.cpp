@@ -469,6 +469,26 @@ TEST(ServeEngineObservability2, EachIntervalGetsOneReading) {
   msc::obs::resetAll();
 }
 
+// A served request has one latency series: the serve.request span's one
+// reading is the reply's wall_seconds and its single serve.request_seconds
+// sample, and no "span.serve.request" stat repeats it.
+TEST(ServeEngineObservability2, RequestLatencyIsOneSeries) {
+  Engine engine;
+  loadFixture(engine, msc::test::randomGraph(40, 0.1, 7), "0 39\n3 31\n");
+  msc::obs::resetAll();
+  const auto solve = json::parse(engine.handleLine(
+      "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+      "\"algo\":\"aa\",\"k\":2,\"threads\":1,\"seed\":1}"));
+  ASSERT_EQ(solve.find("status")->asString(), "ok");
+  EXPECT_EQ(solve.find("wall_seconds")->asNumber(),
+            singleHistogramSample("serve.request_seconds"));
+  for (const auto& row : msc::obs::Registry::global().snapshot().stats) {
+    EXPECT_NE(row.name, "span.serve.request");
+  }
+  EXPECT_EQ(engine.metricsText().find("span_serve_request"), std::string::npos);
+  msc::obs::resetAll();
+}
+
 TEST(ServeEngineObservability2, SlowRequestBreachDumpsFlightRecord) {
   const double savedMs = msc::obs::slowRequestThresholdMs();
   const std::string savedDir = msc::obs::slowRequestDir();
